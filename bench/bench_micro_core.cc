@@ -1,7 +1,7 @@
 /// Google-benchmark micro benchmarks of the core primitives: entropy,
-/// marginalization, the BSC butterfly, answer-joint preprocessing,
-/// partition refinement (dense and sparse), Bayesian updates, and
-/// one-round selection. The custom main additionally times the sparse
+/// marginalization, the BSC butterfly, the answer distribution (fast and
+/// Equation 2), partition refinement, Bayesian updates, and one-round
+/// selection. The custom main additionally times the sparse
 /// greedy at paper scale (n = 64, |O| = 10^5) and merges the measurement
 /// into the BENCH_greedy.json baseline.
 
@@ -86,43 +86,6 @@ void BM_AnswerDistributionBruteForce(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AnswerDistributionBruteForce);
-
-void BM_AnswerJointBuild(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const core::JointDistribution joint = bench::MakeCorrelatedJoint(n, 4);
-  const core::CrowdModel crowd = Crowd();
-  for (auto _ : state) {
-    auto table = core::AnswerJointTable::Build(joint, crowd);
-    benchmark::DoNotOptimize(table);
-  }
-}
-BENCHMARK(BM_AnswerJointBuild)->Arg(8)->Arg(12)->Arg(16);
-
-void BM_AnswerJointBuildByScan(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const core::JointDistribution joint = bench::MakeCorrelatedJoint(n, 4);
-  const core::CrowdModel crowd = Crowd();
-  for (auto _ : state) {
-    auto table = core::AnswerJointTable::BuildByScan(joint, crowd);
-    benchmark::DoNotOptimize(table);
-  }
-}
-BENCHMARK(BM_AnswerJointBuildByScan)->Arg(8)->Arg(10)->Arg(12);
-
-void BM_PartitionRefinerCandidate(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const core::JointDistribution joint = bench::MakeCorrelatedJoint(n, 5);
-  const core::CrowdModel crowd = Crowd();
-  auto table = core::AnswerJointTable::Build(joint, crowd);
-  CF_CHECK(table.ok());
-  core::PartitionRefiner refiner(&table.value());
-  refiner.Commit(0);
-  refiner.Commit(1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(refiner.EntropyWithCandidate(3));
-  }
-}
-BENCHMARK(BM_PartitionRefinerCandidate)->Arg(8)->Arg(12)->Arg(16);
 
 void BM_SparseRefinerCandidate(benchmark::State& state) {
   const int n = 64;
@@ -216,8 +179,6 @@ void BM_SparseGreedySelect(benchmark::State& state) {
   core::GreedySelector::Options options;
   options.use_pruning = true;
   options.use_preprocessing = true;
-  options.preprocessing_mode =
-      core::GreedySelector::PreprocessingMode::kSparse;
   core::GreedySelector selector(options);
   for (auto _ : state) {
     core::SelectionRequest request;
@@ -309,7 +270,6 @@ int EmitBaseline(const std::string& report_path) {
   auto selection = selector.Select(request);
   const double seconds = timer.ElapsedSeconds();
   CF_CHECK(selection.ok()) << selection.status().ToString();
-  CF_CHECK(selection->stats.sparse_preprocessing);
 
   common::BenchReport report("bench_micro_core");
   common::BenchRecord record;

@@ -81,14 +81,13 @@ int main() {
 
   std::printf("\nTABLE IV — answer joint distribution, Pc = %.1f\n",
               crowd.pc());
-  auto answer_table = core::AnswerJointTable::Build(joint, crowd);
-  if (!answer_table.ok()) return 1;
+  const std::vector<int> all_facts = {0, 1, 2, 3};
+  const std::vector<double> answer_table =
+      core::AnswerDistribution(joint, all_facts, crowd);
   common::TablePrinter t4({"Ansi", "f1f2f3f4", "P(a)"});
   for (int row = 0; row < 16; ++row) {
-    t4.AddRow(
-        {"a" + std::to_string(row + 1), RowPattern(row),
-         common::StrFormat("%.3f",
-                           answer_table->Probability(RowToMask(row)))});
+    t4.AddRow({"a" + std::to_string(row + 1), RowPattern(row),
+               common::StrFormat("%.3f", answer_table[RowToMask(row)])});
   }
   t4.Print(std::cout);
 

@@ -1,229 +1,63 @@
 #include "common/bench_report.h"
 
-#include <cctype>
 #include <cmath>
-#include <cstring>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
+#include "common/json.h"
+#include "common/json_util.h"
 #include "common/string_util.h"
 
 namespace crowdfusion::common {
 
 namespace {
 
-std::string EscapeJsonString(const std::string& value) {
-  std::string out;
-  out.reserve(value.size() + 2);
-  for (char c : value) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string FormatDouble(double value) {
   if (!std::isfinite(value)) return "null";
   return StrFormat("%.17g", value);  // exact double round-trip
 }
 
-/// Minimal scanner for the report schema: it only has to read back what
-/// ToJson writes (flat objects of string and number values inside one
-/// "records" array), but it skips unknown keys so the format can grow.
-class Scanner {
- public:
-  explicit Scanner(const std::string& text) : text_(text) {}
-
-  void SkipWhitespace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
+/// Reads a measurement member: the writer spells a non-finite value as
+/// null, which reads back as NaN. Absent members keep their default.
+Status ReadMeasurement(const JsonValue& record, const char* key,
+                       double* out) {
+  const JsonValue* member = record.Find(key);
+  if (member != nullptr && member->is_null()) {
+    *out = std::nan("");
+    return Status::Ok();
   }
+  return JsonReadDouble(record, key, out);
+}
 
-  bool Consume(char c) {
-    SkipWhitespace();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool Peek(char c) {
-    SkipWhitespace();
-    return pos_ < text_.size() && text_[pos_] == c;
-  }
-
-  Result<std::string> ParseString() {
-    SkipWhitespace();
-    if (!Consume('"')) return Malformed("expected string");
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) {
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) return Malformed("bad \\u escape");
-            int code = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char hex = text_[pos_ + static_cast<size_t>(i)];
-              if (!std::isxdigit(static_cast<unsigned char>(hex))) {
-                return Malformed("bad \\u escape");
-              }
-              code = code * 16 +
-                     (std::isdigit(static_cast<unsigned char>(hex))
-                          ? hex - '0'
-                          : std::tolower(static_cast<unsigned char>(hex)) -
-                                'a' + 10);
-            }
-            pos_ += 4;
-            out += static_cast<char>(code);  // report strings are ASCII
-            break;
-          }
-          default: out += esc;
-        }
-      } else {
-        out += c;
-      }
-    }
-    if (!Consume('"')) return Malformed("unterminated string");
-    return out;
-  }
-
-  Result<double> ParseNumber() {
-    SkipWhitespace();
-    // "null" stands in for a non-finite measurement.
-    if (text_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-      return std::nan("");
-    }
-    const size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) return Malformed("expected number");
-    try {
-      return std::stod(text_.substr(start, pos_ - start));
-    } catch (const std::exception&) {
-      return Malformed("unparsable number");
-    }
-  }
-
-  Status SkipValue() {
-    SkipWhitespace();
-    if (Peek('"')) return ParseString().status();
-    // Bare literals an unknown future field might carry.
-    for (const char* literal : {"true", "false", "null"}) {
-      const size_t len = std::strlen(literal);
-      if (text_.compare(pos_, len, literal) == 0) {
-        pos_ += len;
-        return Status::Ok();
-      }
-    }
-    if (Peek('{') || Peek('[')) {
-      const char open = text_[pos_];
-      const char close = open == '{' ? '}' : ']';
-      int depth = 0;
-      bool in_string = false;
-      while (pos_ < text_.size()) {
-        const char c = text_[pos_++];
-        if (in_string) {
-          if (c == '\\') ++pos_;
-          else if (c == '"') in_string = false;
-        } else if (c == '"') {
-          in_string = true;
-        } else if (c == open) {
-          ++depth;
-        } else if (c == close && --depth == 0) {
-          return Status::Ok();
-        }
-      }
-      return Status::InvalidArgument("unbalanced JSON container");
-    }
-    return ParseNumber().status();
-  }
-
-  Status Malformed(const std::string& what) const {
-    return Status::InvalidArgument(
-        StrFormat("malformed bench report at offset %zu: %s", pos_,
-                  what.c_str()));
-  }
-
- private:
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
-Result<BenchRecord> ParseRecord(Scanner& scanner) {
+/// One element of the "records" array. Integer fields must be JSON
+/// integers (null is an error); unknown members are skipped so the format
+/// can grow, and fields newer than a file (the v2 serving and load-replay
+/// fields) keep their zero defaults.
+Result<BenchRecord> ParseRecord(const JsonValue& json) {
+  CF_RETURN_IF_ERROR(JsonRequireObject(json, "bench record").status());
   BenchRecord record;
-  if (!scanner.Consume('{')) {
-    return scanner.Malformed("expected record object");
+  CF_RETURN_IF_ERROR(JsonReadString(json, "source", &record.source));
+  CF_RETURN_IF_ERROR(JsonReadString(json, "config", &record.config));
+  CF_RETURN_IF_ERROR(JsonReadInt(json, "n", &record.n));
+  CF_RETURN_IF_ERROR(JsonReadInt64(json, "support", &record.support));
+  CF_RETURN_IF_ERROR(JsonReadInt(json, "k", &record.k));
+  const std::pair<const char*, double*> measurements[] = {
+      {"wall_ms", &record.wall_ms},
+      {"entropy_bits", &record.entropy_bits},
+      {"throughput_per_sec", &record.throughput_per_sec},
+      {"p50_ms", &record.p50_ms},
+      {"p95_ms", &record.p95_ms},
+      {"p99_ms", &record.p99_ms},
+      {"p999_ms", &record.p999_ms}};
+  for (const auto& [key, field] : measurements) {
+    CF_RETURN_IF_ERROR(ReadMeasurement(json, key, field));
   }
-  while (!scanner.Peek('}')) {
-    CF_ASSIGN_OR_RETURN(const std::string key, scanner.ParseString());
-    if (!scanner.Consume(':')) return scanner.Malformed("expected ':'");
-    if (key == "source" || key == "config") {
-      CF_ASSIGN_OR_RETURN(const std::string value, scanner.ParseString());
-      (key == "source" ? record.source : record.config) = value;
-    } else if (key == "n" || key == "support" || key == "k") {
-      CF_ASSIGN_OR_RETURN(const double value, scanner.ParseNumber());
-      // Integer fields must be finite: casting the NaN that "null" parses
-      // to would be undefined behavior.
-      if (!std::isfinite(value)) {
-        return scanner.Malformed("non-finite integer field " + key);
-      }
-      if (key == "n") record.n = static_cast<int>(value);
-      else if (key == "support") record.support = static_cast<int64_t>(value);
-      else record.k = static_cast<int>(value);
-    } else if (key == "wall_ms" || key == "entropy_bits") {
-      CF_ASSIGN_OR_RETURN(const double value, scanner.ParseNumber());
-      (key == "wall_ms" ? record.wall_ms : record.entropy_bits) = value;
-    } else if (key == "throughput_per_sec" || key == "p50_ms" ||
-               key == "p95_ms" || key == "p99_ms" || key == "p999_ms") {
-      // v2 serving-throughput fields; absent from v1 files (default 0).
-      CF_ASSIGN_OR_RETURN(const double value, scanner.ParseNumber());
-      if (key == "throughput_per_sec") record.throughput_per_sec = value;
-      else if (key == "p50_ms") record.p50_ms = value;
-      else if (key == "p95_ms") record.p95_ms = value;
-      else if (key == "p99_ms") record.p99_ms = value;
-      else record.p999_ms = value;
-    } else if (key == "ok_count" || key == "err_4xx" || key == "err_5xx" ||
-               key == "err_transport") {
-      // Load-replay outcome counts; absent from pre-loadgen files.
-      CF_ASSIGN_OR_RETURN(const double value, scanner.ParseNumber());
-      if (!std::isfinite(value)) {
-        return scanner.Malformed("non-finite integer field " + key);
-      }
-      const int64_t count = static_cast<int64_t>(value);
-      if (key == "ok_count") record.ok_count = count;
-      else if (key == "err_4xx") record.err_4xx = count;
-      else if (key == "err_5xx") record.err_5xx = count;
-      else record.err_transport = count;
-    } else {
-      CF_RETURN_IF_ERROR(scanner.SkipValue());
-    }
-    if (!scanner.Consume(',')) break;
-  }
-  if (!scanner.Consume('}')) return scanner.Malformed("unterminated record");
+  CF_RETURN_IF_ERROR(JsonReadInt64(json, "ok_count", &record.ok_count));
+  CF_RETURN_IF_ERROR(JsonReadInt64(json, "err_4xx", &record.err_4xx));
+  CF_RETURN_IF_ERROR(JsonReadInt64(json, "err_5xx", &record.err_5xx));
+  CF_RETURN_IF_ERROR(
+      JsonReadInt64(json, "err_transport", &record.err_transport));
   return record;
 }
 
@@ -239,9 +73,9 @@ std::string SerializeRecords(const std::vector<BenchRecord>& records) {
   for (size_t i = 0; i < records.size(); ++i) {
     const BenchRecord& r = records[i];
     os << (i == 0 ? "\n" : ",\n");
-    os << "    {\"source\": \"" << EscapeJsonString(r.source)
-       << "\", \"config\": \"" << EscapeJsonString(r.config)
-       << "\", \"n\": " << r.n << ", \"support\": " << r.support
+    os << "    {\"source\": " << JsonEscape(r.source)
+       << ", \"config\": " << JsonEscape(r.config)
+       << ", \"n\": " << r.n << ", \"support\": " << r.support
        << ", \"k\": " << r.k << ", \"wall_ms\": " << FormatDouble(r.wall_ms)
        << ", \"entropy_bits\": " << FormatDouble(r.entropy_bits);
     // Serving-throughput fields only appear on rows that measured them,
@@ -330,30 +164,23 @@ Result<std::vector<BenchRecord>> BenchReport::Load(const std::string& path) {
   }
   std::ostringstream buffer;
   buffer << stream.rdbuf();
-  const std::string text = buffer.str();
-
-  Scanner scanner(text);
-  if (!scanner.Consume('{')) return scanner.Malformed("expected object");
-  std::vector<BenchRecord> records;
-  while (!scanner.Peek('}')) {
-    CF_ASSIGN_OR_RETURN(const std::string key, scanner.ParseString());
-    if (!scanner.Consume(':')) return scanner.Malformed("expected ':'");
-    if (key == "records") {
-      if (!scanner.Consume('[')) return scanner.Malformed("expected array");
-      while (!scanner.Peek(']')) {
-        CF_ASSIGN_OR_RETURN(BenchRecord record, ParseRecord(scanner));
-        records.push_back(std::move(record));
-        if (!scanner.Consume(',')) break;
-      }
-      if (!scanner.Consume(']')) {
-        return scanner.Malformed("unterminated records array");
-      }
-    } else {
-      CF_RETURN_IF_ERROR(scanner.SkipValue());
-    }
-    if (!scanner.Consume(',')) break;
+  auto document = JsonValue::Parse(buffer.str());
+  if (!document.ok()) {
+    return Status::InvalidArgument(
+        StrFormat("malformed bench report %s: %s", path.c_str(),
+                  document.status().ToString().c_str()));
   }
-  if (!scanner.Consume('}')) return scanner.Malformed("unterminated object");
+  CF_RETURN_IF_ERROR(JsonRequireObject(*document, "bench report").status());
+  std::vector<BenchRecord> records;
+  const JsonValue* array = document->Find("records");
+  if (array == nullptr) return records;
+  if (!array->is_array()) {
+    return Status::InvalidArgument("bench report \"records\" is not an array");
+  }
+  for (const JsonValue& json : array->array()) {
+    CF_ASSIGN_OR_RETURN(BenchRecord record, ParseRecord(json));
+    records.push_back(std::move(record));
+  }
   return records;
 }
 

@@ -52,8 +52,8 @@ struct BenchRecord {
   friend bool operator==(const BenchRecord& a, const BenchRecord& b) = default;
 };
 
-/// Tiny JSON emitter for benchmark baselines; no third-party JSON
-/// dependency. A report file looks like
+/// JSON emitter for benchmark baselines, read back through
+/// common::JsonValue. A report file looks like
 ///
 ///   {
 ///     "schema": "crowdfusion-bench-v2",
@@ -66,8 +66,8 @@ struct BenchRecord {
 ///   }
 ///
 /// MergeToFile lets several bench binaries share one baseline file: the
-/// existing file is loaded (it only needs to match the schema above, which
-/// Load parses with a small scanner) and records with the same
+/// existing file is loaded (it only needs to match the schema above) and
+/// records with the same
 /// (source, config, n, support, k) key are replaced, so re-running a bench
 /// refreshes its own rows without clobbering the others'.
 class BenchReport {

@@ -8,8 +8,6 @@
 
 namespace crowdfusion::core {
 
-using common::Status;
-
 namespace {
 
 void CheckTasks(const JointDistribution& joint, std::span<const int> tasks) {
@@ -65,72 +63,6 @@ double AnswerEntropyBitsBruteForce(const JointDistribution& joint,
   const std::vector<double> dist =
       AnswerDistributionBruteForce(joint, tasks, crowd);
   return common::Entropy(dist);
-}
-
-common::Result<AnswerJointTable> AnswerJointTable::Build(
-    const JointDistribution& joint, const CrowdModel& crowd) {
-  if (joint.num_facts() > JointDistribution::kMaxDenseFacts) {
-    return Status::InvalidArgument(
-        "preprocessing requires a densifiable distribution (n <= 30)");
-  }
-  std::vector<double> dense = joint.ToDense();
-  crowd.PushThroughChannel(dense, joint.num_facts());
-  return AnswerJointTable(joint.num_facts(), std::move(dense));
-}
-
-common::Result<AnswerJointTable> AnswerJointTable::BuildByScan(
-    const JointDistribution& joint, const CrowdModel& crowd) {
-  if (joint.num_facts() > JointDistribution::kMaxDenseFacts) {
-    return Status::InvalidArgument(
-        "preprocessing requires a densifiable distribution (n <= 30)");
-  }
-  const int n = joint.num_facts();
-  std::vector<double> probs(1ULL << n, 0.0);
-  for (uint64_t ans = 0; ans < probs.size(); ++ans) {
-    double total = 0.0;
-    for (const auto& entry : joint.entries()) {
-      total += entry.prob * crowd.AnswerLikelihood(entry.mask, ans, n);
-    }
-    probs[ans] = total;
-  }
-  return AnswerJointTable(n, std::move(probs));
-}
-
-PartitionRefiner::PartitionRefiner(const AnswerJointTable* table)
-    : table_(table), part_of_(table->probs().size(), 0) {
-  CF_CHECK(table_ != nullptr);
-}
-
-double PartitionRefiner::EntropyWithCandidate(int fact) const {
-  CF_CHECK(fact >= 0 && fact < table_->num_facts());
-  const std::vector<double>& probs = table_->probs();
-  // Refined part id: committed part * 2 + candidate judgment bit.
-  std::vector<double> sums(static_cast<size_t>(num_parts_) * 2, 0.0);
-  for (uint64_t mask = 0; mask < probs.size(); ++mask) {
-    const size_t part = static_cast<size_t>(part_of_[mask]) * 2 +
-                        (common::GetBit(mask, fact) ? 1 : 0);
-    sums[part] += probs[mask];
-  }
-  return common::Entropy(sums);
-}
-
-void PartitionRefiner::Commit(int fact) {
-  CF_CHECK(fact >= 0 && fact < table_->num_facts());
-  for (uint64_t mask = 0; mask < part_of_.size(); ++mask) {
-    part_of_[mask] = part_of_[mask] * 2 +
-                     (common::GetBit(mask, fact) ? 1 : 0);
-  }
-  num_parts_ *= 2;
-  committed_.push_back(fact);
-}
-
-double PartitionRefiner::CommittedEntropyBits() const {
-  const std::vector<double>& probs = table_->probs();
-  std::vector<double> sums(static_cast<size_t>(num_parts_), 0.0);
-  for (uint64_t mask = 0; mask < probs.size(); ++mask) {
-    sums[part_of_[mask]] += probs[mask];
-  }
-  return common::Entropy(sums);
 }
 
 }  // namespace crowdfusion::core

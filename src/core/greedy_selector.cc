@@ -106,48 +106,6 @@ void RunGreedyLoop(
 
 }  // namespace
 
-common::Result<bool> GreedySelector::ResolvePreprocessingEngine(
-    const JointDistribution& joint, int k) const {
-  const int n = joint.num_facts();
-  const bool can_dense = n <= JointDistribution::kMaxDenseFacts;
-  const bool can_sparse = k <= SparsePartitionRefiner::kMaxCommittedTasks;
-  switch (options_.preprocessing_mode) {
-    case PreprocessingMode::kDense:
-      if (!can_dense) {
-        return common::Status::InvalidArgument(common::StrFormat(
-            "dense preprocessing requires n <= %d, got %d",
-            JointDistribution::kMaxDenseFacts, n));
-      }
-      return false;
-    case PreprocessingMode::kSparse:
-      if (!can_sparse) {
-        return common::Status::InvalidArgument(common::StrFormat(
-            "sparse preprocessing caps k at %d, got %d",
-            SparsePartitionRefiner::kMaxCommittedTasks, k));
-      }
-      return true;
-    case PreprocessingMode::kAuto:
-      break;
-  }
-  // Auto: dense only when it is possible, the support already fills most
-  // of the 2^n table (so a sparse scan would touch nearly as many cells),
-  // and k fits no matter what.
-  const bool support_mostly_dense =
-      can_dense && (1ULL << n) <= 8ULL * static_cast<uint64_t>(
-                                            joint.support_size());
-  if (support_mostly_dense || !can_sparse) {
-    if (!can_dense) {
-      return common::Status::InvalidArgument(common::StrFormat(
-          "instance needs sparse preprocessing (n = %d > %d) but k = %d "
-          "exceeds its cap of %d tasks",
-          n, JointDistribution::kMaxDenseFacts, k,
-          SparsePartitionRefiner::kMaxCommittedTasks));
-    }
-    return false;
-  }
-  return true;
-}
-
 common::Result<Selection> GreedySelector::Select(
     const SelectionRequest& request) {
   CF_ASSIGN_OR_RETURN(std::vector<int> candidates,
@@ -157,42 +115,25 @@ common::Result<Selection> GreedySelector::Select(
   Selection selection;
 
   if (options_.use_preprocessing) {
-    CF_ASSIGN_OR_RETURN(const bool use_sparse,
-                        ResolvePreprocessingEngine(*request.joint, k));
-    const common::Stopwatch preprocessing_timer;
-    if (use_sparse) {
-      SparsePartitionRefiner::Options refiner_options;
-      refiner_options.num_threads = options_.preprocessing_threads;
-      refiner_options.simd = options_.simd;
-      SparsePartitionRefiner refiner(*request.joint, *request.crowd,
-                                     refiner_options);
-      selection.stats.preprocessing_seconds =
-          preprocessing_timer.ElapsedSeconds();
-      selection.stats.sparse_preprocessing = true;
-      RunGreedyLoop(
-          options_, std::move(candidates), k,
-          [&refiner](const std::vector<int>& active) {
-            return refiner.EntropiesWithCandidates(active);
-          },
-          [&refiner](int fact) { refiner.Commit(fact); }, selection);
-    } else {
-      CF_ASSIGN_OR_RETURN(
-          AnswerJointTable table,
-          AnswerJointTable::Build(*request.joint, *request.crowd));
-      selection.stats.preprocessing_seconds =
-          preprocessing_timer.ElapsedSeconds();
-      PartitionRefiner refiner(&table);
-      RunGreedyLoop(
-          options_, std::move(candidates), k,
-          [&refiner](const std::vector<int>& active) {
-            std::vector<double> entropies(active.size());
-            for (size_t c = 0; c < active.size(); ++c) {
-              entropies[c] = refiner.EntropyWithCandidate(active[c]);
-            }
-            return entropies;
-          },
-          [&refiner](int fact) { refiner.Commit(fact); }, selection);
+    if (k > SparsePartitionRefiner::kMaxCommittedTasks) {
+      return common::Status::InvalidArgument(common::StrFormat(
+          "greedy with preprocessing caps k at %d tasks, got %d",
+          SparsePartitionRefiner::kMaxCommittedTasks, k));
     }
+    const common::Stopwatch preprocessing_timer;
+    SparsePartitionRefiner::Options refiner_options;
+    refiner_options.num_threads = options_.preprocessing_threads;
+    refiner_options.simd = options_.simd;
+    SparsePartitionRefiner refiner(*request.joint, *request.crowd,
+                                   refiner_options);
+    selection.stats.preprocessing_seconds =
+        preprocessing_timer.ElapsedSeconds();
+    RunGreedyLoop(
+        options_, std::move(candidates), k,
+        [&refiner](const std::vector<int>& active) {
+          return refiner.EntropiesWithCandidates(active);
+        },
+        [&refiner](int fact) { refiner.Commit(fact); }, selection);
   } else {
     std::vector<int> selected;
     RunGreedyLoop(

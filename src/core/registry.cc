@@ -14,23 +14,11 @@ using common::Status;
 
 namespace {
 
-common::Result<GreedySelector::PreprocessingMode> ParsePreprocessingMode(
-    const std::string& mode) {
-  if (mode == "auto") return GreedySelector::PreprocessingMode::kAuto;
-  if (mode == "dense") return GreedySelector::PreprocessingMode::kDense;
-  if (mode == "sparse") return GreedySelector::PreprocessingMode::kSparse;
-  return Status::InvalidArgument(
-      "unknown preprocessing_mode \"" + mode +
-      "\"; expected \"auto\", \"dense\", or \"sparse\"");
-}
-
 common::Result<std::unique_ptr<TaskSelector>> MakeGreedy(
     const SelectorSpec& spec) {
   GreedySelector::Options options;
   options.use_pruning = spec.use_pruning;
   options.use_preprocessing = spec.use_preprocessing;
-  CF_ASSIGN_OR_RETURN(options.preprocessing_mode,
-                      ParsePreprocessingMode(spec.preprocessing_mode));
   options.preprocessing_threads = spec.preprocessing_threads;
   if (spec.min_gain_bits >= 0) options.min_gain_bits = spec.min_gain_bits;
   return std::unique_ptr<TaskSelector>(

@@ -26,9 +26,7 @@ struct SelectorSpec {
   // --- greedy ---
   bool use_pruning = true;
   bool use_preprocessing = true;
-  /// "auto", "dense", or "sparse" (GreedySelector::PreprocessingMode).
-  std::string preprocessing_mode = "auto";
-  /// Threads for sparse candidate batches: 0 = auto, 1 = serial.
+  /// Threads for refiner candidate batches: 0 = auto, 1 = serial.
   int preprocessing_threads = 0;
 
   // --- opt ---

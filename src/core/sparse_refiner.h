@@ -15,8 +15,8 @@ namespace crowdfusion::core {
 /// Algorithm 2 (the greedy's preprocessing stage) evaluated directly on the
 /// sparse output support, without ever materializing the 2^n answer joint.
 ///
-/// The dense `PartitionRefiner` partitions the full answer table; for
-/// n >> 20 facts that table does not fit anywhere. But the refined answer
+/// The paper partitions the full 2^n answer table; for n >> 20 facts that
+/// table does not fit anywhere. But the refined answer
 /// marginal of the committed set T is also the output-support marginal
 /// pushed through |T| binary symmetric channels, so the partition can be
 /// maintained over the |O| support entries instead: each entry carries the

@@ -39,9 +39,6 @@ struct SelectionStats {
   /// Seconds of `elapsed_seconds` spent in preprocessing (answer joint
   /// construction), when enabled.
   double preprocessing_seconds = 0.0;
-  /// True if the round ran on the sparse-support partition refiner rather
-  /// than the dense 2^n answer table.
-  bool sparse_preprocessing = false;
 };
 
 /// Result of one selection round.

@@ -88,7 +88,6 @@ JsonValue SelectorSpecToJson(const core::SelectorSpec& spec) {
   json.Set("kind", spec.kind);
   json.Set("use_pruning", spec.use_pruning);
   json.Set("use_preprocessing", spec.use_preprocessing);
-  json.Set("preprocessing_mode", spec.preprocessing_mode);
   json.Set("preprocessing_threads", spec.preprocessing_threads);
   json.Set("brute_force_entropy", spec.brute_force_entropy);
   json.Set("max_subsets", spec.max_subsets);
@@ -108,8 +107,6 @@ common::Result<core::SelectorSpec> SelectorSpecFromJson(
   CF_RETURN_IF_ERROR(JsonReadBool(json, "use_pruning", &spec.use_pruning));
   CF_RETURN_IF_ERROR(
       JsonReadBool(json, "use_preprocessing", &spec.use_preprocessing));
-  CF_RETURN_IF_ERROR(
-      JsonReadString(json, "preprocessing_mode", &spec.preprocessing_mode));
   CF_RETURN_IF_ERROR(
       JsonReadInt(json, "preprocessing_threads", &spec.preprocessing_threads));
   CF_RETURN_IF_ERROR(

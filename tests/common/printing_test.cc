@@ -6,6 +6,7 @@
 
 #include "common/csv_writer.h"
 #include "common/table_printer.h"
+#include "temp_path.h"
 
 namespace crowdfusion::common {
 namespace {
@@ -48,7 +49,7 @@ TEST(TablePrinterTest, NumRows) {
 
 class CsvWriterTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/cf_csv_test.csv";
+  std::string path_ = UniqueTempPath("cf_csv_test.csv");
 
   std::string ReadBack() {
     std::ifstream in(path_);

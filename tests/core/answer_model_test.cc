@@ -7,6 +7,7 @@
 #include "common/math_util.h"
 #include "common/random.h"
 #include "core/running_example.h"
+#include "core/sparse_refiner.h"
 
 namespace crowdfusion::core {
 namespace {
@@ -96,11 +97,9 @@ TEST_P(PathEquivalenceTest, FastBruteAndRefinerAgree) {
   }
   EXPECT_NEAR(common::Sum(fast), 1.0, 1e-9);
 
-  // Partition refinement over the preprocessed answer joint reproduces the
-  // same entropies (Algorithm 2 correctness).
-  auto table = AnswerJointTable::Build(joint, *crowd);
-  ASSERT_TRUE(table.ok());
-  PartitionRefiner refiner(&table.value());
+  // Partition refinement reproduces the same entropies (Algorithm 2
+  // correctness).
+  SparsePartitionRefiner refiner(joint, *crowd);
   for (size_t i = 0; i < tasks.size(); ++i) {
     const std::vector<int> prefix(tasks.begin(),
                                   tasks.begin() + static_cast<long>(i));
@@ -124,28 +123,31 @@ INSTANTIATE_TEST_SUITE_P(
                       PathEquivalenceParam{6, 3, 1.0},
                       PathEquivalenceParam{8, 5, 0.66}));
 
-TEST(AnswerJointTableTest, MatchesTableIVViaBothBuilders) {
+/// Table IV is the answer distribution over every fact, in id order.
+const std::vector<int> kAllFacts = {0, 1, 2, 3};
+
+TEST(AnswerModelTest, TableIVFastPathMatchesBruteForce) {
   const JointDistribution joint = RunningExample::Joint();
   const CrowdModel crowd = RunningExample::Crowd();
-  auto fast = AnswerJointTable::Build(joint, crowd);
-  auto scan = AnswerJointTable::BuildByScan(joint, crowd);
-  ASSERT_TRUE(fast.ok());
-  ASSERT_TRUE(scan.ok());
-  ASSERT_EQ(fast->probs().size(), 16u);
+  const std::vector<double> fast = AnswerDistribution(joint, kAllFacts, crowd);
+  const std::vector<double> brute =
+      AnswerDistributionBruteForce(joint, kAllFacts, crowd);
+  ASSERT_EQ(fast.size(), 16u);
+  ASSERT_EQ(brute.size(), 16u);
   for (uint64_t mask = 0; mask < 16; ++mask) {
-    EXPECT_NEAR(fast->Probability(mask), scan->Probability(mask), 1e-12);
+    EXPECT_NEAR(fast[mask], brute[mask], 1e-12);
   }
-  EXPECT_NEAR(common::Sum(fast->probs()), 1.0, 1e-12);
+  EXPECT_NEAR(common::Sum(fast), 1.0, 1e-12);
 }
 
-TEST(AnswerJointTableTest, PerfectCrowdKeepsJointUnchanged) {
+TEST(AnswerModelTest, PerfectCrowdKeepsJointUnchanged) {
   const JointDistribution joint = RunningExample::Joint();
   auto crowd = CrowdModel::Create(1.0);
   ASSERT_TRUE(crowd.ok());
-  auto table = AnswerJointTable::Build(joint, *crowd);
-  ASSERT_TRUE(table.ok());
+  const std::vector<double> table =
+      AnswerDistribution(joint, kAllFacts, *crowd);
   for (const auto& entry : joint.entries()) {
-    EXPECT_NEAR(table->Probability(entry.mask), entry.prob, 1e-12);
+    EXPECT_NEAR(table[entry.mask], entry.prob, 1e-12);
   }
 }
 

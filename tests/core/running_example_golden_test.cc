@@ -82,27 +82,34 @@ TEST(RunningExampleGoldenTest, OptAgreesWithGreedyOnTheExample) {
   EXPECT_NEAR(k3.entropy_bits, kBestTriple, kTol);
 }
 
-/// The accelerated configurations must reproduce the same worked example —
-/// including the new sparse refinement engine, which on this tiny dense
-/// instance is a pure representation change.
+/// Pruning and the partition-refinement preprocessing path (with either
+/// tile kernel) must reproduce the literal Equation 2 greedy's sequence
+/// and entropies for every k.
 TEST(RunningExampleGoldenTest, AllGreedyEnginesReproduceTheExample) {
   const JointDistribution joint = RunningExample::Joint();
   const CrowdModel crowd = RunningExample::Crowd();
 
-  std::vector<GreedySelector::Options> configurations(4);
+  std::vector<GreedySelector::Options> configurations(5);
   configurations[1].use_pruning = true;
   configurations[2].use_preprocessing = true;
-  configurations[2].preprocessing_mode =
-      GreedySelector::PreprocessingMode::kDense;
   configurations[3].use_preprocessing = true;
-  configurations[3].preprocessing_mode =
-      GreedySelector::PreprocessingMode::kSparse;
+  configurations[3].use_pruning = true;
+  configurations[4].use_preprocessing = true;
+  configurations[4].simd = common::SimdPolicy::kForceScalar;
 
+  const std::vector<int> kSequence = {0, 3, 2, 1};
+  const double kEntropies[] = {kBestSingle, kBestPair, kBestTriple,
+                               kBestQuadruple};
   for (const auto& options : configurations) {
     GreedySelector greedy(options);
-    const Selection k2 = SelectOrDie(greedy, joint, crowd, 2);
-    EXPECT_EQ(k2.tasks, (std::vector<int>{0, 3})) << greedy.name();
-    EXPECT_NEAR(k2.entropy_bits, kBestPair, kTol) << greedy.name();
+    for (int k = 1; k <= 4; ++k) {
+      const Selection selection = SelectOrDie(greedy, joint, crowd, k);
+      EXPECT_EQ(selection.tasks,
+                std::vector<int>(kSequence.begin(), kSequence.begin() + k))
+          << greedy.name() << " k=" << k;
+      EXPECT_NEAR(selection.entropy_bits, kEntropies[k - 1], kTol)
+          << greedy.name() << " k=" << k;
+    }
   }
 }
 

@@ -6,13 +6,14 @@
 #include <gtest/gtest.h>
 
 #include "core/running_example.h"
+#include "temp_path.h"
 
 namespace crowdfusion::core {
 namespace {
 
 class SerializationTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/cf_serialization_test.txt";
+  std::string path_ = UniqueTempPath("cf_serialization_test.txt");
 
   void TearDown() override { std::remove(path_.c_str()); }
 };

@@ -1,15 +1,17 @@
-/// Differential property tests pinning the sparse partition-refinement
-/// engine to the dense one (and both to the literal Equation 2 scan) on
-/// random seeded joints with n <= 20, where all three are feasible. If the
-/// sparse path ever drifts — marginals, H(T), per-candidate refinement
-/// gains, or the greedy's selected task set — one of these seeds catches
-/// it. A final section runs the sparse engine alone at n = 64 with a
-/// 10^5-output support, the scale the dense engine cannot represent, and
-/// cross-checks its entropies against the independent marginalize-and-push
-/// evaluator.
+/// Differential property tests pinning the partition-refinement engine to
+/// the literal Equation 2 scan on random seeded joints with n <= 20, where
+/// the scan is feasible. The chain is simd ≡ scalar ≡ Equation 2: the
+/// forced-AVX2 and forced-scalar tile kernels must agree bit for bit, and
+/// both must match the scan within tolerance. If the refiner ever drifts —
+/// marginals, H(T), per-candidate refinement gains, or the greedy's
+/// selected task set — one of these seeds catches it. A final section runs
+/// the refiner alone at n = 64 with a 10^5-output support, the scale the
+/// scan cannot reach, and cross-checks its entropies against the
+/// independent marginalize-and-push evaluator.
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -62,6 +64,25 @@ SeedInstance MakeInstance(uint64_t seed) {
   return instance;
 }
 
+/// The tile kernels the host can run: always scalar, plus AVX2 when the
+/// CPU supports it. Each is checked against Equation 2 on every seed.
+std::vector<common::SimdPolicy> HostKernels() {
+  std::vector<common::SimdPolicy> kernels = {common::SimdPolicy::kForceScalar};
+  if (common::CpuSupportsAvx2()) {
+    kernels.push_back(common::SimdPolicy::kForceAvx2);
+  }
+  return kernels;
+}
+
+SparsePartitionRefiner CommittedRefiner(const SeedInstance& instance,
+                                        common::SimdPolicy simd) {
+  SparsePartitionRefiner::Options options;
+  options.simd = simd;
+  SparsePartitionRefiner refiner(instance.joint, instance.crowd, options);
+  for (int fact : instance.committed) refiner.Commit(fact);
+  return refiner;
+}
+
 TEST(SparseDenseDiffTest, MarginalsAgreeBitForBit) {
   for (uint64_t seed = 1; seed <= kNumSeeds; ++seed) {
     const SeedInstance instance = MakeInstance(seed);
@@ -90,24 +111,16 @@ TEST(SparseDenseDiffTest, CommittedEntropyAgreesAcrossEngines) {
     const SeedInstance instance = MakeInstance(seed);
     const JointDistribution& joint = instance.joint;
 
-    auto table = AnswerJointTable::Build(joint, instance.crowd);
-    ASSERT_TRUE(table.ok()) << table.status().ToString();
-    PartitionRefiner dense_refiner(&table.value());
-    SparsePartitionRefiner sparse_refiner(joint, instance.crowd);
-    for (int fact : instance.committed) {
-      dense_refiner.Commit(fact);
-      sparse_refiner.Commit(fact);
-    }
-
     const double h_fast =
         AnswerEntropyBits(joint, instance.committed, instance.crowd);
     const double h_brute =
         AnswerEntropyBitsBruteForce(joint, instance.committed, instance.crowd);
-    const double h_dense = dense_refiner.CommittedEntropyBits();
-    const double h_sparse = sparse_refiner.CommittedEntropyBits();
     EXPECT_NEAR(h_fast, h_brute, kTol) << "seed=" << seed;
-    EXPECT_NEAR(h_dense, h_fast, kTol) << "seed=" << seed;
-    EXPECT_NEAR(h_sparse, h_fast, kTol) << "seed=" << seed;
+    for (const common::SimdPolicy simd : HostKernels()) {
+      const SparsePartitionRefiner refiner = CommittedRefiner(instance, simd);
+      EXPECT_NEAR(refiner.CommittedEntropyBits(), h_brute, kTol)
+          << "seed=" << seed << " avx2=" << refiner.simd_active();
+    }
   }
 }
 
@@ -115,16 +128,6 @@ TEST(SparseDenseDiffTest, RefinementGainsAgreeAcrossEngines) {
   for (uint64_t seed = 1; seed <= kNumSeeds; ++seed) {
     const SeedInstance instance = MakeInstance(seed);
     const JointDistribution& joint = instance.joint;
-
-    auto table = AnswerJointTable::Build(joint, instance.crowd);
-    ASSERT_TRUE(table.ok()) << table.status().ToString();
-    PartitionRefiner dense_refiner(&table.value());
-    SparsePartitionRefiner sparse_refiner(joint, instance.crowd);
-    for (int fact : instance.committed) {
-      dense_refiner.Commit(fact);
-      sparse_refiner.Commit(fact);
-    }
-    const double h_committed = sparse_refiner.CommittedEntropyBits();
 
     std::vector<int> candidates;
     for (int f = 0; f < joint.num_facts(); ++f) {
@@ -136,23 +139,26 @@ TEST(SparseDenseDiffTest, RefinementGainsAgreeAcrossEngines) {
     auto profile = MarginalGainProfile(joint, instance.committed, candidates,
                                        instance.crowd);
     ASSERT_TRUE(profile.ok()) << profile.status().ToString();
-    const std::vector<double> batch =
-        sparse_refiner.EntropiesWithCandidates(candidates);
 
-    for (size_t c = 0; c < candidates.size(); ++c) {
-      const int fact = candidates[c];
-      std::vector<int> extended = instance.committed;
-      extended.push_back(fact);
-      const double h_brute =
-          AnswerEntropyBitsBruteForce(joint, extended, instance.crowd);
-      const double h_dense = dense_refiner.EntropyWithCandidate(fact);
-      const double h_sparse = sparse_refiner.EntropyWithCandidate(fact);
-      EXPECT_NEAR(h_dense, h_brute, kTol) << "seed=" << seed << " f=" << fact;
-      EXPECT_NEAR(h_sparse, h_brute, kTol) << "seed=" << seed << " f=" << fact;
-      // The batch API is the same computation, just sharded.
-      EXPECT_EQ(batch[c], h_sparse) << "seed=" << seed << " f=" << fact;
-      EXPECT_NEAR(profile->at(c), h_sparse - h_committed, kTol)
-          << "seed=" << seed << " f=" << fact;
+    for (const common::SimdPolicy simd : HostKernels()) {
+      const SparsePartitionRefiner refiner = CommittedRefiner(instance, simd);
+      const double h_committed = refiner.CommittedEntropyBits();
+      const std::vector<double> batch =
+          refiner.EntropiesWithCandidates(candidates);
+      for (size_t c = 0; c < candidates.size(); ++c) {
+        const int fact = candidates[c];
+        std::vector<int> extended = instance.committed;
+        extended.push_back(fact);
+        const double h_brute =
+            AnswerEntropyBitsBruteForce(joint, extended, instance.crowd);
+        const double h_single = refiner.EntropyWithCandidate(fact);
+        EXPECT_NEAR(h_single, h_brute, kTol)
+            << "seed=" << seed << " f=" << fact;
+        // The batch API is the same computation, just tiled.
+        EXPECT_EQ(batch[c], h_single) << "seed=" << seed << " f=" << fact;
+        EXPECT_NEAR(profile->at(c), h_single - h_committed, kTol)
+            << "seed=" << seed << " f=" << fact;
+      }
     }
   }
 }
@@ -160,49 +166,32 @@ TEST(SparseDenseDiffTest, RefinementGainsAgreeAcrossEngines) {
 TEST(SparseDenseDiffTest, GreedySelectionAgreesAcrossEngines) {
   for (uint64_t seed = 1; seed <= kNumSeeds; ++seed) {
     const SeedInstance instance = MakeInstance(seed);
-    const int k = std::min(3, instance.joint.num_facts());
-
-    GreedySelector::Options dense_options;
-    dense_options.use_preprocessing = true;
-    dense_options.preprocessing_mode =
-        GreedySelector::PreprocessingMode::kDense;
-    GreedySelector dense_greedy(dense_options);
-
-    GreedySelector::Options sparse_options;
-    sparse_options.use_preprocessing = true;
-    sparse_options.preprocessing_mode =
-        GreedySelector::PreprocessingMode::kSparse;
-    GreedySelector sparse_greedy(sparse_options);
-
-    GreedySelector brute_greedy;  // literal Equation 2, no preprocessing
-
     SelectionRequest request;
     request.joint = &instance.joint;
     request.crowd = &instance.crowd;
-    request.k = k;
+    request.k = std::min(3, instance.joint.num_facts());
 
-    auto dense_sel = dense_greedy.Select(request);
-    auto sparse_sel = sparse_greedy.Select(request);
+    GreedySelector brute_greedy;  // literal Equation 2, no preprocessing
     auto brute_sel = brute_greedy.Select(request);
-    ASSERT_TRUE(dense_sel.ok()) << dense_sel.status().ToString();
-    ASSERT_TRUE(sparse_sel.ok()) << sparse_sel.status().ToString();
     ASSERT_TRUE(brute_sel.ok()) << brute_sel.status().ToString();
 
-    EXPECT_FALSE(dense_sel->stats.sparse_preprocessing);
-    EXPECT_TRUE(sparse_sel->stats.sparse_preprocessing);
-    EXPECT_EQ(sparse_sel->tasks, dense_sel->tasks) << "seed=" << seed;
-    EXPECT_EQ(sparse_sel->tasks, brute_sel->tasks) << "seed=" << seed;
-    EXPECT_NEAR(sparse_sel->entropy_bits, dense_sel->entropy_bits, kTol)
-        << "seed=" << seed;
-    EXPECT_NEAR(sparse_sel->entropy_bits, brute_sel->entropy_bits, kTol)
-        << "seed=" << seed;
+    for (const common::SimdPolicy simd : HostKernels()) {
+      GreedySelector::Options options;
+      options.use_preprocessing = true;
+      options.simd = simd;
+      GreedySelector greedy(options);
+      auto selection = greedy.Select(request);
+      ASSERT_TRUE(selection.ok()) << selection.status().ToString();
+      EXPECT_EQ(selection->tasks, brute_sel->tasks) << "seed=" << seed;
+      EXPECT_NEAR(selection->entropy_bits, brute_sel->entropy_bits, kTol)
+          << "seed=" << seed;
+    }
   }
 }
 
-/// SIMD leg of the differential: on AVX2 hosts, the forced-AVX2 batched
-/// kernel must be bit-identical to the forced-scalar one on every seed the
-/// dense/brute tests above pin — closing the chain
-/// simd ≡ scalar ≡ dense ≡ Equation 2. Hosts without AVX2 (including
+/// SIMD leg of the chain: on AVX2 hosts, the forced-AVX2 batched kernel
+/// must be bit-identical to the forced-scalar one on every seed the
+/// Equation 2 tests above pin. Hosts without AVX2 (including
 /// CROWDFUSION_DISABLE_SIMD builds) skip; the scalar tile kernel is still
 /// pinned by RefinementGainsAgreeAcrossEngines.
 TEST(SparseDenseDiffTest, SimdKernelBitIdenticalToScalarOnAllSeeds) {
@@ -213,16 +202,10 @@ TEST(SparseDenseDiffTest, SimdKernelBitIdenticalToScalarOnAllSeeds) {
     const SeedInstance instance = MakeInstance(seed);
     const JointDistribution& joint = instance.joint;
 
-    SparsePartitionRefiner::Options scalar_options;
-    scalar_options.simd = common::SimdPolicy::kForceScalar;
-    SparsePartitionRefiner::Options avx2_options;
-    avx2_options.simd = common::SimdPolicy::kForceAvx2;
-    SparsePartitionRefiner scalar(joint, instance.crowd, scalar_options);
-    SparsePartitionRefiner avx2(joint, instance.crowd, avx2_options);
-    for (int fact : instance.committed) {
-      scalar.Commit(fact);
-      avx2.Commit(fact);
-    }
+    const SparsePartitionRefiner scalar =
+        CommittedRefiner(instance, common::SimdPolicy::kForceScalar);
+    const SparsePartitionRefiner avx2 =
+        CommittedRefiner(instance, common::SimdPolicy::kForceAvx2);
     EXPECT_EQ(scalar.CommittedEntropyBits(), avx2.CommittedEntropyBits())
         << "seed=" << seed;
 
@@ -244,10 +227,32 @@ TEST(SparseDenseDiffTest, SimdKernelBitIdenticalToScalarOnAllSeeds) {
   }
 }
 
+/// The refiner's committed set is its only size limit: a preprocessed
+/// greedy asked for more than kMaxCommittedTasks tasks fails cleanly,
+/// naming the cap, instead of falling back to another engine.
+TEST(SparseDenseDiffTest, PreprocessedGreedyRejectsKAboveTheRefinerCap) {
+  const JointDistribution joint = SeededSparseJoint(24, 100, 7);
+  const CrowdModel crowd = MakeCrowd(0.8);
+  GreedySelector::Options options;
+  options.use_preprocessing = true;
+  GreedySelector greedy(options);
+  SelectionRequest request;
+  request.joint = &joint;
+  request.crowd = &crowd;
+  request.k = SparsePartitionRefiner::kMaxCommittedTasks + 1;
+  auto selection = greedy.Select(request);
+  ASSERT_EQ(selection.status().code(), common::StatusCode::kInvalidArgument);
+  EXPECT_NE(selection.status().message().find(std::to_string(
+                SparsePartitionRefiner::kMaxCommittedTasks)),
+            std::string::npos)
+      << selection.status();
+  EXPECT_EQ(SparsePartitionRefiner::kMaxCommittedTasks, 20);
+}
+
 /// The scale the whole exercise is for: n = 64 facts and |O| = 10^5
-/// support outputs, far beyond any dense 2^n representation. The sparse
-/// greedy must run and its reported entropies must match the independent
-/// marginalize-and-push evaluator on the selected prefix sets.
+/// support outputs, far beyond any dense 2^n representation. The
+/// preprocessed greedy must run and its reported entropies must match the
+/// independent marginalize-and-push evaluator on the selected prefix sets.
 TEST(SparseDenseDiffTest, SparseGreedyHandlesSixtyFourFacts) {
   const int n = 64;
   const int support = 100000;
@@ -255,7 +260,7 @@ TEST(SparseDenseDiffTest, SparseGreedyHandlesSixtyFourFacts) {
   const CrowdModel crowd = MakeCrowd(0.8);
 
   GreedySelector::Options options;
-  options.use_preprocessing = true;  // kAuto must pick sparse: n > 30
+  options.use_preprocessing = true;
   GreedySelector greedy(options);
   SelectionRequest request;
   request.joint = &joint;
@@ -263,7 +268,6 @@ TEST(SparseDenseDiffTest, SparseGreedyHandlesSixtyFourFacts) {
   request.k = 6;
   auto selection = greedy.Select(request);
   ASSERT_TRUE(selection.ok()) << selection.status().ToString();
-  EXPECT_TRUE(selection->stats.sparse_preprocessing);
   ASSERT_EQ(selection->tasks.size(), 6u);
 
   std::set<int> distinct(selection->tasks.begin(), selection->tasks.end());

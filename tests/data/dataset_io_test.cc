@@ -5,12 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include "temp_path.h"
+
 namespace crowdfusion::data {
 namespace {
 
 class DatasetIoTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/cf_book_dataset.tsv";
+  std::string path_ = UniqueTempPath("cf_book_dataset.tsv");
 
   void TearDown() override {
     std::remove(path_.c_str());

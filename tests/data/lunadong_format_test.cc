@@ -5,13 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include "temp_path.h"
+
 namespace crowdfusion::data {
 namespace {
 
 class LunadongFormatTest : public ::testing::Test {
  protected:
-  std::string claims_path_ = ::testing::TempDir() + "/cf_lunadong_claims.txt";
-  std::string gold_path_ = ::testing::TempDir() + "/cf_lunadong_gold.txt";
+  std::string claims_path_ = UniqueTempPath("cf_lunadong_claims.txt");
+  std::string gold_path_ = UniqueTempPath("cf_lunadong_gold.txt");
 
   void WriteFixture() {
     std::ofstream gold(gold_path_);

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/random.h"
 #include "core/running_example.h"
 #include "service/fusion_service.h"
@@ -293,6 +294,37 @@ TEST(RequestJsonTest, ConcurrentSelectionKnobRoundTripsWhenDisabled) {
   auto reparsed = ParseFusionRequest(SerializeFusionRequest(request));
   ASSERT_TRUE(reparsed.ok());
   EXPECT_FALSE(reparsed->pipeline.concurrent_selection);
+}
+
+TEST(RequestJsonTest, RetiredEngineKnobIsIgnored) {
+  // Older clients may still send the retired greedy engine knob; the
+  // selector reader ignores it and the run is unchanged.
+  FusionRequest request = BaseRequest();
+  request.provider.kind = "scripted";
+  auto document = common::JsonValue::Parse(SerializeFusionRequest(request));
+  ASSERT_TRUE(document.ok()) << document.status();
+  for (auto& [key, value] : document->object()) {
+    if (key == "selector") value.Set("preprocessing_mode", "dense");
+  }
+  const std::string legacy_text = document->Dump();
+  ASSERT_NE(legacy_text.find("preprocessing_mode"), std::string::npos);
+  auto legacy = ParseFusionRequest(legacy_text);
+  ASSERT_TRUE(legacy.ok()) << legacy.status();
+  EXPECT_EQ(*legacy, request);
+
+  FusionService service;
+  auto expected = service.Run(request);
+  auto actual = service.Run(*legacy);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  ASSERT_TRUE(actual.ok()) << actual.status();
+  // Blocking-mode step latencies are wall-clock measurements.
+  for (auto* response : {&*expected, &*actual}) {
+    for (StepOutcome& step : response->steps) step.latency_seconds = 0.0;
+  }
+  EXPECT_EQ(actual->steps, expected->steps);
+  EXPECT_EQ(actual->instances, expected->instances);
+  EXPECT_EQ(actual->total_utility_bits, expected->total_utility_bits);
+  EXPECT_EQ(actual->total_cost_spent, expected->total_cost_spent);
 }
 
 TEST(ResponseJsonTest, ResponsesRoundTrip) {
