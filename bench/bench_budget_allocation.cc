@@ -129,6 +129,7 @@ Outcome RunGlobal(const std::vector<BookProblem>& problems, int total_budget,
                   uint64_t crowd_seed) {
   core::BudgetScheduler::Options options;
   options.total_budget = total_budget;
+  options.max_in_flight = 1;  // one ticket at a time: the Figure-1 loop
   auto scheduler = core::BudgetScheduler::Create(crowd, &selector, options);
   CF_CHECK(scheduler.ok());
   std::vector<std::unique_ptr<crowd::SimulatedCrowd>> providers;
@@ -141,7 +142,7 @@ Outcome RunGlobal(const std::vector<BookProblem>& problems, int total_budget,
                                problems[b].joint, providers.back().get())
                  .ok());
   }
-  auto records = scheduler->Run();
+  auto records = scheduler->RunPipelined();
   CF_CHECK(records.ok());
   std::vector<core::JointDistribution> joints;
   std::vector<int> costs;

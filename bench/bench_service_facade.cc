@@ -1,10 +1,10 @@
-/// Facade-overhead micro-bench (ISSUE 4 satellite): the same multi-book
-/// workload is served twice — once through a hand-wired BudgetScheduler
-/// (the direct API) and once through service::FusionService — and the
-/// run asserts that the facade costs < 5% extra wall time. The service
-/// layer is supposed to be a boundary, not a tax: it builds the same
-/// scheduler from registries and then steps it, so everything but
-/// session construction is shared code.
+/// Facade-overhead micro-bench: the same multi-book workload is served
+/// twice — once through a hand-wired BudgetScheduler (the direct API) and
+/// once through service::FusionService, both one ticket at a time
+/// (pipelined, window 1) — and the run asserts that the facade costs < 5%
+/// extra wall time. The service layer is supposed to be a boundary, not a
+/// tax: it builds the same scheduler from registries and then steps it,
+/// so everything but session construction is shared code.
 ///
 /// Each variant runs `reps` times; the MINIMUM wall time per variant is
 /// compared (minimum, not mean, so scheduler noise on shared CI runners
@@ -86,6 +86,7 @@ double RunDirectOnceMs(const Workload& workload, const Instances& instances,
   core::BudgetScheduler::Options options;
   options.total_budget = workload.budget_per_book * workload.books;
   options.tasks_per_step = workload.tasks_per_step;
+  options.max_in_flight = 1;
   auto scheduler = core::BudgetScheduler::Create(*crowd, &selector, options);
   CF_CHECK(scheduler.ok());
   std::vector<std::unique_ptr<crowd::SimulatedCrowd>> crowds;
@@ -98,7 +99,7 @@ double RunDirectOnceMs(const Workload& workload, const Instances& instances,
                                     instances.joints[i], crowds.back().get())
                  .ok());
   }
-  auto records = scheduler->Run();
+  auto records = scheduler->RunPipelined();
   CF_CHECK(records.ok()) << records.status().ToString();
   *utility_out = scheduler->TotalUtilityBits();
   return stopwatch.ElapsedSeconds() * 1e3;
@@ -109,7 +110,8 @@ double RunServiceOnceMs(const Workload& workload, const Instances& instances,
                         double* utility_out) {
   common::Stopwatch stopwatch;
   service::FusionRequest request;
-  request.mode = service::RunMode::kBlocking;
+  request.mode = service::RunMode::kPipelined;
+  request.pipeline.max_in_flight = 1;
   for (size_t i = 0; i < instances.joints.size(); ++i) {
     service::InstanceSpec instance;
     instance.name = "book" + std::to_string(i);

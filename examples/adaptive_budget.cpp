@@ -68,6 +68,7 @@ int main(int argc, char** argv) {
 
   core::BudgetScheduler::Options scheduler_options;
   scheduler_options.total_budget = global_budget;
+  scheduler_options.max_in_flight = 1;  // one ticket at a time
   auto scheduler = core::BudgetScheduler::Create(*crowd_model, &selector,
                                                  scheduler_options);
   if (!scheduler.ok()) return 1;
@@ -103,7 +104,7 @@ int main(int argc, char** argv) {
   }
 
   const double utility_before = scheduler->TotalUtilityBits();
-  auto records = scheduler->Run();
+  auto records = scheduler->RunPipelined();
   if (!records.ok()) {
     std::fprintf(stderr, "%s\n", records.status().ToString().c_str());
     return 1;

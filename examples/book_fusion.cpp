@@ -3,10 +3,11 @@
 /// bookstore dataset (the Book dataset substitute), fuses it with the
 /// modified CRH framework, builds correlation-aware joints, and refines
 /// every book against a simulated crowd — then runs the SAME typed
-/// request on all three backends (per-book engines, the blocking global
-/// scheduler, the pipelined scheduler) to show they are one API. Also
-/// demonstrates dataset persistence (TSV save/load) and the quality-vs-
-/// cost curves via the (service-backed) experiment harness.
+/// request three ways (per-book engines, the global scheduler one ticket
+/// at a time, the global scheduler with overlapped tickets) to show they
+/// are one API. Also demonstrates dataset persistence (TSV save/load) and
+/// the quality-vs-cost curves via the (service-backed) experiment
+/// harness.
 ///
 ///   ./book_fusion [num_books] [budget_per_book]
 
@@ -72,9 +73,10 @@ int main(int argc, char** argv) {
   statements.Print(std::cout);
   std::printf("\n");
 
-  // One request, three backends: the same typed FusionRequest runs on the
-  // per-book engine loop, the blocking global scheduler, and the
-  // pipelined scheduler — only `mode` changes.
+  // One request, three ways: the same typed FusionRequest runs on the
+  // per-book engine loop, then on the global scheduler with a window of
+  // 1 (the "blocking" spelling) and of 4 — only `mode` and the window
+  // change.
   service::FusionRequest request;
   service::DatasetSpec workload;
   workload.generate = options.dataset;
@@ -89,13 +91,20 @@ int main(int argc, char** argv) {
   service::FusionService fusion_service;
   common::TablePrinter backends(
       {"Backend", "Steps", "Cost", "Utility (bits)", "Crowd acc."});
-  for (const service::RunMode mode :
-       {service::RunMode::kEngine, service::RunMode::kBlocking,
-        service::RunMode::kPipelined}) {
-    request.mode = mode;
+  struct Backend {
+    const char* label;
+    service::RunMode mode;
+    int max_in_flight;
+  };
+  for (const Backend& backend :
+       {Backend{"engine", service::RunMode::kEngine, 4},
+        Backend{"pipelined[m=1]", service::RunMode::kPipelined, 1},
+        Backend{"pipelined[m=4]", service::RunMode::kPipelined, 4}}) {
+    request.mode = backend.mode;
+    request.pipeline.max_in_flight = backend.max_in_flight;
     auto response = fusion_service.Run(request);
     if (!response.ok()) {
-      std::fprintf(stderr, "%s: %s\n", service::RunModeName(mode),
+      std::fprintf(stderr, "%s: %s\n", backend.label,
                    response.status().ToString().c_str());
       return 1;
     }
@@ -105,13 +114,12 @@ int main(int argc, char** argv) {
                   static_cast<double>(response->stats.answers_served)
             : 0.0;
     backends.AddRow(
-        {service::RunModeName(mode),
-         std::to_string(response->steps.size()),
+        {backend.label, std::to_string(response->steps.size()),
          std::to_string(response->total_cost_spent),
          common::StrFormat("%.2f", response->total_utility_bits),
          common::StrFormat("%.3f", accuracy)});
   }
-  std::printf("One request, three backends:\n");
+  std::printf("One request, three ways:\n");
   backends.Print(std::cout);
   std::printf("\n");
 

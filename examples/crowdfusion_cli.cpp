@@ -13,12 +13,12 @@
 ///                   [--latency-ms S] [--skip-failed]
 ///       run CrowdFusion rounds on every saved joint through the service
 ///       facade (simulated crowd seeded from the gold labels) and rewrite
-///       the refined joints. Default: engine mode, one blocking engine
-///       per book. --async serves every book from ONE pipelined
-///       BudgetScheduler (global budget = budget x books, up to M ticket
-///       batches in flight, crowd latency simulated at S ms median);
-///       --skip-failed keeps serving when a ticket fails terminally
-///       instead of aborting; --threads caps the selector's
+///       the refined joints. Default: engine mode, one engine per book,
+///       answers collected synchronously. --async serves every book from
+///       ONE pipelined BudgetScheduler (global budget = budget x books, up
+///       to M ticket batches in flight, crowd latency simulated at S ms
+///       median); --skip-failed keeps serving when a ticket fails
+///       terminally instead of aborting; --threads caps the selector's
 ///       preprocessing shards
 ///   crowdfusion_cli request <request.json>
 ///       parse a serialized FusionRequest, run it, and print the response
@@ -253,7 +253,7 @@ int CmdRefine(int argc, char** argv) {
 
   // One typed request: the workload is the saved joints, the provider a
   // simulated crowd judging each book's gold labels; the mode flag flips
-  // between the blocking engine loop and the pipelined scheduler.
+  // between the per-book engine loop and the pipelined scheduler.
   service::FusionRequest request;
   request.mode =
       use_async ? service::RunMode::kPipelined : service::RunMode::kEngine;

@@ -6,7 +6,7 @@
 /// the best two crowd tasks (Algorithm 1), a simulated crowd answering
 /// them, and the Bayesian merge (Equation 3) — the whole Figure-1 loop
 /// behind a single request/response API. The same request, with only
-/// `mode` changed, runs on the blocking or pipelined scheduler instead.
+/// `mode` changed, runs on the global-budget scheduler instead.
 ///
 ///   ./quickstart
 

@@ -234,54 +234,6 @@ common::Result<BudgetScheduler::StepRecord> BudgetScheduler::HarvestTicket(
   return record;
 }
 
-common::Result<BudgetScheduler::StepRecord> BudgetScheduler::RunStep() {
-  if (!HasBudget()) {
-    return Status::FailedPrecondition("global budget exhausted");
-  }
-  if (instances_.empty()) {
-    return Status::FailedPrecondition("no instances registered");
-  }
-  const int k =
-      std::min(options_.tasks_per_step, options_.total_budget - cost_spent_);
-  // Blocking mode has nothing in flight; drop any ticket state an aborted
-  // pipelined run left behind so those instances schedule again.
-  AbandonInFlightTickets();
-  CF_ASSIGN_OR_RETURN(const int best_instance, PickBestIdleInstance(k));
-
-  if (best_instance < 0) {
-    // Nothing anywhere has positive benefit; signal exhaustion.
-    StepRecord record;
-    record.step = steps_run_++;
-    record.cumulative_cost = cost_spent_;
-    record.instance = -1;
-    record.total_utility_bits = TotalUtilityBits();
-    return record;
-  }
-
-  // Submit the winner's ticket and block through the crowd's latency: the
-  // paper's synchronous collect, expressed on the async contract.
-  Instance& winner = instances_[static_cast<size_t>(best_instance)];
-  CF_RETURN_IF_ERROR(SubmitSelection(winner, clock()->NowSeconds()));
-  CF_ASSIGN_OR_RETURN(StepRecord record,
-                      HarvestTicket(winner, clock()->NowSeconds()));
-  // Await slept through the remaining latency; stamp the full wait.
-  record.latency_seconds = clock()->NowSeconds() - winner.submitted_at;
-  cost_reserved_ = cost_spent_;
-  return record;
-}
-
-common::Result<std::vector<BudgetScheduler::StepRecord>>
-BudgetScheduler::Run() {
-  std::vector<StepRecord> records;
-  while (HasBudget()) {
-    CF_ASSIGN_OR_RETURN(StepRecord record, RunStep());
-    const bool exhausted = record.instance < 0;
-    records.push_back(std::move(record));
-    if (exhausted) break;
-  }
-  return records;
-}
-
 common::Result<std::vector<BudgetScheduler::StepRecord>>
 BudgetScheduler::RunPipelined() {
   if (instances_.empty()) {
@@ -310,9 +262,9 @@ common::Result<bool> BudgetScheduler::RunPipelinedStep(
 
   // Launch: fill the in-flight window with the best idle instances. The
   // early Poll-break makes the zero-latency schedule merge each batch
-  // before the next launch decision, reproducing the blocking loop
-  // exactly; real-latency tickets stay pending, so the window fills and
-  // answer latencies overlap.
+  // before the next launch decision, so every window size serves the
+  // paper's one-ticket-at-a-time schedule exactly; real-latency tickets
+  // stay pending, so the window fills and answer latencies overlap.
   while (in_flight_count < options_.max_in_flight &&
          cost_reserved_ < options_.total_budget) {
     const int k = std::min(options_.tasks_per_step,
@@ -330,7 +282,7 @@ common::Result<bool> BudgetScheduler::RunPipelinedStep(
   if (in_flight_count == 0) {
     if (HasBudget()) {
       // Budget remains but no instance has positive-gain tasks left;
-      // emit the same exhaustion marker the blocking loop does.
+      // emit the exhaustion marker.
       StepRecord record;
       record.step = steps_run_++;
       record.cumulative_cost = cost_spent_;

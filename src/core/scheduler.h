@@ -29,18 +29,16 @@ namespace crowdfusion::core {
 /// interact); the scheduler owns the joints and queries the selector
 /// lazily, re-evaluating only the instance whose distribution changed.
 ///
-/// Two serving modes share that policy:
-///  * Blocking (`RunStep`/`Run`): one ticket at a time — submit the
-///    winner's tasks, block through the crowd's latency, merge. This is
-///    the paper's Figure-1 loop verbatim.
-///  * Pipelined (`RunPipelined`): keeps up to `max_in_flight` ticket
-///    batches outstanding. While one instance's answers are in flight the
-///    scheduler selects and submits for the next-best instances, and
-///    re-ranks ΔQ lazily as merges land (only the merged instance's
-///    cached selection is invalidated). With a zero-latency provider the
-///    pipelined schedule reproduces the blocking one exactly; with real
-///    latency, selection compute for book B overlaps answer latency for
-///    book A.
+/// One serving loop (`RunPipelined`, one quantum at a time through
+/// `RunPipelinedStep`) keeps up to `max_in_flight` ticket batches
+/// outstanding. While one instance's answers are in flight the scheduler
+/// selects and submits for the next-best instances, and re-ranks ΔQ
+/// lazily as merges land (only the merged instance's cached selection is
+/// invalidated). With `max_in_flight = 1` this is the paper's Figure-1
+/// loop verbatim: submit the winner's tasks, wait out the crowd's
+/// latency, merge. With a zero-latency provider every window size
+/// serves that same schedule; with real latency, selection compute for
+/// book B overlaps answer latency for book A.
 class BudgetScheduler {
  public:
   /// What RunPipelined does when a ticket fails terminally (the provider's
@@ -62,12 +60,12 @@ class BudgetScheduler {
     int tasks_per_step = 1;
     /// Outstanding ticket batches RunPipelined may keep in flight (>= 1).
     int max_in_flight = 4;
-    /// Failure policy for terminally failed pipelined tickets.
+    /// Failure policy for terminally failed tickets.
     TicketFailurePolicy on_ticket_failure = TicketFailurePolicy::kAbort;
     /// Service contract stamped on every submitted ticket. max_attempts
     /// defaults to 1 here (not TicketOptions' 3) so a failing provider
-    /// surfaces its error after exactly one collection call, as the
-    /// blocking loop always did; raise it to opt into retries.
+    /// surfaces its error after exactly one collection call, as a sync
+    /// CollectAnswers would; raise it to opt into retries.
     TicketOptions ticket = {.max_attempts = 1};
     /// Time source for poll sleeps; nullptr means Clock::Real(). Tests
     /// inject a ManualClock shared with the providers. Not owned; must
@@ -112,9 +110,9 @@ class BudgetScheduler {
   BudgetScheduler& operator=(BudgetScheduler&&) = default;
 
   /// Registers an instance served by a synchronous provider; the scheduler
-  /// wraps it in an owned zero-latency SyncProviderAdapter, so both run
-  /// modes work. Returns the instance index. The provider is borrowed and
-  /// must outlive the scheduler.
+  /// wraps it in an owned zero-latency SyncProviderAdapter. Returns the
+  /// instance index. The provider is borrowed and must outlive the
+  /// scheduler.
   common::Result<int> AddInstance(std::string name, JointDistribution joint,
                                   AnswerProvider* provider);
 
@@ -132,32 +130,26 @@ class BudgetScheduler {
   /// companion to adding instances mid-run, callable between steps.
   common::Status AddBudget(int tasks);
 
-  /// Runs one blocking step: find the instance with the best expected
-  /// gain, submit its selected tasks, block until the answers land, merge.
-  /// Precondition: HasBudget() and at least one instance. Returns a record
-  /// with instance = -1 if no instance has any positive-gain task left.
-  common::Result<StepRecord> RunStep();
-
-  /// Runs blocking steps until the budget is gone or no gain remains.
-  common::Result<std::vector<StepRecord>> Run();
-
-  /// Runs the overlap-capable serving loop until the budget is gone or no
-  /// gain remains anywhere, keeping up to Options::max_in_flight ticket
-  /// batches outstanding. Records are in merge order. A ticket that fails
-  /// terminally (after the provider's own retries) aborts the run with its
-  /// status under TicketFailurePolicy::kAbort, or kills only its instance
-  /// under kSkipInstance.
+  /// Runs the serving loop until the budget is gone or no gain remains
+  /// anywhere, keeping up to Options::max_in_flight ticket batches
+  /// outstanding. Records are in merge order; when budget remains but no
+  /// instance has a positive-gain task left, the last record is the
+  /// exhaustion marker (instance = -1). A ticket that fails terminally
+  /// (after the provider's own retries) aborts the run with its status
+  /// under TicketFailurePolicy::kAbort, or kills only its instance under
+  /// kSkipInstance. Tickets an earlier aborted run left in flight are
+  /// cancelled first, so a rerun schedules their instances again.
   common::Result<std::vector<StepRecord>> RunPipelined();
 
-  /// One pipelined serving quantum, for callers that interleave serving
-  /// with other work (the service facade's Session::Step): fills the
-  /// in-flight window with the best idle instances, sleeps until the
-  /// earliest outstanding ticket resolves, and harvests every resolved
-  /// ticket, appending the merged records. Returns false when the run is
-  /// complete (budget gone or no gain anywhere; the exhaustion marker
-  /// record is appended exactly as RunPipelined emits it). Assumes no
-  /// aborted run's tickets are pending — start a fresh scheduler, or go
-  /// through RunPipelined which clears them.
+  /// One serving quantum, for callers that interleave serving with other
+  /// work (the service facade's Session::Step): fills the in-flight
+  /// window with the best idle instances, sleeps until the earliest
+  /// outstanding ticket resolves, and harvests every resolved ticket,
+  /// appending the merged records. Returns false when the run is complete
+  /// (budget gone or no gain anywhere; the exhaustion marker record is
+  /// appended exactly as RunPipelined emits it). Assumes no aborted run's
+  /// tickets are pending — start a fresh scheduler, or go through
+  /// RunPipelined which clears them.
   common::Result<bool> RunPipelinedStep(std::vector<StepRecord>& records);
 
   /// Number of instances marked dead by TicketFailurePolicy::kSkipInstance.

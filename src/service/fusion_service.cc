@@ -20,8 +20,6 @@ const char* RunModeName(RunMode mode) {
   switch (mode) {
     case RunMode::kEngine:
       return "engine";
-    case RunMode::kBlocking:
-      return "blocking";
     case RunMode::kPipelined:
       return "pipelined";
   }
@@ -30,8 +28,7 @@ const char* RunModeName(RunMode mode) {
 
 common::Result<RunMode> ParseRunMode(const std::string& name) {
   if (name == "engine") return RunMode::kEngine;
-  if (name == "blocking") return RunMode::kBlocking;
-  if (name == "pipelined") return RunMode::kPipelined;
+  if (name == "pipelined" || name == "blocking") return RunMode::kPipelined;
   return Status::InvalidArgument(
       "unknown run mode \"" + name +
       "\"; expected \"engine\", \"blocking\", or \"pipelined\"");
@@ -181,20 +178,6 @@ common::Result<std::vector<StepOutcome>> Session::StepEngine() {
   return outcomes;
 }
 
-common::Result<std::vector<StepOutcome>> Session::StepBlocking() {
-  std::vector<StepOutcome> outcomes;
-  if (!scheduler_->HasBudget()) {
-    done_ = true;
-    return outcomes;
-  }
-  CF_ASSIGN_OR_RETURN(const core::BudgetScheduler::StepRecord record,
-                      scheduler_->RunStep());
-  if (record.instance < 0) done_ = true;
-  outcomes.push_back(FromStepRecord(record));
-  if (!scheduler_->HasBudget()) done_ = true;
-  return outcomes;
-}
-
 common::Result<std::vector<StepOutcome>> Session::StepPipelined() {
   std::vector<core::BudgetScheduler::StepRecord> records;
   CF_ASSIGN_OR_RETURN(const bool more, scheduler_->RunPipelinedStep(records));
@@ -203,7 +186,10 @@ common::Result<std::vector<StepOutcome>> Session::StepPipelined() {
   for (const auto& record : records) {
     outcomes.push_back(FromStepRecord(record));
   }
-  if (!more) done_ = true;
+  // A spent budget means nothing is in flight either (cost_spent <=
+  // cost_reserved <= total_budget), so the run is over now rather than
+  // one empty quantum later.
+  if (!more || !scheduler_->HasBudget()) done_ = true;
   return outcomes;
 }
 
@@ -211,9 +197,7 @@ common::Result<std::vector<StepOutcome>> Session::Step() {
   if (done_) return std::vector<StepOutcome>{};
   common::Stopwatch stopwatch;
   common::Result<std::vector<StepOutcome>> outcomes =
-      mode_ == RunMode::kEngine
-          ? StepEngine()
-          : (mode_ == RunMode::kBlocking ? StepBlocking() : StepPipelined());
+      mode_ == RunMode::kEngine ? StepEngine() : StepPipelined();
   wall_seconds_ += stopwatch.ElapsedSeconds();
   if (!outcomes.ok()) return outcomes.status();
   steps_.insert(steps_.end(), outcomes.value().begin(),

@@ -22,20 +22,22 @@
 
 namespace crowdfusion::service {
 
-/// Which serving backend executes the request. All three run the same
+/// Which serving backend executes the request. Both run the same
 /// select -> collect -> merge loop; they differ in how budget and latency
 /// are scheduled:
 ///  * kEngine: one CrowdFusionEngine per instance with a per-instance
 ///    budget, advanced round-robin (the paper's Figure-1 loop, and the
 ///    trajectory eval::RunExperiment reports).
-///  * kBlocking: one BudgetScheduler holding a global budget, one ticket
-///    at a time (the Section V-D allocation strategy).
-///  * kPipelined: the same scheduler with up to max_in_flight ticket
-///    batches outstanding, overlapping crowd latency.
-enum class RunMode { kEngine, kBlocking, kPipelined };
+///  * kPipelined: one BudgetScheduler holding a global budget (the
+///    Section V-D allocation strategy) with up to max_in_flight ticket
+///    batches outstanding, overlapping crowd latency. A window of 1 is
+///    one ticket at a time; the wire spells that "blocking".
+enum class RunMode { kEngine, kPipelined };
 
-/// Config spelling of a RunMode ("engine", "blocking", "pipelined").
+/// Config spelling of a RunMode ("engine", "pipelined").
 const char* RunModeName(RunMode mode);
+/// Accepts "engine", "pipelined", and the alias "blocking" (kPipelined;
+/// FusionRequestFromJson also forces its window to 1).
 common::Result<RunMode> ParseRunMode(const std::string& name);
 
 /// One fact universe handed in directly (e.g. a joint loaded from disk).
@@ -69,20 +71,19 @@ struct DatasetSpec {
 };
 
 struct BudgetSpec {
-  /// Engine mode: tasks each instance may spend. Scheduler modes: the
+  /// Engine mode: tasks each instance may spend. Pipelined mode: the
   /// default total budget is budget_per_instance x instances.
   int budget_per_instance = 60;
-  /// Scheduler modes: explicit global budget; 0 derives it from
+  /// Pipelined mode: explicit global budget; 0 derives it from
   /// budget_per_instance.
   int total_budget = 0;
-  /// Tasks per round (engine) / per scheduling step (schedulers).
+  /// Tasks per round (engine) / per scheduling step (pipelined).
   int tasks_per_step = 1;
 
   friend bool operator==(const BudgetSpec& a, const BudgetSpec& b) = default;
 };
 
-/// Pipelined-mode serving knobs (ignored by the other modes except
-/// max_poll_seconds, which the blocking scheduler also respects).
+/// Pipelined-mode serving knobs (ignored by engine mode).
 struct PipelineSpec {
   int max_in_flight = 4;
   int ticket_max_attempts = 1;
@@ -91,8 +92,8 @@ struct PipelineSpec {
   core::BudgetScheduler::TicketFailurePolicy on_ticket_failure =
       core::BudgetScheduler::TicketFailurePolicy::kAbort;
   double max_poll_seconds = 0.050;
-  /// Scheduler modes: overlap selection compute across books when the
-  /// selector is concurrency-safe (see
+  /// Overlap selection compute across books when the selector is
+  /// concurrency-safe (see
   /// core::BudgetScheduler::Options::concurrent_selection). Never changes
   /// schedules, only wall-clock.
   bool concurrent_selection = true;
@@ -132,7 +133,7 @@ struct FusionRequest {
 /// Mode-dependent fields (the differential tests pin these semantics):
 ///  * kEngine: `round`/`cumulative_cost`/`utility_bits` are per-instance
 ///    (mirroring core::RoundRecord); latency_seconds is 0.
-///  * scheduler modes: `utility_bits` is the TOTAL utility over all
+///  * kPipelined: `utility_bits` is the TOTAL utility over all
 ///    instances and `cumulative_cost` the global spend (mirroring
 ///    core::BudgetScheduler::StepRecord); `round` is -1.
 /// An outcome with instance == -1 is the exhaustion marker: budget
@@ -172,8 +173,8 @@ struct InstanceReport {
 struct RunStats {
   double wall_seconds = 0.0;
   /// Selector wall-clock summed over every Select() of the run: engine
-  /// rounds report it via their RoundRecord stats, the scheduler modes
-  /// via the scheduler's per-Select timing log.
+  /// rounds report it via their RoundRecord stats, pipelined mode via
+  /// the scheduler's per-Select timing log.
   double selection_seconds = 0.0;
   double steps_per_second = 0.0;
   /// Submit-to-merge latency percentiles over the run's steps, ms.
@@ -234,10 +235,12 @@ class Session {
 
   /// Advances one quantum and returns its outcomes, in merge order:
   /// engine mode runs every live instance one round (round-robin pass);
-  /// blocking mode runs one scheduler step; pipelined mode fills the
-  /// in-flight window and harvests everything that resolved. An empty
-  /// vector means the run just completed (the exhaustion marker, when
-  /// emitted, arrives as a final instance == -1 outcome first).
+  /// pipelined mode fills the in-flight window and harvests everything
+  /// that resolved (with a window of 1: one select-collect-merge step).
+  /// done() turns true with the quantum that completes the run: the one
+  /// that spends the last of the budget or emits the exhaustion marker
+  /// (a final instance == -1 outcome). An empty vector means there was
+  /// nothing left to run.
   common::Result<std::vector<StepOutcome>> Step();
 
   /// Non-blocking progress snapshot.
@@ -249,8 +252,8 @@ class Session {
   /// continue the index sequence), and the backend registers the new
   /// joints, so the next Step() re-plans selection over the grown
   /// universe. Engine mode grants each arrival the request's
-  /// budget_per_instance (additional_budget must be 0); scheduler modes
-  /// keep the global budget and raise it by additional_budget. A session
+  /// budget_per_instance (additional_budget must be 0); pipelined mode
+  /// keeps the global budget and raises it by additional_budget. A session
   /// that had stopped for lack of gain resumes when the arrivals give it
   /// work. Returns the index of the first new instance. Requires the
   /// creating FusionService to still be alive (it lends its provider
@@ -309,7 +312,6 @@ class Session {
   common::Status BindInstance(InstanceSpec spec);
 
   common::Result<std::vector<StepOutcome>> StepEngine();
-  common::Result<std::vector<StepOutcome>> StepBlocking();
   common::Result<std::vector<StepOutcome>> StepPipelined();
 
   StepOutcome FromRoundRecord(int instance, const core::RoundRecord& record);
@@ -329,21 +331,21 @@ class Session {
   /// arrival N + i seeds exactly like a creation-time instance N + i.
   int next_seed_index_ = 0;
   std::vector<Instance> instances_;
-  /// Scheduler modes only.
+  /// Pipelined mode only.
   std::optional<core::BudgetScheduler> scheduler_;
   int total_budget_ = 0;
   std::vector<StepOutcome> steps_;
   int steps_emitted_ = 0;
   double selection_seconds_ = 0.0;
-  /// Engine mode: one entry per round's selector call. Scheduler modes
-  /// read the scheduler's log instead (see selection_compute_samples).
+  /// Engine mode: one entry per round's selector call. Pipelined mode
+  /// reads the scheduler's log instead (see selection_compute_samples).
   std::vector<double> selection_samples_;
   double wall_seconds_ = 0.0;
   bool done_ = false;
 };
 
-/// The facade: one typed request/response API over the engine, the
-/// blocking scheduler, and the pipelined scheduler, with every backend
+/// The facade: one typed request/response API over the per-instance
+/// engines and the global-budget scheduler, with every backend
 /// constructed from string-keyed registries. Thread-compatible: one
 /// service may mint many sessions; each session is single-caller.
 class FusionService {

@@ -418,6 +418,10 @@ common::Result<FusionRequest> FusionRequestFromJson(const JsonValue& json) {
     CF_RETURN_IF_ERROR(JsonReadBool(*pipeline, "concurrent_selection",
                                 &request.pipeline.concurrent_selection));
   }
+  // "blocking" is the one-ticket-at-a-time spelling of pipelined mode. It
+  // overrides max_in_flight rather than rejecting it, because every
+  // serialized request carries one (default 4), blocking ones included.
+  if (mode == "blocking") request.pipeline.max_in_flight = 1;
   if (const JsonValue* instances = json.Find("instances")) {
     if (!instances->is_array()) {
       return Status::InvalidArgument("instances must be an array");

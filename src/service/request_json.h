@@ -22,6 +22,8 @@ namespace crowdfusion::service {
 ///    so a minimal request is just {"schema": ..., "mode": "engine", ...}.
 ///  * Strict about types and enum spellings: a wrong-typed member or an
 ///    unknown mode/policy/kind string is kInvalidArgument, never a crash.
+///  * "mode": "blocking" is an alias: it parses as kPipelined with
+///    pipeline.max_in_flight forced to 1 and dumps as "pipelined".
 
 inline constexpr const char* kRequestSchema = "crowdfusion-request-v1";
 inline constexpr const char* kResponseSchema = "crowdfusion-response-v1";

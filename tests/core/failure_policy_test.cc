@@ -1,12 +1,14 @@
-/// BudgetScheduler::Options::on_ticket_failure (ISSUE 4 satellite): under
-/// kAbort a terminally failed ticket still kills the whole pipelined run
-/// (the historical contract); under kSkipInstance it kills only its
-/// instance — the run continues, budget reservations are released, and
-/// healthy instances finish their work.
+/// BudgetScheduler::Options::on_ticket_failure: under kAbort a terminally
+/// failed ticket still kills the whole run (the historical contract);
+/// under kSkipInstance it kills only its instance — the run continues,
+/// budget reservations are released, and healthy instances finish their
+/// work. The policy holds for every window size, the "blocking" wire
+/// spelling (a window of 1) included.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/clock.h"
@@ -14,6 +16,8 @@
 #include "core/scheduler.h"
 #include "core/scripted_provider.h"
 #include "crowd/simulated_crowd.h"
+#include "service/fusion_service.h"
+#include "service/request_json.h"
 
 namespace crowdfusion::core {
 namespace {
@@ -173,6 +177,63 @@ TEST(FailurePolicyTest, DeadlineExpiredTicketIsSkippedToo) {
   EXPECT_TRUE(scheduler->instance_dead(0));
   EXPECT_GT(scheduler->cost_spent(1), 0);
   EXPECT_EQ(scheduler->cost_spent(0), 0);
+}
+
+/// "scripted" answers with the bound gold labels, except that instance 0
+/// (seed base 0 + index 0) fails every attempt.
+common::Result<ProviderHandle> MakeFlakyProvider(const ProviderSpec& spec) {
+  ScriptedProvider::Options options;
+  options.script = spec.truths;
+  options.failures_before_success = spec.seed == 0 ? 1000000 : 0;
+  auto provider = std::make_shared<ScriptedProvider>(std::move(options));
+  ProviderHandle handle;
+  handle.sync = provider.get();
+  handle.owner = std::move(provider);
+  return handle;
+}
+
+TEST(FailurePolicyTest, BlockingSpellingHonoursSkipInstance) {
+  service::FusionService service;
+  ASSERT_TRUE(service.providers().Register("flaky", MakeFlakyProvider).ok());
+
+  // The doomed instance is the most uncertain, so it is picked first; the
+  // two healthy ones hold more positive-gain tasks than the budget.
+  service::FusionRequest request;
+  request.mode = service::RunMode::kPipelined;
+  const std::vector<std::vector<double>> marginals = {
+      {0.5, 0.5, 0.5},
+      {0.4, 0.55, 0.6, 0.45, 0.65},
+      {0.6, 0.35, 0.5, 0.55, 0.42},
+  };
+  for (size_t i = 0; i < marginals.size(); ++i) {
+    service::InstanceSpec instance;
+    instance.name = "book" + std::to_string(i);
+    auto joint = JointDistribution::FromIndependentMarginals(marginals[i]);
+    ASSERT_TRUE(joint.ok());
+    instance.joint = std::move(joint).value();
+    instance.truths.assign(marginals[i].size(), true);
+    request.instances.push_back(std::move(instance));
+  }
+  request.selector.kind = "greedy";
+  request.provider.kind = "flaky";
+  request.budget.budget_per_instance = 2;
+  request.pipeline.on_ticket_failure =
+      BudgetScheduler::TicketFailurePolicy::kSkipInstance;
+  common::JsonValue json = service::FusionRequestToJson(request);
+  json.Set("mode", "blocking");
+  auto parsed = service::FusionRequestFromJson(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+
+  auto response = service.Run(*std::move(parsed));
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_EQ(response->dead_instances, 1);
+  ASSERT_EQ(response->instances.size(), 3u);
+  EXPECT_TRUE(response->instances[0].dead);
+  EXPECT_EQ(response->instances[0].cost_spent, 0);
+  EXPECT_EQ(response->total_cost_spent, 6);
+  EXPECT_EQ(response->instances[1].cost_spent +
+                response->instances[2].cost_spent,
+            6);
 }
 
 }  // namespace

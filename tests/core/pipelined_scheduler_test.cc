@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/clock.h"
 #include "common/random.h"
+#include "core/bayes.h"
 #include "core/greedy_selector.h"
 #include "core/scheduler.h"
 #include "crowd/simulated_crowd.h"
@@ -36,14 +39,35 @@ std::vector<bool> RandomTruths(int n, common::Rng& rng) {
   return truths;
 }
 
+/// One seeded multi-book workload: the joints and the zero-latency
+/// deterministic crowds that answer them.
+struct Workload {
+  std::vector<JointDistribution> joints;
+  std::vector<std::unique_ptr<crowd::SimulatedCrowd>> providers;
+};
+
+Workload MakeWorkload(uint64_t seed) {
+  Workload workload;
+  common::Rng rng(seed * 7919 + 13);
+  const int num_instances = 2 + static_cast<int>(rng.NextBounded(3));
+  for (int i = 0; i < num_instances; ++i) {
+    const int n = 3 + static_cast<int>(rng.NextBounded(3));
+    workload.joints.push_back(RandomMarginalJoint(n, rng));
+    workload.providers.push_back(std::make_unique<crowd::SimulatedCrowd>(
+        crowd::SimulatedCrowd::WithUniformAccuracy(
+            RandomTruths(n, rng), 0.8, seed * 131 + static_cast<uint64_t>(i))));
+  }
+  return workload;
+}
+
 struct SchedulerFixture {
   std::unique_ptr<BudgetScheduler> scheduler;
   std::vector<std::unique_ptr<crowd::SimulatedCrowd>> providers;
 };
 
-/// Builds identical multi-book workloads for the blocking and pipelined
-/// runs: same seeds everywhere, so any divergence between the two runs is
-/// the scheduler's doing.
+/// Registers a fresh MakeWorkload(seed) with a new scheduler: same seeds
+/// everywhere, so any divergence between two runs is the scheduler's
+/// doing.
 SchedulerFixture MakeFixture(uint64_t seed, TaskSelector* selector,
                              BudgetScheduler::Options options) {
   SchedulerFixture fixture;
@@ -51,75 +75,135 @@ SchedulerFixture MakeFixture(uint64_t seed, TaskSelector* selector,
   EXPECT_TRUE(scheduler.ok());
   fixture.scheduler =
       std::make_unique<BudgetScheduler>(std::move(scheduler).value());
-  common::Rng rng(seed * 7919 + 13);
-  const int num_instances = 2 + static_cast<int>(rng.NextBounded(3));
-  for (int i = 0; i < num_instances; ++i) {
-    const int n = 3 + static_cast<int>(rng.NextBounded(3));
-    JointDistribution joint = RandomMarginalJoint(n, rng);
-    fixture.providers.push_back(std::make_unique<crowd::SimulatedCrowd>(
-        crowd::SimulatedCrowd::WithUniformAccuracy(
-            RandomTruths(n, rng), 0.8, seed * 131 + static_cast<uint64_t>(i))));
+  Workload workload = MakeWorkload(seed);
+  fixture.providers = std::move(workload.providers);
+  for (size_t i = 0; i < workload.joints.size(); ++i) {
     auto id = fixture.scheduler->AddInstance(
-        "book" + std::to_string(i), std::move(joint),
-        static_cast<AnswerProvider*>(fixture.providers.back().get()));
+        "book" + std::to_string(i), std::move(workload.joints[i]),
+        static_cast<AnswerProvider*>(fixture.providers[i].get()));
     EXPECT_TRUE(id.ok());
   }
   return fixture;
 }
 
-/// The PR's pin: with a zero-latency deterministic provider the pipelined
-/// path must reproduce the legacy blocking path exactly — same step
-/// sequence, same task sets, same answers, same utilities — across many
-/// seeds, even with a wide in-flight window.
-TEST(PipelinedSchedulerDifferentialTest, ZeroLatencyPipelinedEqualsBlocking) {
-  constexpr int kSeeds = 32;
-  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
-    GreedySelector selector;
-    BudgetScheduler::Options options;
-    options.total_budget = 14;
-    options.tasks_per_step = 1 + static_cast<int>(seed % 3);
-    options.max_in_flight = 4;
+/// The global-budget schedule written from scratch as the paper's
+/// Figure-1 loop, with no selection cache, tickets or reservations: each
+/// step re-selects every book in ascending order, spends on the best
+/// per-task expected gain (strict >, so the first book wins ties),
+/// collects synchronously and merges.
+struct ReferenceRun {
+  std::vector<BudgetScheduler::StepRecord> records;
+  std::vector<JointDistribution> joints;
+  std::vector<int> costs;
+};
 
-    SchedulerFixture blocking = MakeFixture(seed, &selector, options);
-    auto blocking_records = blocking.scheduler->Run();
-    ASSERT_TRUE(blocking_records.ok()) << "seed " << seed;
-
-    SchedulerFixture pipelined = MakeFixture(seed, &selector, options);
-    auto pipelined_records = pipelined.scheduler->RunPipelined();
-    ASSERT_TRUE(pipelined_records.ok()) << "seed " << seed;
-
-    ASSERT_EQ(pipelined_records->size(), blocking_records->size())
-        << "seed " << seed;
-    for (size_t s = 0; s < blocking_records->size(); ++s) {
-      const auto& blocking_step = (*blocking_records)[s];
-      const auto& pipelined_step = (*pipelined_records)[s];
-      SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
-                   std::to_string(s));
-      EXPECT_EQ(pipelined_step.step, blocking_step.step);
-      EXPECT_EQ(pipelined_step.instance, blocking_step.instance);
-      EXPECT_EQ(pipelined_step.tasks, blocking_step.tasks);
-      EXPECT_EQ(pipelined_step.answers, blocking_step.answers);
-      EXPECT_DOUBLE_EQ(pipelined_step.expected_gain_bits,
-                       blocking_step.expected_gain_bits);
-      EXPECT_DOUBLE_EQ(pipelined_step.total_utility_bits,
-                       blocking_step.total_utility_bits);
-      EXPECT_EQ(pipelined_step.cumulative_cost, blocking_step.cumulative_cost);
+ReferenceRun RunReference(uint64_t seed,
+                          const BudgetScheduler::Options& options) {
+  Workload workload = MakeWorkload(seed);
+  const CrowdModel crowd = MakeCrowd(0.8);
+  GreedySelector selector;
+  ReferenceRun run;
+  run.joints = std::move(workload.joints);
+  run.costs.assign(run.joints.size(), 0);
+  const auto total_utility = [&run] {
+    double total = 0.0;
+    for (const JointDistribution& joint : run.joints) {
+      total += -joint.EntropyBits();
     }
+    return total;
+  };
+  int spent = 0;
+  while (spent < options.total_budget) {
+    const int k =
+        std::min(options.tasks_per_step, options.total_budget - spent);
+    int best = -1;
+    double best_gain = 0.0;
+    Selection best_selection;
+    for (size_t i = 0; i < run.joints.size(); ++i) {
+      SelectionRequest request;
+      request.joint = &run.joints[i];
+      request.crowd = &crowd;
+      request.k = k;
+      auto selection = selector.Select(request);
+      EXPECT_TRUE(selection.ok());
+      if (selection->tasks.empty()) continue;  // no positive gain left
+      const double tasks = static_cast<double>(selection->tasks.size());
+      const double gain =
+          (selection->entropy_bits - tasks * crowd.EntropyBits()) / tasks;
+      if (best < 0 || gain > best_gain) {
+        best = static_cast<int>(i);
+        best_gain = gain;
+        best_selection = *std::move(selection);
+      }
+    }
+    BudgetScheduler::StepRecord record;
+    record.step = static_cast<int>(run.records.size());
+    record.instance = best;
+    if (best >= 0) {
+      const size_t b = static_cast<size_t>(best);
+      const int tasks = static_cast<int>(best_selection.tasks.size());
+      record.tasks = best_selection.tasks;
+      record.expected_gain_bits =
+          best_selection.entropy_bits - tasks * crowd.EntropyBits();
+      auto answers = workload.providers[b]->CollectAnswers(record.tasks);
+      EXPECT_TRUE(answers.ok());
+      record.answers = *answers;
+      auto posterior = PosteriorGivenAnswers(
+          run.joints[b], AnswerSet{record.tasks, record.answers}, crowd);
+      EXPECT_TRUE(posterior.ok());
+      run.joints[b] = *std::move(posterior);
+      spent += tasks;
+      run.costs[b] += tasks;
+    }
+    record.cumulative_cost = spent;
+    record.total_utility_bits = total_utility();
+    run.records.push_back(std::move(record));
+    if (best < 0) break;  // the exhaustion marker ends the run
+  }
+  return run;
+}
 
-    ASSERT_EQ(pipelined.scheduler->num_instances(),
-              blocking.scheduler->num_instances());
-    EXPECT_EQ(pipelined.scheduler->total_cost_spent(),
-              blocking.scheduler->total_cost_spent());
-    for (int i = 0; i < blocking.scheduler->num_instances(); ++i) {
-      EXPECT_EQ(pipelined.scheduler->cost_spent(i),
-                blocking.scheduler->cost_spent(i));
-      const auto blocking_marginals = blocking.scheduler->joint(i).Marginals();
-      const auto pipelined_marginals =
-          pipelined.scheduler->joint(i).Marginals();
-      ASSERT_EQ(pipelined_marginals.size(), blocking_marginals.size());
-      for (size_t f = 0; f < blocking_marginals.size(); ++f) {
-        EXPECT_DOUBLE_EQ(pipelined_marginals[f], blocking_marginals[f])
-            << "seed " << seed << " instance " << i << " fact " << f;
+/// With a zero-latency deterministic provider the serving loop must
+/// reproduce the independent reference exactly — same step sequence,
+/// task sets, answers, utilities and final joints — across many seeds,
+/// at a window of 1 (the "blocking" spelling) and a wide window alike.
+TEST(PipelinedSchedulerDifferentialTest, ZeroLatencyPipelinedEqualsReference) {
+  constexpr int kSeeds = 32;
+  for (const int window : {1, 4}) {
+    for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+      SCOPED_TRACE("window " + std::to_string(window) + " seed " +
+                   std::to_string(seed));
+      GreedySelector selector;
+      BudgetScheduler::Options options;
+      options.total_budget = 14;
+      options.tasks_per_step = 1 + static_cast<int>(seed % 3);
+      options.max_in_flight = window;
+
+      const ReferenceRun reference = RunReference(seed, options);
+      SchedulerFixture pipelined = MakeFixture(seed, &selector, options);
+      auto records = pipelined.scheduler->RunPipelined();
+      ASSERT_TRUE(records.ok()) << records.status();
+
+      ASSERT_EQ(records->size(), reference.records.size());
+      for (size_t s = 0; s < records->size(); ++s) {
+        SCOPED_TRACE("step " + std::to_string(s));
+        const auto& expected = reference.records[s];
+        const auto& actual = (*records)[s];
+        EXPECT_EQ(actual.step, expected.step);
+        EXPECT_EQ(actual.instance, expected.instance);
+        EXPECT_EQ(actual.tasks, expected.tasks);
+        EXPECT_EQ(actual.answers, expected.answers);
+        EXPECT_EQ(actual.expected_gain_bits, expected.expected_gain_bits);
+        EXPECT_EQ(actual.total_utility_bits, expected.total_utility_bits);
+        EXPECT_EQ(actual.cumulative_cost, expected.cumulative_cost);
+      }
+      ASSERT_EQ(pipelined.scheduler->num_instances(),
+                static_cast<int>(reference.joints.size()));
+      for (int i = 0; i < pipelined.scheduler->num_instances(); ++i) {
+        const size_t r = static_cast<size_t>(i);
+        EXPECT_EQ(pipelined.scheduler->cost_spent(i), reference.costs[r]);
+        EXPECT_EQ(pipelined.scheduler->joint(i), reference.joints[r])
+            << "instance " << i;
       }
     }
   }
@@ -129,35 +213,32 @@ TEST(PipelinedSchedulerDifferentialTest, ZeroLatencyPipelinedEqualsBlocking) {
 /// ConcurrentSelectSafe selector (the greedy), running stale-book
 /// refreshes on the shared pool in parallel has to reproduce the serial
 /// sweep record-for-record — the overlap changes wall-clock only. Runs
-/// both scheduler modes so the concurrent refresh is exercised from the
-/// blocking and pipelined drivers alike.
+/// a window of 1 and a wide window, so the concurrent refresh is
+/// exercised from single-ticket and window-filling launch decisions.
 TEST(PipelinedSchedulerDifferentialTest, ConcurrentSelectionEqualsSerial) {
   constexpr int kSeeds = 32;
-  for (const bool pipelined : {false, true}) {
+  for (const int window : {1, 4}) {
     for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
       GreedySelector selector;
       BudgetScheduler::Options options;
       options.total_budget = 14;
       options.tasks_per_step = 1 + static_cast<int>(seed % 3);
-      options.max_in_flight = 4;
+      options.max_in_flight = window;
 
       options.concurrent_selection = false;
       SchedulerFixture serial = MakeFixture(seed, &selector, options);
-      auto serial_records = pipelined ? serial.scheduler->RunPipelined()
-                                      : serial.scheduler->Run();
+      auto serial_records = serial.scheduler->RunPipelined();
       ASSERT_TRUE(serial_records.ok()) << "seed " << seed;
 
       options.concurrent_selection = true;
       SchedulerFixture concurrent = MakeFixture(seed, &selector, options);
-      auto concurrent_records = pipelined
-                                    ? concurrent.scheduler->RunPipelined()
-                                    : concurrent.scheduler->Run();
+      auto concurrent_records = concurrent.scheduler->RunPipelined();
       ASSERT_TRUE(concurrent_records.ok()) << "seed " << seed;
 
       ASSERT_EQ(concurrent_records->size(), serial_records->size())
           << "seed " << seed;
       for (size_t s = 0; s < serial_records->size(); ++s) {
-        SCOPED_TRACE("pipelined=" + std::to_string(pipelined) + " seed " +
+        SCOPED_TRACE("window " + std::to_string(window) + " seed " +
                      std::to_string(seed) + " step " + std::to_string(s));
         const auto& serial_step = (*serial_records)[s];
         const auto& concurrent_step = (*concurrent_records)[s];
@@ -171,7 +252,7 @@ TEST(PipelinedSchedulerDifferentialTest, ConcurrentSelectionEqualsSerial) {
       }
       EXPECT_EQ(concurrent.scheduler->total_cost_spent(),
                 serial.scheduler->total_cost_spent());
-      // Both modes log every Select() they actually ran.
+      // Both runs log every Select() they actually ran.
       EXPECT_EQ(concurrent.scheduler->selection_compute_seconds().size(),
                 serial.scheduler->selection_compute_seconds().size())
           << "seed " << seed;
@@ -291,12 +372,12 @@ TEST(PipelinedSchedulerTest, InFlightReservationsRespectBudget) {
 /// Regression: a selection cached under a larger k must never overspend a
 /// budget that is not a multiple of tasks_per_step (stale-k cache bug).
 TEST(PipelinedSchedulerTest, NonMultipleBudgetIsNeverOverspent) {
-  for (const bool pipelined : {false, true}) {
+  for (const int window : {1, 4}) {
     GreedySelector selector;
     BudgetScheduler::Options options;
     options.total_budget = 7;  // not a multiple of tasks_per_step
     options.tasks_per_step = 2;
-    options.max_in_flight = 4;
+    options.max_in_flight = window;
     auto scheduler =
         BudgetScheduler::Create(MakeCrowd(0.8), &selector, options);
     ASSERT_TRUE(scheduler.ok());
@@ -314,17 +395,16 @@ TEST(PipelinedSchedulerTest, NonMultipleBudgetIsNeverOverspent) {
                                     crowds[static_cast<size_t>(i)].get())
                       .ok());
     }
-    auto records = pipelined ? scheduler->RunPipelined() : scheduler->Run();
+    auto records = scheduler->RunPipelined();
     ASSERT_TRUE(records.ok());
-    EXPECT_EQ(scheduler->total_cost_spent(), 7)
-        << (pipelined ? "pipelined" : "blocking");
+    EXPECT_EQ(scheduler->total_cost_spent(), 7) << "window " << window;
   }
 }
 
 /// Regression: a pipelined run aborted with tickets still outstanding must
-/// not leave instances stuck in_flight — a later blocking run has to
-/// schedule them again (and the abandoned tickets must be released).
-TEST(PipelinedSchedulerTest, BlockingRunRecoversAfterAbortedPipelinedRun) {
+/// not leave instances stuck in_flight — a rerun has to schedule them
+/// again (and the abandoned tickets must be released).
+TEST(PipelinedSchedulerTest, RerunRecoversAfterAbortedPipelinedRun) {
   ManualClock clock;
   GreedySelector selector;
   BudgetScheduler::Options options;
@@ -372,12 +452,21 @@ TEST(PipelinedSchedulerTest, BlockingRunRecoversAfterAbortedPipelinedRun) {
   auto aborted = scheduler->RunPipelined();
   ASSERT_FALSE(aborted.ok());
 
-  // Blocking step must pick the healthy instance again, not skip it as
-  // "in flight" and not die on the doomed one.
-  auto step = scheduler->RunStep();
-  ASSERT_TRUE(step.ok()) << step.status().ToString();
-  EXPECT_EQ(step->instance, 0);
-  EXPECT_FALSE(step->tasks.empty());
+  // Once the doomed crowd recovers, a rerun must serve the healthy
+  // instance again rather than skip it as "in flight", and spend the
+  // whole budget (the abandoned reservation was released).
+  crowd::LatencyOptions recovered_latency = failing_latency;
+  recovered_latency.failure_probability = 0.0;
+  doomed.ConfigureAsync(recovered_latency, &clock);
+  auto rerun = scheduler->RunPipelined();
+  ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
+  bool healthy_merged = false;
+  for (const auto& record : *rerun) {
+    if (record.instance == 0 && !record.tasks.empty()) healthy_merged = true;
+  }
+  EXPECT_TRUE(healthy_merged);
+  EXPECT_GT(scheduler->cost_spent(0), 0);
+  EXPECT_EQ(scheduler->total_cost_spent(), 8);
 }
 
 /// A terminally failing ticket aborts the pipelined run with its status.

@@ -54,6 +54,7 @@ TEST(BudgetSchedulerStressTest, MixedSizesUnderOneGlobalBudget) {
   BudgetScheduler::Options scheduler_options;
   scheduler_options.total_budget = 140;
   scheduler_options.tasks_per_step = 2;
+  scheduler_options.max_in_flight = 1;
   auto scheduler =
       BudgetScheduler::Create(*crowd, &selector, scheduler_options);
   ASSERT_TRUE(scheduler.ok());
@@ -81,7 +82,7 @@ TEST(BudgetSchedulerStressTest, MixedSizesUnderOneGlobalBudget) {
   ASSERT_EQ(scheduler->num_instances(), num_instances);
   ASSERT_GE(num_instances, 50);
 
-  auto records = scheduler->Run();
+  auto records = scheduler->RunPipelined();
   ASSERT_TRUE(records.ok()) << records.status().ToString();
   ASSERT_FALSE(records->empty());
 

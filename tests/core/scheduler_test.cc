@@ -69,20 +69,26 @@ TEST(BudgetSchedulerTest, AddInstanceValidates) {
   EXPECT_EQ(scheduler->num_instances(), 1);
 }
 
-TEST(BudgetSchedulerTest, RunStepRequiresBudgetAndInstances) {
+TEST(BudgetSchedulerTest, RunPipelinedRequiresInstancesAndStopsAtZeroBudget) {
   const CrowdModel crowd = MakeCrowd(0.8);
   GreedySelector selector;
   BudgetScheduler::Options options;
-  options.total_budget = 0;
-  auto empty = BudgetScheduler::Create(crowd, &selector, options);
-  ASSERT_TRUE(empty.ok());
-  EXPECT_EQ(empty->RunStep().status().code(),
-            StatusCode::kFailedPrecondition);
   options.total_budget = 5;
   auto no_instances = BudgetScheduler::Create(crowd, &selector, options);
   ASSERT_TRUE(no_instances.ok());
-  EXPECT_EQ(no_instances->RunStep().status().code(),
+  EXPECT_EQ(no_instances->RunPipelined().status().code(),
             StatusCode::kFailedPrecondition);
+  // A zero budget is a complete run with nothing to spend: no records,
+  // not even the exhaustion marker.
+  options.total_budget = 0;
+  auto empty = BudgetScheduler::Create(crowd, &selector, options);
+  ASSERT_TRUE(empty.ok());
+  OracleProvider provider(0);
+  ASSERT_TRUE(empty->AddInstance("x", RunningExample::Joint(), &provider).ok());
+  auto records = empty->RunPipelined();
+  ASSERT_TRUE(records.ok()) << records.status();
+  EXPECT_TRUE(records->empty());
+  EXPECT_EQ(empty->total_cost_spent(), 0);
 }
 
 TEST(BudgetSchedulerTest, PrefersTheUncertainInstance) {
@@ -92,6 +98,7 @@ TEST(BudgetSchedulerTest, PrefersTheUncertainInstance) {
   GreedySelector selector;
   BudgetScheduler::Options options;
   options.total_budget = 4;
+  options.max_in_flight = 1;
   auto scheduler = BudgetScheduler::Create(crowd, &selector, options);
   ASSERT_TRUE(scheduler.ok());
 
@@ -105,7 +112,7 @@ TEST(BudgetSchedulerTest, PrefersTheUncertainInstance) {
   ASSERT_TRUE(
       scheduler->AddInstance("uncertain", UniformJoint(3), &provider_b).ok());
 
-  auto records = scheduler->Run();
+  auto records = scheduler->RunPipelined();
   ASSERT_TRUE(records.ok());
   ASSERT_FALSE(records->empty());
   for (const auto& record : *records) {
@@ -121,6 +128,7 @@ TEST(BudgetSchedulerTest, SpendsFullBudgetAcrossInstances) {
   GreedySelector selector;
   BudgetScheduler::Options options;
   options.total_budget = 12;
+  options.max_in_flight = 1;
   options.tasks_per_step = 2;
   auto scheduler = BudgetScheduler::Create(crowd, &selector, options);
   ASSERT_TRUE(scheduler.ok());
@@ -131,7 +139,7 @@ TEST(BudgetSchedulerTest, SpendsFullBudgetAcrossInstances) {
                   .ok());
   ASSERT_TRUE(
       scheduler->AddInstance("b", UniformJoint(4), &provider_b).ok());
-  auto records = scheduler->Run();
+  auto records = scheduler->RunPipelined();
   ASSERT_TRUE(records.ok());
   EXPECT_EQ(scheduler->total_cost_spent(), 12);
   EXPECT_EQ(scheduler->cost_spent(0) + scheduler->cost_spent(1), 12);
@@ -142,6 +150,7 @@ TEST(BudgetSchedulerTest, UtilityIncreasesWithTruthfulAnswers) {
   GreedySelector selector;
   BudgetScheduler::Options options;
   options.total_budget = 20;
+  options.max_in_flight = 1;
   auto scheduler = BudgetScheduler::Create(crowd, &selector, options);
   ASSERT_TRUE(scheduler.ok());
   OracleProvider provider(0b0111);
@@ -149,7 +158,7 @@ TEST(BudgetSchedulerTest, UtilityIncreasesWithTruthfulAnswers) {
                   ->AddInstance("book", RunningExample::Joint(), &provider)
                   .ok());
   const double before = scheduler->TotalUtilityBits();
-  auto records = scheduler->Run();
+  auto records = scheduler->RunPipelined();
   ASSERT_TRUE(records.ok());
   EXPECT_GT(scheduler->TotalUtilityBits(), before + 2.0);
 }
@@ -160,13 +169,14 @@ TEST(BudgetSchedulerTest, StopsWhenNoGainAnywhere) {
   GreedySelector selector;
   BudgetScheduler::Options options;
   options.total_budget = 50;
+  options.max_in_flight = 1;
   auto scheduler = BudgetScheduler::Create(crowd, &selector, options);
   ASSERT_TRUE(scheduler.ok());
   auto point = JointDistribution::PointMass(3, 0b101);
   ASSERT_TRUE(point.ok());
   OracleProvider provider(0b101);
   ASSERT_TRUE(scheduler->AddInstance("done", *point, &provider).ok());
-  auto records = scheduler->Run();
+  auto records = scheduler->RunPipelined();
   ASSERT_TRUE(records.ok());
   ASSERT_EQ(records->size(), 1u);
   EXPECT_EQ(records->front().instance, -1);
@@ -181,6 +191,7 @@ TEST(BudgetSchedulerTest, StarvedBooksGetBudgetUnderGlobalAllocation) {
   GreedySelector selector;
   BudgetScheduler::Options options;
   options.total_budget = 30;
+  options.max_in_flight = 1;
   auto scheduler = BudgetScheduler::Create(crowd, &selector, options);
   ASSERT_TRUE(scheduler.ok());
   OracleProvider big_provider(0b11110000);
@@ -197,7 +208,7 @@ TEST(BudgetSchedulerTest, StarvedBooksGetBudgetUnderGlobalAllocation) {
                                   providers.back().get())
                     .ok());
   }
-  auto records = scheduler->Run();
+  auto records = scheduler->RunPipelined();
   ASSERT_TRUE(records.ok());
   // Uniform split would give 10 each; the big book should get well beyond.
   EXPECT_GT(scheduler->cost_spent(0), 15);

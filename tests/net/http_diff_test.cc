@@ -16,6 +16,7 @@
 #include "common/random.h"
 #include "net/loopback_crowd_server.h"
 #include "service/fusion_service.h"
+#include "service/request_json.h"
 
 namespace crowdfusion::net {
 namespace {
@@ -31,9 +32,9 @@ constexpr double kPc = 0.8;
 
 /// Mirrors the seeded workloads of service_differential_test, so the two
 /// differential suites pin the same serving space from different angles.
-FusionRequest MakeRequest(uint64_t seed, RunMode mode) {
+FusionRequest MakeRequest(uint64_t seed, const std::string& mode) {
   FusionRequest request;
-  request.mode = mode;
+  request.mode = RunMode::kPipelined;
   common::Rng rng(seed * 7919 + 13);
   const int num_instances = 2 + static_cast<int>(rng.NextBounded(3));
   for (int i = 0; i < num_instances; ++i) {
@@ -59,7 +60,12 @@ FusionRequest MakeRequest(uint64_t seed, RunMode mode) {
   request.budget.budget_per_instance = 4 + static_cast<int>(seed % 3);
   request.budget.tasks_per_step = 1 + static_cast<int>(seed % 2);
   request.pipeline.max_in_flight = 2 + static_cast<int>(seed % 3);
-  return request;
+  // Spelled on the wire, so "blocking" gets its window-of-1 meaning.
+  common::JsonValue json = service::FusionRequestToJson(request);
+  json.Set("mode", mode);
+  auto spelled = service::FusionRequestFromJson(json);
+  EXPECT_TRUE(spelled.ok()) << mode << ": " << spelled.status();
+  return std::move(spelled).value();
 }
 
 std::unique_ptr<Session> RunToCompletion(service::FusionService& fusion,
@@ -102,7 +108,7 @@ void ExpectOutcomesEqual(const std::vector<StepOutcome>& in_process,
   }
 }
 
-void RunDifferential(RunMode mode) {
+void RunDifferential(const std::string& mode) {
   LoopbackCrowdServer server;  // port 0: the parallel-ctest rule
   ASSERT_TRUE(server.Start().ok());
   service::FusionService fusion;
@@ -143,11 +149,11 @@ void RunDifferential(RunMode mode) {
 }
 
 TEST(HttpDifferentialTest, BlockingModeMatchesInProcessBitForBit) {
-  RunDifferential(RunMode::kBlocking);
+  RunDifferential("blocking");
 }
 
 TEST(HttpDifferentialTest, PipelinedModeMatchesInProcessBitForBit) {
-  RunDifferential(RunMode::kPipelined);
+  RunDifferential("pipelined");
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "common/random.h"
 #include "net/loopback_crowd_server.h"
 #include "service/fusion_service.h"
+#include "service/request_json.h"
 
 namespace crowdfusion::net {
 namespace {
@@ -34,9 +35,9 @@ constexpr double kPc = 0.8;
 
 /// Same seeded workload space as http_diff_test, so the pool differential
 /// pins exactly the surface the single-endpoint differential pins.
-FusionRequest MakeRequest(uint64_t seed, RunMode mode) {
+FusionRequest MakeRequest(uint64_t seed, const std::string& mode) {
   FusionRequest request;
-  request.mode = mode;
+  request.mode = RunMode::kPipelined;
   common::Rng rng(seed * 7919 + 13);
   const int num_instances = 2 + static_cast<int>(rng.NextBounded(3));
   for (int i = 0; i < num_instances; ++i) {
@@ -62,7 +63,12 @@ FusionRequest MakeRequest(uint64_t seed, RunMode mode) {
   request.budget.budget_per_instance = 4 + static_cast<int>(seed % 3);
   request.budget.tasks_per_step = 1 + static_cast<int>(seed % 2);
   request.pipeline.max_in_flight = 2 + static_cast<int>(seed % 3);
-  return request;
+  // Spelled on the wire, so "blocking" gets its window-of-1 meaning.
+  common::JsonValue json = service::FusionRequestToJson(request);
+  json.Set("mode", mode);
+  auto spelled = service::FusionRequestFromJson(json);
+  EXPECT_TRUE(spelled.ok()) << mode << ": " << spelled.status();
+  return std::move(spelled).value();
 }
 
 std::unique_ptr<Session> RunToCompletion(service::FusionService& fusion,
@@ -105,7 +111,7 @@ void ExpectOutcomesEqual(const std::vector<StepOutcome>& in_process,
   }
 }
 
-void RunDifferential(RunMode mode) {
+void RunDifferential(const std::string& mode) {
   LoopbackCrowdServer server_a;  // port 0: the parallel-ctest rule
   LoopbackCrowdServer server_b;
   ASSERT_TRUE(server_a.Start().ok());
@@ -155,11 +161,11 @@ void RunDifferential(RunMode mode) {
 }
 
 TEST(PoolDifferentialTest, BlockingModeMatchesInProcessBitForBit) {
-  RunDifferential(RunMode::kBlocking);
+  RunDifferential("blocking");
 }
 
 TEST(PoolDifferentialTest, PipelinedModeMatchesInProcessBitForBit) {
-  RunDifferential(RunMode::kPipelined);
+  RunDifferential("pipelined");
 }
 
 }  // namespace

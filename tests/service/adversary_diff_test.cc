@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/json.h"
@@ -119,9 +120,14 @@ FusionResponse RunOrDie(const FusionRequest& request, uint64_t seed) {
 
 TEST(AdversaryDifferentialTest, AbsentDefaultAndDisabledAgreeBitForBit) {
   for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
-    for (const RunMode mode :
-         {RunMode::kEngine, RunMode::kBlocking, RunMode::kPipelined}) {
-      const FusionRequest baseline = MakeRequest(seed, mode);
+    // Engine, pipelined at a window of 1 (the "blocking" spelling), and
+    // pipelined at the seed's window.
+    for (const auto& [mode, window_one] :
+         {std::pair{RunMode::kEngine, false},
+          std::pair{RunMode::kPipelined, true},
+          std::pair{RunMode::kPipelined, false}}) {
+      FusionRequest baseline = MakeRequest(seed, mode);
+      if (window_one) baseline.pipeline.max_in_flight = 1;
 
       // Variant 1: the adversary field left at its default.
       const FusionResponse from_default = RunOrDie(baseline, seed);

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "core/running_example.h"
 #include "core/scripted_provider.h"
@@ -53,7 +55,8 @@ TEST(FusionServiceTest, RunningExampleSelectsThePaperTasks) {
 TEST(FusionServiceTest, SessionStepPollFinishLifecycle) {
   FusionService service;
   FusionRequest request = RunningExampleRequest();
-  request.mode = RunMode::kBlocking;
+  request.mode = RunMode::kPipelined;
+  request.pipeline.max_in_flight = 1;
   request.budget.budget_per_instance = 4;
   request.budget.tasks_per_step = 1;
   auto session = service.CreateSession(request);
@@ -80,7 +83,7 @@ TEST(FusionServiceTest, SessionStepPollFinishLifecycle) {
   EXPECT_TRUE(extra->empty());
 
   const FusionResponse response = (*session)->Finish();
-  EXPECT_EQ(response.mode, RunMode::kBlocking);
+  EXPECT_EQ(response.mode, RunMode::kPipelined);
   EXPECT_EQ(response.total_cost_spent, (*session)->total_cost_spent());
   EXPECT_EQ(static_cast<int>(response.steps.size()),
             (*session)->Poll().steps_completed);
@@ -169,17 +172,46 @@ TEST(FusionServiceTest, DatasetUnknownFuserNamesAlternatives) {
 }
 
 TEST(FusionServiceTest, ScriptedProviderServesAllThreeModes) {
-  for (const RunMode mode :
-       {RunMode::kEngine, RunMode::kBlocking, RunMode::kPipelined}) {
+  // The engine, pipelined at a window of 1 (the "blocking" spelling), and
+  // pipelined at a wide window.
+  const std::vector<std::pair<RunMode, int>> modes = {
+      {RunMode::kEngine, 4}, {RunMode::kPipelined, 1},
+      {RunMode::kPipelined, 4}};
+  for (const auto& [mode, window] : modes) {
     FusionService service;
     FusionRequest request = RunningExampleRequest();
     request.mode = mode;
+    request.pipeline.max_in_flight = window;
     request.provider = core::ProviderSpec{};
     request.provider.kind = "scripted";  // answers = bound gold labels
     auto response = service.Run(request);
-    ASSERT_TRUE(response.ok()) << RunModeName(mode) << ": "
-                               << response.status();
-    EXPECT_GT(response->total_cost_spent, 0) << RunModeName(mode);
+    ASSERT_TRUE(response.ok()) << RunModeName(mode) << " m=" << window
+                               << ": " << response.status();
+    EXPECT_GT(response->total_cost_spent, 0)
+        << RunModeName(mode) << " m=" << window;
+  }
+}
+
+TEST(FusionServiceTest, PipelinedSessionIsDoneWithTheStepThatSpendsTheBudget) {
+  // One book, budget 4, one task per step: the fourth Step() spends the
+  // last task, so it must also report done — no fifth, empty Step().
+  FusionService service;
+  FusionRequest request = RunningExampleRequest();
+  request.mode = RunMode::kPipelined;
+  request.budget.budget_per_instance = 4;
+  request.budget.tasks_per_step = 1;
+  auto session = service.CreateSession(request);
+  ASSERT_TRUE(session.ok()) << session.status();
+  int steps = 0;
+  while (!(*session)->done() && steps < 10) {
+    auto outcomes = (*session)->Step();
+    ASSERT_TRUE(outcomes.ok()) << outcomes.status();
+    ++steps;
+  }
+  EXPECT_EQ(steps, 4);
+  EXPECT_EQ((*session)->total_cost_spent(), 4);
+  for (const StepOutcome& outcome : (*session)->steps()) {
+    EXPECT_GE(outcome.instance, 0);  // spent out, never exhausted
   }
 }
 

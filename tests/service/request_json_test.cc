@@ -21,7 +21,7 @@ namespace {
 
 FusionRequest BaseRequest() {
   FusionRequest request;
-  request.mode = RunMode::kBlocking;
+  request.mode = RunMode::kPipelined;
   request.label = "round-trip";
   InstanceSpec instance;
   instance.name = "hk";
@@ -124,6 +124,32 @@ TEST(RequestJsonTest, MinimalDocumentGetsDefaults) {
   EXPECT_EQ(request->budget, defaults.budget);
   EXPECT_EQ(request->pipeline, defaults.pipeline);
   EXPECT_EQ(request->assumed_pc, defaults.assumed_pc);
+}
+
+TEST(RequestJsonTest, BlockingSpellingIsPipelinedWithAWindowOfOne) {
+  // The window is forced whatever the key order, and overrides the
+  // max_in_flight every serialized request carries.
+  for (const char* text :
+       {R"({"mode": "blocking", "pipeline": {"max_in_flight": 4}})",
+        R"({"pipeline": {"max_in_flight": 4}, "mode": "blocking"})",
+        R"({"mode": "blocking"})"}) {
+    auto request = ParseFusionRequest(text);
+    ASSERT_TRUE(request.ok()) << text << ": " << request.status();
+    EXPECT_EQ(request->mode, RunMode::kPipelined) << text;
+    EXPECT_EQ(request->pipeline.max_in_flight, 1) << text;
+  }
+  // Other pipeline knobs pass through untouched.
+  auto skip = ParseFusionRequest(
+      R"({"mode": "blocking",
+          "pipeline": {"on_ticket_failure": "skip_instance"}})");
+  ASSERT_TRUE(skip.ok()) << skip.status();
+  EXPECT_EQ(skip->pipeline.on_ticket_failure,
+            core::BudgetScheduler::TicketFailurePolicy::kSkipInstance);
+  // "pipelined" keeps its window.
+  auto pipelined = ParseFusionRequest(
+      R"({"mode": "pipelined", "pipeline": {"max_in_flight": 4}})");
+  ASSERT_TRUE(pipelined.ok()) << pipelined.status();
+  EXPECT_EQ(pipelined->pipeline.max_in_flight, 4);
 }
 
 TEST(RequestJsonTest, InfinityDeadlineSurvivesTheWire) {
@@ -317,7 +343,7 @@ TEST(RequestJsonTest, RetiredEngineKnobIsIgnored) {
   auto actual = service.Run(*legacy);
   ASSERT_TRUE(expected.ok()) << expected.status();
   ASSERT_TRUE(actual.ok()) << actual.status();
-  // Blocking-mode step latencies are wall-clock measurements.
+  // Step latencies are wall-clock measurements.
   for (auto* response : {&*expected, &*actual}) {
     for (StepOutcome& step : response->steps) step.latency_seconds = 0.0;
   }
@@ -349,6 +375,18 @@ TEST(ResponseJsonTest, ResponsesRoundTrip) {
   auto mutated = ParseFusionResponse(SerializeFusionResponse(*response));
   ASSERT_TRUE(mutated.ok()) << mutated.status();
   EXPECT_EQ(*response, *mutated);
+}
+
+TEST(ResponseJsonTest, BlockingSpellingReadsAsPipelined) {
+  FusionResponse pipelined;
+  pipelined.mode = RunMode::kPipelined;
+  auto document =
+      common::JsonValue::Parse(SerializeFusionResponse(pipelined));
+  ASSERT_TRUE(document.ok()) << document.status();
+  document->Set("mode", "blocking");
+  auto response = FusionResponseFromJson(*document);
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_EQ(response->mode, RunMode::kPipelined);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
-/// The facade's zero-behavior-change pin (ISSUE 4 acceptance): across 32
-/// seeds, FusionService-built runs reproduce the corresponding direct-API
-/// runs bit-for-bit — engine mode against hand-wired CrowdFusionEngines,
-/// blocking mode against BudgetScheduler::Run, pipelined mode against
-/// BudgetScheduler::RunPipelined — on records, answers, utilities, and
-/// final joints. The service must add an API, not a behavior.
+/// The facade's zero-behavior-change pin: across 32 seeds,
+/// FusionService-built runs reproduce the corresponding direct-API runs
+/// bit-for-bit — engine mode against hand-wired CrowdFusionEngines,
+/// pipelined mode against BudgetScheduler::RunPipelined — on records,
+/// answers, utilities, and final joints, and the "blocking" wire spelling
+/// is exactly a pipelined request with a window of 1. The service must
+/// add an API, not a behavior.
 
 #include <gtest/gtest.h>
 
@@ -213,7 +214,7 @@ void ExpectStepRecordsEqual(
   }
 }
 
-/// Direct scheduler fixture shared by the blocking and pipelined pins.
+/// Direct scheduler fixture shared by the pipelined pins.
 struct DirectSchedulerRun {
   std::vector<std::unique_ptr<crowd::SimulatedCrowd>> crowds;
   std::unique_ptr<core::GreedySelector> selector;
@@ -242,22 +243,45 @@ DirectSchedulerRun MakeDirectScheduler(const Workload& workload) {
   return run;
 }
 
+/// "blocking" is an alias: the JSON request spelled that way is a
+/// pipelined request with a window of 1, and its session serves the same
+/// steps bit for bit (and the same as a direct window-1 scheduler run).
 TEST(ServiceDifferentialTest, BlockingModeReproducesSchedulerRun) {
   for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
-    const Workload workload = MakeWorkload(seed);
-    DirectSchedulerRun direct = MakeDirectScheduler(workload);
-    auto direct_records = direct.scheduler->Run();
-    ASSERT_TRUE(direct_records.ok()) << "seed " << seed;
+    Workload workload = MakeWorkload(seed);
+    common::JsonValue json =
+        FusionRequestToJson(MakeRequest(workload, RunMode::kPipelined));
+    json.Set("mode", "blocking");
+    auto blocking = FusionRequestFromJson(json);
+    ASSERT_TRUE(blocking.ok()) << "seed " << seed << ": "
+                               << blocking.status();
+    workload.max_in_flight = 1;
+    const FusionRequest window_one =
+        MakeRequest(workload, RunMode::kPipelined);
+    EXPECT_EQ(*blocking, window_one) << "seed " << seed;
 
-    const std::unique_ptr<Session> session =
-        RunService(MakeRequest(workload, RunMode::kBlocking), seed);
-    ExpectStepRecordsEqual(*direct_records, session->steps(), seed);
-    for (int i = 0; i < session->num_instances(); ++i) {
-      EXPECT_EQ(direct.scheduler->joint(i), session->joint(i))
+    const std::unique_ptr<Session> blocking_session =
+        RunService(*blocking, seed);
+    const std::unique_ptr<Session> window_one_session =
+        RunService(window_one, seed);
+    // Everything but the wall-clock latency stamp, bit for bit.
+    std::vector<StepOutcome> blocking_steps = blocking_session->steps();
+    std::vector<StepOutcome> window_one_steps = window_one_session->steps();
+    for (auto* steps : {&blocking_steps, &window_one_steps}) {
+      for (StepOutcome& step : *steps) step.latency_seconds = 0.0;
+    }
+    EXPECT_EQ(blocking_steps, window_one_steps) << "seed " << seed;
+
+    DirectSchedulerRun direct = MakeDirectScheduler(workload);
+    auto direct_records = direct.scheduler->RunPipelined();
+    ASSERT_TRUE(direct_records.ok()) << "seed " << seed;
+    ExpectStepRecordsEqual(*direct_records, blocking_session->steps(), seed);
+    for (int i = 0; i < blocking_session->num_instances(); ++i) {
+      EXPECT_EQ(direct.scheduler->joint(i), blocking_session->joint(i))
           << "seed " << seed << " instance " << i;
     }
     EXPECT_EQ(direct.scheduler->total_cost_spent(),
-              session->total_cost_spent())
+              blocking_session->total_cost_spent())
         << "seed " << seed;
   }
 }
@@ -284,8 +308,7 @@ TEST(ServiceDifferentialTest, PipelinedModeReproducesSchedulerRunPipelined) {
 TEST(ServiceDifferentialTest, DifferentialRequestsRoundTripThroughJson) {
   for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
     const Workload workload = MakeWorkload(seed);
-    for (const RunMode mode :
-         {RunMode::kEngine, RunMode::kBlocking, RunMode::kPipelined}) {
+    for (const RunMode mode : {RunMode::kEngine, RunMode::kPipelined}) {
       const FusionRequest request = MakeRequest(workload, mode);
       auto reparsed = ParseFusionRequest(SerializeFusionRequest(request));
       ASSERT_TRUE(reparsed.ok()) << "seed " << seed << ": "

@@ -150,7 +150,7 @@ TEST_F(SessionGrowthTest, ValidatesArrivalsBeforeBindingAny) {
 }
 
 TEST_F(SessionGrowthTest, SchedulerArrivalNeedsBudgetToRevive) {
-  auto session = CreateOrDie(GrowableRequest(RunMode::kBlocking));
+  auto session = CreateOrDie(GrowableRequest(RunMode::kPipelined));
   Drain(*session);
   EXPECT_TRUE(session->done());
   const int cost_before = session->total_cost_spent();
@@ -181,8 +181,7 @@ TEST_F(SessionGrowthTest, SchedulerArrivalNeedsBudgetToRevive) {
 }
 
 TEST_F(SessionGrowthTest, NegativeBudgetRejectedInEveryMode) {
-  for (const RunMode mode : {RunMode::kEngine, RunMode::kBlocking,
-                             RunMode::kPipelined}) {
+  for (const RunMode mode : {RunMode::kEngine, RunMode::kPipelined}) {
     auto session = CreateOrDie(GrowableRequest(mode));
     auto result = session->AddInstances(
         {MakeInstance("late", {0.5}, {true})}, /*additional_budget=*/-1);
