@@ -15,7 +15,9 @@ namespace {
 
 std::string FormatDouble(double value) {
   if (!std::isfinite(value)) return "null";
-  return StrFormat("%.17g", value);  // exact double round-trip
+  std::string out;
+  AppendShortestDouble(out, value);
+  return out;
 }
 
 /// Reads a measurement member: the writer spells a non-finite value as

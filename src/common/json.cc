@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <limits>
 
+#include "common/logging.h"
 #include "common/string_util.h"
 
 namespace crowdfusion::common {
@@ -77,9 +78,23 @@ void JsonValue::Set(std::string key, JsonValue value) {
 
 void JsonValue::Append(JsonValue value) { array().push_back(std::move(value)); }
 
-std::string JsonEscape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 2);
+void AppendShortestDouble(std::string& out, double value) {
+  CF_DCHECK(std::isfinite(value));
+  // to_chars without a format emits the fewest digits that parse back to
+  // `value` exactly, fixed or scientific, whichever is shorter. The longest
+  // such spelling, -2.2250738585072014e-308, has 24 chars.
+  char buf[32];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), value);
+  const std::string_view text(buf, static_cast<size_t>(result.ptr - buf));
+  out += text;
+  // Integral values get an explicit ".0" so they reparse as a double, not
+  // an integer: Parse(Dump(x)) == x holds for the kind too.
+  if (text.find_first_of(".e") == std::string_view::npos) out += ".0";
+}
+
+namespace {
+
+void AppendEscaped(std::string& out, std::string_view text) {
   out.push_back('"');
   for (unsigned char c : text) {
     switch (c) {
@@ -106,17 +121,17 @@ std::string JsonEscape(std::string_view text) {
         break;
       default:
         if (c < 0x20) {
-          out += StrFormat("\\u%04x", c);
+          constexpr char kHex[] = "0123456789abcdef";
+          out += "\\u00";
+          out.push_back(kHex[c >> 4]);
+          out.push_back(kHex[c & 0xF]);
         } else {
           out.push_back(static_cast<char>(c));
         }
     }
   }
   out.push_back('"');
-  return out;
 }
-
-namespace {
 
 void DumpTo(const JsonValue& value, int indent, int depth, std::string& out) {
   const bool pretty = indent >= 0;
@@ -135,9 +150,13 @@ void DumpTo(const JsonValue& value, int indent, int depth, std::string& out) {
     case JsonValue::Kind::kBool:
       out += value.GetBool().value() ? "true" : "false";
       return;
-    case JsonValue::Kind::kInt:
-      out += std::to_string(value.GetInt().value());
+    case JsonValue::Kind::kInt: {
+      char buf[24];  // int64 needs at most 20
+      const auto result =
+          std::to_chars(buf, buf + sizeof(buf), value.GetInt().value());
+      out.append(buf, result.ptr);
       return;
+    }
     case JsonValue::Kind::kDouble: {
       const double d = value.GetDouble().value();
       if (std::isnan(d)) {
@@ -145,19 +164,12 @@ void DumpTo(const JsonValue& value, int indent, int depth, std::string& out) {
       } else if (std::isinf(d)) {
         out += d > 0 ? "1e999" : "-1e999";  // parses back to +-infinity
       } else {
-        // 17 significant digits: doubles round-trip bit-exactly. Integral
-        // doubles get an explicit ".0" so they reparse as kDouble, not
-        // kInt — Parse(Dump(x)) == x holds for the kind too.
-        const size_t start = out.size();
-        out += StrFormat("%.17g", d);
-        if (out.find_first_of(".eE", start) == std::string::npos) {
-          out += ".0";
-        }
+        AppendShortestDouble(out, d);
       }
       return;
     }
     case JsonValue::Kind::kString:
-      out += JsonEscape(value.GetString().value());
+      AppendEscaped(out, value.string());
       return;
     case JsonValue::Kind::kArray: {
       const auto& items = value.array();
@@ -194,7 +206,7 @@ void DumpTo(const JsonValue& value, int indent, int depth, std::string& out) {
           out.push_back('\n');
           pad();
         }
-        out += JsonEscape(members[i].first);
+        AppendEscaped(out, members[i].first);
         out.push_back(':');
         if (pretty) out.push_back(' ');
         DumpTo(members[i].second, indent, depth + 1, out);
@@ -397,23 +409,33 @@ class Parser {
     return Fail("unterminated string");
   }
 
+  /// RFC 8259 number: -? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?
+  /// Leading zeros, a bare '.', and a fraction or exponent without digits
+  /// are malformed.
   common::Result<JsonValue> ParseNumber() {
     const size_t start = pos_;
     if (Peek() == '-') ++pos_;
-    bool is_double = false;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (std::isdigit(static_cast<unsigned char>(c))) {
-        ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
-        is_double = true;
-        ++pos_;
-      } else {
-        break;
+    if (Peek() == '0') {
+      ++pos_;
+      if (std::isdigit(static_cast<unsigned char>(Peek()))) {
+        return Fail("malformed number");
       }
+    } else if (!ConsumeDigits()) {
+      return Fail("malformed number");
+    }
+    bool is_double = false;
+    if (Peek() == '.') {
+      ++pos_;
+      if (!ConsumeDigits()) return Fail("malformed number");
+      is_double = true;
+    }
+    if (Peek() == 'e' || Peek() == 'E') {
+      ++pos_;
+      if (Peek() == '+' || Peek() == '-') ++pos_;
+      if (!ConsumeDigits()) return Fail("malformed number");
+      is_double = true;
     }
     const std::string_view token = text_.substr(start, pos_ - start);
-    if (token.empty() || token == "-") return Fail("malformed number");
     if (!is_double) {
       int64_t integer = 0;
       const auto [ptr, ec] = std::from_chars(
@@ -438,6 +460,13 @@ class Parser {
       return Fail("malformed number");
     }
     return JsonValue(number);
+  }
+
+  /// Consumes a run of digits; false when there is none.
+  bool ConsumeDigits() {
+    const size_t start = pos_;
+    while (std::isdigit(static_cast<unsigned char>(Peek()))) ++pos_;
+    return pos_ > start;
   }
 
   Status Expect(std::string_view literal) {
@@ -468,6 +497,13 @@ class Parser {
 };
 
 }  // namespace
+
+std::string JsonEscape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size() + 2);
+  AppendEscaped(out, text);
+  return out;
+}
 
 std::string JsonValue::Dump(int indent) const {
   std::string out;

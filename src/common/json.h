@@ -18,9 +18,10 @@ namespace crowdfusion::common {
 /// repo needs no third-party JSON dependency.
 ///
 /// Design constraints, in order:
-///  * Lossless round-trips for doubles (emitted with 17 significant
-///    digits) and for 64-bit integers up to the full int64 range (kept in
-///    a dedicated integer alternative, not squeezed through a double).
+///  * Lossless round-trips for doubles (emitted in their shortest
+///    round-trip spelling, see AppendShortestDouble) and for 64-bit
+///    integers up to the full int64 range (kept in a dedicated integer
+///    alternative, not squeezed through a double).
 ///  * Deterministic output: object members keep insertion order, so a
 ///    parse -> dump cycle reproduces the input byte-for-byte (modulo
 ///    whitespace), which the request-fuzz round-trip tests rely on.
@@ -66,6 +67,7 @@ class JsonValue {
   common::Result<std::string> GetString() const;
 
   /// Unchecked views; precondition: matching kind() (aborts otherwise).
+  const std::string& string() const { return std::get<std::string>(rep_); }
   const Array& array() const { return std::get<Array>(rep_); }
   Array& array() { return std::get<Array>(rep_); }
   const Object& object() const { return std::get<Object>(rep_); }
@@ -103,6 +105,12 @@ class JsonValue {
 
 /// Escapes a string for embedding in JSON output (quotes included).
 std::string JsonEscape(std::string_view text);
+
+/// Appends the shortest decimal spelling of `value` that parses back to the
+/// same double (std::to_chars), with ".0" on integral values so the text
+/// re-reads as a double: 0.1, 1.0, -0.0, 1e+21, 5e-324. The one double
+/// spelling of the repo's writers. Precondition: `value` is finite.
+void AppendShortestDouble(std::string& out, double value);
 
 }  // namespace crowdfusion::common
 

@@ -9,6 +9,16 @@
 
 namespace crowdfusion::core {
 
+namespace {
+
+/// Pc^same * (1-Pc)^diff: the one spelling of the per-answer likelihood, so
+/// AnswerLikelihood and AnswerLikelihoodsByDiff agree bit for bit.
+double Likelihood(double pc, int same, int diff) {
+  return std::pow(pc, same) * std::pow(1.0 - pc, diff);
+}
+
+}  // namespace
+
 common::Result<CrowdModel> CrowdModel::Create(double pc) {
   if (!(pc >= 0.5 && pc <= 1.0)) {
     return common::Status::InvalidArgument(common::StrFormat(
@@ -24,8 +34,16 @@ double CrowdModel::AnswerLikelihood(uint64_t truth_bits, uint64_t answer_bits,
   CF_DCHECK(k >= 0 && k <= 64);
   const uint64_t mask = k >= 64 ? ~0ULL : ((1ULL << k) - 1);
   const int diff = common::PopCount((truth_bits ^ answer_bits) & mask);
-  const int same = k - diff;
-  return std::pow(pc_, same) * std::pow(1.0 - pc_, diff);
+  return Likelihood(pc_, k - diff, diff);
+}
+
+std::vector<double> CrowdModel::AnswerLikelihoodsByDiff(int k) const {
+  CF_DCHECK(k >= 0 && k <= 64);
+  std::vector<double> out(static_cast<size_t>(k) + 1);
+  for (int diff = 0; diff <= k; ++diff) {
+    out[static_cast<size_t>(diff)] = Likelihood(pc_, k - diff, diff);
+  }
+  return out;
 }
 
 void CrowdModel::PushThroughChannel(std::vector<double>& dist, int k) const {

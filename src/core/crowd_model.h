@@ -29,6 +29,11 @@ class CrowdModel {
   double AnswerLikelihood(uint64_t truth_bits, uint64_t answer_bits,
                           int k) const;
 
+  /// AnswerLikelihood for every disagreement count d = 0..k: entry d is
+  /// Pc^(k-d) * (1-Pc)^d, the same expression bit for bit. A merge over |O|
+  /// outputs then pays k+1 pow pairs instead of |O|.
+  std::vector<double> AnswerLikelihoodsByDiff(int k) const;
+
   /// Pushes a dense distribution over 2^k truth assignments through k
   /// independent BSCs, producing the distribution over 2^k answer patterns
   /// (Equation 2 after marginalizing the joint onto the task set).

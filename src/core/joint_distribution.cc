@@ -133,6 +133,21 @@ common::Result<JointDistribution> JointDistribution::PointMass(int num_facts,
   return FromEntries(num_facts, {{mask, 1.0}});
 }
 
+std::optional<JointDistribution> JointDistribution::Renormalized(
+    std::span<const double> weights) const {
+  CF_CHECK(weights.size() == entries_.size());
+  double total = 0.0;
+  for (double w : weights) total += w;
+  if (total <= 0.0) return std::nullopt;
+  const double inv = 1.0 / total;
+  std::vector<Entry> out;
+  out.reserve(entries_.size());
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    if (weights[i] > 0.0) out.push_back({entries_[i].mask, weights[i] * inv});
+  }
+  return JointDistribution(num_facts_, std::move(out));
+}
+
 double JointDistribution::Probability(uint64_t mask) const {
   auto it = std::lower_bound(
       entries_.begin(), entries_.end(), mask,

@@ -2,6 +2,7 @@
 #define CROWDFUSION_CORE_JOINT_DISTRIBUTION_H_
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -62,6 +63,16 @@ class JointDistribution {
   /// Deterministic distribution: all mass on one output.
   static common::Result<JointDistribution> PointMass(int num_facts,
                                                      uint64_t mask);
+
+  /// Equation 3's normalization on this support: entry i's probability
+  /// becomes weights[i] / Z, where Z sums `weights` in entry order, and
+  /// zero weights drop. `weights` is aligned with entries(), finite and
+  /// non-negative. The support is already mask-sorted and unique, so
+  /// nothing is sorted or revalidated, and the result equals
+  /// FromEntries(num_facts(), {mask_i, weights[i]}, /*normalize=*/true)
+  /// bit for bit. nullopt when Z is not positive.
+  std::optional<JointDistribution> Renormalized(
+      std::span<const double> weights) const;
 
   int num_facts() const { return num_facts_; }
   /// Number of support entries |O|.

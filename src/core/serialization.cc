@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/json.h"
 #include "common/string_util.h"
 
 namespace crowdfusion::core {
@@ -31,9 +32,11 @@ Status SaveJointDistribution(const JointDistribution& joint,
   }
   out << kJointHeader << "\n";
   out << "facts " << joint.num_facts() << "\n";
+  std::string prob;
   for (const auto& entry : joint.entries()) {
-    out << "entry " << entry.mask << " "
-        << common::StrFormat("%.17g", entry.prob) << "\n";
+    prob.clear();
+    common::AppendShortestDouble(prob, entry.prob);
+    out << "entry " << entry.mask << " " << prob << "\n";
   }
   out.close();
   if (!out) return Status::Internal("write failed: " + path);

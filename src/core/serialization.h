@@ -18,8 +18,9 @@ namespace crowdfusion::core {
 ///   entry <mask-decimal> <probability>
 ///   ...
 ///
-/// Probabilities are written with 17 significant digits so a save/load
-/// round-trip is bit-exact for doubles.
+/// Probabilities are written in their shortest round-trip spelling
+/// (common::AppendShortestDouble), so a save/load round-trip is bit-exact
+/// for doubles.
 common::Status SaveJointDistribution(const JointDistribution& joint,
                                      const std::string& path);
 

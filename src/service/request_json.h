@@ -15,9 +15,9 @@ namespace crowdfusion::service {
 /// Contract (pinned by the round-trip fuzz tests):
 ///  * Lossless: parse(dump(request)) == request for every representable
 ///    request, including inline joints (masks travel as decimal strings,
-///    probabilities with 17 significant digits) and 64-bit seeds (emitted
-///    as integers when they fit in int64, as decimal strings otherwise;
-///    both spellings parse).
+///    probabilities in their shortest round-trip spelling) and 64-bit
+///    seeds (emitted as integers when they fit in int64, as decimal
+///    strings otherwise; both spellings parse).
 ///  * Tolerant of missing members: absent fields keep their C++ defaults,
 ///    so a minimal request is just {"schema": ..., "mode": "engine", ...}.
 ///  * Strict about types and enum spellings: a wrong-typed member or an

@@ -1,7 +1,10 @@
 #include "common/bench_report.h"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -36,6 +39,33 @@ TEST(BenchReportTest, RoundTripsRecordsExactly) {
   auto loaded = BenchReport::Load(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(*loaded, report.records());
+  std::remove(path.c_str());
+}
+
+TEST(BenchReportTest, NonFiniteMeasurementsWriteNullAndReadBackAsNaN) {
+  const std::string path = TempPath("bench_report_nonfinite.json");
+  const double inf = std::numeric_limits<double>::infinity();
+  BenchReport report("test_bench");
+  BenchRecord record = MakeRecord("inf", 4, inf);
+  record.entropy_bits = std::nan("");
+  record.p50_ms = 0.1;
+  report.Add(record);
+  ASSERT_TRUE(report.WriteFile(path).ok());
+
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  const std::string text = buffer.str();
+  EXPECT_NE(text.find("\"wall_ms\": null"), std::string::npos) << text;
+  EXPECT_NE(text.find("\"entropy_bits\": null"), std::string::npos) << text;
+  EXPECT_NE(text.find("\"p50_ms\": 0.1,"), std::string::npos) << text;
+
+  auto loaded = BenchReport::Load(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded->size(), 1u);
+  EXPECT_TRUE(std::isnan((*loaded)[0].wall_ms));
+  EXPECT_TRUE(std::isnan((*loaded)[0].entropy_bits));
+  EXPECT_EQ((*loaded)[0].p50_ms, 0.1);
   std::remove(path.c_str());
 }
 

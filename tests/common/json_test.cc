@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+
+#include "common/random.h"
 
 namespace crowdfusion::common {
 namespace {
@@ -35,6 +39,34 @@ TEST(JsonValueTest, DoublesAreBitExact) {
     ASSERT_TRUE(parsed.ok());
     EXPECT_EQ(parsed->GetDouble().value(), value);
   }
+}
+
+TEST(JsonValueTest, DoublesUseTheirShortestSpelling) {
+  const double max = std::numeric_limits<double>::max();
+  EXPECT_EQ(JsonValue(0.1).Dump(), "0.1");
+  EXPECT_EQ(JsonValue(1.0).Dump(), "1.0");
+  EXPECT_EQ(JsonValue(-0.0).Dump(), "-0.0");
+  EXPECT_EQ(JsonValue(1e21).Dump(), "1e+21");
+  EXPECT_EQ(JsonValue(5e-324).Dump(), "5e-324");
+  EXPECT_EQ(JsonValue(max).Dump(), "1.7976931348623157e+308");
+}
+
+TEST(JsonValueTest, RandomBitPatternsRoundTripBitExactly) {
+  Rng rng(20240515);
+  int finite = 0;
+  for (int i = 0; i < 100000; ++i) {
+    const double value = std::bit_cast<double>(rng.NextUint64());
+    if (!std::isfinite(value)) continue;
+    ++finite;
+    const std::string text = JsonValue(value).Dump();
+    auto parsed = JsonValue::Parse(text);
+    ASSERT_TRUE(parsed.ok()) << text;
+    ASSERT_EQ(parsed->kind(), JsonValue::Kind::kDouble) << text;
+    const double back = parsed->GetDouble().value();
+    ASSERT_EQ(std::bit_cast<uint64_t>(back), std::bit_cast<uint64_t>(value))
+        << text;
+  }
+  EXPECT_GT(finite, 99000);
 }
 
 TEST(JsonValueTest, InfinityConvention) {
@@ -115,6 +147,28 @@ TEST(JsonValueTest, ParseErrors) {
     auto parsed = JsonValue::Parse(bad);
     EXPECT_FALSE(parsed.ok()) << "accepted: " << bad;
     EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+}
+
+void ExpectMalformedNumber(const char* text) {
+  auto parsed = JsonValue::Parse(text);
+  ASSERT_FALSE(parsed.ok()) << "accepted: " << text;
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << text;
+  const std::string& message = parsed.status().message();
+  EXPECT_NE(message.find("malformed number"), std::string::npos) << message;
+}
+
+TEST(JsonValueTest, RejectsNumbersRfc8259Forbids) {
+  // Leading zeros, a bare '.', and a fraction or exponent without digits.
+  for (const char* bad : {"01", "-01", "00", "1.", ".5", "-.5", "1.e3"}) {
+    ExpectMalformedNumber(bad);
+  }
+  // The same inside documents, and truncated exponents.
+  for (const char* bad : {"[01]", "{\"a\":1.}", "1e", "1e+", "-"}) {
+    ExpectMalformedNumber(bad);
+  }
+  for (const char* good : {"0", "-0", "0.5", "-0.5", "10", "1e3", "1E-3"}) {
+    EXPECT_TRUE(JsonValue::Parse(good).ok()) << "rejected: " << good;
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bit_util.h"
 #include "common/math_util.h"
 #include "common/random.h"
 #include "core/running_example.h"
@@ -142,6 +143,146 @@ TEST(BayesTest, RepeatedConsistentAnswersConcentrateBelief) {
     previous = current.Marginal(0);
   }
   EXPECT_GT(current.Marginal(0), 0.99);
+}
+
+/// Literal Equation 3: each entry's likelihood from AnswerLikelihood on its
+/// extracted truth bits, then FromEntries' sort, merge and renormalization.
+struct ReferenceMerge {
+  double mass = 0.0;
+  common::Result<JointDistribution> posterior;
+};
+
+ReferenceMerge ReferencePosterior(const JointDistribution& prior,
+                                  const AnswerSet& answer_set,
+                                  const CrowdModel& crowd) {
+  const int k = static_cast<int>(answer_set.tasks.size());
+  uint64_t answer_bits = 0;
+  for (int i = 0; i < k; ++i) {
+    if (answer_set.answers[static_cast<size_t>(i)]) answer_bits |= 1ULL << i;
+  }
+  std::vector<JointDistribution::Entry> weighted;
+  double mass = 0.0;
+  for (const auto& entry : prior.entries()) {
+    const uint64_t truth_bits =
+        common::ExtractBits(entry.mask, answer_set.tasks);
+    const double w =
+        entry.prob * crowd.AnswerLikelihood(truth_bits, answer_bits, k);
+    mass += w;
+    weighted.push_back({entry.mask, w});
+  }
+  auto posterior = JointDistribution::FromEntries(
+      prior.num_facts(), std::move(weighted), /*normalize=*/true);
+  return {mass, std::move(posterior)};
+}
+
+JointDistribution RandomDenseJoint(common::Rng& rng, int n) {
+  std::vector<double> p(1ULL << n);
+  for (double& x : p) x = rng.NextDouble();
+  auto j = JointDistribution::FromDense(n, std::move(p), /*normalize=*/true);
+  EXPECT_TRUE(j.ok());
+  return std::move(j).value();
+}
+
+JointDistribution RandomSparseJoint(common::Rng& rng, int support) {
+  std::vector<JointDistribution::Entry> e;
+  for (int i = 0; i < support; ++i) {
+    e.push_back({rng.NextUint64(), rng.NextUniform(0.01, 1.0)});
+  }
+  auto j = JointDistribution::FromEntries(64, std::move(e), /*normalize=*/true);
+  EXPECT_TRUE(j.ok());
+  return std::move(j).value();
+}
+
+/// k distinct tasks; the answers are one support entry's truth (so the
+/// evidence is possible even for a perfect crowd) with each bit flipped with
+/// probability `flip`.
+AnswerSet RandomAnswerSet(common::Rng& rng, const JointDistribution& joint,
+                          int k, double flip) {
+  const auto& entries = joint.entries();
+  const uint64_t truth = entries[rng.NextBounded(entries.size())].mask;
+  const auto n = static_cast<uint64_t>(joint.num_facts());
+  AnswerSet answer_set;
+  uint64_t asked = 0;
+  while (static_cast<int>(answer_set.tasks.size()) < k) {
+    const int fact = static_cast<int>(rng.NextBounded(n));
+    if (common::GetBit(asked, fact)) continue;
+    asked |= 1ULL << fact;
+    answer_set.tasks.push_back(fact);
+    const bool flipped = rng.NextBernoulli(flip);
+    answer_set.answers.push_back(common::GetBit(truth, fact) != flipped);
+  }
+  return answer_set;
+}
+
+void ExpectMatchesReference(const JointDistribution& prior,
+                            const AnswerSet& answer_set,
+                            const CrowdModel& crowd) {
+  const ReferenceMerge reference = ReferencePosterior(prior, answer_set, crowd);
+  auto mass = AnswerSetProbability(prior, answer_set, crowd);
+  ASSERT_TRUE(mass.ok());
+  EXPECT_EQ(*mass, reference.mass);
+  auto posterior = PosteriorGivenAnswers(prior, answer_set, crowd);
+  ASSERT_EQ(posterior.ok(), reference.posterior.ok());
+  if (!posterior.ok()) return;
+  EXPECT_EQ(*posterior, *reference.posterior);
+  const auto& entries = posterior->entries();
+  for (size_t i = 0; i < entries.size(); ++i) {
+    EXPECT_GT(entries[i].prob, 0.0);
+    if (i > 0) {
+      EXPECT_LT(entries[i - 1].mask, entries[i].mask);
+    }
+  }
+}
+
+TEST(BayesTest, MergeIsBitIdenticalToLiteralEquation3) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(seed);
+    common::Rng rng(seed);
+    const JointDistribution dense = RandomDenseJoint(rng, 10);
+    const JointDistribution sparse = RandomSparseJoint(rng, 700);
+    for (const JointDistribution* prior : {&dense, &sparse}) {
+      SCOPED_TRACE(prior->num_facts());
+      for (int k : {1, 2, 5, 8}) {
+        SCOPED_TRACE(k);
+        for (double pc : {0.5, 0.8, 1.0}) {
+          SCOPED_TRACE(pc);
+          const double flip = pc < 1.0 ? 0.3 : 0.0;
+          const AnswerSet answer_set = RandomAnswerSet(rng, *prior, k, flip);
+          ExpectMatchesReference(*prior, answer_set, MakeCrowd(pc));
+        }
+      }
+    }
+  }
+}
+
+TEST(BayesTest, PerfectCrowdDropsContradictedOutputsLikeLiteralEquation3) {
+  common::Rng rng(77);
+  const CrowdModel crowd = MakeCrowd(1.0);
+  const JointDistribution dense = RandomDenseJoint(rng, 10);
+  const JointDistribution sparse = RandomSparseJoint(rng, 700);
+  for (const JointDistribution* prior : {&dense, &sparse}) {
+    const AnswerSet answer_set = RandomAnswerSet(rng, *prior, 5, 0.0);
+    ExpectMatchesReference(*prior, answer_set, crowd);
+    auto posterior = PosteriorGivenAnswers(*prior, answer_set, crowd);
+    ASSERT_TRUE(posterior.ok());
+    EXPECT_LT(posterior->support_size(), prior->support_size());
+  }
+}
+
+TEST(BayesTest, AllSixtyFourFactsAskedAtOnce) {
+  common::Rng rng(64);
+  const JointDistribution prior = RandomSparseJoint(rng, 300);
+  for (double pc : {0.5, 0.8, 1.0}) {
+    SCOPED_TRACE(pc);
+    const double flip = pc < 1.0 ? 0.1 : 0.0;
+    const AnswerSet answer_set = RandomAnswerSet(rng, prior, 64, flip);
+    ExpectMatchesReference(prior, answer_set, MakeCrowd(pc));
+  }
+  AnswerSet twice = RandomAnswerSet(rng, prior, 64, 0.0);
+  twice.tasks[0] = 63;
+  twice.tasks[1] = 63;
+  auto rejected = PosteriorGivenAnswers(prior, twice, MakeCrowd(0.8));
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
 }
 
 class ExpectedEntropyTest : public ::testing::TestWithParam<double> {};
