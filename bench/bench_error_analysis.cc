@@ -15,7 +15,7 @@
 #include <map>
 
 #include "common/table_printer.h"
-#include "core/bayes.h"
+#include "core/crowdfusion.h"
 #include "core/greedy_selector.h"
 #include "crowd/simulated_crowd.h"
 #include "data/book_dataset.h"
@@ -81,35 +81,26 @@ int main(int argc, char** argv) {
     auto joint = data::BuildBookJoint(marginals, book.statements, correlation);
     CF_CHECK(joint.ok());
     crowd::SimulatedCrowd provider(truths, categories, bias, seed++);
-
-    core::JointDistribution current = std::move(joint).value();
-    int spent = 0;
-    while (spent < budget) {
-      core::SelectionRequest request;
-      request.joint = &current;
-      request.crowd = &crowd_model.value();
-      request.k = 1;
-      auto selection = selector.Select(request);
-      CF_CHECK(selection.ok());
-      if (selection->tasks.empty()) break;
-      auto answers = provider.CollectAnswers(selection->tasks);
-      CF_CHECK(answers.ok());
-      for (size_t i = 0; i < selection->tasks.size(); ++i) {
-        const int fact = selection->tasks[i];
+    core::EngineOptions engine_options;
+    engine_options.budget = budget;
+    auto engine = core::CrowdFusionEngine::Create(
+        std::move(joint).value(), *crowd_model, &selector, &provider,
+        engine_options);
+    CF_CHECK(engine.ok());
+    auto records = engine->Run();
+    CF_CHECK(records.ok());
+    for (const core::RoundRecord& record : *records) {
+      for (size_t i = 0; i < record.tasks.size(); ++i) {
+        const int fact = record.tasks[i];
         CategoryStats& cs = stats[categories[static_cast<size_t>(fact)]];
         ++cs.asked;
-        if ((*answers)[i] == truths[static_cast<size_t>(fact)]) {
+        if (record.answers[i] == truths[static_cast<size_t>(fact)]) {
           ++cs.answered_correctly;
         }
       }
-      auto posterior = core::PosteriorGivenAnswers(
-          current, {selection->tasks, *answers}, *crowd_model);
-      CF_CHECK(posterior.ok());
-      current = std::move(posterior).value();
-      spent += static_cast<int>(selection->tasks.size());
     }
 
-    const std::vector<double> final_marginals = current.Marginals();
+    const std::vector<double> final_marginals = engine->current().Marginals();
     for (int i = 0; i < n; ++i) {
       CategoryStats& cs = stats[categories[static_cast<size_t>(i)]];
       ++cs.facts;

@@ -17,7 +17,7 @@
 #include "bench_util.h"
 #include "common/math_util.h"
 #include "common/table_printer.h"
-#include "core/bayes.h"
+#include "core/crowdfusion.h"
 #include "core/greedy_selector.h"
 #include "core/query_based.h"
 #include "core/random_selector.h"
@@ -35,23 +35,13 @@ double RunRounds(core::TaskSelector& selector,
                  int budget, uint64_t seed) {
   crowd::SimulatedCrowd provider =
       crowd::SimulatedCrowd::WithUniformAccuracy(truths, crowd.pc(), seed);
-  core::JointDistribution current = initial;
-  for (int round = 0; round < budget; ++round) {
-    core::SelectionRequest request;
-    request.joint = &current;
-    request.crowd = &crowd;
-    request.k = 1;
-    auto selection = selector.Select(request);
-    CF_CHECK(selection.ok());
-    if (selection->tasks.empty()) break;
-    auto answers = provider.CollectAnswers(selection->tasks);
-    CF_CHECK(answers.ok());
-    auto posterior = core::PosteriorGivenAnswers(
-        current, {selection->tasks, *answers}, crowd);
-    CF_CHECK(posterior.ok());
-    current = std::move(posterior).value();
-  }
-  return common::Entropy(current.MarginalizeOnto(foi));
+  core::EngineOptions options;
+  options.budget = budget;
+  auto engine = core::CrowdFusionEngine::Create(initial, crowd, &selector,
+                                                &provider, options);
+  CF_CHECK(engine.ok());
+  CF_CHECK(engine->Run().ok());
+  return common::Entropy(engine->current().MarginalizeOnto(foi));
 }
 
 }  // namespace

@@ -95,8 +95,8 @@ double RunDirectOnceMs(const Workload& workload, const Instances& instances,
         crowd::SimulatedCrowd::WithUniformAccuracy(
             instances.truths[i], kPc, 9000 + static_cast<uint64_t>(i))));
     CF_CHECK(scheduler
-                 ->AddInstanceAsync("book" + std::to_string(i),
-                                    instances.joints[i], crowds.back().get())
+                 ->AddInstance("book" + std::to_string(i),
+                               instances.joints[i], crowds.back().get())
                  .ok());
   }
   auto records = scheduler->RunPipelined();

@@ -120,9 +120,8 @@ RunResult ServeBooks(const Workload& workload, int max_in_flight,
     latency.sigma = 0.4;
     latency.seed = 7000 + static_cast<uint64_t>(b);
     crowds.back()->ConfigureAsync(latency);  // real clock: latency is slept
-    auto id = scheduler->AddInstanceAsync("book" + std::to_string(b),
-                                          std::move(joint),
-                                          crowds.back().get());
+    auto id = scheduler->AddInstance("book" + std::to_string(b),
+                                     std::move(joint), crowds.back().get());
     CF_CHECK(id.ok()) << id.status().ToString();
   }
 

@@ -77,6 +77,21 @@ curl -fsS -X POST --data @"$WORK/run_crowd_http.request.json" \
   "$BASE/v1/fusion:run" >"$WORK/run_crowd_http.out"
 check_golden run_crowd_http
 
+# --- the same request in engine mode: the paper's per-book loop over the
+# remote crowd, each round one single-attempt ticket --------------------
+python3 - "$WORK/run_crowd_http.request.json" \
+  >"$WORK/run_crowd_http_engine.request.json" <<'PYEOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+doc["mode"] = "engine"
+doc["label"] = "e2e-http-crowd-engine"
+doc.pop("pipeline", None)
+json.dump(doc, sys.stdout, indent=2)
+PYEOF
+curl -fsS -X POST --data @"$WORK/run_crowd_http_engine.request.json" \
+  "$BASE/v1/fusion:run" >"$WORK/run_crowd_http_engine.out"
+check_golden run_crowd_http_engine
+
 # --- incremental session lifecycle --------------------------------------
 SID=$(curl -fsS -X POST --data @"$FIXTURES/run_scripted.json" \
   "$BASE/v1/sessions" |

@@ -17,7 +17,7 @@
 #include "common/math_util.h"
 #include "common/string_util.h"
 #include "common/table_printer.h"
-#include "core/bayes.h"
+#include "core/crowdfusion.h"
 #include "core/greedy_selector.h"
 #include "core/query_based.h"
 #include "core/random_selector.h"
@@ -39,23 +39,15 @@ double RunRounds(core::TaskSelector& selector,
                  int budget, uint64_t seed) {
   crowd::SimulatedCrowd provider =
       crowd::SimulatedCrowd::WithUniformAccuracy(truths, crowd.pc(), seed);
-  core::JointDistribution current = initial;
-  for (int round = 0; round < budget; ++round) {
-    core::SelectionRequest request;
-    request.joint = &current;
-    request.crowd = &crowd;
-    request.k = 1;
-    auto selection = selector.Select(request);
-    if (!selection.ok() || selection->tasks.empty()) break;
-    auto answers = provider.CollectAnswers(selection->tasks);
-    if (!answers.ok()) break;
-    auto posterior = core::PosteriorGivenAnswers(
-        current, {selection->tasks, *answers}, crowd);
-    if (!posterior.ok()) break;
-    current = std::move(posterior).value();
-  }
+  core::EngineOptions options;
+  options.budget = budget;
+  auto engine = core::CrowdFusionEngine::Create(initial, crowd, &selector,
+                                                &provider, options);
+  if (!engine.ok()) return common::Entropy(initial.MarginalizeOnto(foi));
+  // A failed round leaves the joint as the last merged round left it.
+  (void)engine->Run();
   // Residual FOI entropy of the refined joint.
-  return common::Entropy(current.MarginalizeOnto(foi));
+  return common::Entropy(engine->current().MarginalizeOnto(foi));
 }
 
 }  // namespace

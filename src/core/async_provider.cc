@@ -9,6 +9,14 @@ namespace crowdfusion::core {
 
 using common::Status;
 
+common::Result<std::vector<bool>> SubmitAndAwait(
+    AsyncAnswerProvider& provider, std::span<const int> fact_ids) {
+  CF_ASSIGN_OR_RETURN(
+      const TicketId ticket,
+      provider.Submit(fact_ids, TicketOptions{.max_attempts = 1}));
+  return provider.Await(ticket);
+}
+
 TicketLedger::TicketLedger(common::Clock* clock)
     : clock_(clock == nullptr ? common::Clock::Real() : clock) {}
 
@@ -122,38 +130,12 @@ TicketLedger::Outcome SimulateTicketAttempts(
     }
     last_error = result.status();
   }
-  // Attempts exhausted: surface the last attempt's own status so a
-  // single-attempt ticket fails exactly as the blocking call would have;
+  // Attempts exhausted: surface the last attempt's own status, so a
+  // single-attempt ticket fails with exactly the attempt's error;
   // attempts_used records that retries happened.
   outcome.latency_seconds = elapsed;
   outcome.result = last_error;
   return outcome;
 }
-
-SyncProviderAdapter::SyncProviderAdapter(AnswerProvider* provider,
-                                         common::Clock* clock)
-    : provider_(provider), ledger_(clock) {}
-
-common::Result<TicketId> SyncProviderAdapter::Submit(
-    std::span<const int> fact_ids, const TicketOptions& options) {
-  if (provider_ == nullptr) {
-    return Status::InvalidArgument("wrapped provider must not be null");
-  }
-  TicketLedger::Outcome outcome = SimulateTicketAttempts(
-      options,
-      [this, fact_ids](int) { return provider_->CollectAnswers(fact_ids); },
-      /*attempt_latency=*/nullptr);
-  return ledger_.Add(std::move(outcome));
-}
-
-common::Result<TicketStatus> SyncProviderAdapter::Poll(TicketId ticket) {
-  return ledger_.Poll(ticket);
-}
-
-common::Result<std::vector<bool>> SyncProviderAdapter::Await(TicketId ticket) {
-  return ledger_.Await(ticket);
-}
-
-void SyncProviderAdapter::Cancel(TicketId ticket) { ledger_.Forget(ticket); }
 
 }  // namespace crowdfusion::core

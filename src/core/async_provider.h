@@ -7,11 +7,11 @@
 #include <mutex>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
 #include "common/status.h"
-#include "core/crowdfusion.h"
 
 namespace crowdfusion::core {
 
@@ -48,10 +48,17 @@ struct TicketStatus {
   common::Status error;
 };
 
-/// The asynchronous collection contract (the real-platform shape of
-/// AnswerProvider): submitting a batch of fact ids returns a ticket
-/// immediately; answers land after the platform's latency and are fetched
-/// by ticket. One provider instance still serves one fact universe.
+/// The one crowd collection contract, shaped like a real platform:
+/// submitting a batch of fact ids returns a ticket immediately; answers
+/// land after the platform's latency and are fetched by ticket. Nothing
+/// blocks except Await, and every provider keeps time on an injected
+/// clock, so ManualClock tests stay deterministic. The engine's
+/// select–collect–merge round is Submit(max_attempts = 1) + Await; the
+/// scheduler keeps several tickets in flight and polls them. One provider
+/// instance serves one fact universe. Implementations:
+/// crowd::SimulatedCrowd (the gMission substitute), core::ScriptedProvider
+/// (tests and config-built runs), net::HttpAnswerProvider (a remote
+/// platform) and net::ProviderPool (failover over several).
 ///
 /// Thread-safety: implementations in this repo guard their ticket state, so
 /// Submit/Poll/Await may be called from any thread; calls for the *same*
@@ -80,15 +87,29 @@ class AsyncAnswerProvider {
   /// Unknown tickets are ignored. Default: no-op, for providers without
   /// per-ticket state.
   virtual void Cancel(TicketId ticket) { (void)ticket; }
+
+  /// (answers_served, answers_correct) so far, for empirical-accuracy
+  /// reporting. Default (0, 0): the provider has no notion of correctness.
+  virtual std::pair<int64_t, int64_t> ServedCorrect() { return {0, 0}; }
+
+  /// Ticket batches resubmitted to a different replica after a failed or
+  /// expired collection attempt. Default 0: no failover tier.
+  virtual int64_t TicketsResubmitted() { return 0; }
 };
+
+/// One single-attempt ticket, submitted and awaited: the collection step
+/// of an engine round (and of the gold pre-test). A failed attempt
+/// surfaces its own status after exactly one provider call.
+common::Result<std::vector<bool>> SubmitAndAwait(
+    AsyncAnswerProvider& provider, std::span<const int> fact_ids);
 
 /// Shared ticket bookkeeping for the providers in this repo, which all
 /// resolve a ticket's fate *eagerly at submit time* (answers, retries and
-/// latency are sampled up front in submission order — keeping RNG streams
-/// identical to the synchronous path) and then replay it against the
-/// clock: Poll compares now to the precomputed ready time, Await sleeps
-/// the difference. Mutex-guarded so a provider can be polled from a
-/// scheduler thread while other threads submit.
+/// latency are sampled up front in submission order, so a provider's RNG
+/// streams advance in submission order whatever the latency) and then
+/// replay it against the clock: Poll compares now to the precomputed
+/// ready time, Await sleeps the difference. Mutex-guarded so a provider
+/// can be polled from a scheduler thread while other threads submit.
 class TicketLedger {
  public:
   /// The precomputed fate of a ticket.
@@ -140,31 +161,6 @@ TicketLedger::Outcome SimulateTicketAttempts(
     const std::function<common::Result<std::vector<bool>>(int attempt)>&
         run_attempt,
     const std::function<double(int attempt)>& attempt_latency);
-
-/// Adapts any synchronous AnswerProvider to the async contract with zero
-/// latency: answers are collected inside Submit (so the wrapped provider's
-/// RNG stream advances in submission order, exactly as the blocking loop
-/// would) and the ticket is ready immediately. Non-OK collections are
-/// retried up to the ticket's max_attempts. The wrapped provider is not
-/// owned and must outlive the adapter.
-class SyncProviderAdapter : public AsyncAnswerProvider {
- public:
-  /// `clock` is only consulted for ticket timestamps; nullptr means
-  /// Clock::Real().
-  explicit SyncProviderAdapter(AnswerProvider* provider,
-                               common::Clock* clock = nullptr);
-
-  common::Result<TicketId> Submit(std::span<const int> fact_ids,
-                                  const TicketOptions& options) override;
-  using AsyncAnswerProvider::Submit;
-  common::Result<TicketStatus> Poll(TicketId ticket) override;
-  common::Result<std::vector<bool>> Await(TicketId ticket) override;
-  void Cancel(TicketId ticket) override;
-
- private:
-  AnswerProvider* provider_;
-  TicketLedger ledger_;
-};
 
 }  // namespace crowdfusion::core
 

@@ -11,7 +11,7 @@ using common::Status;
 
 common::Result<CrowdFusionEngine> CrowdFusionEngine::Create(
     JointDistribution initial, CrowdModel crowd, TaskSelector* selector,
-    AnswerProvider* provider, EngineOptions options) {
+    AsyncAnswerProvider* provider, EngineOptions options) {
   if (selector == nullptr) {
     return Status::InvalidArgument("selector must not be null");
   }
@@ -72,8 +72,10 @@ common::Result<RoundRecord> CrowdFusionEngine::RunRound() {
   record.selection_stats = selection.stats;
 
   if (!selection.tasks.empty()) {
+    // One attempt, as the scheduler's default ticket: a failed collection
+    // fails the round instead of being retried behind the caller's back.
     CF_ASSIGN_OR_RETURN(record.answers,
-                        provider_->CollectAnswers(selection.tasks));
+                        SubmitAndAwait(*provider_, selection.tasks));
     if (record.answers.size() != selection.tasks.size()) {
       return Status::Internal(common::StrFormat(
           "answer provider returned %zu answers for %zu tasks",

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/async_provider.h"
 #include "core/bayes.h"
 #include "core/crowd_model.h"
 #include "core/joint_distribution.h"
@@ -13,20 +14,6 @@
 #include "core/task_selector.h"
 
 namespace crowdfusion::core {
-
-/// Source of crowd answers for selected tasks. The production
-/// implementation is crowd::SimulatedCrowd (the gMission substitute); tests
-/// use scripted providers. The asynchronous (ticketed) counterpart is
-/// core::AsyncAnswerProvider in core/async_provider.h; any blocking
-/// provider can be lifted to it with SyncProviderAdapter.
-class AnswerProvider {
- public:
-  virtual ~AnswerProvider() = default;
-
-  /// Returns the crowd's true/false judgment for each asked fact, in order.
-  virtual common::Result<std::vector<bool>> CollectAnswers(
-      std::span<const int> fact_ids) = 0;
-};
 
 /// One select-collect-merge cycle's outcome.
 struct RoundRecord {
@@ -67,7 +54,10 @@ static_assert(std::is_trivially_copyable_v<EngineOptions>,
 
 /// The CrowdFusion system loop (Figure 1): starting from any probabilistic
 /// fusion result, repeatedly select tasks, collect crowd answers, and merge
-/// them via Bayes until the budget runs out.
+/// them via Bayes until the budget runs out. Each round collects through
+/// the ticket contract: Submit with a single attempt, then Await, so a
+/// failed collection fails the round after exactly one provider call, and
+/// a provider's simulated latency elapses on its own clock.
 ///
 /// Lifetime contract (load-bearing now that engines are handed across
 /// threads and overlap with in-flight crowd tickets): the engine BORROWS
@@ -84,7 +74,7 @@ class CrowdFusionEngine {
   static common::Result<CrowdFusionEngine> Create(JointDistribution initial,
                                                   CrowdModel crowd,
                                                   TaskSelector* selector,
-                                                  AnswerProvider* provider,
+                                                  AsyncAnswerProvider* provider,
                                                   EngineOptions options);
 
   /// True while budget remains and the distribution still has facts.
@@ -103,7 +93,7 @@ class CrowdFusionEngine {
 
  private:
   CrowdFusionEngine(JointDistribution initial, CrowdModel crowd,
-                    TaskSelector* selector, AnswerProvider* provider,
+                    TaskSelector* selector, AsyncAnswerProvider* provider,
                     EngineOptions options)
       : current_(std::move(initial)),
         crowd_(crowd),
@@ -114,7 +104,7 @@ class CrowdFusionEngine {
   JointDistribution current_;
   CrowdModel crowd_;
   TaskSelector* selector_;
-  AnswerProvider* provider_;
+  AsyncAnswerProvider* provider_;
   EngineOptions options_;
   int cost_spent_ = 0;
   int rounds_completed_ = 0;

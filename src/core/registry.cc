@@ -70,7 +70,8 @@ common::Result<std::unique_ptr<TaskSelector>> MakeQueryBased(
       std::make_unique<QueryBasedGreedySelector>(std::move(options)));
 }
 
-common::Result<ProviderHandle> MakeScripted(const ProviderSpec& spec) {
+common::Result<std::shared_ptr<AsyncAnswerProvider>> MakeScripted(
+    const ProviderSpec& spec) {
   if (spec.failures_before_success < 0) {
     return Status::InvalidArgument(
         "failures_before_success must be non-negative");
@@ -80,11 +81,8 @@ common::Result<ProviderHandle> MakeScripted(const ProviderSpec& spec) {
   // explicit script wins, and with neither the parity rule applies.
   options.script = spec.script.empty() ? spec.truths : spec.script;
   options.failures_before_success = spec.failures_before_success;
-  auto provider = std::make_shared<ScriptedProvider>(std::move(options));
-  ProviderHandle handle;
-  handle.sync = provider.get();
-  handle.owner = std::move(provider);
-  return handle;
+  return std::shared_ptr<AsyncAnswerProvider>(
+      std::make_shared<ScriptedProvider>(std::move(options)));
 }
 
 }  // namespace

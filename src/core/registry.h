@@ -2,16 +2,13 @@
 #define CROWDFUSION_CORE_REGISTRY_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/registry.h"
 #include "common/status.h"
 #include "core/async_provider.h"
-#include "core/crowdfusion.h"
 #include "core/task_selector.h"
 
 namespace crowdfusion::core {
@@ -72,8 +69,7 @@ SelectorRegistry BuiltinSelectorRegistry();
 struct AdversarySpec {
   /// Master switch; false means "no adversary" (the differential path).
   bool enabled = false;
-  /// Virtual worker pool the roles partition. Providers that model real
-  /// worker pools (CrowdPlatform) override this with their pool size.
+  /// Virtual worker pool the roles partition.
   int num_workers = 16;
   /// Fraction of the pool colluding: correct on ordinary facts, but
   /// coordinated on the WRONG answer for the targeted facts, so fusers
@@ -171,27 +167,12 @@ struct ProviderSpec {
                          const ProviderSpec& b) = default;
 };
 
-/// An owned provider plus typed views onto its contracts. `sync` and
-/// `async` point into the object `owner` keeps alive; either view may be
-/// null when the provider does not speak that contract (the scheduler
-/// wraps sync-only providers in SyncProviderAdapter itself).
-struct ProviderHandle {
-  std::shared_ptr<void> owner;
-  AnswerProvider* sync = nullptr;
-  AsyncAnswerProvider* async = nullptr;
-  /// Optional stats hook: (answers_served, answers_correct) so far, for
-  /// empirical-accuracy reporting. Null when the provider has no notion
-  /// of correctness.
-  std::function<std::pair<int64_t, int64_t>()> served_correct;
-  /// Optional stats hook: ticket batches resubmitted to a different
-  /// replica after a failed or expired collection attempt. Null for
-  /// providers with no failover tier (everything but "http_pool").
-  std::function<int64_t()> tickets_resubmitted;
-};
-
-/// String-keyed factory registry over answer providers.
+/// String-keyed factory registry over answer providers. A provider is
+/// shared-owned: the session (or crowd server) that binds it holds one
+/// reference, and a failover pool holds its replicas the same way.
 using ProviderRegistry =
-    common::FactoryRegistry<ProviderHandle, ProviderSpec>;
+    common::FactoryRegistry<std::shared_ptr<AsyncAnswerProvider>,
+                            ProviderSpec>;
 
 /// A fresh registry holding the providers defined in core ("scripted").
 /// The crowd layer adds "simulated_crowd" via

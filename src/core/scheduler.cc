@@ -37,23 +37,7 @@ common::Result<BudgetScheduler> BudgetScheduler::Create(CrowdModel crowd,
   return BudgetScheduler(crowd, selector, options);
 }
 
-common::Result<int> BudgetScheduler::AddInstance(std::string name,
-                                                 JointDistribution joint,
-                                                 AnswerProvider* provider) {
-  if (provider == nullptr) {
-    return Status::InvalidArgument("answer provider must not be null");
-  }
-  auto adapter =
-      std::make_unique<SyncProviderAdapter>(provider, options_.clock);
-  AsyncAnswerProvider* endpoint = adapter.get();
-  CF_ASSIGN_OR_RETURN(const int index,
-                      AddInstanceAsync(std::move(name), std::move(joint),
-                                       endpoint));
-  instances_[static_cast<size_t>(index)].owned_adapter = std::move(adapter);
-  return index;
-}
-
-common::Result<int> BudgetScheduler::AddInstanceAsync(
+common::Result<int> BudgetScheduler::AddInstance(
     std::string name, JointDistribution joint, AsyncAnswerProvider* provider) {
   if (provider == nullptr) {
     return Status::InvalidArgument("answer provider must not be null");

@@ -1,7 +1,6 @@
 #ifndef CROWDFUSION_CORE_SCHEDULER_H_
 #define CROWDFUSION_CORE_SCHEDULER_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -64,8 +63,8 @@ class BudgetScheduler {
     TicketFailurePolicy on_ticket_failure = TicketFailurePolicy::kAbort;
     /// Service contract stamped on every submitted ticket. max_attempts
     /// defaults to 1 here (not TicketOptions' 3) so a failing provider
-    /// surfaces its error after exactly one collection call, as a sync
-    /// CollectAnswers would; raise it to opt into retries.
+    /// surfaces its error after exactly one collection call, as an engine
+    /// round does; raise it to opt into retries.
     TicketOptions ticket = {.max_attempts = 1};
     /// Time source for poll sleeps; nullptr means Clock::Real(). Tests
     /// inject a ManualClock shared with the providers. Not owned; must
@@ -109,19 +108,11 @@ class BudgetScheduler {
   BudgetScheduler(BudgetScheduler&&) = default;
   BudgetScheduler& operator=(BudgetScheduler&&) = default;
 
-  /// Registers an instance served by a synchronous provider; the scheduler
-  /// wraps it in an owned zero-latency SyncProviderAdapter. Returns the
-  /// instance index. The provider is borrowed and must outlive the
-  /// scheduler.
+  /// Registers an instance and the provider that serves its tickets.
+  /// Returns the instance index. The provider is borrowed and must
+  /// outlive the scheduler.
   common::Result<int> AddInstance(std::string name, JointDistribution joint,
-                                  AnswerProvider* provider);
-
-  /// Registers an instance served natively asynchronously (e.g. a
-  /// latency-simulating crowd). The provider is borrowed and must outlive
-  /// the scheduler.
-  common::Result<int> AddInstanceAsync(std::string name,
-                                       JointDistribution joint,
-                                       AsyncAnswerProvider* provider);
+                                  AsyncAnswerProvider* provider);
 
   int num_instances() const { return static_cast<int>(instances_.size()); }
   bool HasBudget() const { return cost_spent_ < options_.total_budget; }
@@ -177,12 +168,8 @@ class BudgetScheduler {
   struct Instance {
     std::string name;
     JointDistribution joint;
-    /// Serving endpoint. Either borrowed (AddInstanceAsync) or pointing at
-    /// owned_adapter (AddInstance).
+    /// Serving endpoint; borrowed.
     AsyncAnswerProvider* provider = nullptr;
-    /// Owns the adapter when the instance was registered with a sync
-    /// provider; the wrapped sync provider itself stays borrowed.
-    std::unique_ptr<SyncProviderAdapter> owned_adapter;
     int cost_spent = 0;
     /// Set by TicketFailurePolicy::kSkipInstance when this instance's
     /// ticket failed terminally; dead instances never receive budget again.

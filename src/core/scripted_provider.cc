@@ -4,7 +4,24 @@
 
 namespace crowdfusion::core {
 
-common::Result<std::vector<bool>> ScriptedProvider::CollectAnswers(
+common::Result<TicketId> ScriptedProvider::Submit(
+    std::span<const int> fact_ids, const TicketOptions& options) {
+  return ledger_->Add(SimulateTicketAttempts(
+      options, [this, &fact_ids](int) { return Attempt(fact_ids); },
+      /*attempt_latency=*/nullptr));
+}
+
+common::Result<TicketStatus> ScriptedProvider::Poll(TicketId ticket) {
+  return ledger_->Poll(ticket);
+}
+
+common::Result<std::vector<bool>> ScriptedProvider::Await(TicketId ticket) {
+  return ledger_->Await(ticket);
+}
+
+void ScriptedProvider::Cancel(TicketId ticket) { ledger_->Forget(ticket); }
+
+common::Result<std::vector<bool>> ScriptedProvider::Attempt(
     std::span<const int> fact_ids) {
   ++calls_;
   if (failures_left_ > 0) {

@@ -35,7 +35,7 @@ AccuracyEstimate WilsonEstimate(int correct, int trials, double z) {
 }
 
 common::Result<AccuracyEstimate> EstimateAccuracy(
-    core::AnswerProvider& provider, const std::vector<int>& gold_fact_ids,
+    core::AsyncAnswerProvider& provider, const std::vector<int>& gold_fact_ids,
     const std::vector<bool>& gold_truths, int repetitions) {
   if (gold_fact_ids.empty()) {
     return Status::InvalidArgument("gold task set is empty");
@@ -52,7 +52,7 @@ common::Result<AccuracyEstimate> EstimateAccuracy(
   int trials = 0;
   for (int r = 0; r < repetitions; ++r) {
     CF_ASSIGN_OR_RETURN(std::vector<bool> answers,
-                        provider.CollectAnswers(gold_fact_ids));
+                        core::SubmitAndAwait(provider, gold_fact_ids));
     if (answers.size() != gold_fact_ids.size()) {
       return Status::Internal("provider returned wrong answer count");
     }

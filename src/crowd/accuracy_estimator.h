@@ -4,8 +4,8 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/async_provider.h"
 #include "core/crowd_model.h"
-#include "core/crowdfusion.h"
 
 namespace crowdfusion::crowd {
 
@@ -33,9 +33,10 @@ AccuracyEstimate WilsonEstimate(int correct, int trials, double z = 1.96);
 /// Runs the paper's recommended calibration ("estimate the reliability by a
 /// pre-test with groundtruth", Section V-C3): publishes each gold task
 /// `repetitions` times to the provider and scores the answers against the
-/// known truths. `gold_fact_ids` index into the provider's fact universe.
+/// known truths. Each repetition is one core::SubmitAndAwait round trip.
+/// `gold_fact_ids` index into the provider's fact universe.
 common::Result<AccuracyEstimate> EstimateAccuracy(
-    core::AnswerProvider& provider, const std::vector<int>& gold_fact_ids,
+    core::AsyncAnswerProvider& provider, const std::vector<int>& gold_fact_ids,
     const std::vector<bool>& gold_truths, int repetitions = 5);
 
 }  // namespace crowdfusion::crowd

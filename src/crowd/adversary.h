@@ -31,10 +31,10 @@ enum class AdversaryRole {
 
 const char* AdversaryRoleName(AdversaryRole role);
 
-/// A seeded hostile-worker layer over the simulated crowds: SimulatedCrowd
-/// and CrowdPlatform delegate each judgment here when an adversary is
-/// configured (and run their historical code byte-for-byte when not — the
-/// adversary-off differential contract).
+/// A seeded hostile-worker layer over the simulated crowd: SimulatedCrowd
+/// delegates each judgment here when an adversary is configured (and runs
+/// its historical code byte-for-byte when not — the adversary-off
+/// differential contract).
 ///
 /// The model owns a virtual worker pool partitioned into roles by the
 /// spec's fractions (colluders first, then sybils, spammers, parrots;
@@ -67,9 +67,9 @@ class AdversaryModel {
   bool Judge(int fact_id, bool truth, data::StatementCategory category,
              const WorkerBias& honest_bias);
 
-  /// One judgment by a caller-assigned worker — the CrowdPlatform path,
-  /// where the platform already sampled real worker indices. Precondition:
-  /// 0 <= worker < num_workers().
+  /// One judgment by a caller-assigned worker (Judge picks the worker and
+  /// delegates here; tests drive named workers directly).
+  /// Precondition: 0 <= worker < num_workers().
   bool JudgeAs(int worker, int fact_id, bool truth,
                data::StatementCategory category,
                const WorkerBias& honest_bias);

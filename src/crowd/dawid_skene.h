@@ -42,7 +42,7 @@ struct DawidSkeneOptions {
 /// between task-truth posteriors (E-step, Bayes with per-worker accuracy
 /// likelihoods) and worker accuracies (M-step, posterior-weighted agreement
 /// rates). This generalizes the paper's single shared Pc (Definition 2) to
-/// heterogeneous workers and gives CrowdPlatform a principled aggregator
+/// heterogeneous workers, a principled aggregator for redundant judgments
 /// beyond majority voting.
 common::Result<DawidSkeneResult> RunDawidSkene(
     int num_tasks, int num_workers, const std::vector<Judgment>& judgments,

@@ -1,6 +1,5 @@
 #include "crowd/latency_model.h"
 
-#include <algorithm>
 #include <cmath>
 
 namespace crowdfusion::crowd {
@@ -8,11 +7,10 @@ namespace crowdfusion::crowd {
 LatencyModel::LatencyModel(LatencyOptions options)
     : options_(options), rng_(options.seed ^ 0xA51C0DEULL) {}
 
-double LatencyModel::SampleTaskSeconds(double worker_scale) {
+double LatencyModel::SampleTaskSeconds() {
   if (!has_latency()) return 0.0;
   double seconds = options_.median_seconds *
-                   std::exp(options_.sigma * rng_.NextGaussian()) *
-                   std::max(0.0, worker_scale);
+                   std::exp(options_.sigma * rng_.NextGaussian());
   if (options_.straggler_probability > 0 &&
       rng_.NextBernoulli(options_.straggler_probability)) {
     seconds *= options_.straggler_factor;
@@ -23,14 +21,6 @@ double LatencyModel::SampleTaskSeconds(double worker_scale) {
 bool LatencyModel::SampleFailure() {
   return options_.failure_probability > 0 &&
          rng_.NextBernoulli(options_.failure_probability);
-}
-
-double LatencyModel::SampleWorkerScale() {
-  return rng_.NextUniform(0.6, 1.6);
-}
-
-uint64_t LatencyModel::SampleIndex(uint64_t bound) {
-  return rng_.NextBounded(bound);
 }
 
 }  // namespace crowdfusion::crowd

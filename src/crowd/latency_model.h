@@ -9,11 +9,11 @@ namespace crowdfusion::crowd {
 
 /// Shape of the simulated crowd's answer latency and flakiness. Real
 /// platforms answer in seconds-to-minutes with a heavy right tail; the
-/// model is lognormal (median * e^(sigma*N(0,1))) per task, scaled by the
-/// assigned worker's speed, with optional stragglers (tasks that take
-/// `straggler_factor` times longer — the "worker walked away" case that
-/// per-ticket deadlines exist to cut off) and injectable hard failures
-/// (an attempt that never returns answers and must be retried).
+/// model is lognormal (median * e^(sigma*N(0,1))) per task, with optional
+/// stragglers (tasks that take `straggler_factor` times longer — the
+/// "worker walked away" case that per-ticket deadlines exist to cut off)
+/// and injectable hard failures (an attempt that never returns answers
+/// and must be retried).
 struct LatencyOptions {
   /// Explicitly activates the model even when every latency knob is zero.
   /// Historically "enabled" was inferred from median_seconds > 0 alone,
@@ -59,21 +59,11 @@ class LatencyModel {
   bool has_latency() const { return options_.median_seconds > 0; }
   const LatencyOptions& options() const { return options_; }
 
-  /// Latency of one task handled by a worker of the given relative speed
-  /// (1.0 = typical; larger = slower). 0 when the model has no latency.
-  double SampleTaskSeconds(double worker_scale = 1.0);
+  /// Latency of one task, seconds; 0 when the model has no latency.
+  double SampleTaskSeconds();
 
   /// True when an attempt should fail outright.
   bool SampleFailure();
-
-  /// A per-worker speed scale, uniform in [0.6, 1.6) — slow and fast
-  /// workers for a platform pool.
-  double SampleWorkerScale();
-
-  /// Uniform index in [0, bound), from the latency stream (so assigning
-  /// workers to tickets never perturbs the judgment stream). Precondition:
-  /// bound > 0.
-  uint64_t SampleIndex(uint64_t bound);
 
  private:
   LatencyOptions options_;

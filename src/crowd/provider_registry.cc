@@ -16,8 +16,8 @@ using common::Status;
 
 namespace {
 
-common::Result<core::ProviderHandle> MakeSimulatedCrowd(
-    const core::ProviderSpec& spec, common::Clock* clock) {
+common::Result<std::shared_ptr<core::AsyncAnswerProvider>>
+MakeSimulatedCrowd(const core::ProviderSpec& spec, common::Clock* clock) {
   if (spec.truths.empty()) {
     return Status::InvalidArgument(
         "simulated_crowd provider requires per-instance truths");
@@ -60,21 +60,12 @@ common::Result<core::ProviderHandle> MakeSimulatedCrowd(
   latency.straggler_factor = spec.straggler_factor;
   latency.seed = spec.latency_seed;
   // LatencyModel::enabled() sees every knob, so a zero-latency spec that
-  // only injects failures activates the async model too (historically it
-  // was silently ignored unless median_seconds > 0).
+  // only injects failures activates the model too (historically it was
+  // silently ignored unless median_seconds > 0).
   if (LatencyModel(latency).enabled()) {
     provider->ConfigureAsync(latency, clock);
   }
-
-  core::ProviderHandle handle;
-  handle.sync = provider.get();
-  handle.async = provider.get();
-  handle.served_correct = [provider] {
-    return std::pair<int64_t, int64_t>(provider->answers_served(),
-                                       provider->answers_correct());
-  };
-  handle.owner = std::move(provider);
-  return handle;
+  return std::shared_ptr<core::AsyncAnswerProvider>(std::move(provider));
 }
 
 }  // namespace

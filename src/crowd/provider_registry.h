@@ -11,9 +11,9 @@ namespace crowdfusion::crowd {
 ///   "simulated_crowd" — a crowd::SimulatedCrowd judging the spec's
 ///   `truths`/`categories` with the spec's accuracy (uniform, or the
 ///   Section V-D biased pool when spec.biased), seeded by spec.seed.
-///   When spec.latency_median_seconds > 0 the crowd's async latency model
-///   is configured too, so the handle's async view simulates real answer
-///   delays; the sync view always answers immediately.
+///   When any latency or failure knob is set the crowd's latency model is
+///   configured too, so its tickets simulate real answer delays and
+///   outages in every run mode, engine included.
 ///
 /// `clock` is borrowed by every provider the registered factory creates
 /// (latency simulation); nullptr means Clock::Real().

@@ -21,7 +21,7 @@ SimulatedCrowd SimulatedCrowd::WithUniformAccuracy(std::vector<bool> truths,
   return SimulatedCrowd(std::move(truths), {}, WorkerBias::Uniform(pc), seed);
 }
 
-common::Result<std::vector<bool>> SimulatedCrowd::CollectAnswers(
+common::Result<std::vector<bool>> SimulatedCrowd::Judge(
     std::span<const int> fact_ids) {
   std::vector<bool> answers;
   answers.reserve(fact_ids.size());
@@ -75,18 +75,20 @@ core::TicketLedger& SimulatedCrowd::ledger() {
 common::Result<core::TicketId> SimulatedCrowd::Submit(
     std::span<const int> fact_ids, const core::TicketOptions& options) {
   // The whole ticket is resolved here, in submission order: judgments come
-  // from the sync path's RNG stream (so sync ≡ async answer-for-answer)
-  // and latency/failures from the latency model's own stream. A failed
-  // attempt abandons the batch before any judgment is drawn.
+  // from the crowd's RNG stream and latency/failures from the latency
+  // model's own stream, so latency never changes the answers. A failed
+  // attempt abandons the batch before any judgment is drawn. The attempts
+  // run inside this call, so the callbacks capture by reference and stay
+  // small enough for std::function's inline buffer (no allocation).
   core::TicketLedger::Outcome outcome = core::SimulateTicketAttempts(
       options,
-      [this, fact_ids](int) -> common::Result<std::vector<bool>> {
+      [this, &fact_ids](int) -> common::Result<std::vector<bool>> {
         if (latency_.SampleFailure()) {
           return Status::Unavailable("injected crowd failure");
         }
-        return CollectAnswers(fact_ids);
+        return Judge(fact_ids);
       },
-      [this, fact_ids](int) {
+      [this, &fact_ids](int) {
         // The batch goes out in parallel; the slowest task gates it.
         double batch_seconds = 0.0;
         for (size_t i = 0; i < fact_ids.size(); ++i) {

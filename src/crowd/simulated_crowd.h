@@ -1,13 +1,16 @@
 #ifndef CROWDFUSION_CROWD_SIMULATED_CROWD_H_
 #define CROWDFUSION_CROWD_SIMULATED_CROWD_H_
 
+#include <cstdint>
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
 #include "common/random.h"
 #include "core/async_provider.h"
-#include "core/crowdfusion.h"
+#include "core/registry.h"
 #include "crowd/adversary.h"
 #include "crowd/latency_model.h"
 #include "crowd/worker.h"
@@ -15,25 +18,25 @@
 
 namespace crowdfusion::crowd {
 
-/// The gMission substitute: an AnswerProvider that samples crowd judgments
-/// from the ground truth under the paper's Bernoulli error model
-/// (Definition 2), optionally with the Section V-D per-category biases.
+/// The gMission substitute: a provider that samples crowd judgments from
+/// the ground truth under the paper's Bernoulli error model (Definition 2),
+/// optionally with the Section V-D per-category biases.
 ///
 /// One instance serves one fact universe (e.g. one book): fact id i refers
 /// to truths[i] / categories[i]. All algorithms observe only the returned
 /// answers, so swapping a real platform in requires only another
-/// AnswerProvider.
+/// core::AsyncAnswerProvider (net::HttpAnswerProvider is one).
 ///
-/// The crowd also speaks the asynchronous contract natively: Submit
-/// registers a ticket whose answers land after a seeded simulated latency
-/// (LatencyOptions, ConfigureAsync), with injectable attempt failures
-/// retried under the ticket's bounded-retry/deadline terms. Judgments are
-/// drawn at submit time from the same RNG stream the synchronous path
-/// uses, so a zero-latency async run answers identically to the blocking
-/// one. Submit/CollectAnswers calls must come from one thread at a time;
-/// Poll/Await are internally synchronized.
-class SimulatedCrowd : public core::AnswerProvider,
-                       public core::AsyncAnswerProvider {
+/// Submit registers a ticket whose answers land after a seeded simulated
+/// latency (LatencyOptions, ConfigureAsync), with injectable attempt
+/// failures retried under the ticket's bounded-retry/deadline terms.
+/// Judgments are drawn at submit time, in submission order, from the
+/// crowd's own RNG stream; latency and failures come from the latency
+/// model's separate stream, which draws nothing at zero latency. So the
+/// answers a run sees depend only on the seed and the batches asked,
+/// never on the latency configured. Submit calls must come from one
+/// thread at a time; Poll/Await are internally synchronized.
+class SimulatedCrowd : public core::AsyncAnswerProvider {
  public:
   /// `categories` may be empty, in which case every fact is kClean.
   SimulatedCrowd(std::vector<bool> truths,
@@ -44,12 +47,9 @@ class SimulatedCrowd : public core::AnswerProvider,
   static SimulatedCrowd WithUniformAccuracy(std::vector<bool> truths,
                                             double pc, uint64_t seed);
 
-  common::Result<std::vector<bool>> CollectAnswers(
-      std::span<const int> fact_ids) override;
-
-  /// Installs the latency/failure model and clock for the async interface
-  /// (and resets any outstanding tickets). Without this call, Submit works
-  /// with zero latency on the real clock. `clock` is borrowed and must
+  /// Installs the latency/failure model and clock for the tickets (and
+  /// resets any outstanding ones). Without this call, Submit works with
+  /// zero latency on the real clock. `clock` is borrowed and must
   /// outlive the crowd; nullptr means Clock::Real().
   void ConfigureAsync(LatencyOptions latency,
                       common::Clock* clock = nullptr);
@@ -73,6 +73,9 @@ class SimulatedCrowd : public core::AnswerProvider,
   common::Result<core::TicketStatus> Poll(core::TicketId ticket) override;
   common::Result<std::vector<bool>> Await(core::TicketId ticket) override;
   void Cancel(core::TicketId ticket) override;
+  std::pair<int64_t, int64_t> ServedCorrect() override {
+    return {answers_served_, answers_correct_};
+  }
 
   /// Total judgments served so far.
   int64_t answers_served() const { return answers_served_; }
@@ -81,6 +84,8 @@ class SimulatedCrowd : public core::AnswerProvider,
   double EmpiricalAccuracy() const;
 
  private:
+  /// Draws one judgment per fact, in order, from the judgment stream.
+  common::Result<std::vector<bool>> Judge(std::span<const int> fact_ids);
   core::TicketLedger& ledger();
 
   std::vector<bool> truths_;

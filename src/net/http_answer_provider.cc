@@ -170,7 +170,7 @@ common::Status RegisterHttpProvider(core::ProviderRegistry& registry,
   return registry.Register(
       "http",
       [clock](const core::ProviderSpec& spec)
-          -> common::Result<core::ProviderHandle> {
+          -> common::Result<std::shared_ptr<core::AsyncAnswerProvider>> {
         if (spec.endpoint.empty()) {
           return Status::InvalidArgument(
               "http provider requires an \"endpoint\" (host:port) naming "
@@ -196,14 +196,8 @@ common::Status RegisterHttpProvider(core::ProviderRegistry& registry,
         universe_spec.endpoints.clear();
         universe_spec.await_timeout_seconds = 0.0;
         CF_RETURN_IF_ERROR(provider->CreateUniverse(universe_spec));
-
-        core::ProviderHandle handle;
-        handle.async = provider.get();
-        handle.served_correct = [provider] {
-          return provider->ServedCorrect();
-        };
-        handle.owner = std::move(provider);
-        return handle;
+        return std::shared_ptr<core::AsyncAnswerProvider>(
+            std::move(provider));
       });
 }
 

@@ -13,7 +13,7 @@
 
 namespace crowdfusion::net {
 
-/// The real-platform AnswerProvider: speaks core::AsyncAnswerProvider over
+/// The real-platform provider: speaks core::AsyncAnswerProvider over
 /// the crowd HTTP wire (see net/loopback_crowd_server.h for the protocol).
 /// Submit POSTs a ticket batch — the TicketOptions deadline/retry contract
 /// travels with it and is enforced by the platform's own ledger machinery —
@@ -76,7 +76,7 @@ class HttpAnswerProvider : public core::AsyncAnswerProvider {
 
   /// (answers_served, answers_correct) as reported by the platform's
   /// stats endpoint; (0, 0) when unreachable.
-  std::pair<int64_t, int64_t> ServedCorrect();
+  std::pair<int64_t, int64_t> ServedCorrect() override;
 
  private:
   common::Clock* clock() const {
@@ -94,9 +94,9 @@ class HttpAnswerProvider : public core::AsyncAnswerProvider {
 
 /// Registers the "http" provider kind: ProviderSpec::endpoint names a
 /// crowd platform ("host:port"); the factory registers the spec as a
-/// fresh universe there and returns an async-only handle (engine mode
-/// needs a synchronous provider and rejects it). `clock` is borrowed by
-/// every created provider for Await sleeps.
+/// fresh universe there and returns the provider, which serves engine and
+/// pipelined runs alike. `clock` is borrowed by every created provider for
+/// Await sleeps.
 common::Status RegisterHttpProvider(core::ProviderRegistry& registry,
                                     common::Clock* clock = nullptr);
 

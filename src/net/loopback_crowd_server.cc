@@ -1,6 +1,7 @@
 #include "net/loopback_crowd_server.h"
 
 #include <charconv>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -112,21 +113,11 @@ HttpResponse LoopbackCrowdServer::HandleUniverses(const HttpRequest& request,
           "a crowd server cannot host \"http\" universes (that would "
           "recurse); register a concrete provider kind"));
     }
-    auto handle = registry_.Create(spec->kind, *spec);
-    if (!handle.ok()) return ErrorResponse(handle.status());
+    auto provider = registry_.Create(spec->kind, *spec);
+    if (!provider.ok()) return ErrorResponse(provider.status());
 
     auto universe = std::make_shared<Universe>();
-    universe->handle = std::move(handle).value();
-    if (universe->handle.async != nullptr) {
-      universe->async = universe->handle.async;
-    } else if (universe->handle.sync != nullptr) {
-      universe->adapter = std::make_unique<core::SyncProviderAdapter>(
-          universe->handle.sync, options_.clock);
-      universe->async = universe->adapter.get();
-    } else {
-      return ErrorResponse(Status::Internal(
-          "provider \"" + spec->kind + "\" produced no usable interface"));
-    }
+    universe->provider = std::move(provider).value();
 
     std::string id;
     {
@@ -178,11 +169,9 @@ HttpResponse LoopbackCrowdServer::HandleUniverses(const HttpRequest& request,
     }
     int64_t served = 0;
     int64_t correct = 0;
-    if (universe->handle.served_correct != nullptr) {
+    {
       std::lock_guard<std::mutex> lock(universe->mutex);
-      const auto [s, c] = universe->handle.served_correct();
-      served = s;
-      correct = c;
+      std::tie(served, correct) = universe->provider->ServedCorrect();
     }
     JsonValue body = JsonValue::MakeObject();
     body.Set("answers_served", served);
@@ -219,7 +208,7 @@ HttpResponse LoopbackCrowdServer::HandleUniverses(const HttpRequest& request,
         Status::Internal("unreachable");
     {
       std::lock_guard<std::mutex> lock(universe->mutex);
-      ticket = universe->async->Submit(ids, ticket_options);
+      ticket = universe->provider->Submit(ids, ticket_options);
     }
     if (!ticket.ok()) return ErrorResponse(ticket.status());
     {
@@ -248,13 +237,13 @@ HttpResponse LoopbackCrowdServer::HandleUniverses(const HttpRequest& request,
       std::lock_guard<std::mutex> lock(universe->mutex);
       // Never sleep a server worker inside Await: resolve only tickets
       // that already landed; the client owns the waiting.
-      auto poll = universe->async->Poll(*ticket);
+      auto poll = universe->provider->Poll(*ticket);
       if (!poll.ok()) return ErrorResponse(poll.status());
       if (poll->phase == core::TicketPhase::kInFlight) {
         return ErrorResponse(Status::FailedPrecondition(
             "ticket still in flight; poll until ready"));
       }
-      auto answers = universe->async->Await(*ticket);
+      auto answers = universe->provider->Await(*ticket);
       if (!answers.ok()) return ErrorResponse(answers.status());
       JsonValue response = JsonValue::MakeObject();
       JsonValue array = JsonValue::MakeArray();
@@ -266,7 +255,7 @@ HttpResponse LoopbackCrowdServer::HandleUniverses(const HttpRequest& request,
 
     if (request.method == "GET") {
       std::lock_guard<std::mutex> lock(universe->mutex);
-      auto poll = universe->async->Poll(*ticket);
+      auto poll = universe->provider->Poll(*ticket);
       if (!poll.ok()) return ErrorResponse(poll.status());
       JsonValue response = JsonValue::MakeObject();
       response.Set("phase", PhaseName(poll->phase));
@@ -279,7 +268,7 @@ HttpResponse LoopbackCrowdServer::HandleUniverses(const HttpRequest& request,
     }
     if (request.method == "DELETE") {
       std::lock_guard<std::mutex> lock(universe->mutex);
-      universe->async->Cancel(*ticket);
+      universe->provider->Cancel(*ticket);
       return JsonResponse(200, JsonValue::MakeObject());
     }
     return ErrorResponse(

@@ -71,10 +71,7 @@ class LoopbackCrowdServer {
 
  private:
   struct Universe {
-    core::ProviderHandle handle;
-    /// Wraps sync-only providers (e.g. "scripted") for the wire.
-    std::unique_ptr<core::SyncProviderAdapter> adapter;
-    core::AsyncAnswerProvider* async = nullptr;
+    std::shared_ptr<core::AsyncAnswerProvider> provider;
     /// Serializes Submit calls (providers require one submitter at a
     /// time); Poll/take ride along for simplicity.
     std::mutex mutex;

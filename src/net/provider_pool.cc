@@ -28,9 +28,8 @@ ProviderPool::ProviderPool(std::vector<Replica> replicas, Options options)
     : replicas_(std::move(replicas)), options_(options) {
   CF_CHECK(!replicas_.empty()) << "ProviderPool needs at least one replica";
   for (const Replica& replica : replicas_) {
-    CF_CHECK(replica.handle.async != nullptr)
-        << "ProviderPool replica \"" << replica.name
-        << "\" has no async provider";
+    CF_CHECK(replica.provider != nullptr)
+        << "ProviderPool replica \"" << replica.name << "\" has no provider";
   }
   options_.start_replica =
       ((options_.start_replica % num_replicas()) + num_replicas()) %
@@ -42,7 +41,7 @@ ProviderPool::~ProviderPool() {
   // Abandoned tickets must not leak on the platforms.
   for (const auto& [id, ticket] : tickets_) {
     if (ticket.replica >= 0 && ticket.terminal.ok()) {
-      replicas_[static_cast<size_t>(ticket.replica)].handle.async->Cancel(
+      replicas_[static_cast<size_t>(ticket.replica)].provider->Cancel(
           ticket.remote);
     }
   }
@@ -122,7 +121,7 @@ common::Result<std::pair<int, core::TicketId>> ProviderPool::SubmitSomewhere(
   for (const int candidate : CandidateOrder(tried, start)) {
     tried[static_cast<size_t>(candidate)] = true;
     auto remote =
-        replicas_[static_cast<size_t>(candidate)].handle.async->Submit(
+        replicas_[static_cast<size_t>(candidate)].provider->Submit(
             fact_ids, options);
     if (remote.ok()) {
       MarkSuccess(candidate);
@@ -183,7 +182,7 @@ bool ProviderPool::Failover(core::TicketId ticket, int failed_replica,
   }
   // The old ticket may still be live on a wedged-but-reachable platform;
   // release it so the answers are not double-collected later.
-  replicas_[static_cast<size_t>(failed_replica)].handle.async->Cancel(
+  replicas_[static_cast<size_t>(failed_replica)].provider->Cancel(
       remote);
 
   auto placed = SubmitSomewhere(fact_ids, options, tried,
@@ -233,7 +232,7 @@ common::Result<core::TicketStatus> ProviderPool::Poll(
   }
 
   auto polled =
-      replicas_[static_cast<size_t>(replica)].handle.async->Poll(remote);
+      replicas_[static_cast<size_t>(replica)].provider->Poll(remote);
   Status cause;
   if (polled.ok()) {
     if (polled->phase == core::TicketPhase::kInFlight &&
@@ -301,7 +300,7 @@ common::Result<std::vector<bool>> ProviderPool::Await(
     }
 
     auto result =
-        replicas_[static_cast<size_t>(replica)].handle.async->Await(remote);
+        replicas_[static_cast<size_t>(replica)].provider->Await(remote);
     if (result.ok()) {
       MarkSuccess(replica);
       std::lock_guard<std::mutex> lock(mutex_);
@@ -340,7 +339,7 @@ void ProviderPool::Cancel(core::TicketId ticket) {
     tickets_.erase(it);
   }
   if (replica >= 0) {
-    replicas_[static_cast<size_t>(replica)].handle.async->Cancel(remote);
+    replicas_[static_cast<size_t>(replica)].provider->Cancel(remote);
   }
 }
 
@@ -349,16 +348,19 @@ ProviderPool::Stats ProviderPool::GetStats() const {
   return stats_;
 }
 
-std::pair<int64_t, int64_t> ProviderPool::ServedCorrect() const {
+std::pair<int64_t, int64_t> ProviderPool::ServedCorrect() {
   int64_t served = 0;
   int64_t correct = 0;
   for (const Replica& replica : replicas_) {
-    if (replica.handle.served_correct == nullptr) continue;
-    const auto [s, c] = replica.handle.served_correct();
+    const auto [s, c] = replica.provider->ServedCorrect();
     served += s;
     correct += c;
   }
   return {served, correct};
+}
+
+int64_t ProviderPool::TicketsResubmitted() {
+  return GetStats().tickets_resubmitted;
 }
 
 common::Status RegisterHttpPoolProvider(core::ProviderRegistry& registry,
@@ -369,7 +371,7 @@ common::Status RegisterHttpPoolProvider(core::ProviderRegistry& registry,
   return registry.Register(
       "http_pool",
       [clock, rotation](const core::ProviderSpec& spec)
-          -> common::Result<core::ProviderHandle> {
+          -> common::Result<std::shared_ptr<core::AsyncAnswerProvider>> {
         if (spec.endpoints.empty()) {
           return Status::InvalidArgument(
               "http_pool provider requires \"endpoints\" (a non-empty "
@@ -401,14 +403,7 @@ common::Status RegisterHttpPoolProvider(core::ProviderRegistry& registry,
           options.clock = clock;
           auto provider = std::make_shared<HttpAnswerProvider>(options);
           CF_RETURN_IF_ERROR(provider->CreateUniverse(universe_spec));
-          ProviderPool::Replica replica;
-          replica.name = text;
-          replica.handle.async = provider.get();
-          replica.handle.served_correct = [provider] {
-            return provider->ServedCorrect();
-          };
-          replica.handle.owner = std::move(provider);
-          replicas.push_back(std::move(replica));
+          replicas.push_back({text, std::move(provider)});
         }
 
         ProviderPool::Options options;
@@ -417,16 +412,9 @@ common::Status RegisterHttpPoolProvider(core::ProviderRegistry& registry,
             spec.endpoints.size());
         options.attempt_timeout_seconds = attempt_timeout;
         options.clock = clock;
-        auto pool = std::make_shared<ProviderPool>(std::move(replicas),
-                                                   std::move(options));
-        core::ProviderHandle handle;
-        handle.async = pool.get();
-        handle.served_correct = [pool] { return pool->ServedCorrect(); };
-        handle.tickets_resubmitted = [pool] {
-          return pool->GetStats().tickets_resubmitted;
-        };
-        handle.owner = std::move(pool);
-        return handle;
+        return std::shared_ptr<core::AsyncAnswerProvider>(
+            std::make_shared<ProviderPool>(std::move(replicas),
+                                           std::move(options)));
       });
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -47,11 +48,11 @@ namespace crowdfusion::net {
 /// logical owner (Await consumes).
 class ProviderPool : public core::AsyncAnswerProvider {
  public:
-  /// One crowd platform: a name for diagnostics plus an owned handle
-  /// whose async view must be non-null.
+  /// One crowd platform: a name for diagnostics plus a non-null,
+  /// shared-owned provider.
   struct Replica {
     std::string name;
-    core::ProviderHandle handle;
+    std::shared_ptr<core::AsyncAnswerProvider> provider;
   };
 
   struct Options {
@@ -74,7 +75,7 @@ class ProviderPool : public core::AsyncAnswerProvider {
     common::Clock* clock = nullptr;
   };
 
-  /// Every replica must carry a non-null async view; `replicas` must be
+  /// Every replica must carry a non-null provider; `replicas` must be
   /// non-empty.
   ProviderPool(std::vector<Replica> replicas, Options options);
   ~ProviderPool() override;
@@ -100,8 +101,10 @@ class ProviderPool : public core::AsyncAnswerProvider {
   };
   Stats GetStats() const;
 
-  /// Sum of the replicas' (answers_served, answers_correct) stats hooks.
-  std::pair<int64_t, int64_t> ServedCorrect() const;
+  /// Sum of the replicas' (answers_served, answers_correct).
+  std::pair<int64_t, int64_t> ServedCorrect() override;
+  /// Stats::tickets_resubmitted.
+  int64_t TicketsResubmitted() override;
 
   int num_replicas() const { return static_cast<int>(replicas_.size()); }
   /// True while replica `index` is sidelined by the health tracker.
@@ -168,7 +171,7 @@ class ProviderPool : public core::AsyncAnswerProvider {
 /// Registers the "http_pool" provider kind: ProviderSpec::endpoints names
 /// N crowd platforms; the factory registers the spec's universe template
 /// on every one of them (same seeds everywhere, so any replica serves
-/// identical judgments) and returns an async-only ProviderPool handle.
+/// identical judgments) and returns a ProviderPool over them.
 /// ProviderSpec::await_timeout_seconds sets the per-attempt budget
 /// (default 30 s when 0). Each pool's preferred replica is rotated
 /// round-robin across the factory's creations. `clock` is borrowed by the

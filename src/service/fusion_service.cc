@@ -87,8 +87,7 @@ std::pair<int64_t, int64_t> Session::answers_served_correct() const {
   int64_t served = 0;
   int64_t correct = 0;
   for (const Instance& instance : instances_) {
-    if (instance.provider.served_correct == nullptr) continue;
-    const auto [s, c] = instance.provider.served_correct();
+    const auto [s, c] = instance.provider->ServedCorrect();
     served += s;
     correct += c;
   }
@@ -98,8 +97,7 @@ std::pair<int64_t, int64_t> Session::answers_served_correct() const {
 int64_t Session::tickets_resubmitted() const {
   int64_t total = 0;
   for (const Instance& instance : instances_) {
-    if (instance.provider.tickets_resubmitted == nullptr) continue;
-    total += instance.provider.tickets_resubmitted();
+    total += instance.provider->TicketsResubmitted();
   }
   return total;
 }
@@ -435,7 +433,7 @@ common::Result<std::unique_ptr<Session>> FusionService::CreateSession(
 
   // Bind one provider per instance from the request's template: fill the
   // instance's gold labels and derive per-instance seeds, then build
-  // through the registry. The session owns every provider handle, so the
+  // through the registry. The session owns every provider, so the
   // engine/scheduler borrow contracts hold by construction.
   session->provider_template_ = request.provider;
   session->budget_ = request.budget;
@@ -471,11 +469,6 @@ common::Status Session::BindInstance(InstanceSpec spec) {
                       providers_->Create(provider_spec.kind, provider_spec));
 
   if (mode_ == RunMode::kEngine) {
-    if (instance.provider.sync == nullptr) {
-      return Status::InvalidArgument(
-          "provider \"" + provider_spec.kind +
-          "\" has no synchronous interface; engine mode needs one");
-    }
     core::EngineOptions options;
     options.budget = budget_.budget_per_instance;
     options.tasks_per_round = budget_.tasks_per_step;
@@ -483,22 +476,13 @@ common::Status Session::BindInstance(InstanceSpec spec) {
         core::CrowdFusionEngine engine,
         core::CrowdFusionEngine::Create(std::move(spec.joint), *crowd_,
                                         selector_.get(),
-                                        instance.provider.sync, options));
+                                        instance.provider.get(), options));
     instance.engine.emplace(std::move(engine));
-  } else if (instance.provider.async != nullptr) {
-    CF_RETURN_IF_ERROR(scheduler_
-                           ->AddInstanceAsync(instance.name,
-                                              std::move(spec.joint),
-                                              instance.provider.async)
-                           .status());
-  } else if (instance.provider.sync != nullptr) {
+  } else {
     CF_RETURN_IF_ERROR(scheduler_
                            ->AddInstance(instance.name, std::move(spec.joint),
-                                         instance.provider.sync)
+                                         instance.provider.get())
                            .status());
-  } else {
-    return Status::Internal("provider \"" + provider_spec.kind +
-                            "\" produced no usable interface");
   }
   instances_.push_back(std::move(instance));
   return Status::Ok();

@@ -297,7 +297,7 @@ class Session {
   struct Instance {
     std::string name;
     std::vector<bool> truths;
-    core::ProviderHandle provider;
+    std::shared_ptr<core::AsyncAnswerProvider> provider;
     int num_facts = 0;
     /// Engine mode only: the per-instance loop and its no-gain flag.
     std::optional<core::CrowdFusionEngine> engine;

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "core/scripted_provider.h"
 
 namespace crowdfusion::core {
 namespace {
@@ -13,101 +14,76 @@ using common::ManualClock;
 using common::Status;
 using common::StatusCode;
 
-/// Echoes each fact id's parity; optionally fails the first N calls.
-class ScriptedProvider : public AnswerProvider {
- public:
-  explicit ScriptedProvider(int failures_before_success = 0)
-      : failures_left_(failures_before_success) {}
+/// The parity-rule provider, optionally failing its first N attempts.
+ScriptedProvider MakeScripted(int failures_before_success = 0) {
+  ScriptedProvider::Options options;
+  options.failures_before_success = failures_before_success;
+  return ScriptedProvider(std::move(options));
+}
 
-  common::Result<std::vector<bool>> CollectAnswers(
-      std::span<const int> fact_ids) override {
-    ++calls_;
-    if (failures_left_ > 0) {
-      --failures_left_;
-      return Status::Unavailable("scripted outage");
-    }
-    std::vector<bool> answers;
-    for (int id : fact_ids) answers.push_back(id % 2 == 1);
-    return answers;
-  }
-
-  int calls() const { return calls_; }
-
- private:
-  int failures_left_;
-  int calls_ = 0;
-};
-
-TEST(SyncProviderAdapterTest, TicketResolvesImmediatelyWithSyncAnswers) {
-  ManualClock clock;
+TEST(ScriptedProviderTest, TicketResolvesImmediatelyWithScriptedAnswers) {
   ScriptedProvider provider;
-  SyncProviderAdapter adapter(&provider, &clock);
   const std::vector<int> tasks = {0, 1, 2, 3};
 
-  auto ticket = adapter.Submit(tasks);
+  auto ticket = provider.Submit(tasks);
   ASSERT_TRUE(ticket.ok());
-  auto status = adapter.Poll(*ticket);
+  auto status = provider.Poll(*ticket);
   ASSERT_TRUE(status.ok());
   EXPECT_EQ(status->phase, TicketPhase::kReady);
   EXPECT_EQ(status->attempts_used, 1);
   EXPECT_DOUBLE_EQ(status->seconds_until_ready, 0.0);
 
-  auto answers = adapter.Await(*ticket);
+  auto answers = provider.Await(*ticket);
   ASSERT_TRUE(answers.ok());
   EXPECT_EQ(*answers, (std::vector<bool>{false, true, false, true}));
   // Await consumed the ticket.
-  EXPECT_EQ(adapter.Poll(*ticket).status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(adapter.Await(*ticket).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(provider.Poll(*ticket).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(provider.Await(*ticket).status().code(), StatusCode::kNotFound);
 }
 
-TEST(SyncProviderAdapterTest, BoundedRetryRecoversFromTransientFailure) {
-  ManualClock clock;
-  ScriptedProvider provider(/*failures_before_success=*/2);
-  SyncProviderAdapter adapter(&provider, &clock);
+TEST(ScriptedProviderTest, BoundedRetryRecoversFromTransientFailure) {
+  ScriptedProvider provider = MakeScripted(/*failures_before_success=*/2);
   TicketOptions options;
   options.max_attempts = 3;
 
-  auto ticket = adapter.Submit(std::vector<int>{1}, options);
+  auto ticket = provider.Submit(std::vector<int>{1}, options);
   ASSERT_TRUE(ticket.ok());
-  auto status = adapter.Poll(*ticket);
+  auto status = provider.Poll(*ticket);
   ASSERT_TRUE(status.ok());
   EXPECT_EQ(status->phase, TicketPhase::kReady);
   EXPECT_EQ(status->attempts_used, 3);
   EXPECT_EQ(provider.calls(), 3);
-  auto answers = adapter.Await(*ticket);
+  auto answers = provider.Await(*ticket);
   ASSERT_TRUE(answers.ok());
   EXPECT_EQ(*answers, std::vector<bool>{true});
 }
 
-TEST(SyncProviderAdapterTest, RetryExhaustionSurfacesTheProviderError) {
-  ManualClock clock;
-  ScriptedProvider provider(/*failures_before_success=*/10);
-  SyncProviderAdapter adapter(&provider, &clock);
+TEST(ScriptedProviderTest, RetryExhaustionSurfacesTheProviderError) {
+  ScriptedProvider provider = MakeScripted(/*failures_before_success=*/10);
   TicketOptions options;
   options.max_attempts = 2;
 
-  auto ticket = adapter.Submit(std::vector<int>{0}, options);
+  auto ticket = provider.Submit(std::vector<int>{0}, options);
   ASSERT_TRUE(ticket.ok());
-  auto status = adapter.Poll(*ticket);
+  auto status = provider.Poll(*ticket);
   ASSERT_TRUE(status.ok());
   EXPECT_EQ(status->phase, TicketPhase::kFailed);
   EXPECT_EQ(status->attempts_used, 2);
   EXPECT_EQ(status->error.code(), StatusCode::kUnavailable);
   EXPECT_EQ(provider.calls(), 2);
   // Await on a failed ticket returns the terminal error.
-  EXPECT_EQ(adapter.Await(*ticket).status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(provider.Await(*ticket).status().code(),
+            StatusCode::kUnavailable);
 }
 
-TEST(SyncProviderAdapterTest, SingleAttemptFailsExactlyLikeTheBlockingCall) {
-  ManualClock clock;
-  ScriptedProvider provider(/*failures_before_success=*/1);
-  SyncProviderAdapter adapter(&provider, &clock);
+TEST(ScriptedProviderTest, SingleAttemptFailsWithTheAttemptsOwnError) {
+  ScriptedProvider provider = MakeScripted(/*failures_before_success=*/1);
   TicketOptions options;
   options.max_attempts = 1;
 
-  auto ticket = adapter.Submit(std::vector<int>{0}, options);
+  auto ticket = provider.Submit(std::vector<int>{0}, options);
   ASSERT_TRUE(ticket.ok());
-  const Status error = adapter.Await(*ticket).status();
+  const Status error = provider.Await(*ticket).status();
   EXPECT_EQ(error.code(), StatusCode::kUnavailable);
   EXPECT_EQ(error.message(), "scripted outage");
   EXPECT_EQ(provider.calls(), 1);
@@ -226,20 +202,12 @@ TEST(TicketLedgerTest, ForgetReleasesAbandonedTickets) {
   EXPECT_EQ(ledger.live_tickets(), 0);
 }
 
-TEST(SyncProviderAdapterTest, CancelDropsTheTicket) {
-  ManualClock clock;
+TEST(ScriptedProviderTest, CancelDropsTheTicket) {
   ScriptedProvider provider;
-  SyncProviderAdapter adapter(&provider, &clock);
-  auto ticket = adapter.Submit(std::vector<int>{0, 1});
+  auto ticket = provider.Submit(std::vector<int>{0, 1});
   ASSERT_TRUE(ticket.ok());
-  adapter.Cancel(*ticket);
-  EXPECT_EQ(adapter.Poll(*ticket).status().code(), StatusCode::kNotFound);
-}
-
-TEST(SyncProviderAdapterTest, NullProviderIsRejectedAtSubmit) {
-  SyncProviderAdapter adapter(nullptr);
-  EXPECT_EQ(adapter.Submit(std::vector<int>{0}).status().code(),
-            StatusCode::kInvalidArgument);
+  provider.Cancel(*ticket);
+  EXPECT_EQ(provider.Poll(*ticket).status().code(), StatusCode::kNotFound);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include "common/random.h"
 #include "core/greedy_selector.h"
 #include "core/running_example.h"
+#include "core/scripted_provider.h"
+#include "oracle_provider.h"
 
 namespace crowdfusion::core {
 namespace {
@@ -17,50 +19,41 @@ CrowdModel MakeCrowd(double pc) {
   return std::move(crowd).value();
 }
 
-/// Deterministic provider: answers with the ground truth always (a perfect
-/// crowd scripted by the test).
-class OracleProvider : public AnswerProvider {
+/// A crowd whose first `failures` collection attempts fail (kUnavailable).
+ScriptedProvider FlakyProvider(int failures) {
+  ScriptedProvider::Options options;
+  options.script = {true, true, true, false};
+  options.failures_before_success = failures;
+  return ScriptedProvider(std::move(options));
+}
+
+/// Provider returning the wrong number of answers, which a script cannot
+/// express.
+class ShortProvider : public AsyncAnswerProvider {
  public:
-  explicit OracleProvider(uint64_t truth_mask) : truth_mask_(truth_mask) {}
-
-  common::Result<std::vector<bool>> CollectAnswers(
-      std::span<const int> fact_ids) override {
-    std::vector<bool> answers;
-    for (int id : fact_ids) answers.push_back((truth_mask_ >> id) & 1ULL);
-    ++calls_;
-    return answers;
+  common::Result<TicketId> Submit(std::span<const int>,
+                                  const TicketOptions&) override {
+    TicketLedger::Outcome outcome;
+    outcome.result = std::vector<bool>{};
+    return ledger_.Add(std::move(outcome));
   }
-
-  int calls() const { return calls_; }
+  using AsyncAnswerProvider::Submit;
+  common::Result<TicketStatus> Poll(TicketId ticket) override {
+    return ledger_.Poll(ticket);
+  }
+  common::Result<std::vector<bool>> Await(TicketId ticket) override {
+    return ledger_.Await(ticket);
+  }
 
  private:
-  uint64_t truth_mask_;
-  int calls_ = 0;
-};
-
-/// Provider that always fails, to exercise error propagation.
-class BrokenProvider : public AnswerProvider {
- public:
-  common::Result<std::vector<bool>> CollectAnswers(
-      std::span<const int>) override {
-    return common::Status::Internal("platform down");
-  }
-};
-
-/// Provider returning the wrong number of answers.
-class ShortProvider : public AnswerProvider {
- public:
-  common::Result<std::vector<bool>> CollectAnswers(
-      std::span<const int>) override {
-    return std::vector<bool>{};
-  }
+  TicketLedger ledger_{nullptr};
 };
 
 TEST(EngineTest, CreateValidatesArguments) {
   const JointDistribution joint = RunningExample::Joint();
   const CrowdModel crowd = MakeCrowd(0.8);
   GreedySelector selector;
-  OracleProvider provider(0b0111);
+  ScriptedProvider provider = OracleProvider(0b0111);
   EngineOptions options;
   EXPECT_FALSE(CrowdFusionEngine::Create(joint, crowd, nullptr, &provider,
                                          options)
@@ -83,7 +76,7 @@ TEST(EngineTest, ZeroBudgetRunsNoRounds) {
   const JointDistribution joint = RunningExample::Joint();
   const CrowdModel crowd = MakeCrowd(0.8);
   GreedySelector selector;
-  OracleProvider provider(0b0111);
+  ScriptedProvider provider = OracleProvider(0b0111);
   EngineOptions options;
   options.budget = 0;
   auto engine =
@@ -101,7 +94,7 @@ TEST(EngineTest, SpendsExactlyTheBudget) {
   const JointDistribution joint = RunningExample::Joint();
   const CrowdModel crowd = MakeCrowd(0.8);
   GreedySelector selector;
-  OracleProvider provider(0b0111);
+  ScriptedProvider provider = OracleProvider(0b0111);
   EngineOptions options;
   options.budget = 7;
   options.tasks_per_round = 2;
@@ -122,7 +115,7 @@ TEST(EngineTest, TruthConsistentAnswersRaiseUtility) {
   const CrowdModel crowd = MakeCrowd(0.8);
   GreedySelector selector;
   // Ground truth: f1, f2, f3 true; f4 false (Hong Kong is in Asia).
-  OracleProvider provider(0b0111);
+  ScriptedProvider provider = OracleProvider(0b0111);
   EngineOptions options;
   options.budget = 30;
   options.tasks_per_round = 1;
@@ -145,7 +138,7 @@ TEST(EngineTest, RoundRecordsAreConsistent) {
   const JointDistribution joint = RunningExample::Joint();
   const CrowdModel crowd = MakeCrowd(0.8);
   GreedySelector selector;
-  OracleProvider provider(0b0111);
+  ScriptedProvider provider = OracleProvider(0b0111);
   EngineOptions options;
   options.budget = 6;
   options.tasks_per_round = 3;
@@ -170,12 +163,41 @@ TEST(EngineTest, ProviderErrorPropagates) {
   const JointDistribution joint = RunningExample::Joint();
   const CrowdModel crowd = MakeCrowd(0.8);
   GreedySelector selector;
-  BrokenProvider provider;
+  ScriptedProvider provider = FlakyProvider(1 << 30);  // never recovers
   EngineOptions options;
   auto engine =
       CrowdFusionEngine::Create(joint, crowd, &selector, &provider, options);
   ASSERT_TRUE(engine.ok());
-  EXPECT_EQ(engine->RunRound().status().code(), StatusCode::kInternal);
+  EXPECT_EQ(engine->RunRound().status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(engine->cost_spent(), 0);
+}
+
+TEST(EngineTest, FailedCollectionFailsTheRoundAfterExactlyOneCall) {
+  // A round is one single-attempt ticket: the outage surfaces after one
+  // collection call instead of being retried behind the caller's back,
+  // and nothing is merged or charged.
+  const JointDistribution joint = RunningExample::Joint();
+  const CrowdModel crowd = MakeCrowd(0.8);
+  GreedySelector selector;
+  ScriptedProvider provider = FlakyProvider(1);
+  EngineOptions options;
+  options.budget = 2;
+  auto engine =
+      CrowdFusionEngine::Create(joint, crowd, &selector, &provider, options);
+  ASSERT_TRUE(engine.ok());
+  const common::Status failed = engine->RunRound().status();
+  EXPECT_EQ(failed.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(failed.message(), "scripted outage");
+  EXPECT_EQ(provider.calls(), 1);
+  EXPECT_EQ(engine->cost_spent(), 0);
+  EXPECT_EQ(engine->rounds_completed(), 0);
+  EXPECT_EQ(engine->current().EntropyBits(), joint.EntropyBits());
+
+  // The outage is over: the next round collects on its first call.
+  auto record = engine->RunRound();
+  ASSERT_TRUE(record.ok());
+  EXPECT_EQ(provider.calls(), 2);
+  EXPECT_EQ(engine->cost_spent(), 1);
 }
 
 TEST(EngineTest, ProviderSizeMismatchDetected) {
@@ -196,7 +218,7 @@ TEST(EngineTest, PerfectCrowdStopsWhenCertain) {
   const JointDistribution joint = RunningExample::Joint();
   const CrowdModel crowd = MakeCrowd(1.0);
   GreedySelector selector;
-  OracleProvider provider(0b0111);
+  ScriptedProvider provider = OracleProvider(0b0111);
   EngineOptions options;
   options.budget = 100;
   options.tasks_per_round = 2;

@@ -58,15 +58,9 @@ struct Fixture {
     this->scheduler =
         std::make_unique<BudgetScheduler>(std::move(scheduler).value());
     EXPECT_TRUE(
-        this->scheduler
-            ->AddInstance("doomed", SmallJoint(),
-                          static_cast<AnswerProvider*>(&doomed))
-            .ok());
+        this->scheduler->AddInstance("doomed", SmallJoint(), &doomed).ok());
     EXPECT_TRUE(
-        this->scheduler
-            ->AddInstance("healthy", SmallJoint(),
-                          static_cast<AnswerProvider*>(&healthy))
-            .ok());
+        this->scheduler->AddInstance("healthy", SmallJoint(), &healthy).ok());
   }
 };
 
@@ -123,14 +117,8 @@ TEST(FailurePolicyTest, AllInstancesDeadEndsTheRunCleanly) {
       BudgetScheduler::TicketFailurePolicy::kSkipInstance;
   auto scheduler = BudgetScheduler::Create(MakeCrowd(), &selector, options);
   ASSERT_TRUE(scheduler.ok());
-  ASSERT_TRUE(scheduler
-                  ->AddInstance("a", SmallJoint(),
-                                static_cast<AnswerProvider*>(&doomed_a))
-                  .ok());
-  ASSERT_TRUE(scheduler
-                  ->AddInstance("b", SmallJoint(),
-                                static_cast<AnswerProvider*>(&doomed_b))
-                  .ok());
+  ASSERT_TRUE(scheduler->AddInstance("a", SmallJoint(), &doomed_a).ok());
+  ASSERT_TRUE(scheduler->AddInstance("b", SmallJoint(), &doomed_b).ok());
   auto records = scheduler->RunPipelined();
   ASSERT_TRUE(records.ok()) << records.status();
   EXPECT_EQ(scheduler->dead_instances(), 2);
@@ -168,8 +156,8 @@ TEST(FailurePolicyTest, DeadlineExpiredTicketIsSkippedToo) {
       BudgetScheduler::TicketFailurePolicy::kSkipInstance;
   auto scheduler = BudgetScheduler::Create(MakeCrowd(), &selector, options);
   ASSERT_TRUE(scheduler.ok());
-  ASSERT_TRUE(scheduler->AddInstanceAsync("slow", SmallJoint(), &slow).ok());
-  ASSERT_TRUE(scheduler->AddInstanceAsync("fast", SmallJoint(), &fast).ok());
+  ASSERT_TRUE(scheduler->AddInstance("slow", SmallJoint(), &slow).ok());
+  ASSERT_TRUE(scheduler->AddInstance("fast", SmallJoint(), &fast).ok());
 
   auto records = scheduler->RunPipelined();
   ASSERT_TRUE(records.ok()) << records.status();
@@ -181,15 +169,13 @@ TEST(FailurePolicyTest, DeadlineExpiredTicketIsSkippedToo) {
 
 /// "scripted" answers with the bound gold labels, except that instance 0
 /// (seed base 0 + index 0) fails every attempt.
-common::Result<ProviderHandle> MakeFlakyProvider(const ProviderSpec& spec) {
+common::Result<std::shared_ptr<AsyncAnswerProvider>> MakeFlakyProvider(
+    const ProviderSpec& spec) {
   ScriptedProvider::Options options;
   options.script = spec.truths;
   options.failures_before_success = spec.seed == 0 ? 1000000 : 0;
-  auto provider = std::make_shared<ScriptedProvider>(std::move(options));
-  ProviderHandle handle;
-  handle.sync = provider.get();
-  handle.owner = std::move(provider);
-  return handle;
+  return std::shared_ptr<AsyncAnswerProvider>(
+      std::make_shared<ScriptedProvider>(std::move(options)));
 }
 
 TEST(FailurePolicyTest, BlockingSpellingHonoursSkipInstance) {

@@ -80,7 +80,7 @@ SchedulerFixture MakeFixture(uint64_t seed, TaskSelector* selector,
   for (size_t i = 0; i < workload.joints.size(); ++i) {
     auto id = fixture.scheduler->AddInstance(
         "book" + std::to_string(i), std::move(workload.joints[i]),
-        static_cast<AnswerProvider*>(fixture.providers[i].get()));
+        fixture.providers[i].get());
     EXPECT_TRUE(id.ok());
   }
   return fixture;
@@ -90,7 +90,7 @@ SchedulerFixture MakeFixture(uint64_t seed, TaskSelector* selector,
 /// Figure-1 loop, with no selection cache, tickets or reservations: each
 /// step re-selects every book in ascending order, spends on the best
 /// per-task expected gain (strict >, so the first book wins ties),
-/// collects synchronously and merges.
+/// submits one ticket, awaits it and merges.
 struct ReferenceRun {
   std::vector<BudgetScheduler::StepRecord> records;
   std::vector<JointDistribution> joints;
@@ -145,7 +145,10 @@ ReferenceRun RunReference(uint64_t seed,
       record.tasks = best_selection.tasks;
       record.expected_gain_bits =
           best_selection.entropy_bits - tasks * crowd.EntropyBits();
-      auto answers = workload.providers[b]->CollectAnswers(record.tasks);
+      auto ticket = workload.providers[b]->Submit(
+          record.tasks, TicketOptions{.max_attempts = 1});
+      EXPECT_TRUE(ticket.ok());
+      auto answers = workload.providers[b]->Await(*ticket);
       EXPECT_TRUE(answers.ok());
       record.answers = *answers;
       auto posterior = PosteriorGivenAnswers(
@@ -286,8 +289,8 @@ TEST(PipelinedSchedulerTest, FastInstanceIsNotStarvedBySlowTicket) {
   slow_latency.sigma = 0.0;
   slow_crowd.ConfigureAsync(slow_latency, &clock);
   ASSERT_TRUE(scheduler
-                  ->AddInstanceAsync("slow", std::move(slow_joint).value(),
-                                     &slow_crowd)
+                  ->AddInstance("slow", std::move(slow_joint).value(),
+                                &slow_crowd)
                   .ok());
 
   // Instance 1: less uncertain, but answers instantly.
@@ -297,10 +300,10 @@ TEST(PipelinedSchedulerTest, FastInstanceIsNotStarvedBySlowTicket) {
   crowd::SimulatedCrowd fast_crowd = crowd::SimulatedCrowd::WithUniformAccuracy(
       {true, true, false, false}, 0.8, 11);
   fast_crowd.ConfigureAsync(crowd::LatencyOptions{}, &clock);
-  ASSERT_TRUE(
-      scheduler->AddInstanceAsync("fast", std::move(fast_joint).value(),
-                                  &fast_crowd)
-          .ok());
+  ASSERT_TRUE(scheduler
+                  ->AddInstance("fast", std::move(fast_joint).value(),
+                                &fast_crowd)
+                  .ok());
 
   auto records = scheduler->RunPipelined();
   ASSERT_TRUE(records.ok());
@@ -351,9 +354,9 @@ TEST(PipelinedSchedulerTest, InFlightReservationsRespectBudget) {
     latency.sigma = 0.0;
     crowds.back()->ConfigureAsync(latency, &clock);
     ASSERT_TRUE(scheduler
-                    ->AddInstanceAsync("book" + std::to_string(i),
-                                       std::move(joint).value(),
-                                       crowds.back().get())
+                    ->AddInstance("book" + std::to_string(i),
+                                  std::move(joint).value(),
+                                  crowds.back().get())
                     .ok());
   }
 
@@ -427,9 +430,8 @@ TEST(PipelinedSchedulerTest, RerunRecoversAfterAbortedPipelinedRun) {
   slow_latency.sigma = 0.0;
   healthy.ConfigureAsync(slow_latency, &clock);
   ASSERT_TRUE(scheduler
-                  ->AddInstanceAsync("healthy",
-                                     std::move(healthy_joint).value(),
-                                     &healthy)
+                  ->AddInstance("healthy",
+                                std::move(healthy_joint).value(), &healthy)
                   .ok());
 
   auto doomed_joint = JointDistribution::Uniform(3);
@@ -441,10 +443,10 @@ TEST(PipelinedSchedulerTest, RerunRecoversAfterAbortedPipelinedRun) {
   failing_latency.sigma = 0.0;
   failing_latency.failure_probability = 1.0;
   doomed.ConfigureAsync(failing_latency, &clock);
-  ASSERT_TRUE(
-      scheduler->AddInstanceAsync("doomed", std::move(doomed_joint).value(),
-                                  &doomed)
-          .ok());
+  ASSERT_TRUE(scheduler
+                  ->AddInstance("doomed", std::move(doomed_joint).value(),
+                                &doomed)
+                  .ok());
 
   // Healthy (higher gain) launches first and is pending for 50s; doomed
   // launches second, fails at t=1, and aborts the run with healthy still
@@ -491,7 +493,7 @@ TEST(PipelinedSchedulerTest, TerminalTicketFailureAbortsTheRun) {
   latency.failure_probability = 1.0;  // every attempt fails
   crowd.ConfigureAsync(latency, &clock);
   ASSERT_TRUE(
-      scheduler->AddInstanceAsync("doomed", std::move(joint).value(), &crowd)
+      scheduler->AddInstance("doomed", std::move(joint).value(), &crowd)
           .ok());
 
   auto records = scheduler->RunPipelined();

@@ -5,6 +5,7 @@
 #include "core/crowdfusion.h"
 #include "core/greedy_selector.h"
 #include "core/running_example.h"
+#include "oracle_provider.h"
 
 namespace crowdfusion::core {
 namespace {
@@ -59,27 +60,12 @@ TEST(UncertaintyAdaptivePolicyTest, RespectsMaxK) {
   EXPECT_LE(policy.NextK(MakeContext(&certain.value(), 60, 0)), 3);
 }
 
-/// Truth-echoing provider for engine integration.
-class OracleProvider : public AnswerProvider {
- public:
-  explicit OracleProvider(uint64_t truth_mask) : truth_mask_(truth_mask) {}
-  common::Result<std::vector<bool>> CollectAnswers(
-      std::span<const int> fact_ids) override {
-    std::vector<bool> answers;
-    for (int id : fact_ids) answers.push_back((truth_mask_ >> id) & 1ULL);
-    return answers;
-  }
-
- private:
-  uint64_t truth_mask_;
-};
-
 TEST(RoundPolicyEngineTest, DeadlinePolicyBoundsRoundCount) {
   const JointDistribution joint = RunningExample::Joint();
   auto crowd = CrowdModel::Create(0.8);
   ASSERT_TRUE(crowd.ok());
   GreedySelector selector;
-  OracleProvider provider(0b0111);
+  ScriptedProvider provider = OracleProvider(0b0111);
   DeadlinePolicy policy(/*max_rounds=*/4);
   EngineOptions options;
   options.budget = 12;
@@ -98,7 +84,7 @@ TEST(RoundPolicyEngineTest, AdaptivePolicyStartsCarefulThenBatches) {
   auto crowd = CrowdModel::Create(0.9);
   ASSERT_TRUE(crowd.ok());
   GreedySelector selector;
-  OracleProvider provider(0b0111);
+  ScriptedProvider provider = OracleProvider(0b0111);
   UncertaintyAdaptivePolicy policy;
   EngineOptions options;
   options.budget = 20;

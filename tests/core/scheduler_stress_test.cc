@@ -16,25 +16,11 @@
 #include "common/random.h"
 #include "core/greedy_selector.h"
 #include "core/scheduler.h"
+#include "oracle_provider.h"
 #include "sparse_test_util.h"
 
 namespace crowdfusion::core {
 namespace {
-
-class OracleProvider : public AnswerProvider {
- public:
-  explicit OracleProvider(uint64_t truth_mask) : truth_mask_(truth_mask) {}
-
-  common::Result<std::vector<bool>> CollectAnswers(
-      std::span<const int> fact_ids) override {
-    std::vector<bool> answers;
-    for (int id : fact_ids) answers.push_back((truth_mask_ >> id) & 1ULL);
-    return answers;
-  }
-
- private:
-  uint64_t truth_mask_;
-};
 
 JointDistribution IndependentJoint(int n, common::Rng& rng) {
   std::vector<double> marginals(static_cast<size_t>(n));
@@ -60,12 +46,13 @@ TEST(BudgetSchedulerStressTest, MixedSizesUnderOneGlobalBudget) {
   ASSERT_TRUE(scheduler.ok());
 
   common::Rng rng(20250728);
-  std::vector<std::unique_ptr<OracleProvider>> providers;
+  std::vector<std::unique_ptr<ScriptedProvider>> providers;
   int num_instances = 0;
   // 52 dense instances of 3..15 facts plus 4 sparse paper-scale ones.
   for (int i = 0; i < 52; ++i) {
     JointDistribution joint = IndependentJoint(3 + i % 13, rng);
-    providers.push_back(std::make_unique<OracleProvider>(joint.Mode()));
+    providers.push_back(
+        std::make_unique<ScriptedProvider>(OracleProvider(joint.Mode())));
     auto id = scheduler->AddInstance("book-" + std::to_string(i),
                                      std::move(joint), providers.back().get());
     ASSERT_TRUE(id.ok());
@@ -73,7 +60,8 @@ TEST(BudgetSchedulerStressTest, MixedSizesUnderOneGlobalBudget) {
   }
   for (const int n : {24, 32, 48, 64}) {
     JointDistribution joint = RandomSparseJoint(n, 300, rng);
-    providers.push_back(std::make_unique<OracleProvider>(joint.Mode()));
+    providers.push_back(
+        std::make_unique<ScriptedProvider>(OracleProvider(joint.Mode())));
     auto id = scheduler->AddInstance("sparse-" + std::to_string(n),
                                      std::move(joint), providers.back().get());
     ASSERT_TRUE(id.ok());

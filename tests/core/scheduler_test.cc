@@ -5,6 +5,7 @@
 #include "common/random.h"
 #include "core/greedy_selector.h"
 #include "core/running_example.h"
+#include "oracle_provider.h"
 
 namespace crowdfusion::core {
 namespace {
@@ -16,22 +17,6 @@ CrowdModel MakeCrowd(double pc) {
   EXPECT_TRUE(crowd.ok());
   return std::move(crowd).value();
 }
-
-/// Truth-echoing provider (a perfect crowd scripted by the test).
-class OracleProvider : public AnswerProvider {
- public:
-  explicit OracleProvider(uint64_t truth_mask) : truth_mask_(truth_mask) {}
-
-  common::Result<std::vector<bool>> CollectAnswers(
-      std::span<const int> fact_ids) override {
-    std::vector<bool> answers;
-    for (int id : fact_ids) answers.push_back((truth_mask_ >> id) & 1ULL);
-    return answers;
-  }
-
- private:
-  uint64_t truth_mask_;
-};
 
 JointDistribution UniformJoint(int n) {
   auto joint = JointDistribution::Uniform(n);
@@ -62,7 +47,7 @@ TEST(BudgetSchedulerTest, AddInstanceValidates) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
-  OracleProvider provider(0);
+  ScriptedProvider provider = OracleProvider(0);
   auto id = scheduler->AddInstance("x", RunningExample::Joint(), &provider);
   ASSERT_TRUE(id.ok());
   EXPECT_EQ(id.value(), 0);
@@ -83,7 +68,7 @@ TEST(BudgetSchedulerTest, RunPipelinedRequiresInstancesAndStopsAtZeroBudget) {
   options.total_budget = 0;
   auto empty = BudgetScheduler::Create(crowd, &selector, options);
   ASSERT_TRUE(empty.ok());
-  OracleProvider provider(0);
+  ScriptedProvider provider = OracleProvider(0);
   ASSERT_TRUE(empty->AddInstance("x", RunningExample::Joint(), &provider).ok());
   auto records = empty->RunPipelined();
   ASSERT_TRUE(records.ok()) << records.status();
@@ -105,8 +90,8 @@ TEST(BudgetSchedulerTest, PrefersTheUncertainInstance) {
   auto confident = JointDistribution::FromIndependentMarginals(
       std::vector<double>{0.99, 0.01, 0.99});
   ASSERT_TRUE(confident.ok());
-  OracleProvider provider_a(0b101);
-  OracleProvider provider_b(0b011);
+  ScriptedProvider provider_a = OracleProvider(0b101);
+  ScriptedProvider provider_b = OracleProvider(0b011);
   ASSERT_TRUE(scheduler->AddInstance("confident", *confident, &provider_a)
                   .ok());
   ASSERT_TRUE(
@@ -132,8 +117,8 @@ TEST(BudgetSchedulerTest, SpendsFullBudgetAcrossInstances) {
   options.tasks_per_step = 2;
   auto scheduler = BudgetScheduler::Create(crowd, &selector, options);
   ASSERT_TRUE(scheduler.ok());
-  OracleProvider provider_a(0b0111);
-  OracleProvider provider_b(0b1010);
+  ScriptedProvider provider_a = OracleProvider(0b0111);
+  ScriptedProvider provider_b = OracleProvider(0b1010);
   ASSERT_TRUE(scheduler
                   ->AddInstance("a", RunningExample::Joint(), &provider_a)
                   .ok());
@@ -153,7 +138,7 @@ TEST(BudgetSchedulerTest, UtilityIncreasesWithTruthfulAnswers) {
   options.max_in_flight = 1;
   auto scheduler = BudgetScheduler::Create(crowd, &selector, options);
   ASSERT_TRUE(scheduler.ok());
-  OracleProvider provider(0b0111);
+  ScriptedProvider provider = OracleProvider(0b0111);
   ASSERT_TRUE(scheduler
                   ->AddInstance("book", RunningExample::Joint(), &provider)
                   .ok());
@@ -174,7 +159,7 @@ TEST(BudgetSchedulerTest, StopsWhenNoGainAnywhere) {
   ASSERT_TRUE(scheduler.ok());
   auto point = JointDistribution::PointMass(3, 0b101);
   ASSERT_TRUE(point.ok());
-  OracleProvider provider(0b101);
+  ScriptedProvider provider = OracleProvider(0b101);
   ASSERT_TRUE(scheduler->AddInstance("done", *point, &provider).ok());
   auto records = scheduler->RunPipelined();
   ASSERT_TRUE(records.ok());
@@ -194,15 +179,16 @@ TEST(BudgetSchedulerTest, StarvedBooksGetBudgetUnderGlobalAllocation) {
   options.max_in_flight = 1;
   auto scheduler = BudgetScheduler::Create(crowd, &selector, options);
   ASSERT_TRUE(scheduler.ok());
-  OracleProvider big_provider(0b11110000);
+  ScriptedProvider big_provider = OracleProvider(0b11110000);
   ASSERT_TRUE(
       scheduler->AddInstance("big", UniformJoint(8), &big_provider).ok());
-  std::vector<std::unique_ptr<OracleProvider>> providers;
+  std::vector<std::unique_ptr<ScriptedProvider>> providers;
   for (int i = 0; i < 2; ++i) {
     auto small = JointDistribution::FromIndependentMarginals(
         std::vector<double>{0.9, 0.1});
     ASSERT_TRUE(small.ok());
-    providers.push_back(std::make_unique<OracleProvider>(0b01));
+    providers.push_back(
+        std::make_unique<ScriptedProvider>(OracleProvider(0b01)));
     ASSERT_TRUE(scheduler
                     ->AddInstance("small" + std::to_string(i), *small,
                                   providers.back().get())

@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "crowd/platform.h"
 #include "crowd/simulated_crowd.h"
 #include "crowd/worker.h"
 
@@ -278,34 +277,10 @@ TEST(SimulatedCrowdAdversaryTest, FullCollusionFlipsEveryAnswer) {
   ASSERT_TRUE(crowd.ConfigureAdversary(spec).ok());
   ASSERT_NE(crowd.adversary(), nullptr);
   const std::vector<int> all = {0, 1, 2};
-  auto answers = crowd.CollectAnswers(all);
+  auto answers = core::SubmitAndAwait(crowd, all);
   ASSERT_TRUE(answers.ok());
   EXPECT_EQ(*answers, (std::vector<bool>{false, true, false}));
   EXPECT_DOUBLE_EQ(crowd.EmpiricalAccuracy(), 0.0);
-}
-
-TEST(CrowdPlatformAdversaryTest, RolesAttachToTheRealPool) {
-  std::vector<Worker> workers;
-  for (int i = 0; i < 4; ++i) {
-    workers.emplace_back(std::to_string(i), WorkerBias::Uniform(1.0));
-  }
-  auto platform = CrowdPlatform::Create(std::move(workers),
-                                        {true, true, false}, {}, {});
-  ASSERT_TRUE(platform.ok());
-  core::AdversarySpec spec = EnabledSpec();
-  spec.num_workers = 999;  // overridden with the pool size
-  spec.colluder_fraction = 1.0;
-  spec.collusion_target_fraction = 1.0;
-  ASSERT_TRUE(platform->ConfigureAdversary(spec).ok());
-  ASSERT_NE(platform->adversary(), nullptr);
-  EXPECT_EQ(platform->adversary()->num_workers(), 4);
-
-  // Unanimous collusion defeats any redundancy/majority setting.
-  const std::vector<int> all = {0, 1, 2};
-  auto answers = platform->CollectAnswers(all);
-  ASSERT_TRUE(answers.ok());
-  EXPECT_EQ(*answers, (std::vector<bool>{false, false, true}));
-  EXPECT_DOUBLE_EQ(platform->AggregatedAccuracy(), 0.0);
 }
 
 }  // namespace

@@ -4,8 +4,10 @@
 
 #include "common/clock.h"
 #include "core/async_provider.h"
+#include "core/crowdfusion.h"
+#include "core/greedy_selector.h"
+#include "core/running_example.h"
 #include "crowd/latency_model.h"
-#include "crowd/platform.h"
 #include "crowd/simulated_crowd.h"
 
 namespace crowdfusion::crowd {
@@ -18,30 +20,82 @@ using core::TicketPhase;
 
 const std::vector<bool> kTruths = {true, false, true, false, true, false};
 
-TEST(AsyncSimulatedCrowdTest, ZeroLatencyAsyncMatchesSyncAnswerForAnswer) {
-  // Same seed, same batches, different interfaces: the judgment streams
-  // must be identical, so flipping a pipeline to async can never change
-  // the experiment's answers.
-  SimulatedCrowd sync_crowd =
+TEST(AsyncSimulatedCrowdTest, LatencyNeverChangesTheAnswers) {
+  // Same seed, same batches, different latency: the judgment streams must
+  // be identical, so turning latency on can never change an experiment's
+  // answers (latency draws come from the latency model's own stream).
+  SimulatedCrowd instant =
       SimulatedCrowd::WithUniformAccuracy(kTruths, 0.7, 99);
-  SimulatedCrowd async_crowd =
-      SimulatedCrowd::WithUniformAccuracy(kTruths, 0.7, 99);
+  SimulatedCrowd slow = SimulatedCrowd::WithUniformAccuracy(kTruths, 0.7, 99);
   ManualClock clock;
-  async_crowd.ConfigureAsync(LatencyOptions{}, &clock);
+  instant.ConfigureAsync(LatencyOptions{}, &clock);
+  LatencyOptions latency;
+  latency.median_seconds = 2.0;
+  slow.ConfigureAsync(latency, &clock);
 
   const std::vector<std::vector<int>> batches = {
       {0, 1, 2}, {3, 4}, {5, 0, 1, 2, 3}, {4, 5}};
   for (const auto& batch : batches) {
-    auto sync_answers = sync_crowd.CollectAnswers(batch);
-    ASSERT_TRUE(sync_answers.ok());
-    auto ticket = async_crowd.Submit(batch);
-    ASSERT_TRUE(ticket.ok());
-    auto async_answers = async_crowd.Await(*ticket);
-    ASSERT_TRUE(async_answers.ok());
-    EXPECT_EQ(*async_answers, *sync_answers);
+    auto instant_answers = core::SubmitAndAwait(instant, batch);
+    ASSERT_TRUE(instant_answers.ok());
+    auto slow_answers = core::SubmitAndAwait(slow, batch);
+    ASSERT_TRUE(slow_answers.ok());
+    EXPECT_EQ(*slow_answers, *instant_answers);
   }
-  EXPECT_EQ(async_crowd.answers_served(), sync_crowd.answers_served());
-  EXPECT_EQ(async_crowd.answers_correct(), sync_crowd.answers_correct());
+  EXPECT_GT(clock.NowSeconds(), 0.0);  // the slow crowd's Awaits slept
+  EXPECT_EQ(slow.answers_served(), instant.answers_served());
+  EXPECT_EQ(slow.answers_correct(), instant.answers_correct());
+}
+
+TEST(AsyncSimulatedCrowdTest, EngineRoundWaitsOutTheCrowdsLatency) {
+  // Engine rounds collect through tickets, so a crowd's simulated latency
+  // elapses on its clock in engine mode too, one batch at a time.
+  SimulatedCrowd crowd = SimulatedCrowd::WithUniformAccuracy(
+      {true, true, true, false}, 0.8, 5);
+  ManualClock clock;
+  LatencyOptions latency;
+  latency.median_seconds = 3.0;
+  latency.sigma = 0.0;  // every task takes exactly the median
+  crowd.ConfigureAsync(latency, &clock);
+  auto model = core::CrowdModel::Create(0.8);
+  ASSERT_TRUE(model.ok());
+  core::GreedySelector selector;
+  core::EngineOptions options;
+  options.budget = 4;
+  options.tasks_per_round = 2;
+  auto engine = core::CrowdFusionEngine::Create(
+      core::RunningExample::Joint(), *model, &selector, &crowd, options);
+  ASSERT_TRUE(engine.ok());
+
+  auto first = engine->RunRound();
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first->answers.size(), 2u);
+  EXPECT_DOUBLE_EQ(clock.NowSeconds(), 3.0);
+  auto second = engine->RunRound();
+  ASSERT_TRUE(second.ok());
+  EXPECT_DOUBLE_EQ(clock.NowSeconds(), 6.0);
+  EXPECT_EQ(engine->cost_spent(), 4);
+}
+
+TEST(AsyncSimulatedCrowdTest, EngineRoundFailsOnAnInjectedOutage) {
+  // The failure knob is honoured in engine mode too: a round is one
+  // single-attempt ticket, so one injected failure fails the round.
+  SimulatedCrowd crowd = SimulatedCrowd::WithUniformAccuracy(
+      {true, true, true, false}, 0.8, 5);
+  ManualClock clock;
+  LatencyOptions latency;
+  latency.failure_probability = 1.0;
+  crowd.ConfigureAsync(latency, &clock);
+  auto model = core::CrowdModel::Create(0.8);
+  ASSERT_TRUE(model.ok());
+  core::GreedySelector selector;
+  auto engine = core::CrowdFusionEngine::Create(
+      core::RunningExample::Joint(), *model, &selector, &crowd,
+      core::EngineOptions{});
+  ASSERT_TRUE(engine.ok());
+  EXPECT_EQ(engine->RunRound().status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(engine->cost_spent(), 0);
+  EXPECT_EQ(crowd.answers_served(), 0);
 }
 
 TEST(AsyncSimulatedCrowdTest, LatencyElapsesOnTheInjectedClock) {
@@ -152,65 +206,6 @@ TEST(AsyncSimulatedCrowdTest, UnknownTicketIsNotFound) {
   SimulatedCrowd crowd = SimulatedCrowd::WithUniformAccuracy(kTruths, 0.8, 3);
   EXPECT_EQ(crowd.Poll(1234).status().code(), StatusCode::kNotFound);
   EXPECT_EQ(crowd.Await(1234).status().code(), StatusCode::kNotFound);
-}
-
-TEST(AsyncCrowdPlatformTest, RedundantAsyncBatchesResolveWithAggregates) {
-  std::vector<Worker> workers;
-  for (int i = 0; i < 5; ++i) {
-    workers.emplace_back("w" + std::to_string(i), WorkerBias::Uniform(0.9));
-  }
-  CrowdPlatform::Options options;
-  options.redundancy = 3;
-  options.seed = 17;
-  auto platform = CrowdPlatform::Create(workers, kTruths, {}, options);
-  ASSERT_TRUE(platform.ok());
-  ManualClock clock;
-  LatencyOptions latency;
-  latency.median_seconds = 1.5;
-  latency.sigma = 0.0;
-  latency.seed = 23;
-  platform->ConfigureAsync(latency, &clock);
-
-  auto ticket = platform->Submit(std::vector<int>{0, 1, 2, 3});
-  ASSERT_TRUE(ticket.ok());
-  auto pending = platform->Poll(*ticket);
-  ASSERT_TRUE(pending.ok());
-  EXPECT_EQ(pending->phase, TicketPhase::kInFlight);
-  // Worker speed scales sit in [0.6, 1.6), so the slowest of the batch's
-  // assignments gates it somewhere in [0.9, 2.4).
-  EXPECT_GT(pending->seconds_until_ready, 0.0);
-  EXPECT_LT(pending->seconds_until_ready, 1.5 * 1.6 + 1e-9);
-
-  auto answers = platform->Await(*ticket);  // sleeps the manual clock
-  ASSERT_TRUE(answers.ok());
-  EXPECT_EQ(answers->size(), 4u);
-  EXPECT_EQ(platform->judgments_collected(), 4 * 3);
-  EXPECT_EQ(platform->task_log().size(), 4u);
-}
-
-TEST(AsyncCrowdPlatformTest, ZeroLatencyAsyncMatchesSyncAggregates) {
-  std::vector<Worker> workers;
-  for (int i = 0; i < 4; ++i) {
-    workers.emplace_back("w" + std::to_string(i), WorkerBias::Uniform(0.85));
-  }
-  CrowdPlatform::Options options;
-  options.redundancy = 3;
-  options.seed = 29;
-  auto sync_platform = CrowdPlatform::Create(workers, kTruths, {}, options);
-  auto async_platform = CrowdPlatform::Create(workers, kTruths, {}, options);
-  ASSERT_TRUE(sync_platform.ok());
-  ASSERT_TRUE(async_platform.ok());
-  ManualClock clock;
-  async_platform->ConfigureAsync(LatencyOptions{}, &clock);
-
-  const std::vector<int> batch = {0, 1, 2, 3, 4, 5};
-  auto sync_answers = sync_platform->CollectAnswers(batch);
-  ASSERT_TRUE(sync_answers.ok());
-  auto ticket = async_platform->Submit(batch);
-  ASSERT_TRUE(ticket.ok());
-  auto async_answers = async_platform->Await(*ticket);
-  ASSERT_TRUE(async_answers.ok());
-  EXPECT_EQ(*async_answers, *sync_answers);
 }
 
 TEST(LatencyModelTest, DisabledModelIsInstantAndNeverFails) {

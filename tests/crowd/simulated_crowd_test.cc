@@ -9,16 +9,16 @@ TEST(SimulatedCrowdTest, RejectsUnknownFactIds) {
   SimulatedCrowd crowd = SimulatedCrowd::WithUniformAccuracy(
       {true, false}, 0.8, /*seed=*/1);
   const std::vector<int> bad = {2};
-  EXPECT_FALSE(crowd.CollectAnswers(bad).ok());
+  EXPECT_FALSE(core::SubmitAndAwait(crowd, bad).ok());
   const std::vector<int> negative = {-1};
-  EXPECT_FALSE(crowd.CollectAnswers(negative).ok());
+  EXPECT_FALSE(core::SubmitAndAwait(crowd, negative).ok());
 }
 
 TEST(SimulatedCrowdTest, PerfectCrowdEchoesTruth) {
   SimulatedCrowd crowd = SimulatedCrowd::WithUniformAccuracy(
       {true, false, true}, 1.0, /*seed=*/1);
   const std::vector<int> all = {0, 1, 2};
-  auto answers = crowd.CollectAnswers(all);
+  auto answers = core::SubmitAndAwait(crowd, all);
   ASSERT_TRUE(answers.ok());
   EXPECT_EQ(*answers, (std::vector<bool>{true, false, true}));
   EXPECT_DOUBLE_EQ(crowd.EmpiricalAccuracy(), 1.0);
@@ -29,7 +29,7 @@ TEST(SimulatedCrowdTest, EmpiricalAccuracyConvergesToPc) {
       {true, false}, 0.75, /*seed=*/3);
   const std::vector<int> tasks = {0, 1};
   for (int i = 0; i < 20000; ++i) {
-    ASSERT_TRUE(crowd.CollectAnswers(tasks).ok());
+    ASSERT_TRUE(core::SubmitAndAwait(crowd, tasks).ok());
   }
   EXPECT_EQ(crowd.answers_served(), 40000);
   EXPECT_NEAR(crowd.EmpiricalAccuracy(), 0.75, 0.01);
@@ -42,8 +42,8 @@ TEST(SimulatedCrowdTest, DeterministicPerSeed) {
   SimulatedCrowd b =
       SimulatedCrowd::WithUniformAccuracy({true, false}, 0.6, 42);
   for (int i = 0; i < 20; ++i) {
-    auto answers_a = a.CollectAnswers(tasks);
-    auto answers_b = b.CollectAnswers(tasks);
+    auto answers_a = core::SubmitAndAwait(a, tasks);
+    auto answers_b = core::SubmitAndAwait(b, tasks);
     ASSERT_TRUE(answers_a.ok());
     ASSERT_TRUE(answers_b.ok());
     EXPECT_EQ(*answers_a, *answers_b);
@@ -63,7 +63,7 @@ TEST(SimulatedCrowdTest, CategoryBiasesApply) {
                        bias, /*seed=*/5);
   const std::vector<int> tasks = {0, 1};
   for (int i = 0; i < 20000; ++i) {
-    ASSERT_TRUE(crowd.CollectAnswers(tasks).ok());
+    ASSERT_TRUE(core::SubmitAndAwait(crowd, tasks).ok());
   }
   EXPECT_NEAR(crowd.EmpiricalAccuracy(), 0.4, 0.01);
 }

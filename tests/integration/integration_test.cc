@@ -7,7 +7,6 @@
 #include "core/crowdfusion.h"
 #include "core/greedy_selector.h"
 #include "core/query_based.h"
-#include "crowd/platform.h"
 #include "crowd/simulated_crowd.h"
 #include "data/book_dataset.h"
 #include "data/correlation_model.h"
@@ -76,55 +75,6 @@ TEST(IntegrationTest, SingleBookPipelineDrivesMarginalsTowardTruth) {
   // Utility increased over the run.
   ASSERT_FALSE(records->empty());
   EXPECT_GT(records->back().utility_bits, -joint->EntropyBits() + 0.5);
-}
-
-TEST(IntegrationTest, PlatformWithRedundancyPluggedIntoEngine) {
-  // Same pipeline but answers flow through the CrowdPlatform with 3-way
-  // majority voting of mediocre workers.
-  data::BookDatasetOptions dataset_options;
-  dataset_options.num_books = 1;
-  dataset_options.num_sources = 15;
-  dataset_options.seed = 123;
-  auto dataset = data::GenerateBookDataset(dataset_options);
-  ASSERT_TRUE(dataset.ok());
-  const data::Book& book = dataset->books[0];
-
-  std::vector<bool> truths;
-  for (const data::Statement& s : book.statements) {
-    truths.push_back(s.is_true);
-  }
-  std::vector<double> marginals(truths.size(), 0.5);
-  data::CorrelationModelOptions correlation;
-  auto joint = data::BuildBookJoint(marginals, book.statements, correlation);
-  ASSERT_TRUE(joint.ok());
-
-  std::vector<crowd::Worker> pool;
-  for (int i = 0; i < 9; ++i) {
-    pool.emplace_back("w" + std::to_string(i),
-                      crowd::WorkerBias::Uniform(0.7));
-  }
-  crowd::CrowdPlatform::Options platform_options;
-  platform_options.redundancy = 3;
-  auto platform = crowd::CrowdPlatform::Create(std::move(pool), truths, {},
-                                               platform_options);
-  ASSERT_TRUE(platform.ok());
-
-  // Majority of three 0.7 workers ≈ 0.784 accurate; tell the engine 0.78.
-  auto crowd_model = CrowdModel::Create(0.78);
-  ASSERT_TRUE(crowd_model.ok());
-  core::GreedySelector selector;
-  core::EngineOptions engine_options;
-  engine_options.budget = 40;
-  engine_options.tasks_per_round = 1;
-  auto engine = core::CrowdFusionEngine::Create(
-      *joint, *crowd_model, &selector, &platform.value(), engine_options);
-  ASSERT_TRUE(engine.ok());
-  auto records = engine->Run();
-  ASSERT_TRUE(records.ok());
-  EXPECT_EQ(platform->judgments_collected(), 3 * engine->cost_spent());
-  const eval::ConfusionCounts counts =
-      eval::CountConfusion(engine->current().Marginals(), truths);
-  EXPECT_GT(eval::ComputeAccuracy(counts), 0.6);
 }
 
 TEST(IntegrationTest, QueryBasedSelectorWorksInsideEngine) {

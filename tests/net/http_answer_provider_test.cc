@@ -229,16 +229,15 @@ TEST(HttpProviderRegistryTest, FactoryBindsAUniversePerInstance) {
     ASSERT_TRUE(second.ok()) << second.status();
     EXPECT_EQ(server.universes_created(), 2);
     EXPECT_EQ(server.universes_live(), 2);
-    ASSERT_NE(first->async, nullptr);
-    EXPECT_EQ(first->sync, nullptr);  // async-only by design
+    ASSERT_NE(*first, nullptr);
 
-    auto ticket = first->async->Submit(std::vector<int>{0, 1, 2});
+    auto ticket = (*first)->Submit(std::vector<int>{0, 1, 2});
     ASSERT_TRUE(ticket.ok()) << ticket.status();
-    auto answers = first->async->Await(*ticket);
+    auto answers = (*first)->Await(*ticket);
     ASSERT_TRUE(answers.ok()) << answers.status();
     EXPECT_EQ(answers->size(), 3u);
   }
-  // Dropping the handles reaps their universes remotely: a long-lived
+  // Dropping the providers reaps their universes remotely: a long-lived
   // platform serving many requests must not accumulate state.
   EXPECT_EQ(server.universes_live(), 0);
   EXPECT_EQ(server.universes_created(), 2);

@@ -4,8 +4,8 @@
 /// same request served by the in-process simulated_crowd provider. The
 /// wire must add a transport, not a behavior: the loopback server builds
 /// its universes through the same crowd::FullProviderRegistry factory,
-/// so both paths construct byte-identical SimulatedCrowds and the
-/// scheduler sees the same judgment streams in the same order.
+/// so both paths construct byte-identical SimulatedCrowds and the engine
+/// or scheduler sees the same judgment streams in the same order.
 
 #include <gtest/gtest.h>
 
@@ -125,6 +125,7 @@ void RunDifferential(const std::string& mode) {
     const std::unique_ptr<Session> over_http =
         RunToCompletion(fusion, std::move(http_request), seed);
 
+    ASSERT_FALSE(in_process->steps().empty()) << "seed " << seed;
     ExpectOutcomesEqual(in_process->steps(), over_http->steps(), seed);
     ASSERT_EQ(in_process->num_instances(), over_http->num_instances());
     for (int i = 0; i < in_process->num_instances(); ++i) {
@@ -154,6 +155,12 @@ TEST(HttpDifferentialTest, BlockingModeMatchesInProcessBitForBit) {
 
 TEST(HttpDifferentialTest, PipelinedModeMatchesInProcessBitForBit) {
   RunDifferential("pipelined");
+}
+
+// The paper's own loop over the network: each engine round is one
+// single-attempt ticket through the same provider contract.
+TEST(HttpDifferentialTest, EngineModeMatchesInProcessBitForBit) {
+  RunDifferential("engine");
 }
 
 }  // namespace

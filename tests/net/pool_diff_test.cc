@@ -131,6 +131,7 @@ void RunDifferential(const std::string& mode) {
     const std::unique_ptr<Session> over_pool =
         RunToCompletion(fusion, std::move(pool_request), seed);
 
+    ASSERT_FALSE(in_process->steps().empty()) << "seed " << seed;
     ExpectOutcomesEqual(in_process->steps(), over_pool->steps(), seed);
     ASSERT_EQ(in_process->num_instances(), over_pool->num_instances());
     for (int i = 0; i < in_process->num_instances(); ++i) {
@@ -166,6 +167,12 @@ TEST(PoolDifferentialTest, BlockingModeMatchesInProcessBitForBit) {
 
 TEST(PoolDifferentialTest, PipelinedModeMatchesInProcessBitForBit) {
   RunDifferential("pipelined");
+}
+
+// The paper's own loop over the network: each engine round is one
+// single-attempt ticket through the same provider contract.
+TEST(PoolDifferentialTest, EngineModeMatchesInProcessBitForBit) {
+  RunDifferential("engine");
 }
 
 }  // namespace

@@ -80,7 +80,12 @@ class FakeReplica : public core::AsyncAnswerProvider {
     live_.erase(ticket);
   }
 
+  std::pair<int64_t, int64_t> ServedCorrect() override {
+    return served_correct;
+  }
+
   std::vector<int> last_batch;
+  std::pair<int64_t, int64_t> served_correct = {0, 0};
 
  private:
   core::TicketId next_ = 1;
@@ -100,11 +105,7 @@ std::unique_ptr<ProviderPool> MakePool(
     ProviderPool::Options options) {
   std::vector<ProviderPool::Replica> replicas;
   for (size_t i = 0; i < fakes.size(); ++i) {
-    ProviderPool::Replica replica;
-    replica.name = "fake-" + std::to_string(i);
-    replica.handle.async = fakes[i].get();
-    replica.handle.owner = fakes[i];
-    replicas.push_back(std::move(replica));
+    replicas.push_back({"fake-" + std::to_string(i), fakes[i]});
   }
   return std::make_unique<ProviderPool>(std::move(replicas), options);
 }
@@ -333,20 +334,12 @@ TEST(ProviderPoolTest, UnknownTicketsAreNotFound) {
 
 TEST(ProviderPoolTest, ServedCorrectSumsTheReplicaHooks) {
   auto fakes = MakeFakes(2);
-  std::vector<ProviderPool::Replica> replicas;
   for (size_t i = 0; i < fakes.size(); ++i) {
-    ProviderPool::Replica replica;
-    replica.name = "fake-" + std::to_string(i);
-    replica.handle.async = fakes[i].get();
-    replica.handle.owner = fakes[i];
     const auto n = static_cast<int64_t>(i);
-    replica.handle.served_correct = [n] {
-      return std::make_pair(int64_t{10} + n, int64_t{7} + n);
-    };
-    replicas.push_back(std::move(replica));
+    fakes[i]->served_correct = {int64_t{10} + n, int64_t{7} + n};
   }
-  ProviderPool pool(std::move(replicas), ProviderPool::Options());
-  const auto [served, correct] = pool.ServedCorrect();
+  auto pool = MakePool(fakes, ProviderPool::Options());
+  const auto [served, correct] = pool->ServedCorrect();
   EXPECT_EQ(served, 21);
   EXPECT_EQ(correct, 15);
 }

@@ -244,20 +244,18 @@ TEST(FusionServiceTest, PipelinedSkipInstancePolicySkipsOnlyTheFailingBook) {
     ASSERT_TRUE(service.providers()
                     .Register("flaky",
                               [](const core::ProviderSpec& spec)
-                                  -> common::Result<core::ProviderHandle> {
+                                  -> common::Result<std::shared_ptr<
+                                      core::AsyncAnswerProvider>> {
                                 core::ScriptedProvider::Options options;
                                 options.script = spec.truths;
                                 // Seeds are derived base + index; base 0
                                 // means instance 0 fails forever.
                                 options.failures_before_success =
                                     spec.seed == 0 ? 1000000 : 0;
-                                auto provider =
+                                return std::shared_ptr<
+                                    core::AsyncAnswerProvider>(
                                     std::make_shared<core::ScriptedProvider>(
-                                        options);
-                                core::ProviderHandle handle;
-                                handle.sync = provider.get();
-                                handle.owner = std::move(provider);
-                                return handle;
+                                        options));
                               })
                     .ok());
   };

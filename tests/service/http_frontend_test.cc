@@ -16,6 +16,7 @@
 #include "common/json.h"
 #include "loadgen/trace.h"
 #include "net/http_client.h"
+#include "net/loopback_crowd_server.h"
 #include "service/http_frontend.h"
 #include "service/request_json.h"
 
@@ -101,6 +102,31 @@ TEST_F(HttpFrontendTest, RunEndpointMatchesDirectRun) {
   EXPECT_EQ(served->total_utility_bits, expected->total_utility_bits);
   EXPECT_EQ(served->total_cost_spent, expected->total_cost_spent);
   EXPECT_EQ(served->label, "frontend-test");
+}
+
+TEST_F(HttpFrontendTest, EngineModeRunsOverAnHttpCrowd) {
+  // Engine rounds collect through the ticket contract, so engine mode
+  // serves a remote crowd exactly like the in-process scripted provider.
+  net::LoopbackCrowdServer crowd;  // port 0
+  ASSERT_TRUE(crowd.Start().ok());
+  FusionRequest request = ScriptedRequest();
+  request.provider.kind = "http";
+  request.provider.endpoint = crowd.endpoint();
+  request.provider.universe_kind = "scripted";
+  auto response =
+      client_->Post("/v1/fusion:run", SerializeFusionRequest(request));
+  ASSERT_TRUE(response.ok()) << response.status();
+  ASSERT_EQ(response->status_code, 200) << response->body;
+  auto served = ParseFusionResponse(response->body);
+  ASSERT_TRUE(served.ok()) << served.status();
+
+  FusionService direct;
+  auto expected = direct.Run(ScriptedRequest());
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(served->steps, expected->steps);
+  EXPECT_EQ(served->instances, expected->instances);
+  EXPECT_EQ(served->total_cost_spent, expected->total_cost_spent);
+  EXPECT_GT(crowd.tickets_submitted(), 0);
 }
 
 TEST_F(HttpFrontendTest, SessionLifecycleReproducesOneShotRun) {

@@ -87,22 +87,40 @@ TEST(ProviderRegistryTest, BuildsEveryBuiltinKey) {
     spec.truths = {true, false, true};
     auto provider = registry.Create(key, spec);
     ASSERT_TRUE(provider.ok()) << key << ": " << provider.status();
-    EXPECT_NE(provider->sync, nullptr) << key;
-    EXPECT_NE(provider->owner, nullptr) << key;
+    EXPECT_NE(*provider, nullptr) << key;
   }
 }
 
-TEST(ProviderRegistryTest, SimulatedCrowdSpeaksBothContracts) {
+TEST(ProviderRegistryTest, SimulatedCrowdReportsServedAndCorrect) {
   const core::ProviderRegistry registry = crowd::FullProviderRegistry();
   core::ProviderSpec spec;
   spec.kind = "simulated_crowd";
   spec.truths = {true, false};
+  spec.accuracy = 0.999;
   auto provider = registry.Create("simulated_crowd", spec);
   ASSERT_TRUE(provider.ok());
-  EXPECT_NE(provider->sync, nullptr);
-  EXPECT_NE(provider->async, nullptr);
-  ASSERT_NE(provider->served_correct, nullptr);
-  EXPECT_EQ(provider->served_correct().first, 0);
+  ASSERT_NE(*provider, nullptr);
+  EXPECT_EQ((*provider)->ServedCorrect().first, 0);
+  ASSERT_TRUE(
+      core::SubmitAndAwait(**provider, std::vector<int>{0, 1, 0}).ok());
+  const auto [served, correct] = (*provider)->ServedCorrect();
+  EXPECT_EQ(served, 3);
+  EXPECT_LE(correct, served);
+}
+
+TEST(ProviderRegistryTest, ScriptedProviderTracksNoCorrectness) {
+  // The interface defaults: a provider with no notion of correctness or
+  // failover reports zeros, which the session's sums skip over.
+  const core::ProviderRegistry registry = core::BuiltinProviderRegistry();
+  core::ProviderSpec spec;
+  spec.kind = "scripted";
+  spec.truths = {true, false};
+  auto provider = registry.Create("scripted", spec);
+  ASSERT_TRUE(provider.ok());
+  ASSERT_TRUE(core::SubmitAndAwait(**provider, std::vector<int>{0, 1}).ok());
+  EXPECT_EQ((*provider)->ServedCorrect(),
+            (std::pair<int64_t, int64_t>{0, 0}));
+  EXPECT_EQ((*provider)->TicketsResubmitted(), 0);
 }
 
 TEST(ProviderRegistryTest, UnknownKeyNamesAlternatives) {
@@ -145,12 +163,12 @@ TEST(ProviderRegistryTest, FailureOnlySpecActivatesTheAsyncModel) {
   spec.failure_probability = 1.0;
   auto provider = registry.Create(spec.kind, spec);
   ASSERT_TRUE(provider.ok());
-  ASSERT_NE(provider->async, nullptr);
+  ASSERT_NE(*provider, nullptr);
   core::TicketOptions one_shot;
   one_shot.max_attempts = 1;
-  auto ticket = provider->async->Submit(std::vector<int>{0}, one_shot);
+  auto ticket = (*provider)->Submit(std::vector<int>{0}, one_shot);
   ASSERT_TRUE(ticket.ok());
-  auto answers = provider->async->Await(*ticket);
+  auto answers = (*provider)->Await(*ticket);
   ASSERT_FALSE(answers.ok());
   EXPECT_EQ(answers.status().code(), StatusCode::kUnavailable);
 }
@@ -168,8 +186,9 @@ TEST(ProviderRegistryTest, AdversarySpecReachesTheProvider) {
   spec.adversary.collusion_target_fraction = 1.0;
   auto provider = registry.Create(spec.kind, spec);
   ASSERT_TRUE(provider.ok());
-  ASSERT_NE(provider->sync, nullptr);
-  auto answers = provider->sync->CollectAnswers(std::vector<int>{0, 1, 2});
+  ASSERT_NE(*provider, nullptr);
+  auto answers =
+      core::SubmitAndAwait(**provider, std::vector<int>{0, 1, 2});
   ASSERT_TRUE(answers.ok());
   EXPECT_EQ(*answers, (std::vector<bool>{false, true, false}));
 
@@ -187,7 +206,7 @@ TEST(ProviderRegistryTest, ScriptedProviderAnswersScriptThenTruths) {
   auto provider = registry.Create("scripted", spec);
   ASSERT_TRUE(provider.ok());
   const std::vector<int> tasks = {0, 2};
-  auto answers = provider->sync->CollectAnswers(tasks);
+  auto answers = core::SubmitAndAwait(**provider, tasks);
   ASSERT_TRUE(answers.ok());
   EXPECT_EQ(*answers, (std::vector<bool>{true, false}));
 
@@ -195,7 +214,7 @@ TEST(ProviderRegistryTest, ScriptedProviderAnswersScriptThenTruths) {
   spec.script = {false, false, true};
   provider = registry.Create("scripted", spec);
   ASSERT_TRUE(provider.ok());
-  answers = provider->sync->CollectAnswers(tasks);
+  answers = core::SubmitAndAwait(**provider, tasks);
   ASSERT_TRUE(answers.ok());
   EXPECT_EQ(*answers, (std::vector<bool>{false, true}));
 }

@@ -236,8 +236,8 @@ DirectSchedulerRun MakeDirectScheduler(const Workload& workload) {
   run.scheduler =
       std::make_unique<core::BudgetScheduler>(std::move(scheduler).value());
   for (size_t i = 0; i < workload.joints.size(); ++i) {
-    auto id = run.scheduler->AddInstanceAsync(
-        workload.names[i], workload.joints[i], run.crowds[i].get());
+    auto id = run.scheduler->AddInstance(workload.names[i], workload.joints[i],
+                                         run.crowds[i].get());
     EXPECT_TRUE(id.ok());
   }
   return run;
