@@ -1,7 +1,7 @@
 /// Google-benchmark micro benchmarks of the core primitives: entropy,
 /// marginalization, the BSC butterfly, the answer distribution (fast and
-/// Equation 2), partition refinement, Bayesian updates, and one-round
-/// selection. The custom main additionally times the sparse
+/// Equation 2), partition refinement, Bayesian updates (copying and in
+/// place), and one-round selection. The custom main additionally times the sparse
 /// greedy at paper scale (n = 64, |O| = 10^5) and merges the measurement
 /// into the BENCH_greedy.json baseline.
 
@@ -202,6 +202,25 @@ void BM_BayesUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_BayesUpdate)->Arg(8)->Arg(12)->Arg(16);
 
+/// One in-place Eq. 3 merge per iteration. The answer to fact 0 alternates
+/// true/false, so every pair of merges scales each output by the same
+/// Pc(1 - Pc) and the joint stays where it started.
+void BM_MergeAnswersInPlace(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  core::JointDistribution joint =
+      n <= 10 ? bench::MakeCorrelatedJoint(n, 6)
+              : bench::MakeSparseCorrelatedJoint(n, 10000, 6);
+  const core::CrowdModel crowd = Crowd();
+  core::AnswerSet answers{{0}, {true}};
+  for (auto _ : state) {
+    answers.answers[0] = !answers.answers[0];
+    CF_CHECK(core::MergeAnswersInPlace(joint, answers, crowd).ok());
+    benchmark::DoNotOptimize(joint.EntropyBits());
+  }
+  state.counters["support"] = joint.support_size();
+}
+BENCHMARK(BM_MergeAnswersInPlace)->Arg(10)->Arg(64);
+
 void BM_GreedySelectPreprocessed(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const core::JointDistribution joint = bench::MakeCorrelatedJoint(n, 7);
@@ -319,6 +338,30 @@ int EmitBaseline(const std::string& report_path) {
                 static_cast<int>(candidates.size()), joint.support_size(),
                 best_seconds * 1e3);
   }
+  // The per-round Eq. 3 merge at run-books' shape (dense, n = 10).
+  core::JointDistribution merged = bench::MakeCorrelatedJoint(10, 6);
+  core::AnswerSet answers{{0}, {true}};
+  double best_merge_seconds = 0.0;
+  for (int rep = 0; rep < 200; ++rep) {
+    answers.answers[0] = !answers.answers[0];
+    const common::Stopwatch merge_timer;
+    CF_CHECK(core::MergeAnswersInPlace(merged, answers, crowd).ok());
+    const double merge_seconds = merge_timer.ElapsedSeconds();
+    if (rep == 0 || merge_seconds < best_merge_seconds) {
+      best_merge_seconds = merge_seconds;
+    }
+  }
+  common::BenchRecord merge_record;
+  merge_record.config = "MergeInPlace";
+  merge_record.n = merged.num_facts();
+  merge_record.support = merged.support_size();
+  merge_record.k = 1;
+  merge_record.wall_ms = best_merge_seconds * 1e3;
+  merge_record.entropy_bits = merged.EntropyBits();
+  report.Add(merge_record);
+  std::printf("in-place merge: n=%d |O|=%d: %.2f us\n", merged.num_facts(),
+              merged.support_size(), best_merge_seconds * 1e6);
+
   const common::Status written = report.MergeToFile(report_path);
   if (!written.ok()) {
     std::fprintf(stderr, "failed to write %s: %s\n", report_path.c_str(),

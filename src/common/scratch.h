@@ -24,6 +24,8 @@ enum class ScratchSlot {
   /// Sparse refiner: one candidate's de-interleaved cell sums (the buffer
   /// the crowd-noise butterfly and entropy run over).
   kCellSums,
+  /// Bayes merge: the unnormalized posterior weights of Equation 3.
+  kMergeWeights,
   kNumSlots,
 };
 

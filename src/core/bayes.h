@@ -17,12 +17,19 @@ struct AnswerSet {
   std::vector<bool> answers;
 };
 
-/// Merges crowd answers into the output distribution (Section III-A,
-/// Equation 3):
+/// Merges crowd answers into the joint in place (Section III-A, Eq. 3):
 ///   P(o | Ans) = P(o) * Pc^{#Same} * (1-Pc)^{#Diff} / P(Ans)
-/// Returns the normalized posterior. Fails if the answer set is malformed
-/// (size mismatch, out-of-range fact ids, duplicate tasks) or if the answer
-/// set has zero probability under the prior (impossible evidence).
+/// Sums P(Ans) without writing the joint, then writes the normalized
+/// entries (zero weights drop, order kept) and recomputes the summary,
+/// allocating nothing once warm. Bit-identical to FromEntries(...,
+/// /*normalize=*/true) on the weighted support. Fails, leaving the joint
+/// untouched, on a malformed answer set (size mismatch, out-of-range or
+/// duplicate tasks) or impossible evidence (FailedPrecondition).
+common::Status MergeAnswersInPlace(JointDistribution& joint,
+                                   const AnswerSet& answer_set,
+                                   const CrowdModel& crowd);
+
+/// MergeAnswersInPlace on a copy of the prior.
 common::Result<JointDistribution> PosteriorGivenAnswers(
     const JointDistribution& prior, const AnswerSet& answer_set,
     const CrowdModel& crowd);

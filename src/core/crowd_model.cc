@@ -37,13 +37,11 @@ double CrowdModel::AnswerLikelihood(uint64_t truth_bits, uint64_t answer_bits,
   return Likelihood(pc_, k - diff, diff);
 }
 
-std::vector<double> CrowdModel::AnswerLikelihoodsByDiff(int k) const {
-  CF_DCHECK(k >= 0 && k <= 64);
-  std::vector<double> out(static_cast<size_t>(k) + 1);
+void CrowdModel::AnswerLikelihoodsByDiff(int k, std::span<double> out) const {
+  CF_DCHECK(k >= 0 && k <= 64 && out.size() > static_cast<size_t>(k));
   for (int diff = 0; diff <= k; ++diff) {
     out[static_cast<size_t>(diff)] = Likelihood(pc_, k - diff, diff);
   }
-  return out;
 }
 
 void CrowdModel::PushThroughChannel(std::vector<double>& dist, int k) const {

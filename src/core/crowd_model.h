@@ -2,6 +2,7 @@
 #define CROWDFUSION_CORE_CROWD_MODEL_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -29,10 +30,11 @@ class CrowdModel {
   double AnswerLikelihood(uint64_t truth_bits, uint64_t answer_bits,
                           int k) const;
 
-  /// AnswerLikelihood for every disagreement count d = 0..k: entry d is
+  /// AnswerLikelihood for every disagreement count d = 0..k: out[d] is
   /// Pc^(k-d) * (1-Pc)^d, the same expression bit for bit. A merge over |O|
-  /// outputs then pays k+1 pow pairs instead of |O|.
-  std::vector<double> AnswerLikelihoodsByDiff(int k) const;
+  /// outputs then pays k+1 pow pairs instead of |O|. `out` holds at least
+  /// k+1 doubles.
+  void AnswerLikelihoodsByDiff(int k, std::span<double> out) const;
 
   /// Pushes a dense distribution over 2^k truth assignments through k
   /// independent BSCs, producing the distribution over 2^k answer patterns

@@ -84,8 +84,7 @@ common::Result<RoundRecord> CrowdFusionEngine::RunRound() {
     AnswerSet answer_set;
     answer_set.tasks = selection.tasks;
     answer_set.answers = record.answers;
-    CF_ASSIGN_OR_RETURN(current_,
-                        PosteriorGivenAnswers(current_, answer_set, crowd_));
+    CF_RETURN_IF_ERROR(MergeAnswersInPlace(current_, answer_set, crowd_));
     cost_spent_ += static_cast<int>(selection.tasks.size());
   }
 

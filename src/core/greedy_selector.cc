@@ -34,7 +34,8 @@ double PruneOffsetBits(GreedySelector::PruningBound bound,
 /// Shared greedy loop. `evaluate_all(active)` returns H(T ∪ {fact}) for
 /// every active candidate under the current committed set T (batched so a
 /// refinement engine can shard the scan across threads); `commit(fact)`
-/// extends T.
+/// extends T. The final pick is not committed and builds no next active
+/// list: nothing reads them.
 void RunGreedyLoop(
     const GreedySelector::Options& options, std::vector<int> active, int k,
     const std::function<std::vector<double>(const std::vector<int>&)>&
@@ -57,7 +58,7 @@ void RunGreedyLoop(
     const double gain = best_entropy - current_entropy;
     if (gain <= options.min_gain_bits) break;  // K* < k (Algorithm 1, line 6).
 
-    commit(best_fact);
+    if (iteration + 1 < k) commit(best_fact);
     selection.tasks.push_back(best_fact);
     selection.entropy_bits = best_entropy;
     current_entropy = best_entropy;
@@ -72,12 +73,22 @@ void RunGreedyLoop(
     const int remaining_slots = k - iteration - 1;
     const double prune_offset =
         PruneOffsetBits(options.pruning_bound, remaining_slots);
+    const auto prunable_at = [&](size_t c) {
+      return options.use_pruning &&
+             entropies[c] + prune_offset < best_entropy - 1e-12;
+    };
+    if (remaining_slots == 0) {
+      // After the final pick only the prune count is read.
+      for (size_t c = 0; c < active.size(); ++c) {
+        if (active[c] != best_fact && prunable_at(c)) ++selection.stats.pruned;
+      }
+      break;
+    }
     std::vector<size_t> survivors;
     std::vector<size_t> prunable;
     for (size_t c = 0; c < active.size(); ++c) {
       if (active[c] == best_fact) continue;
-      if (options.use_pruning &&
-          entropies[c] + prune_offset < best_entropy - 1e-12) {
+      if (prunable_at(c)) {
         prunable.push_back(c);
       } else {
         survivors.push_back(c);

@@ -2,14 +2,17 @@
 #define CROWDFUSION_CORE_JOINT_DISTRIBUTION_H_
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "common/simd.h"
 #include "common/status.h"
 
 namespace crowdfusion::core {
+
+struct AnswerSet;
+class CrowdModel;
 
 /// Joint probability distribution over the 2^n true/false assignments
 /// ("outputs", Section II-A) of n facts.
@@ -22,6 +25,12 @@ namespace crowdfusion::core {
 ///
 /// Supports n up to kMaxDenseFacts = 30 when densified; sparse
 /// distributions can use the full 64 mask bits (kMaxFacts = 64).
+///
+/// Every distribution carries a summary of its support, computed in the
+/// same construction (or in-place merge) that builds the entries and never
+/// changed afterwards, so reading it is thread-safe: the per-fact cell
+/// masses (fact_cell_sums()), H(F) and the total mass. Each value is
+/// bit-equal to the literal loop over entries() it replaces.
 class JointDistribution {
  public:
   struct Entry {
@@ -64,15 +73,13 @@ class JointDistribution {
   static common::Result<JointDistribution> PointMass(int num_facts,
                                                      uint64_t mask);
 
-  /// Equation 3's normalization on this support: entry i's probability
-  /// becomes weights[i] / Z, where Z sums `weights` in entry order, and
-  /// zero weights drop. `weights` is aligned with entries(), finite and
-  /// non-negative. The support is already mask-sorted and unique, so
-  /// nothing is sorted or revalidated, and the result equals
-  /// FromEntries(num_facts(), {mask_i, weights[i]}, /*normalize=*/true)
-  /// bit for bit. nullopt when Z is not positive.
-  std::optional<JointDistribution> Renormalized(
-      std::span<const double> weights) const;
+  /// The summary's cell-sum kernel: out[2f] = P(f false) and out[2f + 1] =
+  /// P(f true), each summed over `entries` in order from +0.0. The AVX2 and
+  /// scalar kernels are bit-identical; `simd` exists for the dispatch
+  /// differential. `out` holds 2 * num_facts doubles.
+  static void AccumulateFactCellSums(std::span<const Entry> entries,
+                                     int num_facts, common::SimdPolicy simd,
+                                     std::span<double> out);
 
   int num_facts() const { return num_facts_; }
   /// Number of support entries |O|.
@@ -82,14 +89,18 @@ class JointDistribution {
   /// Probability of one output mask (0 if outside the support).
   double Probability(uint64_t mask) const;
 
-  /// Marginal probability P(f_id = true).
+  /// Per-fact cell masses: [2f] = P(f false), [2f + 1] = P(f true); the
+  /// refiner's candidate cell sums at T = ∅.
+  const std::vector<double>& fact_cell_sums() const { return cell_sums_; }
+
+  /// Marginal probability P(f_id = true), read from the summary.
   double Marginal(int fact_id) const;
 
-  /// All marginals.
+  /// All marginals, read from the summary.
   std::vector<double> Marginals() const;
 
-  /// Shannon entropy H(F) of the joint, in bits.
-  double EntropyBits() const;
+  /// Shannon entropy H(F) of the joint, in bits (stored).
+  double EntropyBits() const { return entropy_bits_; }
 
   /// PWS-quality Q(F) = -H(F) (Definition 1).
   double Quality() const { return -EntropyBits(); }
@@ -103,8 +114,9 @@ class JointDistribution {
   /// num_facts <= kMaxDenseFacts.
   std::vector<double> ToDense() const;
 
-  /// Sum of all probabilities (should be 1 for a normalized distribution).
-  double TotalMass() const;
+  /// Sum of all probabilities in entry order (stored; should be 1 for a
+  /// normalized distribution).
+  double TotalMass() const { return total_mass_; }
 
   /// True if TotalMass() is within `tolerance` of 1.
   bool IsNormalized(double tolerance = 1e-6) const;
@@ -118,11 +130,20 @@ class JointDistribution {
                          const JointDistribution& b) = default;
 
  private:
-  JointDistribution(int num_facts, std::vector<Entry> entries)
-      : num_facts_(num_facts), entries_(std::move(entries)) {}
+  /// Equation 3 rewrites the entries and the summary in place (bayes.h).
+  friend common::Status MergeAnswersInPlace(JointDistribution& joint,
+                                            const AnswerSet& answer_set,
+                                            const CrowdModel& crowd);
+
+  /// Takes the entries as built and computes the summary.
+  JointDistribution(int num_facts, std::vector<Entry> entries);
 
   int num_facts_ = 0;
   std::vector<Entry> entries_;  // sorted by mask, unique, prob > 0
+  // The summary of entries_.
+  std::vector<double> cell_sums_;  // 2 * num_facts_
+  double entropy_bits_ = 0.0;
+  double total_mass_ = 0.0;
 };
 
 }  // namespace crowdfusion::core

@@ -207,9 +207,7 @@ common::Result<BudgetScheduler::StepRecord> BudgetScheduler::HarvestTicket(
         record.tasks.size()));
   }
   AnswerSet answer_set{record.tasks, record.answers};
-  CF_ASSIGN_OR_RETURN(instance.joint,
-                      PosteriorGivenAnswers(instance.joint, answer_set,
-                                            crowd_));
+  CF_RETURN_IF_ERROR(MergeAnswersInPlace(instance.joint, answer_set, crowd_));
   instance.selection_valid = false;  // joint changed
   instance.cost_spent += static_cast<int>(record.tasks.size());
   cost_spent_ += static_cast<int>(record.tasks.size());

@@ -17,19 +17,11 @@ namespace crowdfusion::core {
 SparsePartitionRefiner::SparsePartitionRefiner(const JointDistribution& joint,
                                                const CrowdModel& crowd,
                                                Options options)
-    : num_facts_(joint.num_facts()),
+    : joint_(&joint),
+      num_facts_(joint.num_facts()),
       crowd_(crowd),
       options_(options),
-      use_avx2_(common::ResolveSimd(options.simd)) {
-  const auto& entries = joint.entries();
-  masks_.reserve(entries.size());
-  probs_.reserve(entries.size());
-  for (const auto& entry : entries) {
-    masks_.push_back(entry.mask);
-    probs_.push_back(entry.prob);
-  }
-  part_of_.assign(masks_.size(), 0);
-}
+      use_avx2_(common::ResolveSimd(options.simd)) {}
 
 SparsePartitionRefiner::SparsePartitionRefiner(const JointDistribution& joint,
                                                const CrowdModel& crowd)
@@ -40,6 +32,12 @@ std::vector<double> SparsePartitionRefiner::CellSumsWithCandidate(
   CF_CHECK(fact >= 0 && fact < num_facts_)
       << "candidate fact id out of range: " << fact;
   std::vector<double> sums(static_cast<size_t>(num_parts_) * 2, 0.0);
+  if (committed_.empty()) {
+    for (const auto& entry : joint_->entries()) {
+      sums[(entry.mask >> fact) & 1ULL] += entry.prob;
+    }
+    return sums;
+  }
   const size_t count = masks_.size();
   // The single-candidate reference scan: three sequential array reads and
   // one accumulate whose cell index is monotone in i (entries are sorted
@@ -269,6 +267,18 @@ std::vector<double> SparsePartitionRefiner::EntropiesWithCandidates(
   if (facts.empty()) return out;
   CF_CHECK(static_cast<int>(committed_.size()) < kMaxCommittedTasks)
       << "committed set too large to refine";
+  if (committed_.empty()) {
+    const std::vector<double>& cells = joint_->fact_cell_sums();
+    std::vector<double>& sums =
+        common::ZeroedThreadScratch(common::ScratchSlot::kCellSums, 2);
+    for (size_t c = 0; c < facts.size(); ++c) {
+      CF_CHECK(facts[c] >= 0 && facts[c] < num_facts_)
+          << "candidate fact id out of range: " << facts[c];
+      std::copy_n(cells.begin() + 2 * facts[c], 2, sums.begin());
+      out[c] = EntropyFromCellSums(sums);
+    }
+    return out;
+  }
   const size_t num_tiles =
       (facts.size() + kCandidateTileWidth - 1) / kCandidateTileWidth;
   const auto tile_width = [&facts](size_t tile) {
@@ -325,6 +335,13 @@ void SparsePartitionRefiner::Commit(int fact) {
       << "committed fact id out of range: " << fact;
   CF_CHECK(static_cast<int>(committed_.size()) < kMaxCommittedTasks)
       << "committed set capped at " << kMaxCommittedTasks << " tasks";
+  if (committed_.empty()) {
+    for (const auto& entry : joint_->entries()) {
+      masks_.push_back(entry.mask);
+      probs_.push_back(entry.prob);
+    }
+    part_of_.assign(masks_.size(), 0);
+  }
   const size_t count = masks_.size();
   for (size_t i = 0; i < count; ++i) {
     part_of_[i] = (part_of_[i] << 1) |
@@ -360,7 +377,9 @@ void SparsePartitionRefiner::Commit(int fact) {
 
 double SparsePartitionRefiner::CommittedEntropyBits() const {
   const int k = static_cast<int>(committed_.size());
-  std::vector<double> sums(static_cast<size_t>(num_parts_), 0.0);
+  // At T = ∅ the one cell holds the whole mass, summed in entry order.
+  std::vector<double> sums(static_cast<size_t>(num_parts_),
+                           k == 0 ? joint_->TotalMass() : 0.0);
   const size_t count = masks_.size();
   for (size_t i = 0; i < count; ++i) sums[part_of_[i]] += probs_[i];
   crowd_.PushThroughChannel(sums, k);

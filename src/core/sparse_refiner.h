@@ -55,6 +55,13 @@ namespace crowdfusion::core {
 /// double-buffered for the entry shards and the commit sort — so the
 /// request path stops allocating after warm-up.
 ///
+/// At T = ∅ nothing is scanned: a candidate's two cells are read from the
+/// joint's fact_cell_sums(), summed in the tile scan's entry order, so
+/// they are bit-equal to EntropyWithCandidate. The struct-of-arrays copy
+/// is built by the first Commit, so a k = 1 greedy never builds it. One
+/// value moved with this: few candidates over a very large support at
+/// T = ∅ used to take the entry-sharded path and now get the serial value.
+///
 /// Supports the full n <= JointDistribution::kMaxFacts = 64 fact range.
 /// The committed set is capped at kMaxCommittedTasks because the noisy
 /// cell vector is dense in 2^(|T|+1).
@@ -93,21 +100,24 @@ class SparsePartitionRefiner {
   /// the determinism contract.
   static constexpr int kCandidateTileWidth = 8;
 
-  /// Copies the support out of `joint` (the refiner permutes its own copy)
-  /// and the crowd model by value; neither argument needs to outlive it.
+  /// Borrows `joint`, as the engine borrows its selector: the joint must
+  /// outlive the refiner and stay unchanged while it is used. The first
+  /// Commit copies the support into the refiner's own (permuted) arrays.
+  /// The crowd model is copied by value.
   SparsePartitionRefiner(const JointDistribution& joint,
                          const CrowdModel& crowd, Options options);
   SparsePartitionRefiner(const JointDistribution& joint,
                          const CrowdModel& crowd);
 
   int num_facts() const { return num_facts_; }
-  int64_t support_size() const { return static_cast<int64_t>(masks_.size()); }
+  int64_t support_size() const { return joint_->support_size(); }
 
   /// H(T ∪ {fact}) in bits, where T is the committed set. One O(|O|) scan.
   double EntropyWithCandidate(int fact) const;
 
-  /// H(T ∪ {fact}) for every fact in `facts`, evaluated in batched tiles
-  /// and sharded across the pool when the batch is large enough: by tile
+  /// H(T ∪ {fact}) for every fact in `facts`. At T = ∅ it reads the
+  /// joint's cell sums, O(|facts|). Otherwise it evaluates batched tiles,
+  /// sharded across the pool when the batch is large enough: by tile
   /// (bit-identical to mapping EntropyWithCandidate), or by support entry
   /// when candidates are few but |O| is very large (same values up to the
   /// fixed kEntryShards-way summation order — deterministic and
@@ -165,11 +175,13 @@ class SparsePartitionRefiner {
 
   int ResolveThreads(size_t num_candidates) const;
 
+  const JointDistribution* joint_;
   int num_facts_ = 0;
   CrowdModel crowd_;
   Options options_;
   bool use_avx2_ = false;
-  // Parallel arrays over the support, sorted by part_of_ value.
+  // Parallel arrays over the support, sorted by part_of_ value; empty
+  // until the first Commit.
   std::vector<uint64_t> masks_;
   std::vector<double> probs_;
   std::vector<uint32_t> part_of_;

@@ -156,11 +156,13 @@ StepOutcome Session::FromStepRecord(
   return outcome;
 }
 
-common::Result<std::vector<StepOutcome>> Session::StepEngine() {
+common::Status Session::StepEngine() {
   // One round-robin pass: every instance that still has budget and gain
   // runs one engine round, in registration order — exactly the global
-  // rounds eval::RunExperiment reported before this facade existed.
-  std::vector<StepOutcome> outcomes;
+  // rounds eval::RunExperiment reported before this facade existed. A
+  // failed round ends the pass; the rounds before it have spent their
+  // budget, so their outcomes stay in steps_.
+  bool ran = false;
   for (size_t i = 0; i < instances_.size(); ++i) {
     Instance& instance = instances_[i];
     if (instance.exhausted || !instance.engine->HasBudget()) continue;
@@ -170,37 +172,34 @@ common::Result<std::vector<StepOutcome>> Session::StepEngine() {
       // Selector sees no gain for this instance; stop asking (K* < k).
       instance.exhausted = true;
     }
-    outcomes.push_back(FromRoundRecord(static_cast<int>(i), record));
+    steps_.push_back(FromRoundRecord(static_cast<int>(i), record));
+    ran = true;
   }
-  if (outcomes.empty()) done_ = true;
-  return outcomes;
+  if (!ran) done_ = true;
+  return common::Status::Ok();
 }
 
-common::Result<std::vector<StepOutcome>> Session::StepPipelined() {
+common::Status Session::StepPipelined() {
   std::vector<core::BudgetScheduler::StepRecord> records;
   CF_ASSIGN_OR_RETURN(const bool more, scheduler_->RunPipelinedStep(records));
-  std::vector<StepOutcome> outcomes;
-  outcomes.reserve(records.size());
-  for (const auto& record : records) {
-    outcomes.push_back(FromStepRecord(record));
-  }
+  for (const auto& record : records) steps_.push_back(FromStepRecord(record));
   // A spent budget means nothing is in flight either (cost_spent <=
   // cost_reserved <= total_budget), so the run is over now rather than
   // one empty quantum later.
   if (!more || !scheduler_->HasBudget()) done_ = true;
-  return outcomes;
+  return common::Status::Ok();
 }
 
 common::Result<std::vector<StepOutcome>> Session::Step() {
   if (done_) return std::vector<StepOutcome>{};
   common::Stopwatch stopwatch;
-  common::Result<std::vector<StepOutcome>> outcomes =
+  const size_t first = steps_.size();
+  const common::Status status =
       mode_ == RunMode::kEngine ? StepEngine() : StepPipelined();
   wall_seconds_ += stopwatch.ElapsedSeconds();
-  if (!outcomes.ok()) return outcomes.status();
-  steps_.insert(steps_.end(), outcomes.value().begin(),
-                outcomes.value().end());
-  return outcomes;
+  if (!status.ok()) return status;
+  return std::vector<StepOutcome>(
+      steps_.begin() + static_cast<std::ptrdiff_t>(first), steps_.end());
 }
 
 SessionProgress Session::Poll() const {

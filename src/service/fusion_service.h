@@ -240,7 +240,8 @@ class Session {
   /// done() turns true with the quantum that completes the run: the one
   /// that spends the last of the budget or emits the exhaustion marker
   /// (a final instance == -1 outcome). An empty vector means there was
-  /// nothing left to run.
+  /// nothing left to run. When an engine round fails, the outcomes of the
+  /// rounds before it in the pass stay in steps(): they spent budget.
   common::Result<std::vector<StepOutcome>> Step();
 
   /// Non-blocking progress snapshot.
@@ -311,8 +312,9 @@ class Session {
   /// creation and by AddInstances.
   common::Status BindInstance(InstanceSpec spec);
 
-  common::Result<std::vector<StepOutcome>> StepEngine();
-  common::Result<std::vector<StepOutcome>> StepPipelined();
+  /// One pass of the session's loop; each appends its outcomes to steps_.
+  common::Status StepEngine();
+  common::Status StepPipelined();
 
   StepOutcome FromRoundRecord(int instance, const core::RoundRecord& record);
   StepOutcome FromStepRecord(const core::BudgetScheduler::StepRecord& record);

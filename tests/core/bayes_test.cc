@@ -285,6 +285,57 @@ TEST(BayesTest, AllSixtyFourFactsAskedAtOnce) {
   EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(BayesTest, MergeInPlaceIsBitIdenticalToPosteriorGivenAnswers) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    common::Rng rng(seed);
+    const JointDistribution dense = RandomDenseJoint(rng, 10);
+    const JointDistribution sparse = RandomSparseJoint(rng, 700);
+    for (const JointDistribution* prior : {&dense, &sparse}) {
+      // A chain of rounds: each merges into the joint the last one left.
+      JointDistribution merged = *prior;
+      for (int k : {1, 3, 8, 1}) {
+        for (double pc : {0.5, 0.8, 1.0}) {
+          SCOPED_TRACE(testing::Message() << "k=" << k << " pc=" << pc);
+          const CrowdModel crowd = MakeCrowd(pc);
+          const AnswerSet answer_set =
+              RandomAnswerSet(rng, merged, k, pc < 1.0 ? 0.3 : 0.0);
+          const ReferenceMerge reference =
+              ReferencePosterior(merged, answer_set, crowd);
+          auto posterior = PosteriorGivenAnswers(merged, answer_set, crowd);
+          ASSERT_TRUE(posterior.ok());
+          ASSERT_TRUE(MergeAnswersInPlace(merged, answer_set, crowd).ok());
+          EXPECT_EQ(merged, *posterior);
+          EXPECT_EQ(merged, *reference.posterior);
+        }
+      }
+    }
+  }
+}
+
+TEST(BayesTest, FailedMergeLeavesTheJointUntouched) {
+  common::Rng rng(5);
+  // Fact 0 is certainly true; a perfect crowd answering "false" is
+  // impossible evidence.
+  std::vector<JointDistribution::Entry> entries;
+  for (uint64_t mask = 1; mask < 64; mask += 2) {
+    entries.push_back({mask, rng.NextUniform(0.1, 1.0)});
+  }
+  auto built = JointDistribution::FromEntries(6, std::move(entries),
+                                              /*normalize=*/true);
+  ASSERT_TRUE(built.ok());
+  const JointDistribution before = *built;
+  JointDistribution joint = before;
+  const AnswerSet impossible{{3, 0}, {true, false}};
+  EXPECT_EQ(MergeAnswersInPlace(joint, impossible, MakeCrowd(1.0)).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(joint, before);
+  const AnswerSet malformed{{2, 2}, {true, true}};
+  EXPECT_EQ(MergeAnswersInPlace(joint, malformed, MakeCrowd(0.8)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(joint, before);
+}
+
 class ExpectedEntropyTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(ExpectedEntropyTest, AnswersReduceEntropyInExpectation) {

@@ -1,10 +1,15 @@
 #include "core/joint_distribution.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
 
+#include "common/bit_util.h"
 #include "common/math_util.h"
+#include "common/random.h"
+#include "core/bayes.h"
+#include "sparse_test_util.h"
 
 namespace crowdfusion::core {
 namespace {
@@ -211,6 +216,133 @@ TEST_P(MarginalConsistencyTest, MarginalsMatchMarginalizeOnto) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, MarginalConsistencyTest,
                          ::testing::Values(1, 2, 3, 5, 8));
+
+/// The stored summary against the literal loops over entries() it
+/// replaces, bit for bit.
+void ExpectSummaryMatchesLiteralLoops(const JointDistribution& joint) {
+  const int n = joint.num_facts();
+  std::vector<double> cells(2 * static_cast<size_t>(n), 0.0);
+  double entropy = 0.0;
+  double mass = 0.0;
+  for (const auto& e : joint.entries()) {
+    for (int f = 0; f < n; ++f) {
+      cells[2 * static_cast<size_t>(f) + (common::GetBit(e.mask, f) ? 1 : 0)] +=
+          e.prob;
+    }
+    entropy -= common::XLog2X(e.prob);
+    mass += e.prob;
+  }
+  ASSERT_EQ(joint.fact_cell_sums().size(), cells.size());
+  for (size_t c = 0; c < cells.size(); ++c) {
+    EXPECT_EQ(joint.fact_cell_sums()[c], cells[c]) << "cell " << c;
+  }
+  EXPECT_EQ(joint.EntropyBits(), entropy);
+  EXPECT_EQ(joint.TotalMass(), mass);
+  const std::vector<double> marginals = joint.Marginals();
+  ASSERT_EQ(marginals.size(), static_cast<size_t>(n));
+  for (int f = 0; f < n; ++f) {
+    EXPECT_EQ(marginals[static_cast<size_t>(f)],
+              cells[2 * static_cast<size_t>(f) + 1]);
+    EXPECT_EQ(joint.Marginal(f), cells[2 * static_cast<size_t>(f) + 1]);
+  }
+}
+
+/// Up to three distinct tasks answered with one support entry's truth, each
+/// answer flipped with probability `flip` (0 keeps even a perfect crowd's
+/// evidence possible).
+AnswerSet PossibleAnswers(common::Rng& rng, const JointDistribution& joint,
+                          double flip) {
+  const uint64_t truth =
+      joint.entries()[rng.NextBounded(joint.entries().size())].mask;
+  const int k = std::min(joint.num_facts(),
+                         1 + static_cast<int>(rng.NextBounded(3)));
+  AnswerSet answers;
+  answers.tasks = rng.SampleWithoutReplacement(joint.num_facts(), k);
+  for (int t : answers.tasks) {
+    answers.answers.push_back(common::GetBit(truth, t) !=
+                              rng.NextBernoulli(flip));
+  }
+  return answers;
+}
+
+TEST(JointDistributionTest, SummaryIsBitEqualToLiteralLoops) {
+  for (uint64_t seed = 1; seed <= 64; ++seed) {
+    for (const int n : {1, 5, 10, 16, 17, 64}) {
+      SCOPED_TRACE(testing::Message() << "seed=" << seed << " n=" << n);
+      common::Rng rng(seed * 1000 + static_cast<uint64_t>(n));
+      std::vector<JointDistribution> joints;
+      if (n <= 17) {
+        std::vector<double> dense(1ULL << n);
+        for (double& p : dense) p = rng.NextDouble();
+        auto joint = JointDistribution::FromDense(n, std::move(dense),
+                                                  /*normalize=*/true);
+        ASSERT_TRUE(joint.ok());
+        joints.push_back(std::move(joint).value());
+      }
+      const int support = static_cast<int>(
+          std::min<uint64_t>(n >= 63 ? 300 : (1ULL << n) - 1, 300));
+      joints.push_back(RandomSparseJoint(n, std::max(1, support), rng));
+      for (JointDistribution& joint : joints) {
+        ExpectSummaryMatchesLiteralLoops(joint);
+        for (int round = 0; round < 3; ++round) {
+          const bool perfect = round == 2;
+          const auto crowd = CrowdModel::Create(perfect ? 1.0 : 0.8);
+          ASSERT_TRUE(crowd.ok());
+          const AnswerSet answers =
+              PossibleAnswers(rng, joint, perfect ? 0.0 : 0.2);
+          ASSERT_TRUE(MergeAnswersInPlace(joint, answers, *crowd).ok());
+          ExpectSummaryMatchesLiteralLoops(joint);
+        }
+      }
+    }
+  }
+}
+
+TEST(JointDistributionTest, IndependentMarginalsMatchPerMaskProductLoop) {
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    common::Rng rng(seed);
+    for (int n = 0; n <= 12; ++n) {
+      SCOPED_TRACE(testing::Message() << "seed=" << seed << " n=" << n);
+      std::vector<double> marginals(static_cast<size_t>(n));
+      for (double& m : marginals) {
+        const uint64_t kind = rng.NextBounded(6);
+        m = kind == 0 ? 0.0 : kind == 1 ? 1.0 : rng.NextDouble();
+      }
+      std::vector<JointDistribution::Entry> entries;
+      for (uint64_t mask = 0; mask < (1ULL << n); ++mask) {
+        double p = 1.0;
+        for (int i = 0; i < n; ++i) {
+          p *= common::GetBit(mask, i) ? marginals[static_cast<size_t>(i)]
+                                       : 1.0 - marginals[static_cast<size_t>(i)];
+        }
+        if (p > 0.0) entries.push_back({mask, p});
+      }
+      auto expected = JointDistribution::FromEntries(n, std::move(entries),
+                                                     /*normalize=*/true);
+      auto built = JointDistribution::FromIndependentMarginals(marginals);
+      ASSERT_TRUE(expected.ok());
+      ASSERT_TRUE(built.ok());
+      EXPECT_EQ(*built, *expected);
+    }
+  }
+}
+
+TEST(JointDistributionTest, FromEntriesIgnoresInputOrder) {
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    common::Rng rng(seed);
+    const JointDistribution reference = RandomSparseJoint(40, 500, rng);
+    std::vector<JointDistribution::Entry> sorted = reference.entries();
+    std::vector<JointDistribution::Entry> shuffled = sorted;
+    rng.Shuffle(shuffled);
+    auto from_sorted = JointDistribution::FromEntries(40, std::move(sorted));
+    auto from_shuffled =
+        JointDistribution::FromEntries(40, std::move(shuffled));
+    ASSERT_TRUE(from_sorted.ok());
+    ASSERT_TRUE(from_shuffled.ok());
+    EXPECT_EQ(*from_sorted, reference) << "seed=" << seed;
+    EXPECT_EQ(*from_shuffled, reference) << "seed=" << seed;
+  }
+}
 
 }  // namespace
 }  // namespace crowdfusion::core

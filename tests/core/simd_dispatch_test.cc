@@ -1,4 +1,5 @@
-/// Forced-dispatch differentials for the batched selection kernel: the
+/// Forced-dispatch differentials for the batched selection kernel and the
+/// joint summary's cell-sum kernel. For the selection kernel, the
 /// scalar tile kernel and the AVX2 tile kernel must produce BIT-IDENTICAL
 /// entropies on every path the refiner can take — serial tiles, the
 /// tile-sharded batch path, and the fixed-boundary entry-sharded path —
@@ -169,6 +170,37 @@ TEST(SimdDispatchTest, ShardedPathsBitIdenticalAcrossKernels) {
       EXPECT_EQ(entry_scalar[c], entry_avx2[c])
           << "seed=" << seed << " candidate=" << c;
     }
+  }
+}
+
+/// The joint summary's cell-sum kernel, forced both ways: every fact count
+/// 1..64 (ragged final registers and passes) over supports of every length
+/// from empty upwards, bit for bit.
+TEST(SimdDispatchTest, FactCellSumKernelsBitIdentical) {
+  if (!common::CpuSupportsAvx2()) {
+    GTEST_SKIP() << "host cannot run the AVX2 kernel";
+  }
+  for (uint64_t seed = 1; seed <= kNumSeeds; ++seed) {
+    common::Rng rng(seed * 0x2545F4914F6CDD1DULL + 17);
+    const int n = static_cast<int>(seed);  // 1..64
+    const int support = static_cast<int>(
+        std::min<uint64_t>(n >= 20 ? 700 : (1ULL << n), 700));
+    const JointDistribution joint = RandomSparseJoint(n, support, rng);
+    const std::span<const JointDistribution::Entry> entries(joint.entries());
+    const size_t length = rng.NextBounded(entries.size() + 1);
+    for (const std::span<const JointDistribution::Entry> prefix :
+         {entries, entries.first(length)}) {
+      std::vector<double> scalar(2 * static_cast<size_t>(n));
+      std::vector<double> avx2(2 * static_cast<size_t>(n));
+      JointDistribution::AccumulateFactCellSums(
+          prefix, n, common::SimdPolicy::kForceScalar, scalar);
+      JointDistribution::AccumulateFactCellSums(
+          prefix, n, common::SimdPolicy::kForceAvx2, avx2);
+      for (size_t c = 0; c < scalar.size(); ++c) {
+        EXPECT_EQ(scalar[c], avx2[c]) << "seed=" << seed << " cell=" << c;
+      }
+    }
+    EXPECT_EQ(joint.fact_cell_sums().size(), 2 * static_cast<size_t>(n));
   }
 }
 

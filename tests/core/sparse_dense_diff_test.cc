@@ -19,6 +19,7 @@
 #include "common/math_util.h"
 #include "common/random.h"
 #include "common/simd.h"
+#include "common/thread_pool.h"
 #include "core/answer_model.h"
 #include "core/greedy_selector.h"
 #include "core/sparse_refiner.h"
@@ -223,6 +224,50 @@ TEST(SparseDenseDiffTest, SimdKernelBitIdenticalToScalarOnAllSeeds) {
     for (size_t c = 0; c < candidates.size(); ++c) {
       EXPECT_EQ(h_scalar[c], h_avx2[c])
           << "seed=" << seed << " f=" << candidates[c];
+    }
+  }
+}
+
+/// At T = ∅ the refiner reads the joint's cell sums instead of scanning.
+/// They must be bit-equal to the single-candidate reference scan on every
+/// seed, whatever the kernel policy, pool or batch size: even the few-
+/// candidate batches that used to take the entry-sharded path.
+TEST(SparseDenseDiffTest, EmptySetCachedSumsBitEqualToReferenceScan) {
+  common::ThreadPool pool(3);
+  for (uint64_t seed = 1; seed <= kNumSeeds; ++seed) {
+    const SeedInstance instance = MakeInstance(seed);
+    const JointDistribution& joint = instance.joint;
+    std::vector<int> all(static_cast<size_t>(joint.num_facts()));
+    for (int f = 0; f < joint.num_facts(); ++f) {
+      all[static_cast<size_t>(f)] = f;
+    }
+    const std::vector<int> few = {0, joint.num_facts() - 1};
+    const std::vector<const std::vector<int>*> batches = {&all, &few};
+    for (const common::SimdPolicy simd : HostKernels()) {
+      SparsePartitionRefiner::Options options;
+      options.simd = simd;
+      options.pool = &pool;
+      options.num_threads = 4;
+      options.min_parallel_work = 1;
+      const SparsePartitionRefiner refiner(joint, instance.crowd, options);
+      EXPECT_EQ(refiner.support_size(), joint.support_size());
+      EXPECT_EQ(refiner.CommittedEntropyBits(),
+                common::Entropy(std::vector<double>{joint.TotalMass()}));
+      for (const std::vector<int>* batch : batches) {
+        const std::vector<double> cached =
+            refiner.EntropiesWithCandidates(*batch);
+        for (size_t c = 0; c < batch->size(); ++c) {
+          const int fact = (*batch)[c];
+          const double scanned = refiner.EntropyWithCandidate(fact);
+          EXPECT_EQ(cached[c], scanned) << "seed=" << seed << " f=" << fact;
+          const std::vector<int> single = {fact};
+          EXPECT_NEAR(scanned,
+                      AnswerEntropyBitsBruteForce(joint, single,
+                                                  instance.crowd),
+                      kTol)
+              << "seed=" << seed << " f=" << fact;
+        }
+      }
     }
   }
 }

@@ -290,6 +290,59 @@ TEST(FusionServiceTest, PipelinedSkipInstancePolicySkipsOnlyTheFailingBook) {
   }
 }
 
+TEST(FusionServiceTest, EngineStepKeepsTheRoundsBeforeAFailedInstance) {
+  // Instance 1's provider always fails; instance 0's round in the same
+  // pass has already spent its task by then, so its outcome must stay.
+  FusionService service;
+  ASSERT_TRUE(service.providers()
+                  .Register("second_fails",
+                            [](const core::ProviderSpec& spec)
+                                -> common::Result<std::shared_ptr<
+                                    core::AsyncAnswerProvider>> {
+                              core::ScriptedProvider::Options options;
+                              options.script = spec.truths;
+                              // Seeds are base 0 + index: instance 1
+                              // fails forever.
+                              options.failures_before_success =
+                                  spec.seed == 1 ? 1000000 : 0;
+                              return std::shared_ptr<
+                                  core::AsyncAnswerProvider>(
+                                  std::make_shared<core::ScriptedProvider>(
+                                      options));
+                            })
+                  .ok());
+  FusionRequest request;
+  request.mode = RunMode::kEngine;
+  for (int i = 0; i < 2; ++i) {
+    InstanceSpec instance;
+    instance.name = i == 0 ? "healthy" : "doomed";
+    instance.joint = core::RunningExample::Joint();
+    instance.truths = {true, true, true, false};
+    request.instances.push_back(std::move(instance));
+  }
+  request.selector.kind = "greedy";
+  request.provider.kind = "second_fails";
+  request.budget.budget_per_instance = 3;
+  request.budget.tasks_per_step = 1;
+  auto session = service.CreateSession(request);
+  ASSERT_TRUE(session.ok()) << session.status();
+  for (size_t pass = 1; pass <= 2; ++pass) {
+    auto outcomes = (*session)->Step();
+    ASSERT_FALSE(outcomes.ok());
+    EXPECT_EQ(outcomes.status().code(), StatusCode::kUnavailable);
+    const std::vector<StepOutcome>& steps = (*session)->steps();
+    ASSERT_EQ(steps.size(), pass);
+    int spent = 0;
+    for (size_t i = 0; i < steps.size(); ++i) {
+      EXPECT_EQ(steps[i].step, static_cast<int>(i));
+      EXPECT_EQ(steps[i].instance, 0);
+      spent += static_cast<int>(steps[i].tasks.size());
+    }
+    EXPECT_EQ(spent, (*session)->total_cost_spent());
+    EXPECT_EQ((*session)->cost_spent(1), 0);
+  }
+}
+
 TEST(FusionServiceTest, ResponsesAreDeterministicAcrossRuns) {
   FusionService service;
   const FusionRequest request = RunningExampleRequest();
