@@ -1,9 +1,11 @@
 /// Google-benchmark micro benchmarks of the core primitives: entropy,
 /// marginalization, the BSC butterfly, the answer distribution (fast and
 /// Equation 2), partition refinement, Bayesian updates (copying and in
-/// place), and one-round selection. The custom main additionally times the sparse
-/// greedy at paper scale (n = 64, |O| = 10^5) and merges the measurement
-/// into the BENCH_greedy.json baseline.
+/// place), one-round selection, and encoding a run-books-sized response
+/// (written straight to bytes, and through the JsonValue tree). The custom
+/// main additionally times the sparse greedy at paper scale (n = 64,
+/// |O| = 10^5), the in-place merge and the response write, and merges the
+/// measurements into the BENCH_greedy.json baseline.
 
 #include <benchmark/benchmark.h>
 
@@ -23,6 +25,8 @@
 #include "core/random_selector.h"
 #include "core/sparse_refiner.h"
 #include "core/utility.h"
+#include "service/fusion_service.h"
+#include "service/request_json.h"
 
 namespace crowdfusion {
 namespace {
@@ -268,6 +272,62 @@ void BM_OptSelect(benchmark::State& state) {
 }
 BENCHMARK(BM_OptSelect)->Arg(1)->Arg(2)->Arg(3);
 
+/// A response the size of one perfbench run-books op: 8 synthesized books
+/// fused by CRH into dense joints of at most 10 facts, refined by greedy
+/// selection against a simulated crowd, 40 tasks per book (~230 KB).
+const service::FusionResponse& BooksResponse() {
+  static const service::FusionResponse* const kResponse = [] {
+    service::FusionRequest request;
+    service::DatasetSpec dataset;
+    dataset.generate.num_books = 8;
+    dataset.generate.num_sources = 60;
+    dataset.generate.true_variants = 5;
+    dataset.generate.false_variants = 7;
+    dataset.generate.seed = 4242;
+    dataset.fuser.kind = "crh";
+    dataset.max_facts_per_book = 10;
+    request.dataset = dataset;
+    request.selector.kind = "greedy";
+    request.selector.use_pruning = true;
+    request.selector.use_preprocessing = true;
+    request.provider.kind = "simulated_crowd";
+    request.provider.accuracy = 0.8;
+    request.provider.seed = 4242;
+    request.budget.budget_per_instance = 40;
+    auto response = service::FusionService().Run(std::move(request));
+    CF_CHECK(response.ok()) << response.status().ToString();
+    return new service::FusionResponse(std::move(response).value());
+  }();
+  return *kResponse;
+}
+
+/// The served encoder: the response written straight to bytes.
+void BM_WriteFusionResponse(benchmark::State& state) {
+  const service::FusionResponse& response = BooksResponse();
+  size_t bytes = 0;
+  for (auto _ : state) {
+    std::string body;
+    service::WriteFusionResponse(response, body);
+    benchmark::DoNotOptimize(body.data());
+    benchmark::ClobberMemory();
+    bytes = body.size();
+  }
+  state.counters["bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_WriteFusionResponse);
+
+/// The reference encoder it replaced: build the JsonValue tree, dump it,
+/// free it.
+void BM_FusionResponseTreeDump(benchmark::State& state) {
+  const service::FusionResponse& response = BooksResponse();
+  for (auto _ : state) {
+    std::string body = service::FusionResponseToJson(response).Dump();
+    benchmark::DoNotOptimize(body.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_FusionResponseTreeDump);
+
 /// Times one full sparse greedy selection at paper scale and merges it
 /// into the shared baseline file next to bench_table5_runtime's rows.
 int EmitBaseline(const std::string& report_path) {
@@ -361,6 +421,35 @@ int EmitBaseline(const std::string& report_path) {
   report.Add(merge_record);
   std::printf("in-place merge: n=%d |O|=%d: %.2f us\n", merged.num_facts(),
               merged.support_size(), best_merge_seconds * 1e6);
+
+  // Writing one run-books-sized response: n = books, support = joint
+  // entries over all books, k = steps.
+  const service::FusionResponse& response = BooksResponse();
+  double best_write_seconds = 0.0;
+  size_t bytes = 0;
+  for (int rep = 0; rep < 50; ++rep) {
+    const common::Stopwatch write_timer;
+    std::string body;
+    service::WriteFusionResponse(response, body);
+    const double write_seconds = write_timer.ElapsedSeconds();
+    bytes = body.size();
+    if (rep == 0 || write_seconds < best_write_seconds) {
+      best_write_seconds = write_seconds;
+    }
+  }
+  common::BenchRecord write_record;
+  write_record.config = "ResponseWrite";
+  write_record.n = static_cast<int>(response.instances.size());
+  write_record.support = 0;
+  for (const service::InstanceReport& report : response.instances) {
+    write_record.support += report.final_joint.support_size();
+  }
+  write_record.k = static_cast<int>(response.steps.size());
+  write_record.wall_ms = best_write_seconds * 1e3;
+  write_record.entropy_bits = -response.total_utility_bits;
+  report.Add(write_record);
+  std::printf("response write: %d books, %zu bytes: %.1f us\n",
+              write_record.n, bytes, best_write_seconds * 1e6);
 
   const common::Status written = report.MergeToFile(report_path);
   if (!written.ok()) {

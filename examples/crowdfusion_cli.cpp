@@ -296,10 +296,8 @@ int CmdRefine(int argc, char** argv) {
   common::Stopwatch stopwatch;
   auto session = fusion_service.CreateSession(std::move(request));
   if (!session.ok()) return Fail(session.status());
-  while (!(*session)->done()) {
-    if (auto outcomes = (*session)->Step(); !outcomes.ok()) {
-      return Fail(outcomes.status());
-    }
+  if (auto drained = (*session)->Drain(); !drained.ok()) {
+    return Fail(drained);
   }
   const double wall_s = stopwatch.ElapsedSeconds();
 

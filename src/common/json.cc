@@ -96,7 +96,14 @@ namespace {
 
 void AppendEscaped(std::string& out, std::string_view text) {
   out.push_back('"');
-  for (unsigned char c : text) {
+  // Copies each run of plain characters at once; only the characters JSON
+  // requires escaped break a run.
+  size_t run = 0;
+  for (size_t i = 0; i < text.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(text.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
         out += "\\\"";
@@ -119,105 +126,31 @@ void AppendEscaped(std::string& out, std::string_view text) {
       case '\t':
         out += "\\t";
         break;
-      default:
-        if (c < 0x20) {
-          constexpr char kHex[] = "0123456789abcdef";
-          out += "\\u00";
-          out.push_back(kHex[c >> 4]);
-          out.push_back(kHex[c & 0xF]);
-        } else {
-          out.push_back(static_cast<char>(c));
-        }
+      default: {
+        constexpr char kHex[] = "0123456789abcdef";
+        out += "\\u00";
+        out.push_back(kHex[c >> 4]);
+        out.push_back(kHex[c & 0xF]);
+      }
     }
   }
+  out.append(text.data() + run, text.size() - run);
   out.push_back('"');
 }
 
-void DumpTo(const JsonValue& value, int indent, int depth, std::string& out) {
-  const bool pretty = indent >= 0;
-  // Indentation is appended directly (never materialized as strings):
-  // scalars dominate real documents and need none of it.
-  const auto pad = [&] {
-    out.append(static_cast<size_t>(indent * (depth + 1)), ' ');
-  };
-  const auto close_pad = [&] {
-    out.append(static_cast<size_t>(indent * depth), ' ');
-  };
-  switch (value.kind()) {
-    case JsonValue::Kind::kNull:
-      out += "null";
-      return;
-    case JsonValue::Kind::kBool:
-      out += value.GetBool().value() ? "true" : "false";
-      return;
-    case JsonValue::Kind::kInt: {
-      char buf[24];  // int64 needs at most 20
-      const auto result =
-          std::to_chars(buf, buf + sizeof(buf), value.GetInt().value());
-      out.append(buf, result.ptr);
-      return;
-    }
-    case JsonValue::Kind::kDouble: {
-      const double d = value.GetDouble().value();
-      if (std::isnan(d)) {
-        out += "null";  // JSON has no NaN; null is the conventional stand-in.
-      } else if (std::isinf(d)) {
-        out += d > 0 ? "1e999" : "-1e999";  // parses back to +-infinity
-      } else {
-        AppendShortestDouble(out, d);
-      }
-      return;
-    }
-    case JsonValue::Kind::kString:
-      AppendEscaped(out, value.string());
-      return;
-    case JsonValue::Kind::kArray: {
-      const auto& items = value.array();
-      if (items.empty()) {
-        out += "[]";
-        return;
-      }
-      out.push_back('[');
-      for (size_t i = 0; i < items.size(); ++i) {
-        if (i > 0) out.push_back(',');
-        if (pretty) {
-          out.push_back('\n');
-          pad();
-        }
-        DumpTo(items[i], indent, depth + 1, out);
-      }
-      if (pretty) {
-        out.push_back('\n');
-        close_pad();
-      }
-      out.push_back(']');
-      return;
-    }
-    case JsonValue::Kind::kObject: {
-      const auto& members = value.object();
-      if (members.empty()) {
-        out += "{}";
-        return;
-      }
-      out.push_back('{');
-      for (size_t i = 0; i < members.size(); ++i) {
-        if (i > 0) out.push_back(',');
-        if (pretty) {
-          out.push_back('\n');
-          pad();
-        }
-        AppendEscaped(out, members[i].first);
-        out.push_back(':');
-        if (pretty) out.push_back(' ');
-        DumpTo(members[i].second, indent, depth + 1, out);
-      }
-      if (pretty) {
-        out.push_back('\n');
-        close_pad();
-      }
-      out.push_back('}');
-      return;
-    }
+void AppendInt(std::string& out, int64_t value) {
+  char buf[24];  // int64 needs at most 20
+  const auto result = std::to_chars(buf, buf + sizeof(buf), value);
+  out.append(buf, result.ptr);
+}
+
+void AppendDouble(std::string& out, double value) {
+  if (std::isnan(value)) {
+    out += "null";  // JSON has no NaN; null is the conventional stand-in.
+  } else if (std::isinf(value)) {
+    out += value > 0 ? "1e999" : "-1e999";  // parses back to +-infinity
+  } else {
+    AppendShortestDouble(out, value);
   }
 }
 
@@ -498,6 +431,143 @@ class Parser {
 
 }  // namespace
 
+void JsonValue::DumpTo(int indent, int depth, std::string& out) const {
+  const bool pretty = indent >= 0;
+  // Indentation is appended directly (never materialized as strings):
+  // scalars dominate real documents and need none of it.
+  const auto pad = [&] {
+    out.append(static_cast<size_t>(indent * (depth + 1)), ' ');
+  };
+  const auto close_pad = [&] {
+    out.append(static_cast<size_t>(indent * depth), ' ');
+  };
+  switch (kind()) {
+    case Kind::kNull:
+      out += "null";
+      return;
+    case Kind::kBool:
+      out += std::get<bool>(rep_) ? "true" : "false";
+      return;
+    case Kind::kInt:
+      AppendInt(out, std::get<int64_t>(rep_));
+      return;
+    case Kind::kDouble:
+      AppendDouble(out, std::get<double>(rep_));
+      return;
+    case Kind::kString:
+      AppendEscaped(out, std::get<std::string>(rep_));
+      return;
+    case Kind::kArray: {
+      const Array& items = std::get<Array>(rep_);
+      if (items.empty()) {
+        out += "[]";
+        return;
+      }
+      out.push_back('[');
+      for (size_t i = 0; i < items.size(); ++i) {
+        if (i > 0) out.push_back(',');
+        if (pretty) {
+          out.push_back('\n');
+          pad();
+        }
+        items[i].DumpTo(indent, depth + 1, out);
+      }
+      if (pretty) {
+        out.push_back('\n');
+        close_pad();
+      }
+      out.push_back(']');
+      return;
+    }
+    case Kind::kObject: {
+      const Object& members = std::get<Object>(rep_);
+      if (members.empty()) {
+        out += "{}";
+        return;
+      }
+      out.push_back('{');
+      for (size_t i = 0; i < members.size(); ++i) {
+        if (i > 0) out.push_back(',');
+        if (pretty) {
+          out.push_back('\n');
+          pad();
+        }
+        AppendEscaped(out, members[i].first);
+        out.push_back(':');
+        if (pretty) out.push_back(' ');
+        members[i].second.DumpTo(indent, depth + 1, out);
+      }
+      if (pretty) {
+        out.push_back('\n');
+        close_pad();
+      }
+      out.push_back('}');
+      return;
+    }
+  }
+}
+
+void JsonWriter::Separate() {
+  if (need_comma_) out_.push_back(',');
+  need_comma_ = false;
+}
+
+void JsonWriter::BeginObject() {
+  Separate();
+  out_.push_back('{');
+}
+
+void JsonWriter::EndObject() {
+  out_.push_back('}');
+  need_comma_ = true;
+}
+
+void JsonWriter::BeginArray() {
+  Separate();
+  out_.push_back('[');
+}
+
+void JsonWriter::EndArray() {
+  out_.push_back(']');
+  need_comma_ = true;
+}
+
+void JsonWriter::Key(std::string_view key) {
+  Separate();
+  AppendEscaped(out_, key);
+  out_.push_back(':');
+}
+
+void JsonWriter::Null() {
+  Separate();
+  out_ += "null";
+  need_comma_ = true;
+}
+
+void JsonWriter::Bool(bool value) {
+  Separate();
+  out_ += value ? "true" : "false";
+  need_comma_ = true;
+}
+
+void JsonWriter::Int(int64_t value) {
+  Separate();
+  AppendInt(out_, value);
+  need_comma_ = true;
+}
+
+void JsonWriter::Double(double value) {
+  Separate();
+  AppendDouble(out_, value);
+  need_comma_ = true;
+}
+
+void JsonWriter::String(std::string_view value) {
+  Separate();
+  AppendEscaped(out_, value);
+  need_comma_ = true;
+}
+
 std::string JsonEscape(std::string_view text) {
   std::string out;
   out.reserve(text.size() + 2);
@@ -507,7 +577,7 @@ std::string JsonEscape(std::string_view text) {
 
 std::string JsonValue::Dump(int indent) const {
   std::string out;
-  DumpTo(*this, indent, 0, out);
+  DumpTo(indent, 0, out);
   return out;
 }
 

@@ -98,9 +98,41 @@ class JsonValue {
   }
 
  private:
+  void DumpTo(int indent, int depth, std::string& out) const;
+
   std::variant<std::nullptr_t, bool, int64_t, double, std::string, Array,
                Object>
       rep_;
+};
+
+/// Append-only compact JSON writer into a caller-owned string. It shares
+/// JsonValue::Dump()'s scalar spellings, so a writer and a tree describing
+/// the same document emit the same bytes. The writer places commas; the
+/// caller keeps the nesting well-formed (every Begin has its End, and
+/// inside an object every value follows a Key).
+class JsonWriter {
+ public:
+  explicit JsonWriter(std::string& out) : out_(out) {}
+
+  void BeginObject();
+  void EndObject();
+  void BeginArray();
+  void EndArray();
+  /// An object member's key; the next call writes its value.
+  void Key(std::string_view key);
+
+  void Null();
+  void Bool(bool value);
+  void Int(int64_t value);
+  void Double(double value);
+  void String(std::string_view value);
+
+ private:
+  /// Emits the comma owed before the next element, if any.
+  void Separate();
+
+  std::string& out_;
+  bool need_comma_ = false;
 };
 
 /// Escapes a string for embedding in JSON output (quotes included).

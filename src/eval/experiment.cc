@@ -259,9 +259,7 @@ common::Result<ExperimentResult> RunPipelinedExperiment(
   result.initial_quality = {initial.precision, initial.recall, initial.f1};
   result.initial_utility_bits = initial.utility_bits;
 
-  while (!session->done()) {
-    CF_RETURN_IF_ERROR(session->Step().status());
-  }
+  CF_RETURN_IF_ERROR(session->Drain());
 
   const CurvePoint final_point =
       ScoreSession(*session, session->total_cost_spent());

@@ -146,8 +146,10 @@ void HttpServer::DispatchRequest(uint64_t token, HttpRequest* request) {
 }
 
 void HttpServer::WorkerLoop() {
-  // Worker-local scratch; its strings cycle through the ring and back to
-  // the connections, so steady state recycles capacity on every hop.
+  // Worker-local scratch, copied into rather than swapped: a swap would
+  // pass a worker's never-used scratch through the ring to a connection the
+  // first time that worker runs, and the loop thread's next parse into it
+  // would allocate. The copy reuses the scratch's capacity.
   HttpRequest scratch;
   for (;;) {
     uint64_t token = 0;
@@ -157,7 +159,7 @@ void HttpServer::WorkerLoop() {
       if (ring_count_ == 0) return;  // draining and empty
       PendingRequest& slot = ring_[ring_head_];
       token = slot.token;
-      std::swap(scratch, slot.request);
+      scratch = slot.request;
       ring_head_ = (ring_head_ + 1) % ring_.size();
       --ring_count_;
     }

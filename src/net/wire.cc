@@ -128,10 +128,14 @@ Status StatusFromJson(const JsonValue& body, int fallback_http_status) {
 }
 
 HttpResponse JsonResponse(int status_code, const JsonValue& body) {
+  return JsonResponse(status_code, body.Dump());
+}
+
+HttpResponse JsonResponse(int status_code, std::string body) {
   HttpResponse response;
   response.status_code = status_code;
   response.headers.push_back({"Content-Type", "application/json"});
-  response.body = body.Dump();
+  response.body = std::move(body);
   return response;
 }
 

@@ -36,6 +36,8 @@ common::Status StatusFromJson(const common::JsonValue& body,
 
 /// 200/xx response carrying a JSON body.
 HttpResponse JsonResponse(int status_code, const common::JsonValue& body);
+/// Same, for a body already serialized as JSON (e.g. by a JsonWriter).
+HttpResponse JsonResponse(int status_code, std::string body);
 
 /// Error response for a non-OK status.
 HttpResponse ErrorResponse(const common::Status& status);

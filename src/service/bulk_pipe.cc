@@ -55,7 +55,7 @@ void ProcessSlot(const FusionService& service, Slot& slot) {
     return;
   }
   slot.books = static_cast<int64_t>(response->instances.size());
-  slot.output = FusionResponseToJson(*response).Dump();
+  WriteFusionResponse(*response, slot.output);
   slot.succeeded = true;
 }
 

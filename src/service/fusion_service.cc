@@ -6,6 +6,7 @@
 #include "common/logging.h"
 #include "common/math_util.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "crowd/provider_registry.h"
 #include "data/statement.h"
 #include "fusion/fusion_result.h"
@@ -200,6 +201,51 @@ common::Result<std::vector<StepOutcome>> Session::Step() {
   if (!status.ok()) return status;
   return std::vector<StepOutcome>(
       steps_.begin() + static_cast<std::ptrdiff_t>(first), steps_.end());
+}
+
+common::Status Session::Drain() {
+  if (mode_ != RunMode::kEngine || !selector_->ConcurrentSelectSafe()) {
+    while (!done_) CF_RETURN_IF_ERROR(Step().status());
+    return Status::Ok();
+  }
+  if (done_) return Status::Ok();
+  common::Stopwatch stopwatch;
+  // Each instance runs the rounds StepEngine's passes would give it, back
+  // to back, into its own slot; the ParallelFor join orders every write
+  // before the merge below.
+  std::vector<std::vector<core::RoundRecord>> records(instances_.size());
+  std::vector<Status> statuses(instances_.size());
+  common::ThreadPool::Shared()->ParallelFor(
+      0, static_cast<int64_t>(instances_.size()),
+      [this, &records, &statuses](int64_t begin, int64_t end) {
+        for (auto i = static_cast<size_t>(begin);
+             i < static_cast<size_t>(end); ++i) {
+          Instance& instance = instances_[i];
+          while (!instance.exhausted && instance.engine->HasBudget()) {
+            auto record = instance.engine->RunRound();
+            if (!record.ok()) {
+              statuses[i] = record.status();
+              break;
+            }
+            if (record->tasks.empty()) instance.exhausted = true;
+            records[i].push_back(std::move(record).value());
+          }
+        }
+      });
+  size_t passes = 0;
+  for (const auto& rounds : records) passes = std::max(passes, rounds.size());
+  for (size_t pass = 0; pass < passes; ++pass) {
+    for (size_t i = 0; i < records.size(); ++i) {
+      if (pass < records[i].size()) {
+        steps_.push_back(
+            FromRoundRecord(static_cast<int>(i), records[i][pass]));
+      }
+    }
+  }
+  wall_seconds_ += stopwatch.ElapsedSeconds();
+  for (const Status& status : statuses) CF_RETURN_IF_ERROR(status);
+  done_ = true;
+  return Status::Ok();
 }
 
 SessionProgress Session::Poll() const {
@@ -536,9 +582,7 @@ common::Result<FusionResponse> FusionService::Run(
     FusionRequest request) const {
   CF_ASSIGN_OR_RETURN(const std::unique_ptr<Session> session,
                       CreateSession(std::move(request)));
-  while (!session->done()) {
-    CF_RETURN_IF_ERROR(session->Step().status());
-  }
+  CF_RETURN_IF_ERROR(session->Drain());
   return session->Finish();
 }
 

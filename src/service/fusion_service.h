@@ -244,6 +244,15 @@ class Session {
   /// rounds before it in the pass stay in steps(): they spent budget.
   common::Result<std::vector<StepOutcome>> Step();
 
+  /// Steps until done(), leaving steps() exactly as a Step() loop would.
+  /// Engine mode with a ConcurrentSelectSafe() selector runs each live
+  /// instance's remaining rounds concurrently on the shared ThreadPool (an
+  /// instance owns its engine, provider and seeds; the CrowdModel is
+  /// const), then appends the outcomes pass-major, instance-minor, as
+  /// Step() does. Otherwise it loops Step(). On failure, returns the
+  /// lowest-indexed failing instance's error; completed rounds stay.
+  common::Status Drain();
+
   /// Non-blocking progress snapshot.
   SessionProgress Poll() const;
 

@@ -185,17 +185,18 @@ net::HttpResponse HttpFrontend::HandleRun(const HttpRequest& request) {
   if (!body.ok()) return ErrorResponse(body.status());
   auto fusion_request = FusionRequestFromJson(*body);
   if (!fusion_request.ok()) return ErrorResponse(fusion_request.status());
-  // CreateSession + drain (what FusionService::Run does) so the run's
+  // CreateSession + Drain (what FusionService::Run does) so the run's
   // selection-compute samples can feed the /metricsz gauges.
   auto session = service_.CreateSession(std::move(fusion_request).value());
   if (!session.ok()) return ErrorResponse(session.status());
-  while (!(*session)->done()) {
-    auto outcomes = (*session)->Step();
-    if (!outcomes.ok()) return ErrorResponse(outcomes.status());
+  if (Status drained = (*session)->Drain(); !drained.ok()) {
+    return ErrorResponse(drained);
   }
   size_t exported = 0;
   RecordSelectionSamples((*session)->selection_compute_samples(), exported);
-  return JsonResponse(200, FusionResponseToJson((*session)->Finish()));
+  std::string response;
+  WriteFusionResponse((*session)->Finish(), response);
+  return JsonResponse(200, std::move(response));
 }
 
 void HttpFrontend::SweepExpiredLocked(double now) {
@@ -368,8 +369,9 @@ net::HttpResponse HttpFrontend::HandleSessions(const HttpRequest& request,
       return ErrorResponse(Status::InvalidArgument("result is GET-only"));
     }
     std::lock_guard<std::mutex> lock(entry->mutex);
-    return JsonResponse(200,
-                        FusionResponseToJson(entry->session->Finish()));
+    std::string body;
+    WriteFusionResponse(entry->session->Finish(), body);
+    return JsonResponse(200, std::move(body));
   }
 
   return ErrorResponse(Status::NotFound("no route for " + request.target));

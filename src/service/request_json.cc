@@ -3,6 +3,8 @@
 #include <charconv>
 #include <cstdint>
 #include <limits>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "common/json_util.h"
@@ -491,6 +493,130 @@ JsonValue FusionResponseToJson(const FusionResponse& response) {
   }
   json.Set("instances", std::move(instances));
   return json;
+}
+
+namespace {
+
+/// Writes one `"key": value` member, picking the writer call by type.
+template <typename T>
+void Member(common::JsonWriter& json, std::string_view key, const T& value) {
+  json.Key(key);
+  if constexpr (std::is_same_v<T, bool>) {
+    json.Bool(value);
+  } else if constexpr (std::is_integral_v<T>) {
+    json.Int(value);
+  } else if constexpr (std::is_floating_point_v<T>) {
+    json.Double(value);
+  } else {
+    json.String(value);
+  }
+}
+
+/// Mirrors StepOutcomeToJson member for member.
+void WriteStepOutcome(const StepOutcome& outcome, common::JsonWriter& json) {
+  json.BeginObject();
+  Member(json, "step", outcome.step);
+  Member(json, "instance", outcome.instance);
+  Member(json, "round", outcome.round);
+  json.Key("tasks");
+  json.BeginArray();
+  for (const int task : outcome.tasks) json.Int(task);
+  json.EndArray();
+  json.Key("answers");
+  json.BeginArray();
+  for (const bool answer : outcome.answers) json.Bool(answer);
+  json.EndArray();
+  Member(json, "selected_entropy_bits", outcome.selected_entropy_bits);
+  Member(json, "expected_gain_bits", outcome.expected_gain_bits);
+  Member(json, "utility_bits", outcome.utility_bits);
+  Member(json, "cumulative_cost", outcome.cumulative_cost);
+  Member(json, "latency_seconds", outcome.latency_seconds);
+  json.EndObject();
+}
+
+/// Mirrors JointToJson.
+void WriteJoint(const core::JointDistribution& joint,
+                common::JsonWriter& json) {
+  json.BeginObject();
+  Member(json, "num_facts", joint.num_facts());
+  json.Key("entries");
+  json.BeginArray();
+  char mask[24];  // uint64 needs at most 20
+  for (const core::JointDistribution::Entry& entry : joint.entries()) {
+    json.BeginArray();
+    const char* end = std::to_chars(mask, mask + sizeof(mask), entry.mask).ptr;
+    json.String(std::string_view(mask, static_cast<size_t>(end - mask)));
+    json.Double(entry.prob);
+    json.EndArray();
+  }
+  json.EndArray();
+  json.EndObject();
+}
+
+}  // namespace
+
+void WriteFusionResponse(const FusionResponse& response, std::string& out) {
+  // Typical spellings: a step takes ~190 bytes, a joint entry ~30 and a
+  // marginal ~20.
+  size_t reserve = 640 + 224 * response.steps.size();
+  for (const InstanceReport& report : response.instances) {
+    reserve += 160 + 24 * report.final_marginals.size() +
+               32 * static_cast<size_t>(report.final_joint.support_size());
+  }
+  out.reserve(out.size() + reserve);
+
+  common::JsonWriter json(out);
+  json.BeginObject();
+  Member(json, "schema", kResponseSchema);
+  Member(json, "label", response.label);
+  Member(json, "mode", RunModeName(response.mode));
+  Member(json, "total_utility_bits", response.total_utility_bits);
+  Member(json, "total_cost_spent", response.total_cost_spent);
+  Member(json, "dead_instances", response.dead_instances);
+
+  const RunStats& stats = response.stats;
+  json.Key("stats");
+  json.BeginObject();
+  Member(json, "wall_seconds", stats.wall_seconds);
+  Member(json, "selection_seconds", stats.selection_seconds);
+  Member(json, "steps_per_second", stats.steps_per_second);
+  Member(json, "p50_latency_ms", stats.p50_latency_ms);
+  Member(json, "p95_latency_ms", stats.p95_latency_ms);
+  Member(json, "selection_compute_p50_ms", stats.selection_compute_p50_ms);
+  Member(json, "selection_compute_p95_ms", stats.selection_compute_p95_ms);
+  Member(json, "answers_served", stats.answers_served);
+  Member(json, "answers_correct", stats.answers_correct);
+  Member(json, "tickets_resubmitted", stats.tickets_resubmitted);
+  json.EndObject();
+
+  json.Key("steps");
+  json.BeginArray();
+  for (const StepOutcome& outcome : response.steps) {
+    WriteStepOutcome(outcome, json);
+  }
+  json.EndArray();
+
+  json.Key("instances");
+  json.BeginArray();
+  for (const InstanceReport& report : response.instances) {
+    json.BeginObject();
+    Member(json, "name", report.name);
+    json.Key("final_joint");
+    WriteJoint(report.final_joint, json);
+    json.Key("final_marginals");
+    json.BeginArray();
+    for (const double marginal : report.final_marginals) {
+      json.Double(marginal);
+    }
+    json.EndArray();
+    Member(json, "utility_bits", report.utility_bits);
+    Member(json, "cost_spent", report.cost_spent);
+    Member(json, "num_facts", report.num_facts);
+    Member(json, "dead", report.dead);
+    json.EndObject();
+  }
+  json.EndArray();
+  json.EndObject();
 }
 
 common::Result<FusionResponse> FusionResponseFromJson(const JsonValue& json) {

@@ -36,9 +36,16 @@ common::Result<FusionRequest> FusionRequestFromJson(
 std::string SerializeFusionRequest(const FusionRequest& request);
 common::Result<FusionRequest> ParseFusionRequest(const std::string& text);
 
+/// The reference encoder: the tree the tests and the traced replay read.
+/// The served paths write through WriteFusionResponse instead.
 common::JsonValue FusionResponseToJson(const FusionResponse& response);
 common::Result<FusionResponse> FusionResponseFromJson(
     const common::JsonValue& json);
+
+/// Appends the compact JSON of `response` to `out` with no JsonValue tree:
+/// exactly the bytes of FusionResponseToJson(response).Dump(). Reserves
+/// the output up front.
+void WriteFusionResponse(const FusionResponse& response, std::string& out);
 
 std::string SerializeFusionResponse(const FusionResponse& response);
 common::Result<FusionResponse> ParseFusionResponse(const std::string& text);

@@ -188,5 +188,48 @@ TEST(JsonValueTest, TypedAccessorsRejectMismatches) {
   EXPECT_FALSE(JsonValue(0.5).GetInt().ok());
 }
 
+TEST(JsonWriterTest, WritesTheBytesOfTheTree) {
+  const double inf = std::numeric_limits<double>::infinity();
+  JsonValue inner = JsonValue::MakeArray();
+  inner.Append(JsonValue::MakeArray());
+  inner.Append(JsonValue::MakeObject());
+  inner.Append(std::nan(""));
+  inner.Append(-inf);
+  inner.Append(1e21);
+  JsonValue tree = JsonValue::MakeObject();
+  tree.Set("k\"ey\n", "v\\al\x01\xc3\xa9");
+  tree.Set("n", nullptr);
+  tree.Set("b", false);
+  tree.Set("i", std::numeric_limits<int64_t>::min());
+  tree.Set("d", -0.0);
+  tree.Set("a", inner);
+
+  std::string out;
+  JsonWriter writer(out);
+  writer.BeginObject();
+  writer.Key("k\"ey\n");
+  writer.String("v\\al\x01\xc3\xa9");
+  writer.Key("n");
+  writer.Null();
+  writer.Key("b");
+  writer.Bool(false);
+  writer.Key("i");
+  writer.Int(std::numeric_limits<int64_t>::min());
+  writer.Key("d");
+  writer.Double(-0.0);
+  writer.Key("a");
+  writer.BeginArray();
+  writer.BeginArray();
+  writer.EndArray();
+  writer.BeginObject();
+  writer.EndObject();
+  writer.Double(std::nan(""));
+  writer.Double(-inf);
+  writer.Double(1e21);
+  writer.EndArray();
+  writer.EndObject();
+  EXPECT_EQ(out, tree.Dump());
+}
+
 }  // namespace
 }  // namespace crowdfusion::common

@@ -6,11 +6,14 @@
 /// the loop thread allocates NOTHING in steady state (pinned with a
 /// global operator-new hook + EventLoop::OnLoopThread).
 
+#include <execinfo.h>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
+#include <limits>
 #include <mutex>
 #include <new>
 #include <optional>
@@ -30,22 +33,47 @@
 // --------------------------------------------------------------------------
 
 namespace {
-std::atomic<int64_t> g_loop_thread_allocs{0};
+// Starts far below zero, so the allocations of warm-ups and of the other
+// tests never reach it; a test that resets it to 0 arms the trace below.
+std::atomic<int64_t> g_loop_thread_allocs{
+    std::numeric_limits<int64_t>::min() / 2};
+
+// Names the first unexpected allocation: the count's 0 -> 1 step writes
+// the allocating stack to stderr. backtrace_symbols_fd writes without
+// allocating; backtrace itself may allocate on its first call (it loads
+// the unwinder), so BacktraceWarmup makes that call before any test.
+void CountLoopThreadAllocation() {
+  if (!crowdfusion::net::EventLoop::OnLoopThread()) return;
+  if (g_loop_thread_allocs.fetch_add(1, std::memory_order_relaxed) != 0) {
+    return;
+  }
+  static constexpr char kHeader[] =
+      "first unexpected loop-thread allocation at:\n";
+  (void)!write(STDERR_FILENO, kHeader, sizeof(kHeader) - 1);
+  void* frames[64];
+  backtrace_symbols_fd(frames, backtrace(frames, 64), STDERR_FILENO);
+}
+
+class BacktraceWarmup : public ::testing::Environment {
+ public:
+  void SetUp() override {
+    void* frames[1];
+    backtrace(frames, 1);
+  }
+};
+::testing::Environment* const kBacktraceWarmup =
+    ::testing::AddGlobalTestEnvironment(new BacktraceWarmup);
 }  // namespace
 
 void* operator new(std::size_t size) {
-  if (crowdfusion::net::EventLoop::OnLoopThread()) {
-    g_loop_thread_allocs.fetch_add(1, std::memory_order_relaxed);
-  }
+  CountLoopThreadAllocation();
   void* ptr = std::malloc(size == 0 ? 1 : size);
   if (ptr == nullptr) throw std::bad_alloc();
   return ptr;
 }
 
 void* operator new[](std::size_t size) {
-  if (crowdfusion::net::EventLoop::OnLoopThread()) {
-    g_loop_thread_allocs.fetch_add(1, std::memory_order_relaxed);
-  }
+  CountLoopThreadAllocation();
   void* ptr = std::malloc(size == 0 ? 1 : size);
   if (ptr == nullptr) throw std::bad_alloc();
   return ptr;
