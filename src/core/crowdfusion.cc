@@ -46,18 +46,9 @@ common::Result<RoundRecord> CrowdFusionEngine::RunRound() {
   if (!HasBudget()) {
     return Status::FailedPrecondition("budget exhausted");
   }
-  // Ask min(k, n, remaining budget) tasks this round (Section V-A); an
-  // adaptive policy may override the fixed k.
-  const int remaining = options_.budget - cost_spent_;
-  int requested_k = options_.tasks_per_round;
-  if (options_.round_policy != nullptr) {
-    RoundPolicy::RoundContext context;
-    context.joint = &current_;
-    context.remaining_budget = remaining;
-    context.rounds_completed = rounds_completed_;
-    requested_k = std::max(1, options_.round_policy->NextK(context));
-  }
-  const int k = std::min({requested_k, current_.num_facts(), remaining});
+  // Ask min(k, n, remaining budget) tasks this round (Section V-A).
+  const int k = std::min({options_.tasks_per_round, current_.num_facts(),
+                          options_.budget - cost_spent_});
 
   SelectionRequest request;
   request.joint = &current_;

@@ -10,7 +10,6 @@
 #include "core/bayes.h"
 #include "core/crowd_model.h"
 #include "core/joint_distribution.h"
-#include "core/round_policy.h"
 #include "core/task_selector.h"
 
 namespace crowdfusion::core {
@@ -29,23 +28,13 @@ struct RoundRecord {
   SelectionStats selection_stats;
 };
 
-/// Engine configuration. Copy-safe by design: the struct owns only plain
-/// values, and its single pointer member is an explicitly *borrowed*
-/// reference, so copies share the same policy object and never double-free
-/// or dangle on their own — the caller keeps the policy alive for as long
-/// as any engine configured with it runs (asserted, debug-only, each
-/// round).
+/// Engine configuration: plain values only, so copies are always safe.
 struct EngineOptions {
   /// Total number of tasks the engine may spend (B in Section V-A).
   int budget = 60;
   /// Tasks per round (k). Per the paper, each round asks
   /// min(k, n, remaining budget) tasks.
   int tasks_per_round = 1;
-  /// Optional adaptive k policy; when set it overrides tasks_per_round
-  /// each round (still clamped to [1, min(n, remaining budget)]).
-  /// Borrowed, never owned or deleted; must outlive every engine (and
-  /// every copy of this options struct) that uses it.
-  RoundPolicy* round_policy = nullptr;
 };
 
 static_assert(std::is_trivially_copyable_v<EngineOptions>,
@@ -61,12 +50,11 @@ static_assert(std::is_trivially_copyable_v<EngineOptions>,
 ///
 /// Lifetime contract (load-bearing now that engines are handed across
 /// threads and overlap with in-flight crowd tickets): the engine BORROWS
-/// the selector, the provider, and options.round_policy — it never owns or
-/// deletes them, and all three must outlive the engine and every
-/// outstanding round started through it. Violations are asserted
-/// (debug-only) at each round; in release they are undefined behavior.
-/// The crowd model is copied by value, as is the joint — only those three
-/// pointers are borrowed. The crowd model is the accuracy the *system*
+/// the selector and the provider — it never owns or deletes them, and both
+/// must outlive the engine and every outstanding round started through
+/// it. Violations are asserted (debug-only) at each round; in release they
+/// are undefined behavior. The crowd model is copied by value, as is the
+/// joint — only those two pointers are borrowed. The crowd model is the accuracy the *system*
 /// assumes — experiments may pair it with a provider whose true accuracy
 /// differs (the paper's Pc setting study).
 class CrowdFusionEngine {

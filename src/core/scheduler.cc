@@ -129,7 +129,7 @@ common::Status BudgetScheduler::RefreshStaleSelectionsConcurrently(int k) {
 }
 
 common::Result<int> BudgetScheduler::PickBestIdleInstance(int k) {
-  // Debug guard on the borrow contract (see EngineOptions): the selector
+  // Debug guard on the borrow contract (see CrowdFusionEngine): the selector
   // and every instance provider are borrowed and must outlive the
   // scheduler, including while tickets are in flight.
   CF_DCHECK(selector_ != nullptr) << "selector destroyed under the scheduler";
