@@ -10,6 +10,7 @@
 #include "core/opt_selector.h"
 #include "core/random_selector.h"
 #include "core/running_example.h"
+#include "core/utility.h"
 
 namespace crowdfusion::core {
 namespace {
@@ -184,6 +185,29 @@ TEST(GreedySelectorTest, RespectsCandidateRestriction) {
   for (int t : selection->tasks) {
     EXPECT_TRUE(t == 1 || t == 2);
   }
+}
+
+TEST(GreedySelectorTest, FirstPickIsSingleTaskEntropyArgmax) {
+  // With T = ∅ the greedy's first gain is H({f}), so its first pick is the
+  // fact whose single-task answer entropy is largest.
+  const JointDistribution joint = RunningExample::Joint();
+  const CrowdModel crowd = MakeCrowd(0.8);
+  int argmax = 0;
+  double best = -1.0;
+  for (int f = 0; f < joint.num_facts(); ++f) {
+    const std::vector<int> task = {f};
+    const double entropy = TaskEntropyBits(joint, task, crowd);
+    if (entropy > best) {
+      best = entropy;
+      argmax = f;
+    }
+  }
+  GreedySelector selector;
+  auto selection = selector.Select(MakeRequest(joint, crowd, 1));
+  ASSERT_TRUE(selection.ok());
+  ASSERT_EQ(selection->tasks.size(), 1u);
+  EXPECT_EQ(selection->tasks[0], argmax);
+  EXPECT_EQ(argmax, 0);  // the paper's walkthrough: f1 first
 }
 
 TEST(GreedySelectorTest, NameReflectsOptions) {
