@@ -89,7 +89,7 @@ struct AdversarySpec {
   /// Per-answer accuracy drift of each HONEST worker: its P(correct)
   /// moves by this much with every answer it gives (negative = fatigue),
   /// clamped to [drift_floor, drift_ceiling]. Ground truth for scoring
-  /// AccuracyEstimator / Dawid-Skene against drifting workers.
+  /// AccuracyEstimator against drifting workers.
   double drift_per_answer = 0.0;
   double drift_floor = 0.05;
   double drift_ceiling = 0.95;

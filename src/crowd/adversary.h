@@ -41,7 +41,7 @@ const char* AdversaryRoleName(AdversaryRole role);
 /// every remaining worker is honest). All randomness comes from the
 /// model's own RNG stream seeded by AdversarySpec::seed, and every
 /// judgment is appended to a (fact, worker, answer) log so accuracy
-/// estimators (Wilson, Dawid-Skene) can be scored against the model's
+/// estimators (the Wilson pre-test) can be scored against the model's
 /// ground-truth behaviour, including honest-worker drift.
 ///
 /// Thread-compatible like the crowds that embed it: judgments must be

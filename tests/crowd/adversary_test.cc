@@ -222,6 +222,98 @@ TEST(AdversaryModelTest, DriftDecaysHonestAccuracyToTheFloor) {
       0.9);
 }
 
+/// Per-worker share of the logged judgments on facts >= first_fact that
+/// matched the truth.
+std::vector<double> LoggedAccuracyByWorker(const AdversaryModel& model,
+                                           int num_workers,
+                                           int first_fact = 0) {
+  std::vector<int> correct(static_cast<size_t>(num_workers), 0);
+  std::vector<int> total(static_cast<size_t>(num_workers), 0);
+  for (const AdversaryModel::Judgment& entry : model.log()) {
+    if (entry.fact_id < first_fact) continue;
+    const auto w = static_cast<size_t>(entry.worker);
+    ++total[w];
+    if (entry.answer == entry.truth) ++correct[w];
+  }
+  std::vector<double> accuracy(static_cast<size_t>(num_workers), 0.0);
+  for (size_t w = 0; w < accuracy.size(); ++w) {
+    if (total[w] > 0) {
+      accuracy[w] = static_cast<double>(correct[w]) / total[w];
+    }
+  }
+  return accuracy;
+}
+
+TEST(AdversaryModelTest, HonestWorkersBesideSpammersKeepTheirAccuracy) {
+  // A half-spammer pool: workers 0-2 coin-flip, workers 3-5 stay honest
+  // and answer at the bias table's 0.85.
+  core::AdversarySpec spec = EnabledSpec();
+  spec.num_workers = 6;
+  spec.spammer_fraction = 0.5;
+  spec.seed = 77;
+  const auto model = MustCreate(spec);
+  const WorkerBias bias = WorkerBias::Uniform(0.85);
+  for (int t = 0; t < 400; ++t) {
+    for (int w = 0; w < spec.num_workers; ++w) {
+      (void)model->JudgeAs(w, t, t % 2 == 0, data::StatementCategory::kClean,
+                           bias);
+    }
+  }
+  const std::vector<double> accuracy =
+      LoggedAccuracyByWorker(*model, spec.num_workers);
+  for (int w = 0; w < 3; ++w) {
+    ASSERT_EQ(model->role(w), AdversaryRole::kSpammer);
+    EXPECT_NEAR(accuracy[static_cast<size_t>(w)], 0.5, 0.08)
+        << "spammer " << w;
+  }
+  for (int w = 3; w < 6; ++w) {
+    ASSERT_EQ(model->role(w), AdversaryRole::kHonest);
+    EXPECT_NEAR(accuracy[static_cast<size_t>(w)], 0.85, 0.06)
+        << "honest worker " << w;
+  }
+}
+
+TEST(AdversaryModelTest, DriftIsCountedPerWorker) {
+  // Worker 0 burns 600 warm-up answers and drifts from 0.85 to the 0.55
+  // floor; workers 1-2 have answered nothing and keep the base accuracy.
+  core::AdversarySpec spec = EnabledSpec();
+  spec.num_workers = 3;
+  spec.drift_per_answer = -0.0005;
+  spec.drift_floor = 0.55;
+  spec.seed = 78;
+  const auto model = MustCreate(spec);
+  const WorkerBias bias = WorkerBias::Uniform(0.85);
+  const int kWarmup = 600;
+  for (int t = 0; t < kWarmup; ++t) {
+    (void)model->JudgeAs(0, t, true, data::StatementCategory::kClean, bias);
+  }
+  EXPECT_DOUBLE_EQ(
+      model->HonestAccuracy(0, data::StatementCategory::kClean, bias), 0.55);
+  for (int w : {1, 2}) {
+    EXPECT_EQ(model->answers_by(w), 0);
+    EXPECT_DOUBLE_EQ(
+        model->HonestAccuracy(w, data::StatementCategory::kClean, bias), 0.85)
+        << "fresh worker " << w;
+  }
+
+  // Over the next 400 rounds worker 0 answers at the floor, while workers
+  // 1-2 drift 0.85 -> 0.65 (about 0.75 on average).
+  for (int t = 0; t < 400; ++t) {
+    for (int w = 0; w < spec.num_workers; ++w) {
+      (void)model->JudgeAs(w, kWarmup + t, t % 2 == 0,
+                           data::StatementCategory::kClean, bias);
+    }
+  }
+  const std::vector<double> accuracy =
+      LoggedAccuracyByWorker(*model, spec.num_workers, kWarmup);
+  EXPECT_NEAR(accuracy[0], 0.55, 0.08);
+  for (size_t w : {1u, 2u}) {
+    EXPECT_NEAR(accuracy[w], 0.75, 0.08) << "fresh worker " << w;
+  }
+  EXPECT_DOUBLE_EQ(
+      model->HonestAccuracy(1, data::StatementCategory::kClean, bias), 0.65);
+}
+
 TEST(AdversaryModelTest, LogRecordsEveryJudgmentInOrder) {
   core::AdversarySpec spec = EnabledSpec();
   spec.num_workers = 3;
