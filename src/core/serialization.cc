@@ -15,7 +15,6 @@ using common::Status;
 namespace {
 
 constexpr char kJointHeader[] = "crowdfusion-joint v1";
-constexpr char kFactsHeader[] = "crowdfusion-facts v1";
 
 bool IsCommentOrBlank(const std::string& line) {
   const std::string trimmed = common::Trim(line);
@@ -76,46 +75,6 @@ common::Result<JointDistribution> LoadJointDistribution(
   return JointDistribution::FromEntries(num_facts, std::move(entries),
                                         /*normalize=*/false,
                                         /*tolerance=*/1e-9);
-}
-
-Status SaveFactSet(const FactSet& facts, const std::string& path) {
-  std::ofstream out(path);
-  if (!out.is_open()) {
-    return Status::NotFound("cannot open for writing: " + path);
-  }
-  out << kFactsHeader << "\n";
-  for (const Fact& fact : facts.facts()) {
-    if (fact.subject.find('\t') != std::string::npos ||
-        fact.predicate.find('\t') != std::string::npos ||
-        fact.object.find('\t') != std::string::npos) {
-      return Status::InvalidArgument(
-          "fact fields must not contain tab characters: " + fact.ToString());
-    }
-    out << fact.subject << '\t' << fact.predicate << '\t' << fact.object
-        << '\n';
-  }
-  out.close();
-  if (!out) return Status::Internal("write failed: " + path);
-  return Status::Ok();
-}
-
-common::Result<FactSet> LoadFactSet(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.is_open()) return Status::NotFound("cannot open: " + path);
-  std::string line;
-  if (!std::getline(in, line) || common::Trim(line) != kFactsHeader) {
-    return Status::InvalidArgument("missing facts header in " + path);
-  }
-  FactSet facts;
-  while (std::getline(in, line)) {
-    if (IsCommentOrBlank(line)) continue;
-    const auto fields = common::Split(line, '\t');
-    if (fields.size() != 3) {
-      return Status::InvalidArgument("bad fact line: " + line);
-    }
-    facts.Add({fields[0], fields[1], fields[2]});
-  }
-  return facts;
 }
 
 }  // namespace crowdfusion::core

@@ -4,14 +4,13 @@
 #include <string>
 
 #include "common/status.h"
-#include "core/fact.h"
 #include "core/joint_distribution.h"
 
 namespace crowdfusion::core {
 
-/// Plain-text persistence for fact sets and joint distributions, so fusion
-/// outputs can be checkpointed between rounds or shipped to another
-/// process. Format (line-oriented, '#' comments allowed):
+/// Plain-text persistence for joint distributions, so fusion outputs can
+/// be checkpointed between rounds or shipped to another process. Format
+/// (line-oriented, '#' comments allowed):
 ///
 ///   crowdfusion-joint v1
 ///   facts <n>
@@ -26,14 +25,6 @@ common::Status SaveJointDistribution(const JointDistribution& joint,
 
 common::Result<JointDistribution> LoadJointDistribution(
     const std::string& path);
-
-/// Fact sets persist as tab-separated subject/predicate/object triples:
-///
-///   crowdfusion-facts v1
-///   <subject> \t <predicate> \t <object>
-common::Status SaveFactSet(const FactSet& facts, const std::string& path);
-
-common::Result<FactSet> LoadFactSet(const std::string& path);
 
 }  // namespace crowdfusion::core
 

@@ -73,37 +73,5 @@ TEST_F(SerializationTest, JointFileAllowsComments) {
   EXPECT_DOUBLE_EQ(loaded->Probability(1), 1.0);
 }
 
-TEST_F(SerializationTest, FactSetRoundTrip) {
-  const FactSet facts = RunningExample::Facts();
-  ASSERT_TRUE(SaveFactSet(facts, path_).ok());
-  auto loaded = LoadFactSet(path_);
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded->size(), facts.size());
-  for (int i = 0; i < facts.size(); ++i) {
-    EXPECT_EQ(loaded->at(i), facts.at(i));
-  }
-}
-
-TEST_F(SerializationTest, FactSetRejectsTabsInFields) {
-  FactSet facts;
-  facts.Add({"bad\tsubject", "p", "o"});
-  EXPECT_FALSE(SaveFactSet(facts, path_).ok());
-}
-
-TEST_F(SerializationTest, FactSetLoadRejectsMalformedLines) {
-  {
-    std::ofstream out(path_);
-    out << "crowdfusion-facts v1\nonly-one-field\n";
-  }
-  EXPECT_FALSE(LoadFactSet(path_).ok());
-}
-
-TEST_F(SerializationTest, EmptyFactSetRoundTrip) {
-  ASSERT_TRUE(SaveFactSet(FactSet(), path_).ok());
-  auto loaded = LoadFactSet(path_);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_TRUE(loaded->empty());
-}
-
 }  // namespace
 }  // namespace crowdfusion::core
