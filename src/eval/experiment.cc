@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "common/logging.h"
 #include "common/string_util.h"
 #include "core/registry.h"
 #include "service/fusion_service.h"
@@ -109,12 +108,11 @@ core::SelectorSpec SelectorSpecFor(SelectorKind kind, uint64_t seed) {
   return spec;
 }
 
-/// Translates ExperimentOptions into the one typed request the service
-/// facade consumes — the experiment harness is a thin client now.
-service::FusionRequest BuildRequest(const ExperimentOptions& options,
-                                    service::RunMode mode) {
+/// Translates ExperimentOptions into the one typed engine-mode request the
+/// service facade consumes — the experiment harness is a thin client now.
+service::FusionRequest BuildRequest(const ExperimentOptions& options) {
   service::FusionRequest request;
-  request.mode = mode;
+  request.mode = service::RunMode::kEngine;
   service::DatasetSpec dataset;
   dataset.generate = options.dataset;
   dataset.correlation = options.correlation;
@@ -126,16 +124,9 @@ service::FusionRequest BuildRequest(const ExperimentOptions& options,
   request.provider.accuracy = options.true_accuracy;
   request.provider.biased = options.biased_crowd;
   request.provider.seed = options.crowd_seed;
-  request.provider.latency_median_seconds =
-      mode == service::RunMode::kPipelined
-          ? options.crowd_median_latency_seconds
-          : 0.0;
-  // The pipelined experiments' historical latency-stream lineage.
-  request.provider.latency_seed = options.crowd_seed ^ 0x1A7E9C1ULL;
   request.assumed_pc = options.assumed_pc;
   request.budget.budget_per_instance = options.budget_per_book;
   request.budget.tasks_per_step = options.tasks_per_round;
-  request.pipeline.max_in_flight = options.max_in_flight;
   return request;
 }
 
@@ -182,23 +173,12 @@ void FillWorkloadStats(const service::Session& session,
 
 }  // namespace
 
-std::unique_ptr<core::TaskSelector> MakeSelector(SelectorKind kind,
-                                                 uint64_t seed) {
-  static const core::SelectorRegistry registry =
-      core::BuiltinSelectorRegistry();
-  const core::SelectorSpec spec = SelectorSpecFor(kind, seed);
-  auto selector = registry.Create(spec.kind, spec);
-  CF_CHECK(selector.ok()) << selector.status();
-  return std::move(selector).value();
-}
-
 common::Result<ExperimentResult> RunExperiment(
     const ExperimentOptions& options) {
   CF_RETURN_IF_ERROR(ValidateOptions(options));
   service::FusionService service;
-  CF_ASSIGN_OR_RETURN(
-      const std::unique_ptr<service::Session> session,
-      service.CreateSession(BuildRequest(options, service::RunMode::kEngine)));
+  CF_ASSIGN_OR_RETURN(const std::unique_ptr<service::Session> session,
+                      service.CreateSession(BuildRequest(options)));
 
   ExperimentResult result;
   result.label = common::StrFormat(
@@ -232,46 +212,12 @@ common::Result<ExperimentResult> RunExperiment(
 common::Result<PrecisionRecallF1> ScoreInitializer(
     const ExperimentOptions& options) {
   service::FusionService service;
-  service::FusionRequest request =
-      BuildRequest(options, service::RunMode::kEngine);
+  service::FusionRequest request = BuildRequest(options);
   request.budget.budget_per_instance = 0;  // the zero-cost baseline
   CF_ASSIGN_OR_RETURN(const std::unique_ptr<service::Session> session,
                       service.CreateSession(std::move(request)));
   const CurvePoint point = ScoreSession(*session, 0);
   return PrecisionRecallF1{point.precision, point.recall, point.f1};
-}
-
-common::Result<ExperimentResult> RunPipelinedExperiment(
-    const ExperimentOptions& options) {
-  CF_RETURN_IF_ERROR(ValidateOptions(options));
-  service::FusionService service;
-  CF_ASSIGN_OR_RETURN(const std::unique_ptr<service::Session> session,
-                      service.CreateSession(BuildRequest(
-                          options, service::RunMode::kPipelined)));
-
-  ExperimentResult result;
-  result.label = common::StrFormat(
-      "%s pipelined m=%d k=%d Pc=%.2f", SelectorKindName(options.selector),
-      options.max_in_flight, options.tasks_per_round, options.assumed_pc);
-
-  const CurvePoint initial = ScoreSession(*session, 0);
-  result.curve.push_back(initial);
-  result.initial_quality = {initial.precision, initial.recall, initial.f1};
-  result.initial_utility_bits = initial.utility_bits;
-
-  CF_RETURN_IF_ERROR(session->Drain());
-
-  const CurvePoint final_point =
-      ScoreSession(*session, session->total_cost_spent());
-  result.curve.push_back(final_point);
-  result.final_quality = {final_point.precision, final_point.recall,
-                          final_point.f1};
-  result.final_utility_bits = final_point.utility_bits;
-  // The pipelined trajectory has no per-selection timing; report the
-  // serving wall-clock, as the pre-facade harness did.
-  result.selection_seconds = session->wall_seconds();
-  FillWorkloadStats(*session, result);
-  return result;
 }
 
 }  // namespace crowdfusion::eval

@@ -1,12 +1,10 @@
 #ifndef CROWDFUSION_EVAL_EXPERIMENT_H_
 #define CROWDFUSION_EVAL_EXPERIMENT_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
-#include "core/task_selector.h"
 #include "data/book_dataset.h"
 #include "data/correlation_model.h"
 #include "eval/metrics.h"
@@ -37,12 +35,6 @@ enum class SelectorKind {
 const char* InitializerName(Initializer initializer);
 const char* SelectorKindName(SelectorKind kind);
 
-/// Instantiates a selector. OPT gets the fast entropy path here (quality
-/// comparisons); the Table V harness constructs its own paper-faithful
-/// variants directly.
-std::unique_ptr<core::TaskSelector> MakeSelector(SelectorKind kind,
-                                                 uint64_t seed);
-
 /// Configuration of one end-to-end run over a Book dataset, mirroring
 /// Section V-A: per-book budget B, k tasks per round, crowd accuracy Pc.
 struct ExperimentOptions {
@@ -66,12 +58,6 @@ struct ExperimentOptions {
   /// Books with more statements than this are truncated to their first
   /// max_facts_per_book statements (dense joint guard).
   int max_facts_per_book = 16;
-  /// RunPipelinedExperiment only: outstanding ticket batches the serving
-  /// scheduler keeps in flight.
-  int max_in_flight = 4;
-  /// RunPipelinedExperiment only: median simulated crowd latency, seconds
-  /// (0 = instant answers; the differential setting).
-  double crowd_median_latency_seconds = 0.0;
 };
 
 /// One point of a quality-vs-cost curve (the Figures 2-4 series):
@@ -109,16 +95,6 @@ common::Result<ExperimentResult> RunExperiment(
 /// Runs the machine-only initializer alone and scores it; the zero-cost
 /// baseline of every figure.
 common::Result<PrecisionRecallF1> ScoreInitializer(
-    const ExperimentOptions& options);
-
-/// The serving-engine variant of RunExperiment: every generated book is
-/// registered with ONE pipelined core::BudgetScheduler holding the global
-/// budget budget_per_book × books (the Section V-D allocation strategy),
-/// with up to `max_in_flight` crowd ticket batches outstanding and
-/// simulated answer latency of `crowd_median_latency_seconds`. The curve
-/// holds the initial and final points; the per-step trajectory is the
-/// scheduler's record stream.
-common::Result<ExperimentResult> RunPipelinedExperiment(
     const ExperimentOptions& options);
 
 }  // namespace crowdfusion::eval

@@ -293,8 +293,6 @@ class Session {
   /// Individual Select() wall times, seconds, in issue order (engine
   /// rounds or scheduler refreshes).
   std::vector<double> selection_compute_samples() const;
-  /// Wall-clock accumulated across Step() calls so far.
-  double wall_seconds() const { return wall_seconds_; }
   /// (served, correct) summed over providers that track it.
   std::pair<int64_t, int64_t> answers_served_correct() const;
   /// Failover resubmissions summed over providers that track it.

@@ -119,32 +119,6 @@ TEST(ExperimentTest, BiasedCrowdLowersEffectiveAccuracy) {
             plain->crowd_empirical_accuracy);
 }
 
-TEST(PipelinedExperimentTest, GlobalBudgetServeImprovesOnTheInitializer) {
-  ExperimentOptions options = SmallOptions();
-  options.max_in_flight = 4;
-  auto result = RunPipelinedExperiment(options);
-  ASSERT_TRUE(result.ok()) << result.status();
-  ASSERT_EQ(result->curve.size(), 2u);
-  EXPECT_EQ(result->curve.front().cost, 0);
-  EXPECT_LE(result->curve.back().cost,
-            options.budget_per_book * result->books_evaluated);
-  EXPECT_GE(result->final_quality.f1, result->initial_quality.f1);
-  EXPECT_GT(result->final_utility_bits, result->initial_utility_bits);
-  EXPECT_GT(result->crowd_empirical_accuracy, 0.0);
-}
-
-TEST(PipelinedExperimentTest, SpendsTheGlobalBudgetAcrossBooks) {
-  // Global allocation is allowed to spend a given book's "share" elsewhere;
-  // the pin is only that the pool itself is respected and mostly used.
-  ExperimentOptions options = SmallOptions();
-  options.budget_per_book = 4;
-  auto result = RunPipelinedExperiment(options);
-  ASSERT_TRUE(result.ok()) << result.status();
-  const int global_budget = 4 * result->books_evaluated;
-  EXPECT_LE(result->curve.back().cost, global_budget);
-  EXPECT_GT(result->curve.back().cost, 0);
-}
-
 TEST(ExperimentTest, HigherPcGivesHigherUtility) {
   ExperimentOptions low = SmallOptions();
   low.assumed_pc = 0.7;
