@@ -1,11 +1,12 @@
 #include "core/serialization.h"
 
-#include <cinttypes>
-#include <cstdio>
+#include <charconv>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "common/json.h"
+#include "common/json_util.h"
 #include "common/string_util.h"
 
 namespace crowdfusion::core {
@@ -16,9 +17,30 @@ namespace {
 
 constexpr char kJointHeader[] = "crowdfusion-joint v1";
 
-bool IsCommentOrBlank(const std::string& line) {
-  const std::string trimmed = common::Trim(line);
-  return trimmed.empty() || trimmed[0] == '#';
+std::vector<std::string> Tokens(const std::string& line) {
+  std::istringstream in(line);
+  std::vector<std::string> tokens;
+  for (std::string token; in >> token;) tokens.push_back(std::move(token));
+  return tokens;
+}
+
+/// Parses the whole token as a number: no trailing characters.
+template <typename T>
+bool ParseWhole(const std::string& token, T* out) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+/// Reads "entry <mask> <probability>". Masks take the all-digits rule
+/// JointFromJson uses, so "-1" is not read as 2^64 - 1.
+bool ParseEntry(const std::vector<std::string>& tokens,
+                JointDistribution::Entry* entry) {
+  if (tokens.size() != 3) return false;
+  const common::Result<uint64_t> mask = common::JsonParseU64Text(tokens[1]);
+  if (!mask.ok()) return false;
+  entry->mask = *mask;
+  return ParseWhole(tokens[2], &entry->prob);
 }
 
 }  // namespace
@@ -53,17 +75,19 @@ common::Result<JointDistribution> LoadJointDistribution(
   int num_facts = -1;
   std::vector<JointDistribution::Entry> entries;
   while (std::getline(in, line)) {
-    if (IsCommentOrBlank(line)) continue;
-    std::istringstream fields(line);
-    std::string keyword;
-    fields >> keyword;
+    const std::vector<std::string> tokens = Tokens(line);
+    if (tokens.empty() || tokens[0][0] == '#') continue;  // blank or comment
+    const std::string& keyword = tokens[0];
     if (keyword == "facts") {
-      fields >> num_facts;
-      if (!fields) return Status::InvalidArgument("bad facts line: " + line);
+      if (tokens.size() != 2 || !ParseWhole(tokens[1], &num_facts) ||
+          num_facts < 0) {
+        return Status::InvalidArgument("bad facts line: " + line);
+      }
     } else if (keyword == "entry") {
       JointDistribution::Entry entry;
-      fields >> entry.mask >> entry.prob;
-      if (!fields) return Status::InvalidArgument("bad entry line: " + line);
+      if (!ParseEntry(tokens, &entry)) {
+        return Status::InvalidArgument("bad entry line: " + line);
+      }
       entries.push_back(entry);
     } else {
       return Status::InvalidArgument("unknown keyword: " + keyword);

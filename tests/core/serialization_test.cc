@@ -57,6 +57,18 @@ TEST_F(SerializationTest, JointLoadRejectsGarbage) {
     out << "crowdfusion-joint v1\nfacts 1\nentry 0 0.9\n";  // mass != 1
   }
   EXPECT_FALSE(LoadJointDistribution(path_).ok());
+  // Each body is a valid joint but for one malformed line: a negative
+  // mask (not 2^64 - 1), a trailing token, a number with a suffix.
+  for (const char* body : {"facts 64\nentry 0 0.5\nentry -1 0.5\n",
+                           "facts 2\nentry 0 0.75\nentry 3 0.25 junk\n",
+                           "facts 2\nentry 0 0.75\nentry 3 0.25junk\n",
+                           "facts 4 x\nentry 0 0.75\nentry 3 0.25\n"}) {
+    {
+      std::ofstream out(path_);
+      out << "crowdfusion-joint v1\n" << body;
+    }
+    EXPECT_FALSE(LoadJointDistribution(path_).ok()) << body;
+  }
 }
 
 TEST_F(SerializationTest, JointLoadMissingFile) {
