@@ -35,6 +35,28 @@ common::Result<RunMode> ParseRunMode(const std::string& name) {
       "\"; expected \"engine\", \"blocking\", or \"pipelined\"");
 }
 
+namespace {
+
+/// The shape check every inline instance passes, at creation and on
+/// arrival: at least one fact, and truths (when given) one per fact.
+Status CheckInstances(const std::vector<InstanceSpec>& instances) {
+  for (const InstanceSpec& instance : instances) {
+    if (instance.joint.num_facts() == 0) {
+      return Status::InvalidArgument("instance \"" + instance.name +
+                                     "\" has no facts");
+    }
+    if (!instance.truths.empty() &&
+        static_cast<int>(instance.truths.size()) !=
+            instance.joint.num_facts()) {
+      return Status::InvalidArgument("instance \"" + instance.name +
+                                     "\" truths do not match its fact count");
+    }
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Session
 // ---------------------------------------------------------------------------
@@ -345,19 +367,7 @@ common::Result<std::vector<InstanceSpec>> FusionService::BuildWorkload(
   }
   if (!request.instances.empty()) {
     std::vector<InstanceSpec> instances = std::move(request.instances);
-    for (const InstanceSpec& instance : instances) {
-      if (instance.joint.num_facts() == 0) {
-        return Status::InvalidArgument("instance \"" + instance.name +
-                                       "\" has no facts");
-      }
-      if (!instance.truths.empty() &&
-          static_cast<int>(instance.truths.size()) !=
-              instance.joint.num_facts()) {
-        return Status::InvalidArgument(
-            "instance \"" + instance.name +
-            "\" truths do not match its fact count");
-      }
-    }
+    CF_RETURN_IF_ERROR(CheckInstances(instances));
     return instances;
   }
   if (!request.dataset.has_value()) {
@@ -546,17 +556,7 @@ common::Result<int> Session::AddInstances(std::vector<InstanceSpec> specs,
         "engine mode budgets per instance (budget_per_instance); "
         "additional_budget is a scheduler-mode knob");
   }
-  for (const InstanceSpec& spec : specs) {
-    if (spec.joint.num_facts() == 0) {
-      return Status::InvalidArgument("instance \"" + spec.name +
-                                     "\" has no facts");
-    }
-    if (!spec.truths.empty() &&
-        static_cast<int>(spec.truths.size()) != spec.joint.num_facts()) {
-      return Status::InvalidArgument("instance \"" + spec.name +
-                                     "\" truths do not match its fact count");
-    }
-  }
+  CF_RETURN_IF_ERROR(CheckInstances(specs));
 
   const int first_new_instance = num_instances();
   if (mode_ != RunMode::kEngine && additional_budget > 0) {

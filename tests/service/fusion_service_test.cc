@@ -114,6 +114,34 @@ TEST(FusionServiceTest, ValidatesWorkloadShape) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(FusionServiceTest, InstanceShapeErrorsMatchAtCreationAndOnArrival) {
+  // CreateSession and Session::AddInstances run one instance check and
+  // report it in the same words.
+  InstanceSpec no_facts = RunningExampleRequest().instances[0];
+  no_facts.joint = core::JointDistribution();
+  InstanceSpec bad_truths = RunningExampleRequest().instances[0];
+  bad_truths.truths = {true};
+  const std::string no_facts_error = "instance \"hong-kong\" has no facts";
+  const std::string bad_truths_error =
+      "instance \"hong-kong\" truths do not match its fact count";
+
+  FusionService service;
+  FusionRequest request = RunningExampleRequest();
+  request.instances = {no_facts};
+  EXPECT_EQ(service.CreateSession(request).status().message(),
+            no_facts_error);
+  request.instances = {bad_truths};
+  EXPECT_EQ(service.CreateSession(request).status().message(),
+            bad_truths_error);
+
+  auto session = service.CreateSession(RunningExampleRequest());
+  ASSERT_TRUE(session.ok()) << session.status();
+  EXPECT_EQ((*session)->AddInstances({no_facts}).status().message(),
+            no_facts_error);
+  EXPECT_EQ((*session)->AddInstances({bad_truths}).status().message(),
+            bad_truths_error);
+}
+
 TEST(FusionServiceTest, UnknownRegistryKeysSurfaceWithAlternatives) {
   FusionService service;
   FusionRequest request = RunningExampleRequest();
