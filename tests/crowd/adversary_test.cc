@@ -292,8 +292,7 @@ TEST(AdversaryModelTest, DriftIsCountedPerWorker) {
   for (int w : {1, 2}) {
     EXPECT_EQ(model->answers_by(w), 0);
     EXPECT_DOUBLE_EQ(
-        model->HonestAccuracy(w, data::StatementCategory::kClean, bias), 0.85)
-        << "fresh worker " << w;
+        model->HonestAccuracy(w, data::StatementCategory::kClean, bias), 0.85);
   }
 
   // Over the next 400 rounds worker 0 answers at the floor, while workers
