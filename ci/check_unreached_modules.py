@@ -5,12 +5,13 @@ Usage:
 
     python3 ci/check_unreached_modules.py BUILD_DIR BINARY...
 
-BUILD_DIR is a CMake build tree of this repository; its
-compile_commands.json names the object file of every src/**/*.cc source,
-so objects left behind by deleted sources are never read. Each BINARY is a
-shipped executable: the examples, the paper benches, perfbench and
-perfbench_selftest. Test binaries must not be passed; a module that only
-its own tests reach is what this gate exists to find.
+BUILD_DIR is a CMake build tree of this repository. Its
+compile_commands.json names the object file of every src/**/*.cc source
+of the checkout it was configured from, so objects left behind by deleted
+sources are never read. Each BINARY is a shipped executable: the
+examples, the paper benches, perfbench and perfbench_selftest. Test
+binaries must not be passed; a module that only its own tests reach is
+what this gate exists to find.
 
 For every src/ object the gate collects its strong text symbols in the
 crowdfusion namespace (`nm` type T). A static-library member is linked
@@ -31,8 +32,6 @@ import shlex
 import subprocess
 import sys
 
-REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SRC = os.path.join(REPO, "src") + os.sep
 # Mangled nested names rooted at ::crowdfusion, with optional cv- and
 # ref-qualifiers on member functions (_ZN, _ZNK, _ZNKR, ...).
 CROWDFUSION_SYMBOL = re.compile(r"^_ZN[rVKRO]*11crowdfusion")
@@ -61,8 +60,23 @@ def object_path(entry):
     return os.path.normpath(os.path.join(entry["directory"], output))
 
 
+def source_root(build_dir):
+    """The checkout the build tree was configured from (its CMake cache)."""
+    cache = os.path.join(build_dir, "CMakeCache.txt")
+    try:
+        with open(cache) as handle:
+            for line in handle:
+                if line.startswith("crowdfusion_SOURCE_DIR:"):
+                    return line.split("=", 1)[1].strip()
+    except OSError as error:
+        sys.exit(f"error: cannot read {cache}: {error}")
+    sys.exit(f"error: {cache} names no crowdfusion_SOURCE_DIR")
+
+
 def src_objects(build_dir):
-    """[(source relative to the repo, object path)] for src/**/*.cc."""
+    """[(source relative to the checkout, object path)] for src/**/*.cc."""
+    root = source_root(build_dir)
+    src = os.path.join(root, "src") + os.sep
     database = os.path.join(build_dir, "compile_commands.json")
     try:
         with open(database) as handle:
@@ -73,8 +87,8 @@ def src_objects(build_dir):
     for entry in entries:
         source = os.path.normpath(
             os.path.join(entry["directory"], entry["file"]))
-        if source.startswith(SRC) and source.endswith(".cc"):
-            objects[os.path.relpath(source, REPO)] = object_path(entry)
+        if source.startswith(src) and source.endswith(".cc"):
+            objects[os.path.relpath(source, root)] = object_path(entry)
     return sorted(objects.items())
 
 
