@@ -54,9 +54,9 @@ static_assert(std::is_trivially_copyable_v<EngineOptions>,
 /// must outlive the engine and every outstanding round started through
 /// it. Violations are asserted (debug-only) at each round; in release they
 /// are undefined behavior. The crowd model is copied by value, as is the
-/// joint — only those two pointers are borrowed. The crowd model is the accuracy the *system*
-/// assumes — experiments may pair it with a provider whose true accuracy
-/// differs (the paper's Pc setting study).
+/// joint — only those two pointers are borrowed. The crowd model is the
+/// accuracy the *system* assumes — experiments may pair it with a provider
+/// whose true accuracy differs (the paper's Pc setting study).
 class CrowdFusionEngine {
  public:
   static common::Result<CrowdFusionEngine> Create(JointDistribution initial,

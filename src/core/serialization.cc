@@ -17,6 +17,7 @@ namespace {
 
 constexpr char kJointHeader[] = "crowdfusion-joint v1";
 
+/// The whitespace-separated tokens of one line.
 std::vector<std::string> Tokens(const std::string& line) {
   std::istringstream in(line);
   std::vector<std::string> tokens;

@@ -1,6 +1,7 @@
 #ifndef CROWDFUSION_EVAL_EXPERIMENT_H_
 #define CROWDFUSION_EVAL_EXPERIMENT_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 

@@ -39,16 +39,15 @@ namespace {
 
 /// The shape check every inline instance passes, at creation and on
 /// arrival: at least one fact, and truths (when given) one per fact.
-Status CheckInstances(const std::vector<InstanceSpec>& instances) {
-  for (const InstanceSpec& instance : instances) {
-    if (instance.joint.num_facts() == 0) {
-      return Status::InvalidArgument("instance \"" + instance.name +
+Status CheckInstances(const std::vector<InstanceSpec>& specs) {
+  for (const InstanceSpec& spec : specs) {
+    if (spec.joint.num_facts() == 0) {
+      return Status::InvalidArgument("instance \"" + spec.name +
                                      "\" has no facts");
     }
-    if (!instance.truths.empty() &&
-        static_cast<int>(instance.truths.size()) !=
-            instance.joint.num_facts()) {
-      return Status::InvalidArgument("instance \"" + instance.name +
+    if (!spec.truths.empty() &&
+        static_cast<int>(spec.truths.size()) != spec.joint.num_facts()) {
+      return Status::InvalidArgument("instance \"" + spec.name +
                                      "\" truths do not match its fact count");
     }
   }

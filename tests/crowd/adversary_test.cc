@@ -263,8 +263,7 @@ TEST(AdversaryModelTest, HonestWorkersBesideSpammersKeepTheirAccuracy) {
       LoggedAccuracyByWorker(*model, spec.num_workers);
   for (int w = 0; w < 3; ++w) {
     ASSERT_EQ(model->role(w), AdversaryRole::kSpammer);
-    EXPECT_NEAR(accuracy[static_cast<size_t>(w)], 0.5, 0.08)
-        << "spammer " << w;
+    EXPECT_NEAR(accuracy[static_cast<size_t>(w)], 0.5, 0.08) << "spammer " << w;
   }
   for (int w = 3; w < 6; ++w) {
     ASSERT_EQ(model->role(w), AdversaryRole::kHonest);

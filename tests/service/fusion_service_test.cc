@@ -128,8 +128,7 @@ TEST(FusionServiceTest, InstanceShapeErrorsMatchAtCreationAndOnArrival) {
   FusionService service;
   FusionRequest request = RunningExampleRequest();
   request.instances = {no_facts};
-  EXPECT_EQ(service.CreateSession(request).status().message(),
-            no_facts_error);
+  EXPECT_EQ(service.CreateSession(request).status().message(), no_facts_error);
   request.instances = {bad_truths};
   EXPECT_EQ(service.CreateSession(request).status().message(),
             bad_truths_error);
