@@ -14,6 +14,10 @@ namespace crowdfusion::common {
 /// x * log2(x) with the standard convention 0 log 0 = 0.
 inline double XLog2X(double x) { return x > 0.0 ? x * std::log2(x) : 0.0; }
 
+/// log2(x) for x > 0 and 0 otherwise, so x * Log2OrZero(x) == XLog2X(x)
+/// bit for bit on x >= 0.
+inline double Log2OrZero(double x) { return x > 0.0 ? std::log2(x) : 0.0; }
+
 /// Binary entropy h(p) = -p log2 p - (1-p) log2 (1-p), in bits.
 double BinaryEntropy(double p);
 

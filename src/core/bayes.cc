@@ -1,6 +1,7 @@
 #include "core/bayes.h"
 
 #include <array>
+#include <cmath>
 #include <vector>
 
 #include "common/math_util.h"
@@ -55,15 +56,20 @@ struct Evidence {
     crowd.AnswerLikelihoodsByDiff(static_cast<int>(k), likelihood);
   }
 
-  /// Unnormalized posterior weight P(o) * P(Ans | o). #Diff is counted
-  /// with an inline SWAR popcount: without a popcnt target, std::popcount
-  /// is an out-of-line libgcc call, paid twice per entry per merge.
-  double Weight(const JointDistribution::Entry& entry) const {
-    uint64_t x = (entry.mask ^ answer_bits) & task_bits;
+  /// #Diff(o, Ans), counted with an inline SWAR popcount: without a
+  /// popcnt target, std::popcount is an out-of-line libgcc call, paid
+  /// twice per entry per merge.
+  size_t Diff(uint64_t mask) const {
+    uint64_t x = (mask ^ answer_bits) & task_bits;
     x -= (x >> 1) & 0x5555555555555555ULL;
     x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
     x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
-    return entry.prob * likelihood[(x * 0x0101010101010101ULL) >> 56];
+    return (x * 0x0101010101010101ULL) >> 56;
+  }
+
+  /// Unnormalized posterior weight P(o) * P(Ans | o).
+  double Weight(const JointDistribution::Entry& entry) const {
+    return entry.prob * likelihood[Diff(entry.mask)];
   }
 
   /// P(Ans): the weights summed in entry order.
@@ -96,22 +102,43 @@ common::Status MergeAnswersInPlace(JointDistribution& joint,
         "received answers have zero probability under the prior "
         "(impossible evidence; check Pc and the prior support)");
   }
-  // Pass 2 normalizes and compacts; the entropy gets a loop of its own so
-  // the log2 call spills nothing else.
+  // Pass 2 normalizes and compacts the entries and their logs, and sums
+  // the mass and H(F') = -sum p' log2 p' on the way. An exact merge takes
+  // log2 p' from p'; the others carry it: p'(o) = p(o) L[#Diff] / P(Ans),
+  // so log2 p'(o) = log2 p(o) + (log2 L[#Diff] - log2 P(Ans)), k + 2 logs
+  // for the whole merge.
+  std::vector<double>& logs = joint.log2_probs_;
   const double inv = 1.0 / total;
   size_t kept = 0;
   double mass = 0.0;
-  for (size_t i = 0; i < entries.size(); ++i) {
-    if (!(weights[i] > 0.0)) continue;
-    const double p = weights[i] * inv;
-    entries[kept++] = {entries[i].mask, p};
-    mass += p;
+  double entropy = 0.0;
+  const auto compact = [&](auto next_log) {
+    for (size_t i = 0; i < entries.size(); ++i) {
+      if (!(weights[i] > 0.0)) continue;
+      const double p = weights[i] * inv;
+      const double lp = next_log(i, p);
+      entries[kept] = {entries[i].mask, p};
+      logs[kept++] = lp;
+      mass += p;
+      entropy -= p * lp;
+    }
+  };
+  if (++joint.merges_since_exact_logs_ ==
+      JointDistribution::kMergesPerExactLogs) {
+    joint.merges_since_exact_logs_ = 0;
+    compact([](size_t, double p) { return common::Log2OrZero(p); });
+  } else {
+    std::array<double, JointDistribution::kMaxFacts + 1> shift;
+    const double log2_total = std::log2(total);
+    for (size_t d = 0; d <= answer_set.tasks.size(); ++d) {
+      shift[d] = std::log2(evidence.likelihood[d]) - log2_total;
+    }
+    compact([&](size_t i, double) {
+      return logs[i] + shift[evidence.Diff(entries[i].mask)];
+    });
   }
   entries.resize(kept);
-  double entropy = 0.0;
-  for (const JointDistribution::Entry& e : entries) {
-    entropy -= common::XLog2X(e.prob);
-  }
+  logs.resize(kept);
   joint.total_mass_ = mass;
   joint.entropy_bits_ = entropy;
   JointDistribution::AccumulateFactCellSums(

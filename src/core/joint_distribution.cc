@@ -115,10 +115,13 @@ void JointDistribution::AccumulateFactCellSums(std::span<const Entry> entries,
 JointDistribution::JointDistribution(int num_facts, std::vector<Entry> entries)
     : num_facts_(num_facts),
       entries_(std::move(entries)),
+      log2_probs_(entries_.size()),
       cell_sums_(2 * static_cast<size_t>(num_facts)) {
-  for (const Entry& e : entries_) {
-    total_mass_ += e.prob;
-    entropy_bits_ -= common::XLog2X(e.prob);
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    const double p = entries_[i].prob;
+    log2_probs_[i] = common::Log2OrZero(p);
+    total_mass_ += p;
+    entropy_bits_ -= p * log2_probs_[i];
   }
   AccumulateFactCellSums(entries_, num_facts_, common::SimdPolicy::kAuto,
                          cell_sums_);

@@ -327,13 +327,20 @@ TEST(BayesTest, FailedMergeLeavesTheJointUntouched) {
   const JointDistribution before = *built;
   JointDistribution joint = before;
   const AnswerSet impossible{{3, 0}, {true, false}};
+  // operator== compares the entries only, so the summary is checked too.
+  const auto expect_untouched = [&] {
+    EXPECT_EQ(joint, before);
+    EXPECT_EQ(joint.EntropyBits(), before.EntropyBits());
+    EXPECT_EQ(joint.TotalMass(), before.TotalMass());
+    EXPECT_EQ(joint.fact_cell_sums(), before.fact_cell_sums());
+  };
   EXPECT_EQ(MergeAnswersInPlace(joint, impossible, MakeCrowd(1.0)).code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(joint, before);
+  expect_untouched();
   const AnswerSet malformed{{2, 2}, {true, true}};
   EXPECT_EQ(MergeAnswersInPlace(joint, malformed, MakeCrowd(0.8)).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(joint, before);
+  expect_untouched();
 }
 
 class ExpectedEntropyTest : public ::testing::TestWithParam<double> {};

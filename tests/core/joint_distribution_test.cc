@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -217,9 +218,17 @@ TEST_P(MarginalConsistencyTest, MarginalsMatchMarginalizeOnto) {
 INSTANTIATE_TEST_SUITE_P(Sizes, MarginalConsistencyTest,
                          ::testing::Values(1, 2, 3, 5, 8));
 
+/// How far a merge's carried H(F) may sit from the literal loop, in bits.
+/// Absolute on purpose: a collapsed joint's H is near 0, where any relative
+/// bound is meaningless.
+constexpr double kEntropyDriftBoundBits = 1e-12;
+
 /// The stored summary against the literal loops over entries() it
-/// replaces, bit for bit.
-void ExpectSummaryMatchesLiteralLoops(const JointDistribution& joint) {
+/// replaces: the cell sums and the mass bit for bit, and H(F) bit for bit
+/// when `exact_entropy` (construction and exact merges), else within
+/// kEntropyDriftBoundBits.
+void ExpectSummaryMatchesLiteralLoops(const JointDistribution& joint,
+                                      bool exact_entropy) {
   const int n = joint.num_facts();
   std::vector<double> cells(2 * static_cast<size_t>(n), 0.0);
   double entropy = 0.0;
@@ -236,7 +245,11 @@ void ExpectSummaryMatchesLiteralLoops(const JointDistribution& joint) {
   for (size_t c = 0; c < cells.size(); ++c) {
     EXPECT_EQ(joint.fact_cell_sums()[c], cells[c]) << "cell " << c;
   }
-  EXPECT_EQ(joint.EntropyBits(), entropy);
+  if (exact_entropy) {
+    EXPECT_EQ(joint.EntropyBits(), entropy);
+  } else {
+    EXPECT_NEAR(joint.EntropyBits(), entropy, kEntropyDriftBoundBits);
+  }
   EXPECT_EQ(joint.TotalMass(), mass);
   const std::vector<double> marginals = joint.Marginals();
   ASSERT_EQ(marginals.size(), static_cast<size_t>(n));
@@ -265,6 +278,26 @@ AnswerSet PossibleAnswers(common::Rng& rng, const JointDistribution& joint,
   return answers;
 }
 
+/// Eq. 3 by the letter: each entry weighted by its own AnswerLikelihood,
+/// then normalized by FromEntries.
+common::Result<JointDistribution> LiteralMerge(const JointDistribution& joint,
+                                               const AnswerSet& answers,
+                                               const CrowdModel& crowd) {
+  const int k = static_cast<int>(answers.tasks.size());
+  uint64_t answer_bits = 0;
+  for (int i = 0; i < k; ++i) {
+    if (answers.answers[static_cast<size_t>(i)]) answer_bits |= 1ULL << i;
+  }
+  std::vector<JointDistribution::Entry> weighted;
+  for (const auto& e : joint.entries()) {
+    const uint64_t truth_bits = common::ExtractBits(e.mask, answers.tasks);
+    weighted.push_back(
+        {e.mask, e.prob * crowd.AnswerLikelihood(truth_bits, answer_bits, k)});
+  }
+  return JointDistribution::FromEntries(joint.num_facts(), std::move(weighted),
+                                        /*normalize=*/true);
+}
+
 TEST(JointDistributionTest, SummaryIsBitEqualToLiteralLoops) {
   for (uint64_t seed = 1; seed <= 64; ++seed) {
     for (const int n : {1, 5, 10, 16, 17, 64}) {
@@ -283,20 +316,79 @@ TEST(JointDistributionTest, SummaryIsBitEqualToLiteralLoops) {
           std::min<uint64_t>(n >= 63 ? 300 : (1ULL << n) - 1, 300));
       joints.push_back(RandomSparseJoint(n, std::max(1, support), rng));
       for (JointDistribution& joint : joints) {
-        ExpectSummaryMatchesLiteralLoops(joint);
-        for (int round = 0; round < 3; ++round) {
-          const bool perfect = round == 2;
+        ExpectSummaryMatchesLiteralLoops(joint, /*exact_entropy=*/true);
+        // Joints small enough to check cheaply run past the first exact
+        // merge; the 2^16- and 2^17-entry ones stop after three.
+        const int merges = joint.support_size() <= 1024
+                               ? JointDistribution::kMergesPerExactLogs + 1
+                               : 3;
+        for (int merge = 1; merge <= merges; ++merge) {
+          SCOPED_TRACE(testing::Message() << "merge=" << merge);
+          const bool perfect = merge == 3;
           const auto crowd = CrowdModel::Create(perfect ? 1.0 : 0.8);
           ASSERT_TRUE(crowd.ok());
           const AnswerSet answers =
               PossibleAnswers(rng, joint, perfect ? 0.0 : 0.2);
+          const auto expected = LiteralMerge(joint, answers, *crowd);
+          ASSERT_TRUE(expected.ok());
           ASSERT_TRUE(MergeAnswersInPlace(joint, answers, *crowd).ok());
-          ExpectSummaryMatchesLiteralLoops(joint);
+          EXPECT_EQ(joint, *expected);
+          ExpectSummaryMatchesLiteralLoops(
+              joint, merge % JointDistribution::kMergesPerExactLogs == 0);
         }
       }
     }
   }
 }
+
+/// Pc and the tasks per merge.
+class CarriedEntropyDriftTest
+    : public testing::TestWithParam<std::tuple<double, int>> {};
+
+/// Merges carry log2 p between exact merges. After every merge of a long
+/// chain, over 64 seeds of a dense n = 10 and a sparse n = 64 joint, the
+/// carried H(F) stays within kEntropyDriftBoundBits of the literal loop.
+TEST_P(CarriedEntropyDriftTest, StaysWithinBoundOverChainedMerges) {
+  const auto [pc, k] = GetParam();
+  const auto crowd = CrowdModel::Create(pc);
+  ASSERT_TRUE(crowd.ok());
+  for (uint64_t seed = 1; seed <= 64; ++seed) {
+    common::Rng rng(seed);
+    std::vector<double> dense(1ULL << 10);
+    for (double& p : dense) p = rng.NextDouble();
+    auto dense_joint = JointDistribution::FromDense(10, std::move(dense),
+                                                    /*normalize=*/true);
+    ASSERT_TRUE(dense_joint.ok());
+    for (JointDistribution joint :
+         {*dense_joint, RandomSparseJoint(64, 300, rng)}) {
+      SCOPED_TRACE(testing::Message()
+                   << "seed=" << seed << " n=" << joint.num_facts());
+      // The crowd judges one fixed output, each answer wrong w.p. 1 - Pc.
+      const uint64_t truth =
+          joint.entries()[rng.NextBounded(joint.entries().size())].mask;
+      for (int merge = 1; merge <= 1000; ++merge) {
+        AnswerSet answers;
+        answers.tasks = rng.SampleWithoutReplacement(joint.num_facts(), k);
+        for (int t : answers.tasks) {
+          answers.answers.push_back(common::GetBit(truth, t) !=
+                                    rng.NextBernoulli(1.0 - pc));
+        }
+        ASSERT_TRUE(MergeAnswersInPlace(joint, answers, *crowd).ok());
+        double literal = 0.0;
+        for (const auto& e : joint.entries()) {
+          literal -= common::XLog2X(e.prob);
+        }
+        ASSERT_LE(std::fabs(joint.EntropyBits() - literal),
+                  kEntropyDriftBoundBits)
+            << "merge " << merge << ", literal H " << literal;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(PcAndTasks, CarriedEntropyDriftTest,
+                         testing::Combine(testing::Values(0.6, 0.8, 0.95),
+                                          testing::Values(1, 2, 3)));
 
 TEST(JointDistributionTest, IndependentMarginalsMatchPerMaskProductLoop) {
   for (uint64_t seed = 1; seed <= 16; ++seed) {
