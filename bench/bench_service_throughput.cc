@@ -12,8 +12,9 @@
 ///
 /// A final bulk-pipe section streams `pipe_lines` one-book requests
 /// through service::RunBulkPipe from a constant-memory synthetic stream
-/// (the offline capacity path of ROADMAP item 4) and reports books/sec
-/// plus books/sec/core as the `bulk-pipe[m=32]` row.
+/// (the offline capacity path of ROADMAP item "Offline bulk-fusion
+/// pipeline + load-replay harness") and reports books/sec plus
+/// books/sec/core as the `bulk-pipe[m=32]` row.
 ///
 /// usage: bench_service_throughput [books] [facts] [budget_per_book]
 ///                                 [tasks_per_step] [median_latency_ms]

@@ -1,5 +1,6 @@
 /// Trace-replay load generator — the capacity-planning counterpart of
-/// `crowdfusion_cli serve` (ROADMAP item 4):
+/// `crowdfusion_cli serve` (ROADMAP item "Offline bulk-fusion pipeline +
+/// load-replay harness"):
 ///
 ///   crowdfusion_loadgen synth <out.jsonl> [--records N] [--qps Q]
 ///                   [--facts F] [--budget B] [--healthz-every K]

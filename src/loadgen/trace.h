@@ -15,8 +15,9 @@
 namespace crowdfusion::loadgen {
 
 /// Versioned JSONL request-trace format — the capture/replay substrate of
-/// the load-replay harness (ROADMAP item 4). A trace file is one header
-/// line followed by one record per line:
+/// the load-replay harness (ROADMAP item "Offline bulk-fusion pipeline +
+/// load-replay harness"). A trace file is one header line followed by one
+/// record per line:
 ///
 ///   {"schema": "crowdfusion-trace-v1"}
 ///   {"t": 0, "method": "GET", "target": "/healthz"}
