@@ -21,10 +21,16 @@ struct AnswerSet {
 ///   P(o | Ans) = P(o) * Pc^{#Same} * (1-Pc)^{#Diff} / P(Ans)
 /// Sums P(Ans) without writing the joint, then writes the normalized
 /// entries (zero weights drop, order kept) and recomputes the summary,
-/// allocating nothing once warm. Bit-identical to FromEntries(...,
-/// /*normalize=*/true) on the weighted support. Fails, leaving the joint
-/// untouched, on a malformed answer set (size mismatch, out-of-range or
-/// duplicate tasks) or impossible evidence (FailedPrecondition).
+/// allocating nothing once warm. The entries, cell sums and mass are
+/// bit-identical to FromEntries(..., /*normalize=*/true) on the weighted
+/// support. H(F) comes from the entries' cached logs, each shifted by
+/// log2 L[#Diff] - log2 P(Ans): k + 2 logs per merge. Every
+/// JointDistribution::kMergesPerExactLogs-th merge of a joint recomputes
+/// the logs from p instead, so H is bit-identical to the literal loop on
+/// that merge and within 1e-12 bits of it on the others. Fails, leaving
+/// the joint untouched, on a malformed answer set (size mismatch,
+/// out-of-range or duplicate tasks) or impossible evidence
+/// (FailedPrecondition).
 common::Status MergeAnswersInPlace(JointDistribution& joint,
                                    const AnswerSet& answer_set,
                                    const CrowdModel& crowd);

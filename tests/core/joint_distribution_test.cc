@@ -347,7 +347,8 @@ class CarriedEntropyDriftTest
 
 /// Merges carry log2 p between exact merges. After every merge of a long
 /// chain, over 64 seeds of a dense n = 10 and a sparse n = 64 joint, the
-/// carried H(F) stays within kEntropyDriftBoundBits of the literal loop.
+/// carried H(F) stays within kEntropyDriftBoundBits of the literal loop,
+/// and every exact merge of the chain matches it bit for bit.
 TEST_P(CarriedEntropyDriftTest, StaysWithinBoundOverChainedMerges) {
   const auto [pc, k] = GetParam();
   const auto crowd = CrowdModel::Create(pc);
@@ -378,9 +379,13 @@ TEST_P(CarriedEntropyDriftTest, StaysWithinBoundOverChainedMerges) {
         for (const auto& e : joint.entries()) {
           literal -= common::XLog2X(e.prob);
         }
-        ASSERT_LE(std::fabs(joint.EntropyBits() - literal),
-                  kEntropyDriftBoundBits)
-            << "merge " << merge << ", literal H " << literal;
+        if (merge % JointDistribution::kMergesPerExactLogs == 0) {
+          ASSERT_EQ(joint.EntropyBits(), literal) << "exact merge " << merge;
+        } else {
+          ASSERT_LE(std::fabs(joint.EntropyBits() - literal),
+                    kEntropyDriftBoundBits)
+              << "merge " << merge << ", literal H " << literal;
+        }
       }
     }
   }
