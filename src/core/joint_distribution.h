@@ -53,8 +53,10 @@ class JointDistribution {
   static constexpr int kMaxFacts = 64;
   /// Every this-many-th merge of a joint recomputes its cached log2 p from
   /// p (an exact merge); the merges in between carry the logs. Chosen from
-  /// the measured drift of |H_carried - H_literal| over chained merges,
-  /// which stays far below 1e-12 bits at this period.
+  /// the measured drift of |H_carried - H_literal| over chained merges with
+  /// no recompute: its worst case over 64 seeds grows about linearly, to
+  /// 1.4e-14 bits by merge 64 and 1.1e-13 by merge 1,000, so this period
+  /// stays about 70x inside the 1e-12-bit bound the tests hold.
   static constexpr int kMergesPerExactLogs = 64;
 
   JointDistribution() = default;
