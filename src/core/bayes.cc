@@ -135,8 +135,8 @@ struct Evidence {
 }
 
 /// MergePasses built for the popcnt instruction, which every AVX2 host
-/// has: GCC and Clang compile Evidence::Diff's SWAR count to one popcnt
-/// there, the merge's largest per-entry cost after the logs went.
+/// has. GCC compiles Evidence::Diff's SWAR count to one popcnt there, and
+/// that count is most of the two passes' per-entry work.
 #if CROWDFUSION_SIMD_AVX2_COMPILED
 __attribute__((target("popcnt")))
 #endif

@@ -291,8 +291,8 @@ common::Result<JointDistribution> LiteralMerge(const JointDistribution& joint,
   std::vector<JointDistribution::Entry> weighted;
   for (const auto& e : joint.entries()) {
     const uint64_t truth_bits = common::ExtractBits(e.mask, answers.tasks);
-    weighted.push_back(
-        {e.mask, e.prob * crowd.AnswerLikelihood(truth_bits, answer_bits, k)});
+    const double w = crowd.AnswerLikelihood(truth_bits, answer_bits, k);
+    weighted.push_back({e.mask, e.prob * w});
   }
   return JointDistribution::FromEntries(joint.num_facts(), std::move(weighted),
                                         /*normalize=*/true);

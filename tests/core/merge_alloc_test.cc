@@ -1,6 +1,7 @@
 /// The per-round Equation 3 merge allocates nothing once warm: the
 /// likelihood table lives on the stack, the weights in per-thread scratch,
-/// and the joint is rewritten in place (entries, H(F), mass and cell sums).
+/// and the joint is rewritten in place (entries, their logs, H(F), mass and
+/// cell sums).
 /// Pinned with a global operator-new hook that counts only while the test
 /// thread has counting switched on.
 
