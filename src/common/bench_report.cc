@@ -131,12 +131,6 @@ void BenchReport::Add(BenchRecord record) {
   records_.push_back(std::move(record));
 }
 
-std::string BenchReport::ToJson() const { return SerializeRecords(records_); }
-
-Status BenchReport::WriteFile(const std::string& path) const {
-  return WriteText(path, ToJson());
-}
-
 Status BenchReport::MergeToFile(const std::string& path) const {
   std::vector<BenchRecord> merged;
   auto existing = Load(path);

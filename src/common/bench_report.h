@@ -79,17 +79,11 @@ class BenchReport {
 
   const std::vector<BenchRecord>& records() const { return records_; }
 
-  /// Serializes this report alone.
-  std::string ToJson() const;
-
-  /// Overwrites `path` with this report.
-  Status WriteFile(const std::string& path) const;
-
   /// Loads `path` if present, merges this report's records over it (match
   /// on source+config+n+support+k), and writes the result back.
   Status MergeToFile(const std::string& path) const;
 
-  /// Parses a report file produced by WriteFile/MergeToFile. A missing
+  /// Parses a report file produced by MergeToFile. A missing
   /// file is NotFound; a malformed one is InvalidArgument.
   static Result<std::vector<BenchRecord>> Load(const std::string& path);
 

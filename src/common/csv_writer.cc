@@ -1,7 +1,5 @@
 #include "common/csv_writer.h"
 
-#include <sstream>
-
 namespace crowdfusion::common {
 
 Result<CsvWriter> CsvWriter::Open(const std::string& path,
@@ -42,17 +40,6 @@ Status CsvWriter::WriteRow(const std::vector<std::string>& row) {
   }
   stream_ << '\n';
   return Status::Ok();
-}
-
-Status CsvWriter::WriteNumericRow(const std::vector<double>& row) {
-  std::vector<std::string> cells;
-  cells.reserve(row.size());
-  for (double v : row) {
-    std::ostringstream os;
-    os << v;
-    cells.push_back(os.str());
-  }
-  return WriteRow(cells);
 }
 
 void CsvWriter::Close() {

@@ -22,7 +22,6 @@ class CsvWriter {
   CsvWriter& operator=(CsvWriter&&) = default;
 
   Status WriteRow(const std::vector<std::string>& row);
-  Status WriteNumericRow(const std::vector<double>& row);
 
   /// Flushes and closes; further writes fail.
   void Close();

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -13,16 +12,6 @@
 namespace crowdfusion::common {
 
 using common::Status;
-
-JsonValue::JsonValue(uint64_t value) {
-  if (value <= static_cast<uint64_t>(std::numeric_limits<int64_t>::max())) {
-    rep_ = static_cast<int64_t>(value);
-  } else {
-    // Values past int64 range would be lossy as doubles too; the schemas in
-    // this repo carry uint64 masks as strings for exactly this reason.
-    rep_ = static_cast<double>(value);
-  }
-}
 
 common::Result<bool> JsonValue::GetBool() const {
   if (const bool* b = std::get_if<bool>(&rep_)) return *b;
@@ -536,12 +525,6 @@ void JsonWriter::Key(std::string_view key) {
   Separate();
   AppendEscaped(out_, key);
   out_.push_back(':');
-}
-
-void JsonWriter::Null() {
-  Separate();
-  out_ += "null";
-  need_comma_ = true;
 }
 
 void JsonWriter::Bool(bool value) {

@@ -39,7 +39,6 @@ class JsonValue {
   JsonValue(bool value) : rep_(value) {}
   JsonValue(int value) : rep_(static_cast<int64_t>(value)) {}
   JsonValue(int64_t value) : rep_(value) {}
-  JsonValue(uint64_t value);
   JsonValue(double value) : rep_(value) {}
   JsonValue(const char* value) : rep_(std::string(value)) {}
   JsonValue(std::string value) : rep_(std::move(value)) {}
@@ -121,7 +120,6 @@ class JsonWriter {
   /// An object member's key; the next call writes its value.
   void Key(std::string_view key);
 
-  void Null();
   void Bool(bool value);
   void Int(int64_t value);
   void Double(double value);

@@ -141,23 +141,6 @@ JsonValue JsonFromDoubleVec(const std::vector<double>& values) {
   return array;
 }
 
-Status JsonReadDoubleVec(const JsonValue& obj, const char* key,
-                         std::vector<double>* out) {
-  const JsonValue* member = obj.Find(key);
-  if (member == nullptr) return Status::Ok();
-  if (!member->is_array()) {
-    return Status::InvalidArgument(
-        StrFormat("member \"%s\" must be an array", key));
-  }
-  std::vector<double> values;
-  for (const JsonValue& item : member->array()) {
-    CF_ASSIGN_OR_RETURN(const double value, item.GetDouble());
-    values.push_back(value);
-  }
-  *out = std::move(values);
-  return Status::Ok();
-}
-
 JsonValue JsonFromStringVec(const std::vector<std::string>& values) {
   JsonValue array = JsonValue::MakeArray();
   for (const std::string& value : values) array.Append(JsonValue(value));

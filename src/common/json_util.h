@@ -34,8 +34,6 @@ Status JsonReadBoolVec(const JsonValue& obj, const char* key,
                        std::vector<bool>* out);
 Status JsonReadIntVec(const JsonValue& obj, const char* key,
                       std::vector<int>* out);
-Status JsonReadDoubleVec(const JsonValue& obj, const char* key,
-                         std::vector<double>* out);
 Status JsonReadStringVec(const JsonValue& obj, const char* key,
                          std::vector<std::string>* out);
 

@@ -1,7 +1,5 @@
 #include "common/math_util.h"
 
-#include <limits>
-
 #include "common/logging.h"
 
 namespace crowdfusion::common {
@@ -15,32 +13,6 @@ double Entropy(std::span<const double> probs) {
   double h = 0.0;
   for (double p : probs) h -= XLog2X(p);
   return h;
-}
-
-double Normalize(std::vector<double>& values) {
-  double total = 0.0;
-  for (double v : values) total += v;
-  if (total <= 0.0) return 0.0;
-  const double inv = 1.0 / total;
-  for (double& v : values) v *= inv;
-  return total;
-}
-
-double Sum(std::span<const double> values) {
-  double total = 0.0;
-  for (double v : values) total += v;
-  return total;
-}
-
-double KlDivergence(std::span<const double> p, std::span<const double> q) {
-  CF_CHECK(p.size() == q.size());
-  double d = 0.0;
-  for (size_t i = 0; i < p.size(); ++i) {
-    if (p[i] <= 0.0) continue;
-    if (q[i] <= 0.0) return std::numeric_limits<double>::infinity();
-    d += p[i] * std::log2(p[i] / q[i]);
-  }
-  return d;
 }
 
 double PercentileOfSorted(std::span<const double> sorted, double p) {

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace crowdfusion::common {
 
@@ -26,22 +25,10 @@ double BinaryEntropy(double p);
 /// the caller is responsible for normalization.
 double Entropy(std::span<const double> probs);
 
-/// Normalizes a non-negative vector in place to sum to 1. Returns the
-/// pre-normalization sum (0 if the vector was all zeros, in which case the
-/// vector is left untouched).
-double Normalize(std::vector<double>& values);
-
-/// Sum of a vector.
-double Sum(std::span<const double> values);
-
 /// True if |a - b| <= tol.
 inline bool Near(double a, double b, double tol = 1e-9) {
   return std::fabs(a - b) <= tol;
 }
-
-/// Kullback-Leibler divergence D(p || q) in bits. Entries where p == 0
-/// contribute 0; entries where p > 0 and q == 0 contribute +infinity.
-double KlDivergence(std::span<const double> p, std::span<const double> q);
 
 /// n choose k without overflow for the sizes used here (n <= 63).
 uint64_t BinomialCoefficient(int n, int k);

@@ -117,6 +117,4 @@ int Rng::SampleDiscrete(const std::vector<double>& weights) {
   return static_cast<int>(weights.size()) - 1;
 }
 
-Rng Rng::Fork() { return Rng(NextUint64()); }
-
 }  // namespace crowdfusion::common

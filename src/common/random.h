@@ -57,9 +57,6 @@ class Rng {
   /// Returns -1 if all weights are zero or the vector is empty.
   int SampleDiscrete(const std::vector<double>& weights);
 
-  /// Forks an independent child generator (for per-entity streams).
-  Rng Fork();
-
  private:
   uint64_t state_[4];
   bool has_cached_gaussian_ = false;

@@ -6,16 +6,6 @@
 
 namespace crowdfusion::common {
 
-const char* SimdLevelName(SimdLevel level) {
-  switch (level) {
-    case SimdLevel::kScalar:
-      return "scalar";
-    case SimdLevel::kAvx2:
-      return "avx2";
-  }
-  return "unknown";
-}
-
 bool CpuSupportsAvx2() {
 #if CROWDFUSION_SIMD_AVX2_COMPILED
   return __builtin_cpu_supports("avx2") != 0;

@@ -32,9 +32,6 @@ enum class SimdLevel {
   kAvx2,
 };
 
-/// Name for logs and bench rows ("scalar", "avx2").
-const char* SimdLevelName(SimdLevel level);
-
 /// True when this host's CPU can execute the AVX2 kernels (false whenever
 /// they were compiled out).
 bool CpuSupportsAvx2();

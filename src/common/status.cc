@@ -34,8 +34,4 @@ std::string Status::ToString() const {
   return out;
 }
 
-std::ostream& operator<<(std::ostream& os, const Status& status) {
-  return os << status.ToString();
-}
-
 }  // namespace crowdfusion::common

@@ -2,7 +2,6 @@
 #define CROWDFUSION_COMMON_STATUS_H_
 
 #include <cstdlib>
-#include <ostream>
 #include <string>
 #include <utility>
 #include <variant>
@@ -78,8 +77,6 @@ class Status {
   StatusCode code_;
   std::string message_;
 };
-
-std::ostream& operator<<(std::ostream& os, const Status& status);
 
 /// A value-or-error container, analogous to absl::StatusOr<T>.
 ///

@@ -55,23 +55,6 @@ bool StartsWith(std::string_view text, std::string_view prefix) {
          text.substr(0, prefix.size()) == prefix;
 }
 
-int EditDistance(std::string_view a, std::string_view b) {
-  const size_t n = a.size();
-  const size_t m = b.size();
-  std::vector<int> prev(m + 1);
-  std::vector<int> cur(m + 1);
-  for (size_t j = 0; j <= m; ++j) prev[j] = static_cast<int>(j);
-  for (size_t i = 1; i <= n; ++i) {
-    cur[0] = static_cast<int>(i);
-    for (size_t j = 1; j <= m; ++j) {
-      const int cost = a[i - 1] == b[j - 1] ? 0 : 1;
-      cur[j] = std::min({prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost});
-    }
-    std::swap(prev, cur);
-  }
-  return prev[m];
-}
-
 std::string StrFormat(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);

@@ -23,10 +23,6 @@ std::string ToLower(std::string_view text);
 /// True if `text` starts with `prefix`.
 bool StartsWith(std::string_view text, std::string_view prefix);
 
-/// Levenshtein edit distance; used to simulate and detect misspelled
-/// author names in the Book dataset substrate.
-int EditDistance(std::string_view a, std::string_view b);
-
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <iomanip>
-#include <sstream>
 
 #include "common/logging.h"
 
@@ -15,18 +14,6 @@ void TablePrinter::AddRow(std::vector<std::string> row) {
   CF_CHECK(row.size() == header_.size())
       << "row has " << row.size() << " cells, header has " << header_.size();
   rows_.push_back(std::move(row));
-}
-
-void TablePrinter::AddNumericRow(const std::vector<double>& row,
-                                 int precision) {
-  std::vector<std::string> cells;
-  cells.reserve(row.size());
-  for (double v : row) {
-    std::ostringstream os;
-    os << std::fixed << std::setprecision(precision) << v;
-    cells.push_back(os.str());
-  }
-  AddRow(std::move(cells));
 }
 
 void TablePrinter::Print(std::ostream& os) const {

@@ -19,9 +19,6 @@ class TablePrinter {
 
   void AddRow(std::vector<std::string> row);
 
-  /// Convenience: formats doubles with the given precision.
-  void AddNumericRow(const std::vector<double>& row, int precision = 4);
-
   void Print(std::ostream& os) const;
 
   size_t num_rows() const { return rows_.size(); }

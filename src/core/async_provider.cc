@@ -88,16 +88,6 @@ void TicketLedger::Forget(TicketId ticket) {
   tickets_.erase(ticket);
 }
 
-int64_t TicketLedger::tickets_issued() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return next_id_ - 1;
-}
-
-int64_t TicketLedger::live_tickets() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return static_cast<int64_t>(tickets_.size());
-}
-
 TicketLedger::Outcome SimulateTicketAttempts(
     const TicketOptions& options,
     const std::function<common::Result<std::vector<bool>>(int attempt)>&

@@ -133,12 +133,6 @@ class TicketLedger {
   /// must not accumulate in a long-lived serving process.
   void Forget(TicketId ticket);
 
-  /// Tickets submitted over the ledger's lifetime.
-  int64_t tickets_issued() const;
-
-  /// Tickets currently held (issued, not yet taken or forgotten).
-  int64_t live_tickets() const;
-
  private:
   struct Record {
     double ready_at = 0.0;

@@ -192,15 +192,4 @@ common::Result<double> AnswerSetProbability(const JointDistribution& prior,
   return Evidence(answer_set, crowd).Total(prior);
 }
 
-common::Result<JointDistribution> PosteriorGivenAnswerSets(
-    const JointDistribution& prior, std::span<const AnswerSet> answer_sets,
-    const CrowdModel& crowd) {
-  JointDistribution current = prior;
-  for (const AnswerSet& answers : answer_sets) {
-    CF_ASSIGN_OR_RETURN(current,
-                        PosteriorGivenAnswers(current, answers, crowd));
-  }
-  return current;
-}
-
 }  // namespace crowdfusion::core

@@ -46,11 +46,6 @@ common::Result<double> AnswerSetProbability(const JointDistribution& prior,
                                             const AnswerSet& answer_set,
                                             const CrowdModel& crowd);
 
-/// Applies a sequence of answer sets (multiple rounds) in order.
-common::Result<JointDistribution> PosteriorGivenAnswerSets(
-    const JointDistribution& prior, std::span<const AnswerSet> answer_sets,
-    const CrowdModel& crowd);
-
 }  // namespace crowdfusion::core
 
 #endif  // CROWDFUSION_CORE_BAYES_H_

@@ -18,11 +18,4 @@ const Fact& FactSet::at(int id) const {
   return facts_[static_cast<size_t>(id)];
 }
 
-int FactSet::Find(const Fact& fact) const {
-  for (int i = 0; i < size(); ++i) {
-    if (facts_[static_cast<size_t>(i)] == fact) return i;
-  }
-  return -1;
-}
-
 }  // namespace crowdfusion::core

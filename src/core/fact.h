@@ -39,9 +39,6 @@ class FactSet {
   const Fact& at(int id) const;
   const std::vector<Fact>& facts() const { return facts_; }
 
-  /// Index of the first fact equal to `fact`, or -1.
-  int Find(const Fact& fact) const;
-
  private:
   std::vector<Fact> facts_;
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <sstream>
 
 #include "common/bit_util.h"
 #include "common/logging.h"
@@ -202,20 +201,6 @@ common::Result<JointDistribution> JointDistribution::FromDense(
   return FromEntries(num_facts, std::move(entries), normalize);
 }
 
-common::Result<JointDistribution> JointDistribution::Uniform(int num_facts) {
-  if (num_facts < 0 || num_facts > kMaxDenseFacts) {
-    return Status::InvalidArgument(
-        "uniform distribution requires 0 <= num_facts <= 30");
-  }
-  const size_t count = 1ULL << num_facts;
-  std::vector<Entry> entries(count);
-  const double p = 1.0 / static_cast<double>(count);
-  for (size_t mask = 0; mask < count; ++mask) {
-    entries[mask] = {static_cast<uint64_t>(mask), p};
-  }
-  return JointDistribution(num_facts, std::move(entries));
-}
-
 common::Result<JointDistribution> JointDistribution::FromIndependentMarginals(
     std::span<const double> marginals) {
   const int n = static_cast<int>(marginals.size());
@@ -244,11 +229,6 @@ common::Result<JointDistribution> JointDistribution::FromIndependentMarginals(
   }
   std::erase_if(entries, [](const Entry& e) { return !(e.prob > 0.0); });
   return FromEntries(n, std::move(entries), /*normalize=*/true);
-}
-
-common::Result<JointDistribution> JointDistribution::PointMass(int num_facts,
-                                                               uint64_t mask) {
-  return FromEntries(num_facts, {{mask, 1.0}});
 }
 
 double JointDistribution::Probability(uint64_t mask) const {
@@ -285,48 +265,8 @@ std::vector<double> JointDistribution::MarginalizeOnto(
   return out;
 }
 
-std::vector<double> JointDistribution::ToDense() const {
-  CF_CHECK(num_facts_ <= kMaxDenseFacts)
-      << "cannot densify " << num_facts_ << " facts";
-  std::vector<double> out(1ULL << num_facts_, 0.0);
-  for (const Entry& e : entries_) out[e.mask] = e.prob;
-  return out;
-}
-
 bool JointDistribution::IsNormalized(double tolerance) const {
   return std::fabs(TotalMass() - 1.0) <= tolerance;
-}
-
-uint64_t JointDistribution::Mode() const {
-  uint64_t best_mask = 0;
-  double best_prob = -1.0;
-  for (const Entry& e : entries_) {
-    if (e.prob > best_prob) {
-      best_prob = e.prob;
-      best_mask = e.mask;
-    }
-  }
-  return best_mask;
-}
-
-std::string JointDistribution::ToString(int max_entries) const {
-  std::ostringstream os;
-  os << "JointDistribution(n=" << num_facts_ << ", |O|=" << support_size()
-     << ") {";
-  int shown = 0;
-  for (const Entry& e : entries_) {
-    if (shown++ >= max_entries) {
-      os << " ...";
-      break;
-    }
-    os << " ";
-    for (int i = num_facts_ - 1; i >= 0; --i) {
-      os << (common::GetBit(e.mask, i) ? 'T' : 'F');
-    }
-    os << ":" << common::StrFormat("%.4f", e.prob);
-  }
-  os << " }";
-  return os.str();
 }
 
 }  // namespace crowdfusion::core

@@ -75,17 +75,10 @@ class JointDistribution {
   static common::Result<JointDistribution> FromDense(
       int num_facts, std::vector<double> probs, bool normalize = false);
 
-  /// Uniform distribution over all 2^num_facts outputs.
-  static common::Result<JointDistribution> Uniform(int num_facts);
-
   /// Product distribution of independent facts with the given marginal
   /// probabilities of being true (dense; requires size <= kMaxDenseFacts).
   static common::Result<JointDistribution> FromIndependentMarginals(
       std::span<const double> marginals);
-
-  /// Deterministic distribution: all mass on one output.
-  static common::Result<JointDistribution> PointMass(int num_facts,
-                                                     uint64_t mask);
 
   /// The summary's cell-sum kernel: out[2f] = P(f false) and out[2f + 1] =
   /// P(f true), each summed over `entries` in order from +0.0. The AVX2 and
@@ -125,21 +118,12 @@ class JointDistribution {
   /// dense vector of 2^k probabilities. Requires k <= kMaxDenseFacts.
   std::vector<double> MarginalizeOnto(std::span<const int> fact_ids) const;
 
-  /// Densifies to a full 2^n vector (index == mask). Requires
-  /// num_facts <= kMaxDenseFacts.
-  std::vector<double> ToDense() const;
-
   /// Sum of all probabilities in entry order (stored; should be 1 for a
   /// normalized distribution).
   double TotalMass() const { return total_mass_; }
 
   /// True if TotalMass() is within `tolerance` of 1.
   bool IsNormalized(double tolerance = 1e-6) const;
-
-  /// Most probable output mask (ties broken towards the smaller mask).
-  uint64_t Mode() const;
-
-  std::string ToString(int max_entries = 32) const;
 
   /// Equal distributions: the same facts and the same entries. The
   /// summary and the log cache derive from those and are not compared.

@@ -20,22 +20,6 @@ double TaskEntropyBits(const JointDistribution& joint,
   return AnswerEntropyBits(joint, tasks, crowd);
 }
 
-double ExpectedQualityGain(const JointDistribution& joint,
-                           std::span<const int> tasks,
-                           const CrowdModel& crowd) {
-  return TaskEntropyBits(joint, tasks, crowd) -
-         static_cast<double>(tasks.size()) * crowd.EntropyBits();
-}
-
-double MarginalGain(const JointDistribution& joint,
-                    std::span<const int> selected, int candidate,
-                    const CrowdModel& crowd) {
-  std::vector<int> extended(selected.begin(), selected.end());
-  extended.push_back(candidate);
-  return TaskEntropyBits(joint, extended, crowd) -
-         TaskEntropyBits(joint, selected, crowd);
-}
-
 common::Result<std::vector<double>> MarginalGainProfile(
     const JointDistribution& joint, std::span<const int> selected,
     std::span<const int> candidates, const CrowdModel& crowd,

@@ -20,17 +20,6 @@ double QualityBits(const JointDistribution& joint);
 double TaskEntropyBits(const JointDistribution& joint,
                        std::span<const int> tasks, const CrowdModel& crowd);
 
-/// Expected utility improvement of asking T (Section III-B):
-///   ΔQ(F) = H(T) - H(T|F) = H(T) - |T| * H(Crowd).
-double ExpectedQualityGain(const JointDistribution& joint,
-                           std::span<const int> tasks,
-                           const CrowdModel& crowd);
-
-/// Greedy marginal gain ρ_j(T) = H(T ∪ {j}) - H(T) (Section III-D).
-double MarginalGain(const JointDistribution& joint,
-                    std::span<const int> selected, int candidate,
-                    const CrowdModel& crowd);
-
 /// All candidates' marginal gains ρ_j(T) at once via one sparse
 /// partition-refinement pass per candidate (Algorithm 2's inner loop as a
 /// library call): O(|selected| + |candidates|) scans of the support

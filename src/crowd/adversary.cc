@@ -11,22 +11,6 @@ namespace crowdfusion::crowd {
 
 using common::Status;
 
-const char* AdversaryRoleName(AdversaryRole role) {
-  switch (role) {
-    case AdversaryRole::kHonest:
-      return "honest";
-    case AdversaryRole::kColluder:
-      return "colluder";
-    case AdversaryRole::kSybil:
-      return "sybil";
-    case AdversaryRole::kSpammer:
-      return "spammer";
-    case AdversaryRole::kParrot:
-      return "parrot";
-  }
-  return "unknown";
-}
-
 namespace {
 
 Status ValidateFraction(const char* name, double value) {
@@ -88,17 +72,6 @@ common::Result<std::unique_ptr<AdversaryModel>> AdversaryModel::Create(
   assign(AdversaryRole::kParrot, block(spec.parrot_fraction));
   return std::unique_ptr<AdversaryModel>(
       new AdversaryModel(spec, std::move(workers)));
-}
-
-AdversaryRole AdversaryModel::role(int worker) const {
-  CF_DCHECK(worker >= 0 && worker < num_workers());
-  return workers_[static_cast<size_t>(worker)].role;
-}
-
-int AdversaryModel::CountRole(AdversaryRole role) const {
-  return static_cast<int>(
-      std::count_if(workers_.begin(), workers_.end(),
-                    [role](const WorkerState& w) { return w.role == role; }));
 }
 
 bool AdversaryModel::IsCollusionTarget(int fact_id) const {

@@ -29,8 +29,6 @@ enum class AdversaryRole {
   kParrot,
 };
 
-const char* AdversaryRoleName(AdversaryRole role);
-
 /// A seeded hostile-worker layer over the simulated crowd: SimulatedCrowd
 /// delegates each judgment here when an adversary is configured (and runs
 /// its historical code byte-for-byte when not — the adversary-off
@@ -75,9 +73,6 @@ class AdversaryModel {
                const WorkerBias& honest_bias);
 
   int num_workers() const { return static_cast<int>(workers_.size()); }
-  AdversaryRole role(int worker) const;
-  /// Workers holding the given role.
-  int CountRole(AdversaryRole role) const;
 
   /// True when the colluding clique coordinates the wrong answer on this
   /// fact. Deterministic in (spec.seed, fact_id) and independent of
@@ -101,6 +96,9 @@ class AdversaryModel {
   const core::AdversarySpec& spec() const { return spec_; }
 
  private:
+  /// Reads the role partition in tests/crowd/adversary_test.cc.
+  friend class AdversaryModelPeer;
+
   struct WorkerState {
     AdversaryRole role = AdversaryRole::kHonest;
     int64_t answers = 0;

@@ -114,11 +114,4 @@ void SimulatedCrowd::Cancel(core::TicketId ticket) {
   ledger().Forget(ticket);
 }
 
-double SimulatedCrowd::EmpiricalAccuracy() const {
-  return answers_served_ == 0
-             ? 0.0
-             : static_cast<double>(answers_correct_) /
-                   static_cast<double>(answers_served_);
-}
-
 }  // namespace crowdfusion::crowd

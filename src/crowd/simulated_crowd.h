@@ -81,7 +81,6 @@ class SimulatedCrowd : public core::AsyncAnswerProvider {
   int64_t answers_served() const { return answers_served_; }
   /// Of those, how many matched the ground truth (empirical accuracy).
   int64_t answers_correct() const { return answers_correct_; }
-  double EmpiricalAccuracy() const;
 
  private:
   /// Draws one judgment per fact, in order, from the judgment stream.

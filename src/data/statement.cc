@@ -20,11 +20,6 @@ const char* StatementCategoryName(StatementCategory category) {
   return "Unknown";
 }
 
-bool CategoryIsTrue(StatementCategory category) {
-  return category == StatementCategory::kClean ||
-         category == StatementCategory::kReordered;
-}
-
 bool LabelStatement(const std::string& text, const AuthorList& true_authors) {
   const ParsedStatement parsed = ParseAuthorListStatement(text);
   if (parsed.has_annotation) return false;

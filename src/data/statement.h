@@ -26,9 +26,6 @@ enum class StatementCategory {
 /// Display name ("Clean", "Reordered", ...).
 const char* StatementCategoryName(StatementCategory category);
 
-/// True iff statements of this category are true in the ground truth.
-bool CategoryIsTrue(StatementCategory category);
-
 /// One author-list statement about a book, as claimed by sources.
 struct Statement {
   std::string text;

@@ -209,15 +209,4 @@ common::Result<ExperimentResult> RunExperiment(
   return result;
 }
 
-common::Result<PrecisionRecallF1> ScoreInitializer(
-    const ExperimentOptions& options) {
-  service::FusionService service;
-  service::FusionRequest request = BuildRequest(options);
-  request.budget.budget_per_instance = 0;  // the zero-cost baseline
-  CF_ASSIGN_OR_RETURN(const std::unique_ptr<service::Session> session,
-                      service.CreateSession(std::move(request)));
-  const CurvePoint point = ScoreSession(*session, 0);
-  return PrecisionRecallF1{point.precision, point.recall, point.f1};
-}
-
 }  // namespace crowdfusion::eval

@@ -93,11 +93,6 @@ struct ExperimentResult {
 common::Result<ExperimentResult> RunExperiment(
     const ExperimentOptions& options);
 
-/// Runs the machine-only initializer alone and scores it; the zero-cost
-/// baseline of every figure.
-common::Result<PrecisionRecallF1> ScoreInitializer(
-    const ExperimentOptions& options);
-
 }  // namespace crowdfusion::eval
 
 #endif  // CROWDFUSION_EVAL_EXPERIMENT_H_

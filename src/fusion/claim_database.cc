@@ -30,7 +30,6 @@ common::Result<int> ClaimDatabase::AddValue(int entity_id, std::string text) {
     if (value_texts_[static_cast<size_t>(vid)] == text) return vid;
   }
   value_texts_.push_back(std::move(text));
-  value_entity_.push_back(entity_id);
   value_sources_.emplace_back();
   const int vid = num_values() - 1;
   entity_values_[static_cast<size_t>(entity_id)].push_back(vid);
@@ -59,21 +58,6 @@ Status ClaimDatabase::AddClaim(int source_id, int value_id) {
 const std::string& ClaimDatabase::source_name(int id) const {
   CF_CHECK(id >= 0 && id < num_sources());
   return source_names_[static_cast<size_t>(id)];
-}
-
-const std::string& ClaimDatabase::entity_name(int id) const {
-  CF_CHECK(id >= 0 && id < num_entities());
-  return entity_names_[static_cast<size_t>(id)];
-}
-
-const std::string& ClaimDatabase::value_text(int value_id) const {
-  CF_CHECK(value_id >= 0 && value_id < num_values());
-  return value_texts_[static_cast<size_t>(value_id)];
-}
-
-int ClaimDatabase::value_entity(int value_id) const {
-  CF_CHECK(value_id >= 0 && value_id < num_values());
-  return value_entity_[static_cast<size_t>(value_id)];
 }
 
 const std::vector<int>& ClaimDatabase::entity_values(int entity_id) const {

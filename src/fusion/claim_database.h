@@ -42,9 +42,6 @@ class ClaimDatabase {
   int num_claims() const { return num_claims_; }
 
   const std::string& source_name(int id) const;
-  const std::string& entity_name(int id) const;
-  const std::string& value_text(int value_id) const;
-  int value_entity(int value_id) const;
 
   /// Global value ids belonging to an entity.
   const std::vector<int>& entity_values(int entity_id) const;
@@ -60,7 +57,6 @@ class ClaimDatabase {
   std::vector<std::string> source_names_;
   std::vector<std::string> entity_names_;
   std::vector<std::string> value_texts_;
-  std::vector<int> value_entity_;
   std::vector<std::vector<int>> entity_values_;
   std::vector<std::vector<int>> value_sources_;
   std::vector<std::vector<int>> source_values_;

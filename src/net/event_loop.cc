@@ -23,8 +23,6 @@ using common::Status;
 
 namespace {
 
-thread_local bool t_on_loop_thread = false;
-
 constexpr uint64_t kListenerToken = ~uint64_t{0};
 constexpr uint64_t kWakeToken = ~uint64_t{0} - 1;
 
@@ -130,8 +128,6 @@ EventLoop::EventLoop(RequestDispatcher* dispatcher, ServerConfig config)
 
 EventLoop::~EventLoop() { Stop(); }
 
-bool EventLoop::OnLoopThread() { return t_on_loop_thread; }
-
 common::Status EventLoop::Start() {
   std::lock_guard<std::mutex> lifecycle(lifecycle_mutex_);
   if (running_) return Status::FailedPrecondition("event loop already started");
@@ -230,7 +226,6 @@ void EventLoop::Stop() {
 // ---------------------------------------------------------------------------
 
 void EventLoop::Run() {
-  t_on_loop_thread = true;
   double now = Now();
   last_tick_ = static_cast<int64_t>(now / kTickSeconds);
   while (!stop_.load(std::memory_order_acquire)) {
@@ -263,7 +258,6 @@ void EventLoop::Run() {
     now = Now();
     AdvanceWheel(now);
   }
-  t_on_loop_thread = false;
 }
 
 void EventLoop::HandleListenerReady() {

@@ -92,7 +92,8 @@ class RequestDispatcher {
 /// list, the parser assigns into recycled strings, responses serialize
 /// via AppendResponse into the per-connection out buffer, and completion
 /// batches swap between two persistent vectors. tests/net/event_loop_test
-/// pins this with a global operator-new hook + OnLoopThread().
+/// pins this with a global operator-new hook that counts the allocations
+/// of every thread but the test's own and the server's worker.
 class EventLoop {
  public:
   /// `dispatcher` is borrowed and must outlive the loop.
@@ -114,9 +115,6 @@ class EventLoop {
   int port() const { return port_; }
 
   std::shared_ptr<CompletionQueue> completions() const { return completions_; }
-
-  /// True on the reactor thread — the allocation-pin test hook.
-  static bool OnLoopThread();
 
   int64_t connections_accepted() const {
     return connections_accepted_.load(std::memory_order_relaxed);

@@ -38,18 +38,6 @@ ResponseWriter::~ResponseWriter() {
   }
 }
 
-ResponseWriter& ResponseWriter::operator=(ResponseWriter&& other) noexcept {
-  if (this != &other) {
-    if (queue_ != nullptr) {
-      queue_->Post(token_, MakeDroppedWriterResponse());
-    }
-    queue_ = std::move(other.queue_);
-    token_ = other.token_;
-    other.queue_.reset();
-  }
-  return *this;
-}
-
 void ResponseWriter::Send(HttpResponse response) {
   CF_CHECK(queue_ != nullptr)
       << "ResponseWriter::Send called twice (or on a moved-from writer)";
@@ -88,11 +76,6 @@ HttpServer::HttpServer(AsyncHandler handler, Options options)
       loop_(dispatcher_.get(), options_) {}
 
 HttpServer::~HttpServer() { Stop(); }
-
-bool HttpServer::running() const {
-  std::lock_guard<std::mutex> lock(lifecycle_mutex_);
-  return running_;
-}
 
 common::Status HttpServer::Start() {
   std::lock_guard<std::mutex> lock(lifecycle_mutex_);

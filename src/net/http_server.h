@@ -33,7 +33,6 @@ class ResponseWriter {
       : queue_(std::move(other.queue_)), token_(other.token_) {
     other.queue_.reset();
   }
-  ResponseWriter& operator=(ResponseWriter&& other) noexcept;
   ResponseWriter(const ResponseWriter&) = delete;
   ResponseWriter& operator=(const ResponseWriter&) = delete;
 
@@ -101,8 +100,6 @@ class HttpServer {
 
   /// Graceful stop; idempotent. Blocks until the loop and workers exited.
   void Stop();
-
-  bool running() const;
 
   /// The bound port; valid after Start().
   int port() const { return loop_.port(); }

@@ -62,11 +62,6 @@ std::string LoopbackCrowdServer::endpoint() const {
   return common::StrFormat("%s:%d", options_.host.c_str(), server_.port());
 }
 
-int64_t LoopbackCrowdServer::universes_created() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return next_universe_ - 1;
-}
-
 int64_t LoopbackCrowdServer::universes_live() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return static_cast<int64_t>(universes_.size());

@@ -63,7 +63,6 @@ class LoopbackCrowdServer {
   /// "host:port", the ProviderSpec::endpoint spelling.
   std::string endpoint() const;
 
-  int64_t universes_created() const;
   /// Universes currently hosted (created minus deleted): the leak gauge —
   /// a well-behaved HttpAnswerProvider reaps its universe on destruction.
   int64_t universes_live() const;

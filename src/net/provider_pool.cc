@@ -79,14 +79,6 @@ void ProviderPool::MarkFailure(int replica) {
   }
 }
 
-bool ProviderPool::replica_ejected(int index) const {
-  const double now = options_.clock == nullptr
-                         ? common::Clock::Real()->NowSeconds()
-                         : options_.clock->NowSeconds();
-  std::lock_guard<std::mutex> lock(mutex_);
-  return now < health_[static_cast<size_t>(index)].ejected_until;
-}
-
 std::vector<int> ProviderPool::CandidateOrder(
     const std::vector<bool>& tried, int start) {
   const double now = clock()->NowSeconds();

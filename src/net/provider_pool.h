@@ -107,8 +107,6 @@ class ProviderPool : public core::AsyncAnswerProvider {
   int64_t TicketsResubmitted() override;
 
   int num_replicas() const { return static_cast<int>(replicas_.size()); }
-  /// True while replica `index` is sidelined by the health tracker.
-  bool replica_ejected(int index) const;
 
  private:
   /// Pool-side bookkeeping for one live ticket.

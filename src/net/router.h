@@ -67,7 +67,6 @@ class Router {
   common::Status Start();
   void Stop();
   int port() const { return server_.port(); }
-  bool running() const { return server_.running(); }
 
   struct BackendMetrics {
     std::string endpoint;

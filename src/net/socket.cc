@@ -111,14 +111,6 @@ Status Socket::WriteAll(std::string_view data, double timeout_seconds) {
   return Status::Ok();
 }
 
-void Socket::ShutdownBoth() {
-  if (valid()) ::shutdown(fd_, SHUT_RDWR);
-}
-
-void Socket::ShutdownWrite() {
-  if (valid()) ::shutdown(fd_, SHUT_WR);
-}
-
 bool Socket::LooksClosed() const {
   if (!valid()) return true;
   char byte = 0;
@@ -209,23 +201,6 @@ common::Result<Listener> Listener::Bind(const std::string& host, int port,
   }
   listener.port_ = static_cast<int>(ntohs(addr.sin_port));
   return listener;
-}
-
-common::Result<Socket> Listener::Accept(double timeout_seconds) {
-  if (!valid()) return Status::Unavailable("accept on closed listener");
-  CF_ASSIGN_OR_RETURN(const bool ready,
-                      PollOne(fd_, POLLIN, timeout_seconds));
-  if (!ready) return Status::DeadlineExceeded("accept timed out");
-  for (;;) {
-    const int fd = ::accept(fd_, nullptr, nullptr);
-    if (fd >= 0) {
-      int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      return Socket(fd);
-    }
-    if (errno == EINTR) continue;
-    return ErrnoStatus("accept");
-  }
 }
 
 void Listener::Close() {

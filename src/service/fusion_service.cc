@@ -60,11 +60,6 @@ Status CheckInstances(const std::vector<InstanceSpec>& specs) {
 // Session
 // ---------------------------------------------------------------------------
 
-const std::string& Session::instance_name(int instance) const {
-  CF_CHECK(instance >= 0 && instance < num_instances());
-  return instances_[static_cast<size_t>(instance)].name;
-}
-
 const core::JointDistribution& Session::joint(int instance) const {
   CF_CHECK(instance >= 0 && instance < num_instances());
   if (scheduler_.has_value()) return scheduler_->joint(instance);

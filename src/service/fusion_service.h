@@ -280,7 +280,6 @@ class Session {
   /// Request label (or the derived default) echoed into the response.
   const std::string& label() const { return label_; }
   int num_instances() const { return static_cast<int>(instances_.size()); }
-  const std::string& instance_name(int instance) const;
   /// Current (not final) joint of one instance.
   const core::JointDistribution& joint(int instance) const;
   /// Gold labels bound at creation; empty when the workload carried none.

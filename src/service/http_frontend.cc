@@ -38,8 +38,6 @@ JsonValue ProgressToJson(const SessionProgress& progress) {
 
 }  // namespace
 
-HttpFrontend::HttpFrontend() : HttpFrontend(Options()) {}
-
 HttpFrontend::HttpFrontend(Options options)
     : options_(options),
       service_(FusionService::Config{.clock = options.clock}),
@@ -330,7 +328,7 @@ net::HttpResponse HttpFrontend::HandleSessions(const HttpRequest& request,
       return ErrorResponse(
           Status::InvalidArgument("instances is POST-only"));
     }
-    auto body = common::JsonValue::Parse(request.body);
+    auto body = net::ParseJsonBody(request);
     if (!body.ok()) return ErrorResponse(body.status());
     auto object = common::JsonRequireObject(*body, "instances request");
     if (!object.ok()) return ErrorResponse(object.status());

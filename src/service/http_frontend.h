@@ -63,7 +63,6 @@ class HttpFrontend {
     loadgen::TraceRecorder* trace_recorder = nullptr;
   };
 
-  HttpFrontend();
   explicit HttpFrontend(Options options);
   ~HttpFrontend();
 
@@ -73,7 +72,6 @@ class HttpFrontend {
   common::Status Start();
   void Stop();
   int port() const { return server_.port(); }
-  bool running() const { return server_.running(); }
 
   /// The underlying service, e.g. to register custom backends before
   /// Start().

@@ -39,8 +39,6 @@ common::Result<FusionRequest> ParseFusionRequest(const std::string& text);
 /// The reference encoder: the tree the tests and the traced replay read.
 /// The served paths write through WriteFusionResponse instead.
 common::JsonValue FusionResponseToJson(const FusionResponse& response);
-common::Result<FusionResponse> FusionResponseFromJson(
-    const common::JsonValue& json);
 
 /// Appends the compact JSON of `response` to `out` with no JsonValue tree:
 /// exactly the bytes of FusionResponseToJson(response).Dump(). Reserves
@@ -48,7 +46,6 @@ common::Result<FusionResponse> FusionResponseFromJson(
 void WriteFusionResponse(const FusionResponse& response, std::string& out);
 
 std::string SerializeFusionResponse(const FusionResponse& response);
-common::Result<FusionResponse> ParseFusionResponse(const std::string& text);
 
 /// Joint distributions as {"num_facts": n, "entries": [["mask", p], ...]}
 /// with masks as decimal strings (uint64-lossless). Shared by request
@@ -68,7 +65,6 @@ common::Result<InstanceSpec> InstanceSpecFromJson(
 /// exposed for the incremental session wire (POST /v1/sessions/{id}/step
 /// streams these as they land).
 common::JsonValue StepOutcomeToJson(const StepOutcome& outcome);
-common::Result<StepOutcome> StepOutcomeFromJson(const common::JsonValue& json);
 
 }  // namespace crowdfusion::service
 

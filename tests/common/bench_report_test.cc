@@ -16,6 +16,19 @@ std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + name;
 }
 
+// Writes `report` alone: merging into a missing file.
+Status WriteAlone(const BenchReport& report, const std::string& path) {
+  std::remove(path.c_str());
+  return report.MergeToFile(path);
+}
+
+std::string ReadText(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
 BenchRecord MakeRecord(const std::string& config, int n, double wall_ms) {
   BenchRecord record;
   record.source = "test_bench";
@@ -34,7 +47,7 @@ TEST(BenchReportTest, RoundTripsRecordsExactly) {
   report.Add(MakeRecord("Approx.&Pre.", 14, 1.25));
   // Strings with JSON-hostile characters must survive.
   report.Add(MakeRecord("weird \"quoted\" \\ config\tname", 64, 0.0625));
-  ASSERT_TRUE(report.WriteFile(path).ok());
+  ASSERT_TRUE(WriteAlone(report, path).ok());
 
   auto loaded = BenchReport::Load(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -50,12 +63,9 @@ TEST(BenchReportTest, NonFiniteMeasurementsWriteNullAndReadBackAsNaN) {
   record.entropy_bits = std::nan("");
   record.p50_ms = 0.1;
   report.Add(record);
-  ASSERT_TRUE(report.WriteFile(path).ok());
+  ASSERT_TRUE(WriteAlone(report, path).ok());
 
-  std::ifstream in(path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
+  const std::string text = ReadText(path);
   EXPECT_NE(text.find("\"wall_ms\": null"), std::string::npos) << text;
   EXPECT_NE(text.find("\"entropy_bits\": null"), std::string::npos) << text;
   EXPECT_NE(text.find("\"p50_ms\": 0.1,"), std::string::npos) << text;
@@ -173,10 +183,10 @@ TEST(BenchReportTest, ServiceFieldsRoundTripAndStayOptional) {
   service.p95_ms = 11.0;
   report.Add(selection);
   report.Add(service);
-  ASSERT_TRUE(report.WriteFile(path).ok());
+  ASSERT_TRUE(WriteAlone(report, path).ok());
 
   // Selection rows keep the v1 shape; service rows carry the v2 fields.
-  const std::string json = report.ToJson();
+  const std::string json = ReadText(path);
   EXPECT_EQ(json.find("throughput_per_sec"), json.rfind("throughput_per_sec"));
 
   auto loaded = BenchReport::Load(path);

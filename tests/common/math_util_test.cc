@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "support/oracles.h"
+
 namespace crowdfusion::common {
 namespace {
 
@@ -50,23 +52,6 @@ TEST(MathUtilTest, NormalizeAllZerosUntouched) {
   std::vector<double> v = {0.0, 0.0};
   EXPECT_EQ(Normalize(v), 0.0);
   EXPECT_EQ(v[0], 0.0);
-}
-
-TEST(MathUtilTest, KlDivergenceIdenticalIsZero) {
-  const std::vector<double> p = {0.2, 0.3, 0.5};
-  EXPECT_NEAR(KlDivergence(p, p), 0.0, 1e-12);
-}
-
-TEST(MathUtilTest, KlDivergenceNonNegative) {
-  const std::vector<double> p = {0.2, 0.3, 0.5};
-  const std::vector<double> q = {0.5, 0.3, 0.2};
-  EXPECT_GT(KlDivergence(p, q), 0.0);
-}
-
-TEST(MathUtilTest, KlDivergenceInfiniteWhenSupportMismatch) {
-  const std::vector<double> p = {0.5, 0.5};
-  const std::vector<double> q = {1.0, 0.0};
-  EXPECT_TRUE(std::isinf(KlDivergence(p, q)));
 }
 
 TEST(MathUtilTest, BinomialCoefficients) {

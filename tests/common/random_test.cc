@@ -157,15 +157,5 @@ TEST(RngTest, ShufflePreservesElements) {
   EXPECT_EQ(shuffled, items);
 }
 
-TEST(RngTest, ForkProducesIndependentStream) {
-  Rng parent(41);
-  Rng child = parent.Fork();
-  int same = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (parent.NextUint64() == child.NextUint64()) ++same;
-  }
-  EXPECT_LT(same, 2);
-}
-
 }  // namespace
 }  // namespace crowdfusion::common

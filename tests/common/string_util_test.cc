@@ -43,20 +43,6 @@ TEST(StringUtilTest, StartsWith) {
   EXPECT_FALSE(StartsWith("foobar", "bar"));
 }
 
-TEST(StringUtilTest, EditDistanceBasics) {
-  EXPECT_EQ(EditDistance("", ""), 0);
-  EXPECT_EQ(EditDistance("abc", "abc"), 0);
-  EXPECT_EQ(EditDistance("abc", ""), 3);
-  EXPECT_EQ(EditDistance("kitten", "sitting"), 3);
-  EXPECT_EQ(EditDistance("Loshin", "Losin"), 1);   // deletion
-  EXPECT_EQ(EditDistance("Pete", "Peter"), 1);     // insertion
-  EXPECT_EQ(EditDistance("Baxter", "Bexter"), 1);  // substitution
-}
-
-TEST(StringUtilTest, EditDistanceSymmetric) {
-  EXPECT_EQ(EditDistance("abcdef", "azced"), EditDistance("azced", "abcdef"));
-}
-
 TEST(StringUtilTest, StrFormat) {
   EXPECT_EQ(StrFormat("k=%d Pc=%.2f", 3, 0.8), "k=3 Pc=0.80");
   EXPECT_EQ(StrFormat("%s", "plain"), "plain");

@@ -8,6 +8,7 @@
 #include "common/random.h"
 #include "core/running_example.h"
 #include "core/sparse_refiner.h"
+#include "support/oracles.h"
 
 namespace crowdfusion::core {
 namespace {

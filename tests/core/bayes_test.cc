@@ -6,6 +6,7 @@
 #include "common/math_util.h"
 #include "common/random.h"
 #include "core/running_example.h"
+#include "support/oracles.h"
 
 namespace crowdfusion::core {
 namespace {

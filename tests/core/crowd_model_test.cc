@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/math_util.h"
+#include "support/oracles.h"
 
 namespace crowdfusion::core {
 namespace {

@@ -28,14 +28,6 @@ TEST(FactSetTest, AddAssignsSequentialIds) {
   EXPECT_EQ(facts.at(1).subject, "d");
 }
 
-TEST(FactSetTest, FindLocatesFacts) {
-  FactSet facts;
-  facts.Add({"a", "b", "c"});
-  facts.Add({"d", "e", "f"});
-  EXPECT_EQ(facts.Find({"d", "e", "f"}), 1);
-  EXPECT_EQ(facts.Find({"x", "y", "z"}), -1);
-}
-
 TEST(FactSetTest, ConstructFromVector) {
   const FactSet facts({{"a", "b", "c"}, {"d", "e", "f"}});
   EXPECT_EQ(facts.size(), 2);

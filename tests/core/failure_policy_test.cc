@@ -18,6 +18,7 @@
 #include "crowd/simulated_crowd.h"
 #include "service/fusion_service.h"
 #include "service/request_json.h"
+#include "support/status_printing.h"
 
 namespace crowdfusion::core {
 namespace {

@@ -11,6 +11,7 @@
 #include "core/greedy_selector.h"
 #include "core/running_example.h"
 #include "core/utility.h"
+#include "support/oracles.h"
 
 namespace crowdfusion::core {
 namespace {

@@ -11,6 +11,8 @@
 #include "core/greedy_selector.h"
 #include "core/scheduler.h"
 #include "crowd/simulated_crowd.h"
+#include "support/oracles.h"
+#include "support/status_printing.h"
 
 namespace crowdfusion::core {
 namespace {
@@ -280,7 +282,7 @@ TEST(PipelinedSchedulerTest, FastInstanceIsNotStarvedBySlowTicket) {
 
   // Instance 0: maximally uncertain (always wins the first pick) but its
   // crowd takes 500 virtual seconds per batch.
-  auto slow_joint = JointDistribution::Uniform(6);
+  auto slow_joint = Uniform(6);
   ASSERT_TRUE(slow_joint.ok());
   crowd::SimulatedCrowd slow_crowd = crowd::SimulatedCrowd::WithUniformAccuracy(
       {true, false, true, false, true, false}, 0.8, 7);
@@ -344,7 +346,7 @@ TEST(PipelinedSchedulerTest, InFlightReservationsRespectBudget) {
 
   std::vector<std::unique_ptr<crowd::SimulatedCrowd>> crowds;
   for (int i = 0; i < 5; ++i) {
-    auto joint = JointDistribution::Uniform(4);
+    auto joint = Uniform(4);
     ASSERT_TRUE(joint.ok());
     crowds.push_back(std::make_unique<crowd::SimulatedCrowd>(
         crowd::SimulatedCrowd::WithUniformAccuracy(
@@ -386,7 +388,7 @@ TEST(PipelinedSchedulerTest, NonMultipleBudgetIsNeverOverspent) {
     ASSERT_TRUE(scheduler.ok());
     std::vector<std::unique_ptr<crowd::SimulatedCrowd>> crowds;
     for (int i = 0; i < 3; ++i) {
-      auto joint = JointDistribution::Uniform(5);
+      auto joint = Uniform(5);
       ASSERT_TRUE(joint.ok());
       crowds.push_back(std::make_unique<crowd::SimulatedCrowd>(
           crowd::SimulatedCrowd::WithUniformAccuracy(
@@ -421,7 +423,7 @@ TEST(PipelinedSchedulerTest, RerunRecoversAfterAbortedPipelinedRun) {
 
   // Instance 0: highest gain, slow and healthy — in flight when the run
   // aborts. Instance 1: lower gain, fast but terminally failing.
-  auto healthy_joint = JointDistribution::Uniform(6);
+  auto healthy_joint = Uniform(6);
   ASSERT_TRUE(healthy_joint.ok());
   crowd::SimulatedCrowd healthy = crowd::SimulatedCrowd::WithUniformAccuracy(
       {true, false, true, false, true, false}, 0.8, 3);
@@ -434,7 +436,7 @@ TEST(PipelinedSchedulerTest, RerunRecoversAfterAbortedPipelinedRun) {
                                 std::move(healthy_joint).value(), &healthy)
                   .ok());
 
-  auto doomed_joint = JointDistribution::Uniform(3);
+  auto doomed_joint = Uniform(3);
   ASSERT_TRUE(doomed_joint.ok());
   crowd::SimulatedCrowd doomed = crowd::SimulatedCrowd::WithUniformAccuracy(
       {true, false, true}, 0.8, 4);
@@ -483,7 +485,7 @@ TEST(PipelinedSchedulerTest, TerminalTicketFailureAbortsTheRun) {
   auto scheduler = BudgetScheduler::Create(MakeCrowd(0.8), &selector, options);
   ASSERT_TRUE(scheduler.ok());
 
-  auto joint = JointDistribution::Uniform(3);
+  auto joint = Uniform(3);
   ASSERT_TRUE(joint.ok());
   crowd::SimulatedCrowd crowd = crowd::SimulatedCrowd::WithUniformAccuracy(
       {true, false, true}, 0.8, 5);

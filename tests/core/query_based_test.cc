@@ -7,6 +7,8 @@
 #include "core/greedy_selector.h"
 #include "core/running_example.h"
 #include "core/utility.h"
+#include "support/oracles.h"
+#include "support/status_printing.h"
 
 namespace crowdfusion::core {
 namespace {
@@ -96,7 +98,7 @@ TEST(QueryBasedTest, PrefersCorrelatedProxyOverIrrelevantFact) {
 TEST(QueryBasedTest, StopsWhenNoGainRemains) {
   // Deterministic FOI + perfect crowd: no task can improve Q beyond its
   // maximum of 0; the selector should stop early.
-  auto joint = JointDistribution::PointMass(3, 0b101);
+  auto joint = PointMass(3, 0b101);
   ASSERT_TRUE(joint.ok());
   const CrowdModel perfect = MakeCrowd(1.0);
   QueryBasedGreedySelector::Options options;

@@ -8,6 +8,7 @@
 #include "core/greedy_selector.h"
 #include "core/opt_selector.h"
 #include "core/utility.h"
+#include "support/status_printing.h"
 
 namespace crowdfusion::core {
 namespace {

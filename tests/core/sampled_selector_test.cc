@@ -7,6 +7,7 @@
 #include "core/answer_model.h"
 #include "core/greedy_selector.h"
 #include "core/running_example.h"
+#include "support/oracles.h"
 
 namespace crowdfusion::core {
 namespace {
@@ -107,7 +108,7 @@ TEST(SampledSelectorTest, HandlesSparseJointsBeyondDenseLimit) {
 }
 
 TEST(SampledSelectorTest, StopsOnCertainDistributionWithPerfectCrowd) {
-  auto joint = JointDistribution::PointMass(5, 0b10101);
+  auto joint = PointMass(5, 0b10101);
   ASSERT_TRUE(joint.ok());
   const CrowdModel perfect = MakeCrowd(1.0);
   SampledGreedySelector::Options options;

@@ -18,6 +18,7 @@
 #include "core/scheduler.h"
 #include "oracle_provider.h"
 #include "sparse_test_util.h"
+#include "support/oracles.h"
 
 namespace crowdfusion::core {
 namespace {
@@ -52,7 +53,7 @@ TEST(BudgetSchedulerStressTest, MixedSizesUnderOneGlobalBudget) {
   for (int i = 0; i < 52; ++i) {
     JointDistribution joint = IndependentJoint(3 + i % 13, rng);
     providers.push_back(
-        std::make_unique<ScriptedProvider>(OracleProvider(joint.Mode())));
+        std::make_unique<ScriptedProvider>(OracleProvider(Mode(joint))));
     auto id = scheduler->AddInstance("book-" + std::to_string(i),
                                      std::move(joint), providers.back().get());
     ASSERT_TRUE(id.ok());
@@ -61,7 +62,7 @@ TEST(BudgetSchedulerStressTest, MixedSizesUnderOneGlobalBudget) {
   for (const int n : {24, 32, 48, 64}) {
     JointDistribution joint = RandomSparseJoint(n, 300, rng);
     providers.push_back(
-        std::make_unique<ScriptedProvider>(OracleProvider(joint.Mode())));
+        std::make_unique<ScriptedProvider>(OracleProvider(Mode(joint))));
     auto id = scheduler->AddInstance("sparse-" + std::to_string(n),
                                      std::move(joint), providers.back().get());
     ASSERT_TRUE(id.ok());

@@ -6,6 +6,8 @@
 #include "core/greedy_selector.h"
 #include "core/running_example.h"
 #include "oracle_provider.h"
+#include "support/oracles.h"
+#include "support/status_printing.h"
 
 namespace crowdfusion::core {
 namespace {
@@ -19,7 +21,7 @@ CrowdModel MakeCrowd(double pc) {
 }
 
 JointDistribution UniformJoint(int n) {
-  auto joint = JointDistribution::Uniform(n);
+  auto joint = Uniform(n);
   EXPECT_TRUE(joint.ok());
   return std::move(joint).value();
 }
@@ -157,7 +159,7 @@ TEST(BudgetSchedulerTest, StopsWhenNoGainAnywhere) {
   options.max_in_flight = 1;
   auto scheduler = BudgetScheduler::Create(crowd, &selector, options);
   ASSERT_TRUE(scheduler.ok());
-  auto point = JointDistribution::PointMass(3, 0b101);
+  auto point = PointMass(3, 0b101);
   ASSERT_TRUE(point.ok());
   ScriptedProvider provider = OracleProvider(0b101);
   ASSERT_TRUE(scheduler->AddInstance("done", *point, &provider).ok());

@@ -11,6 +11,8 @@
 #include "core/random_selector.h"
 #include "core/running_example.h"
 #include "core/utility.h"
+#include "support/oracles.h"
+#include "support/status_printing.h"
 
 namespace crowdfusion::core {
 namespace {
@@ -153,7 +155,7 @@ TEST(GreedySelectorTest, KLargerThanNSelectsEverything) {
 
 TEST(GreedySelectorTest, StopsEarlyOnCertainDistribution) {
   // A point mass with a perfect crowd: no task has positive gain, K* = 0.
-  auto joint = JointDistribution::PointMass(4, 0b1010);
+  auto joint = PointMass(4, 0b1010);
   ASSERT_TRUE(joint.ok());
   const CrowdModel perfect = MakeCrowd(1.0);
   GreedySelector selector;
@@ -165,7 +167,7 @@ TEST(GreedySelectorTest, StopsEarlyOnCertainDistribution) {
 TEST(GreedySelectorTest, NoisyCrowdStillAsksOnPointMass) {
   // Theorem 2's boundary: with a noisy crowd even a certain fact produces
   // answer entropy (the crowd's own noise), so the greedy fills k.
-  auto joint = JointDistribution::PointMass(4, 0b1010);
+  auto joint = PointMass(4, 0b1010);
   ASSERT_TRUE(joint.ok());
   const CrowdModel noisy = MakeCrowd(0.8);
   GreedySelector selector;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/running_example.h"
+#include "support/status_printing.h"
 #include "temp_path.h"
 
 namespace crowdfusion::core {

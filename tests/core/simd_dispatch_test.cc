@@ -44,8 +44,6 @@ std::vector<int> AllFacts(int n) {
 }
 
 TEST(SimdDispatchTest, LevelNamesAndPolicyResolution) {
-  EXPECT_STREQ(common::SimdLevelName(common::SimdLevel::kScalar), "scalar");
-  EXPECT_STREQ(common::SimdLevelName(common::SimdLevel::kAvx2), "avx2");
   EXPECT_FALSE(common::ResolveSimd(common::SimdPolicy::kForceScalar));
   EXPECT_EQ(common::ResolveSimd(common::SimdPolicy::kAuto),
             common::ActiveSimdLevel() == common::SimdLevel::kAvx2);

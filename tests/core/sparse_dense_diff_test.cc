@@ -25,6 +25,8 @@
 #include "core/sparse_refiner.h"
 #include "core/utility.h"
 #include "sparse_test_util.h"
+#include "support/oracles.h"
+#include "support/status_printing.h"
 
 namespace crowdfusion::core {
 namespace {
@@ -90,7 +92,7 @@ TEST(SparseDenseDiffTest, MarginalsAgreeBitForBit) {
     const JointDistribution& joint = instance.joint;
     const std::vector<double> all = joint.Marginals();
     ASSERT_EQ(all.size(), static_cast<size_t>(joint.num_facts()));
-    const std::vector<double> dense = joint.ToDense();
+    const std::vector<double> dense = ToDense(joint);
     for (int f = 0; f < joint.num_facts(); ++f) {
       // The batched scan must match the single-fact scan exactly: both
       // accumulate the same probabilities in the same support order.

@@ -5,6 +5,7 @@
 #include "common/math_util.h"
 #include "common/random.h"
 #include "core/running_example.h"
+#include "support/oracles.h"
 
 namespace crowdfusion::core {
 namespace {
@@ -28,7 +29,7 @@ CrowdModel MakeCrowd(double pc) {
 TEST(UtilityTest, QualityIsNegativeEntropy) {
   const JointDistribution joint = RunningExample::Joint();
   EXPECT_DOUBLE_EQ(QualityBits(joint), -joint.EntropyBits());
-  auto point = JointDistribution::PointMass(3, 5);
+  auto point = PointMass(3, 5);
   ASSERT_TRUE(point.ok());
   EXPECT_EQ(QualityBits(*point), 0.0);  // certainty = maximal quality
 }

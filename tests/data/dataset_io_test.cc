@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "support/status_printing.h"
 #include "temp_path.h"
 
 namespace crowdfusion::data {

@@ -21,15 +21,6 @@ TEST(StatementTest, CategoryNamesAreDistinct) {
                "MissingAuthor");
 }
 
-TEST(StatementTest, TruthByCategoryMatchesPaperRules) {
-  EXPECT_TRUE(CategoryIsTrue(StatementCategory::kClean));
-  EXPECT_TRUE(CategoryIsTrue(StatementCategory::kReordered));
-  EXPECT_FALSE(CategoryIsTrue(StatementCategory::kAdditionalInfo));
-  EXPECT_FALSE(CategoryIsTrue(StatementCategory::kMisspelling));
-  EXPECT_FALSE(CategoryIsTrue(StatementCategory::kWrongAuthor));
-  EXPECT_FALSE(CategoryIsTrue(StatementCategory::kMissingAuthor));
-}
-
 TEST(LabelStatementTest, AcceptsBothPaperTrueVariants) {
   // The paper's ISBN 0321304292 example: both statements are true.
   EXPECT_TRUE(LabelStatement("Adams, Tyrone; Scollard, Sharon", kTruth));

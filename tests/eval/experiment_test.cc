@@ -1,4 +1,5 @@
 #include "eval/experiment.h"
+#include "support/status_printing.h"
 
 #include <gtest/gtest.h>
 
@@ -86,15 +87,6 @@ TEST(ExperimentTest, AllInitializersRunEndToEnd) {
     ASSERT_TRUE(result.ok()) << InitializerName(initializer) << ": "
                              << result.status();
   }
-}
-
-TEST(ExperimentTest, ScoreInitializerMatchesCurveStart) {
-  const ExperimentOptions options = SmallOptions();
-  auto scored = ScoreInitializer(options);
-  auto run = RunExperiment(options);
-  ASSERT_TRUE(scored.ok());
-  ASSERT_TRUE(run.ok());
-  EXPECT_NEAR(scored->f1, run->initial_quality.f1, 1e-12);
 }
 
 TEST(ExperimentTest, ZeroBudgetLeavesInitializerUntouched) {

@@ -11,6 +11,7 @@
 #include "fusion/majority_vote.h"
 #include "fusion/truthfinder.h"
 #include "fusion/web_link_fusers.h"
+#include "support/status_printing.h"
 
 namespace crowdfusion::fusion {
 namespace {

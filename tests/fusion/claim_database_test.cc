@@ -21,8 +21,6 @@ TEST(ClaimDatabaseTest, AddSourcesEntitiesValues) {
   EXPECT_EQ(db.num_sources(), 2);
   EXPECT_EQ(db.num_entities(), 1);
   EXPECT_EQ(db.num_values(), 2);
-  EXPECT_EQ(db.value_text(0), "Alice Smith");
-  EXPECT_EQ(db.value_entity(1), 0);
 }
 
 TEST(ClaimDatabaseTest, DuplicateValueTextReturnsSameId) {

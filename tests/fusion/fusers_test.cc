@@ -5,6 +5,7 @@
 #include "fusion/crh.h"
 #include "fusion/majority_vote.h"
 #include "fusion/truthfinder.h"
+#include "support/status_printing.h"
 
 namespace crowdfusion::fusion {
 namespace {

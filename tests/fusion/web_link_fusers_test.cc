@@ -1,4 +1,5 @@
 #include "fusion/web_link_fusers.h"
+#include "support/status_printing.h"
 
 #include <gtest/gtest.h>
 

@@ -13,6 +13,7 @@
 #include "eval/experiment.h"
 #include "eval/metrics.h"
 #include "fusion/crh.h"
+#include "support/status_printing.h"
 
 namespace crowdfusion {
 namespace {

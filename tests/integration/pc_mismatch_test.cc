@@ -9,6 +9,7 @@
 #include "core/greedy_selector.h"
 #include "crowd/simulated_crowd.h"
 #include "eval/metrics.h"
+#include "support/oracles.h"
 
 namespace crowdfusion {
 namespace {
@@ -20,7 +21,7 @@ using core::JointDistribution;
 /// against a crowd of true accuracy `true_pc`, with the engine assuming
 /// `assumed_pc`.
 double MeanFinalUtility(double assumed_pc, double true_pc, int repeats) {
-  auto joint = JointDistribution::Uniform(6);
+  auto joint = core::Uniform(6);
   EXPECT_TRUE(joint.ok());
   auto crowd_model = CrowdModel::Create(assumed_pc);
   EXPECT_TRUE(crowd_model.ok());
@@ -47,7 +48,7 @@ double MeanFinalUtility(double assumed_pc, double true_pc, int repeats) {
 /// Mean judgment accuracy (thresholded marginals vs truth) under the same
 /// protocol.
 double MeanFinalAccuracy(double assumed_pc, double true_pc, int repeats) {
-  auto joint = JointDistribution::Uniform(6);
+  auto joint = core::Uniform(6);
   EXPECT_TRUE(joint.ok());
   auto crowd_model = CrowdModel::Create(assumed_pc);
   EXPECT_TRUE(crowd_model.ok());

@@ -4,10 +4,11 @@
 /// overload sheds canned 503 + Retry-After on a still-open connection,
 /// the connection cap rejects at accept, and — the core perf invariant —
 /// the loop thread allocates NOTHING in steady state (pinned with a
-/// global operator-new hook + EventLoop::OnLoopThread).
+/// global operator-new hook).
 
 #include <execinfo.h>
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -26,13 +27,20 @@
 #include "net/http_client.h"
 #include "net/http_server.h"
 #include "net/socket.h"
+#include "support/status_printing.h"
 
 // --------------------------------------------------------------------------
-// Global allocation hook: counts operator-new calls made ON THE LOOP
-// THREAD. Worker/handler/test allocations pass through uncounted.
+// Global allocation hook: counts operator-new calls made on any thread not
+// marked as the test's own or the server's worker. The zero-alloc test
+// marks both, so what it counts is the loop thread's. Every other test
+// leaves the count far below zero.
 // --------------------------------------------------------------------------
 
 namespace {
+// Set on the test thread and on the server's worker by the zero-alloc
+// test; unset on the loop thread.
+thread_local bool t_not_loop_thread = false;
+
 // Starts far below zero, so the allocations of warm-ups and of the other
 // tests never reach it; a test that resets it to 0 arms the trace below.
 std::atomic<int64_t> g_loop_thread_allocs{
@@ -43,7 +51,7 @@ std::atomic<int64_t> g_loop_thread_allocs{
 // allocating; backtrace itself may allocate on its first call (it loads
 // the unwinder), so BacktraceWarmup makes that call before any test.
 void CountLoopThreadAllocation() {
-  if (!crowdfusion::net::EventLoop::OnLoopThread()) return;
+  if (t_not_loop_thread) return;
   if (g_loop_thread_allocs.fetch_add(1, std::memory_order_relaxed) != 0) {
     return;
   }
@@ -184,7 +192,7 @@ TEST(EventLoopTest, HalfClosedPeerStillGetsItsPipelinedResponses) {
                       "GET /two HTTP/1.1\r\n\r\n",
                       5.0)
                   .ok());
-  socket->ShutdownWrite();
+  ::shutdown(socket->fd(), SHUT_WR);  // FIN; reads stay open
   const std::string received = DrainUntilClose(*socket);
   EXPECT_NE(received.find("GET /one "), std::string::npos) << received;
   EXPECT_NE(received.find("GET /two "), std::string::npos) << received;
@@ -421,7 +429,15 @@ TEST(EventLoopTest, LoopThreadAllocatesNothingInSteadyState) {
   HttpServer::Options options = EphemeralOptions();
   // Small queue so the warm-up pass touches every recycled ring slot.
   options.max_queue_depth = 4;
-  HttpServer server(SyncHandlerAdapter(EchoHandler), options);
+  // One worker, so the warm-up's first request marks it: every thread
+  // left unmarked is then the loop thread.
+  options.threads = 1;
+  t_not_loop_thread = true;
+  const auto marking_echo = [](const HttpRequest& request) {
+    t_not_loop_thread = true;
+    return EchoHandler(request);
+  };
+  HttpServer server(SyncHandlerAdapter(marking_echo), options);
   ASSERT_TRUE(server.Start().ok());
 
   HttpClient client(ClientOptions(server.port()));

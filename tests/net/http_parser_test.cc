@@ -11,6 +11,7 @@
 
 #include "common/random.h"
 #include "net/http.h"
+#include "support/status_printing.h"
 
 namespace crowdfusion::net {
 namespace {

@@ -15,6 +15,7 @@
 
 #include "common/clock.h"
 #include "net/provider_pool.h"
+#include "support/status_printing.h"
 
 namespace crowdfusion::net {
 namespace {
@@ -196,7 +197,8 @@ TEST(ProviderPoolTest, NonTransportErrorsPassThroughWithoutFailover) {
   // health penalty.
   EXPECT_EQ(fakes[1]->submits, 0);
   EXPECT_EQ(pool->GetStats().tickets_resubmitted, 0);
-  EXPECT_FALSE(pool->replica_ejected(0));
+  EXPECT_EQ(pool->GetStats().replica_failures, 0);
+  EXPECT_EQ(pool->GetStats().replica_ejections, 0);
 }
 
 TEST(ProviderPoolTest, ExhaustingEveryReplicaIsTerminal) {
@@ -266,9 +268,8 @@ TEST(ProviderPoolTest, ConsecutiveFailuresEjectUntilTheReprobe) {
 
   // Two failed probes eject replica 0...
   ASSERT_TRUE(pool->Submit(std::vector<int>{0}).ok());
-  EXPECT_FALSE(pool->replica_ejected(0));
+  EXPECT_EQ(pool->GetStats().replica_ejections, 0);
   ASSERT_TRUE(pool->Submit(std::vector<int>{1}).ok());
-  EXPECT_TRUE(pool->replica_ejected(0));
   EXPECT_EQ(pool->GetStats().replica_ejections, 1);
   EXPECT_EQ(fakes[0]->submits, 2);
 
@@ -278,11 +279,13 @@ TEST(ProviderPoolTest, ConsecutiveFailuresEjectUntilTheReprobe) {
 
   // Past the re-probe window real traffic probes it again.
   clock.AdvanceSeconds(6.0);
-  EXPECT_FALSE(pool->replica_ejected(0));
   fakes[0]->submit_error = Status();  // it recovered
   ASSERT_TRUE(pool->Submit(std::vector<int>{3}).ok());
   EXPECT_EQ(fakes[0]->submits, 3);
-  EXPECT_FALSE(pool->replica_ejected(0));
+  // Recovered, it is the preferred home again.
+  ASSERT_TRUE(pool->Submit(std::vector<int>{4}).ok());
+  EXPECT_EQ(fakes[0]->submits, 4);
+  EXPECT_EQ(pool->GetStats().replica_ejections, 1);
 }
 
 TEST(ProviderPoolTest, FullyEjectedPoolStillForceProbes) {
@@ -299,8 +302,7 @@ TEST(ProviderPoolTest, FullyEjectedPoolStillForceProbes) {
   auto failed = pool->Submit(std::vector<int>{0});
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code(), StatusCode::kUnavailable);
-  EXPECT_TRUE(pool->replica_ejected(0));
-  EXPECT_TRUE(pool->replica_ejected(1));
+  EXPECT_EQ(pool->GetStats().replica_ejections, 2);
 
   // Everything is ejected, but the pool must not refuse traffic outright:
   // it force-probes rather than waiting out the re-probe window.

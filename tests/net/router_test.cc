@@ -16,6 +16,7 @@
 #include "net/router.h"
 #include "service/http_frontend.h"
 #include "service/request_json.h"
+#include "support/status_printing.h"
 
 namespace crowdfusion::net {
 namespace {

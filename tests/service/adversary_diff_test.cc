@@ -19,6 +19,8 @@
 #include "service/fusion_service.h"
 #include "service/http_frontend.h"
 #include "service/request_json.h"
+#include "support/response_json.h"
+#include "support/status_printing.h"
 
 namespace crowdfusion::service {
 namespace {

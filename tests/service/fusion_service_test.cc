@@ -12,6 +12,7 @@
 #include "core/running_example.h"
 #include "core/scripted_provider.h"
 #include "service/fusion_service.h"
+#include "support/status_printing.h"
 
 namespace crowdfusion::service {
 namespace {

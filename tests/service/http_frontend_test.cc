@@ -19,6 +19,8 @@
 #include "net/loopback_crowd_server.h"
 #include "service/http_frontend.h"
 #include "service/request_json.h"
+#include "support/response_json.h"
+#include "support/status_printing.h"
 
 namespace crowdfusion::service {
 namespace {
@@ -282,6 +284,13 @@ TEST_F(HttpFrontendTest, InstancesEndpointRejectsBadGrowth) {
   auto bad_json = client_->Post(path, "{not json");
   ASSERT_TRUE(bad_json.ok());
   EXPECT_EQ(bad_json->status_code, 400);
+  // Empty body: the same error every other JSON route gives.
+  auto empty = client_->Post(path, "");
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(empty->status_code, 400);
+  EXPECT_NE(empty->body.find("request body must be a JSON document"),
+            std::string::npos)
+      << empty->body;
   // Missing instances array.
   auto missing = client_->Post(path, "{}");
   ASSERT_TRUE(missing.ok());

@@ -11,6 +11,7 @@
 #include "core/scripted_provider.h"
 #include "crowd/provider_registry.h"
 #include "fusion/registry.h"
+#include "support/status_printing.h"
 
 namespace crowdfusion {
 namespace {

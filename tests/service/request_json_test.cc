@@ -15,6 +15,8 @@
 #include "core/running_example.h"
 #include "service/fusion_service.h"
 #include "service/request_json.h"
+#include "support/response_json.h"
+#include "support/status_printing.h"
 
 namespace crowdfusion::service {
 namespace {

@@ -19,6 +19,7 @@
 #include "net/loopback_crowd_server.h"
 #include "service/fusion_service.h"
 #include "service/request_json.h"
+#include "support/status_printing.h"
 
 namespace crowdfusion::service {
 namespace {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "service/fusion_service.h"
+#include "support/status_printing.h"
 
 namespace crowdfusion::service {
 namespace {
