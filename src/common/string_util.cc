@@ -1,9 +1,9 @@
 #include "common/string_util.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdarg>
 #include <cstdio>
-#include <algorithm>
 
 namespace crowdfusion::common {
 

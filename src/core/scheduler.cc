@@ -169,6 +169,7 @@ void BudgetScheduler::AbandonInFlightTickets() {
     instance.in_flight = false;
   }
   cost_reserved_ = cost_spent_;
+  step_open_ = false;
 }
 
 common::Status BudgetScheduler::SubmitSelection(Instance& instance,
@@ -234,9 +235,25 @@ BudgetScheduler::RunPipelined() {
 
 common::Result<bool> BudgetScheduler::RunPipelinedStep(
     std::vector<StepRecord>& records) {
+  for (;;) {
+    CF_ASSIGN_OR_RETURN(const Advance advance,
+                        AdvancePipelinedStep(clock()->NowSeconds(), records));
+    if (advance.state != Advance::State::kWaiting) {
+      return advance.state == Advance::State::kStepped;
+    }
+    clock()->SleepSeconds(advance.wait_seconds);
+  }
+}
+
+common::Result<BudgetScheduler::Advance> BudgetScheduler::AdvancePipelinedStep(
+    double now, std::vector<StepRecord>& records) {
   if (instances_.empty()) {
     return Status::FailedPrecondition("no instances registered");
   }
+  // Closed until this call returns kWaiting, so an error anywhere below
+  // leaves the next call to launch afresh.
+  const bool launch = !step_open_;
+  step_open_ = false;
   int in_flight_count = 0;
   for (const Instance& instance : instances_) {
     if (instance.in_flight) ++in_flight_count;
@@ -247,14 +264,14 @@ common::Result<bool> BudgetScheduler::RunPipelinedStep(
   // before the next launch decision, so every window size serves the
   // paper's one-ticket-at-a-time schedule exactly; real-latency tickets
   // stay pending, so the window fills and answer latencies overlap.
-  while (in_flight_count < options_.max_in_flight &&
+  while (launch && in_flight_count < options_.max_in_flight &&
          cost_reserved_ < options_.total_budget) {
     const int k = std::min(options_.tasks_per_step,
                            options_.total_budget - cost_reserved_);
     CF_ASSIGN_OR_RETURN(const int best, PickBestIdleInstance(k));
     if (best < 0) break;
     Instance& launched = instances_[static_cast<size_t>(best)];
-    CF_RETURN_IF_ERROR(SubmitSelection(launched, clock()->NowSeconds()));
+    CF_RETURN_IF_ERROR(SubmitSelection(launched, now));
     ++in_flight_count;
     CF_ASSIGN_OR_RETURN(const TicketStatus ticket_status,
                         launched.provider->Poll(launched.ticket));
@@ -272,27 +289,29 @@ common::Result<bool> BudgetScheduler::RunPipelinedStep(
       record.total_utility_bits = TotalUtilityBits();
       records.push_back(std::move(record));
     }
-    return false;
+    return Advance{.state = Advance::State::kDone};
   }
 
-  // Wait: sleep exactly until the earliest outstanding ticket resolves
-  // (capped so a misreporting provider cannot stall the loop forever).
-  for (;;) {
-    bool any_resolved = false;
-    double min_wait = std::numeric_limits<double>::infinity();
-    for (Instance& instance : instances_) {
-      if (!instance.in_flight) continue;
-      CF_ASSIGN_OR_RETURN(const TicketStatus ticket_status,
-                          instance.provider->Poll(instance.ticket));
-      if (ticket_status.phase != TicketPhase::kInFlight) {
-        any_resolved = true;
-      } else {
-        min_wait = std::min(min_wait, ticket_status.seconds_until_ready);
-      }
+  // Wait: until the earliest outstanding ticket resolves (capped so a
+  // misreporting provider cannot stall the caller forever).
+  bool any_resolved = false;
+  double min_wait = std::numeric_limits<double>::infinity();
+  for (Instance& instance : instances_) {
+    if (!instance.in_flight) continue;
+    CF_ASSIGN_OR_RETURN(const TicketStatus ticket_status,
+                        instance.provider->Poll(instance.ticket));
+    if (ticket_status.phase != TicketPhase::kInFlight) {
+      any_resolved = true;
+    } else {
+      min_wait = std::min(min_wait, ticket_status.seconds_until_ready);
     }
-    if (any_resolved) break;
-    clock()->SleepSeconds(
-        std::min(std::max(min_wait, 1.0e-6), options_.max_poll_seconds));
+  }
+  if (!any_resolved) {
+    step_open_ = true;
+    Advance waiting{.state = Advance::State::kWaiting};
+    waiting.wait_seconds =
+        std::min(std::max(min_wait, 1.0e-6), options_.max_poll_seconds);
+    return waiting;
   }
 
   // Harvest every resolved ticket (ascending instance order, for
@@ -312,15 +331,12 @@ common::Result<bool> BudgetScheduler::RunPipelinedStep(
       instance.dead = true;
       instance.selection_valid = false;
       cost_reserved_ -= static_cast<int>(instance.pending_tasks.size());
-      --in_flight_count;
       continue;
     }
-    CF_ASSIGN_OR_RETURN(StepRecord record,
-                        HarvestTicket(instance, clock()->NowSeconds()));
+    CF_ASSIGN_OR_RETURN(StepRecord record, HarvestTicket(instance, now));
     records.push_back(std::move(record));
-    --in_flight_count;
   }
-  return true;
+  return Advance{.state = Advance::State::kStepped};
 }
 
 bool BudgetScheduler::instance_dead(int instance) const {

@@ -97,6 +97,9 @@ class BudgetScheduler {
     /// Submit-to-merge delay of this step's ticket, seconds (0 for
     /// zero-latency providers).
     double latency_seconds = 0.0;
+
+    friend bool operator==(const StepRecord& a,
+                           const StepRecord& b) = default;
   };
 
   /// The selector is borrowed and must outlive the scheduler; the
@@ -140,8 +143,40 @@ class BudgetScheduler {
   /// (budget gone or no gain anywhere; the exhaustion marker record is
   /// appended exactly as RunPipelined emits it). Assumes no aborted run's
   /// tickets are pending — start a fresh scheduler, or go through
-  /// RunPipelined which clears them.
+  /// RunPipelined which clears them. It is AdvancePipelinedStep in a loop
+  /// that sleeps each returned wait on the clock.
   common::Result<bool> RunPipelinedStep(std::vector<StepRecord>& records);
+
+  /// What one AdvancePipelinedStep call did.
+  struct Advance {
+    enum class State {
+      /// Tickets are in flight and none has resolved: call again after
+      /// `wait_seconds`.
+      kWaiting,
+      /// The quantum harvested its resolved tickets; records appended.
+      kStepped,
+      /// The run is complete (RunPipelinedStep's false).
+      kDone,
+    };
+    State state = State::kDone;
+    /// kWaiting only: seconds until the earliest in-flight ticket is due,
+    /// at least 1 µs and at most Options::max_poll_seconds.
+    double wait_seconds = 0.0;
+  };
+
+  /// RunPipelinedStep without the sleep, with the current time passed in.
+  /// The call that opens a quantum fills the in-flight window (stamping
+  /// submissions at `now`); every call polls the in-flight tickets once
+  /// and either harvests the resolved ones (stamped at `now`), closing
+  /// the quantum, or returns how long to wait before calling again.
+  /// A failed call closes the quantum, so the next call launches afresh,
+  /// as a failed RunPipelinedStep does.
+  common::Result<Advance> AdvancePipelinedStep(
+      double now, std::vector<StepRecord>& records);
+
+  /// True between an AdvancePipelinedStep that returned kWaiting and the
+  /// call that closes its quantum.
+  bool step_open() const { return step_open_; }
 
   /// Number of instances marked dead by TicketFailurePolicy::kSkipInstance.
   int dead_instances() const;
@@ -165,6 +200,10 @@ class BudgetScheduler {
   }
 
  private:
+  /// Runs the blocking step AdvancePipelinedStep replaced, as the oracle
+  /// of tests/core/pipelined_advance_test.cc.
+  friend class BudgetSchedulerPeer;
+
   struct Instance {
     std::string name;
     JointDistribution joint;
@@ -239,6 +278,8 @@ class BudgetScheduler {
   /// decisions budget against this so overlap cannot overspend.
   int cost_reserved_ = 0;
   int steps_run_ = 0;
+  /// A quantum launched and not yet harvested (AdvancePipelinedStep).
+  bool step_open_ = false;
   std::vector<double> selection_compute_seconds_;
 };
 

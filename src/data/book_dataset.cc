@@ -274,7 +274,7 @@ common::Result<BookDataset> GenerateBookDataset(
       false_pool.push_back(std::move(s));
     }
 
-    const int entity = dataset.claims.AddEntity(book.isbn);
+    const int entity = dataset.claims.AddEntity();
     CF_CHECK(entity == b);
 
     // Sources claim statements.

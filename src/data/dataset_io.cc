@@ -86,7 +86,7 @@ common::Result<BookDataset> LoadBookDataset(const std::string& path) {
     book.isbn = isbn;
     book.true_authors = truth_of_isbn[isbn];
     book_index[isbn] = static_cast<int>(dataset.books.size());
-    dataset.claims.AddEntity(isbn);
+    dataset.claims.AddEntity();
     dataset.books.push_back(std::move(book));
   }
 

@@ -15,8 +15,7 @@ int ClaimDatabase::AddSource(std::string name) {
   return num_sources() - 1;
 }
 
-int ClaimDatabase::AddEntity(std::string name) {
-  entity_names_.push_back(std::move(name));
+int ClaimDatabase::AddEntity() {
   entity_values_.emplace_back();
   return num_entities() - 1;
 }

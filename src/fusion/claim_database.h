@@ -25,8 +25,8 @@ class ClaimDatabase {
   /// Registers a source; returns its id.
   int AddSource(std::string name);
 
-  /// Registers an entity; returns its id.
-  int AddEntity(std::string name);
+  /// Registers an entity; returns its id. Entities are known by id only.
+  int AddEntity();
 
   /// Registers a candidate value for `entity_id`; returns its global value
   /// id. Duplicate texts for the same entity return the existing id.
@@ -37,7 +37,7 @@ class ClaimDatabase {
   common::Status AddClaim(int source_id, int value_id);
 
   int num_sources() const { return static_cast<int>(source_names_.size()); }
-  int num_entities() const { return static_cast<int>(entity_names_.size()); }
+  int num_entities() const { return static_cast<int>(entity_values_.size()); }
   int num_values() const { return static_cast<int>(value_texts_.size()); }
   int num_claims() const { return num_claims_; }
 
@@ -55,7 +55,6 @@ class ClaimDatabase {
 
  private:
   std::vector<std::string> source_names_;
-  std::vector<std::string> entity_names_;
   std::vector<std::string> value_texts_;
   std::vector<std::vector<int>> entity_values_;
   std::vector<std::vector<int>> value_sources_;

@@ -262,8 +262,8 @@ void EventLoop::Run() {
 
 void EventLoop::HandleListenerReady() {
   for (;;) {
-    const int fd =
-        ::accept4(listener_.fd(), nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    const int fd = ::accept4(listener_.fd(), nullptr, nullptr,
+                             SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;

@@ -196,15 +196,26 @@ common::Status Session::StepEngine() {
   return common::Status::Ok();
 }
 
-common::Status Session::StepPipelined() {
-  std::vector<core::BudgetScheduler::StepRecord> records;
-  CF_ASSIGN_OR_RETURN(const bool more, scheduler_->RunPipelinedStep(records));
+void Session::AppendPipelinedRecords(
+    const std::vector<core::BudgetScheduler::StepRecord>& records,
+    bool more) {
   for (const auto& record : records) steps_.push_back(FromStepRecord(record));
   // A spent budget means nothing is in flight either (cost_spent <=
   // cost_reserved <= total_budget), so the run is over now rather than
   // one empty quantum later.
   if (!more || !scheduler_->HasBudget()) done_ = true;
+}
+
+common::Status Session::StepPipelined() {
+  std::vector<core::BudgetScheduler::StepRecord> records;
+  CF_ASSIGN_OR_RETURN(const bool more, scheduler_->RunPipelinedStep(records));
+  AppendPipelinedRecords(records, more);
   return common::Status::Ok();
+}
+
+std::vector<StepOutcome> Session::OutcomesSince(size_t first) const {
+  return std::vector<StepOutcome>(
+      steps_.begin() + static_cast<std::ptrdiff_t>(first), steps_.end());
 }
 
 common::Result<std::vector<StepOutcome>> Session::Step() {
@@ -215,8 +226,29 @@ common::Result<std::vector<StepOutcome>> Session::Step() {
       mode_ == RunMode::kEngine ? StepEngine() : StepPipelined();
   wall_seconds_ += stopwatch.ElapsedSeconds();
   if (!status.ok()) return status;
-  return std::vector<StepOutcome>(
-      steps_.begin() + static_cast<std::ptrdiff_t>(first), steps_.end());
+  return OutcomesSince(first);
+}
+
+common::Result<StepAttempt> Session::StepAt(double now) {
+  if (mode_ == RunMode::kEngine || done_) {
+    CF_ASSIGN_OR_RETURN(std::vector<StepOutcome> outcomes, Step());
+    return StepAttempt{.outcomes = std::move(outcomes)};
+  }
+  if (!scheduler_->step_open()) open_quantum_timer_.Restart();
+  std::vector<core::BudgetScheduler::StepRecord> records;
+  const auto advance = scheduler_->AdvancePipelinedStep(now, records);
+  using State = core::BudgetScheduler::Advance::State;
+  if (advance.ok() && advance->state == State::kWaiting) {
+    StepAttempt waiting;
+    waiting.complete = false;
+    waiting.due_at = now + advance->wait_seconds;
+    return waiting;
+  }
+  wall_seconds_ += open_quantum_timer_.ElapsedSeconds();
+  if (!advance.ok()) return advance.status();
+  const size_t first = steps_.size();
+  AppendPipelinedRecords(records, advance->state == State::kStepped);
+  return StepAttempt{.outcomes = OutcomesSince(first)};
 }
 
 common::Status Session::Drain() {
@@ -549,6 +581,10 @@ common::Result<int> Session::AddInstances(std::vector<InstanceSpec> specs,
     return Status::InvalidArgument(
         "engine mode budgets per instance (budget_per_instance); "
         "additional_budget is a scheduler-mode knob");
+  }
+  if (scheduler_.has_value() && scheduler_->step_open()) {
+    return Status::FailedPrecondition(
+        "a step is waiting on the crowd; add instances once it completes");
   }
   CF_RETURN_IF_ERROR(CheckInstances(specs));
 

@@ -220,6 +220,18 @@ struct SessionProgress {
   int dead_instances = 0;
 };
 
+/// What one non-blocking Session::StepAt call did.
+struct StepAttempt {
+  /// False while the quantum waits on the crowd: call StepAt again at
+  /// `due_at`. True once the quantum finished; `outcomes` then holds what
+  /// Step() would have returned.
+  bool complete = true;
+  std::vector<StepOutcome> outcomes;
+  /// Incomplete attempts only: when the earliest in-flight ticket is
+  /// due, on the clock `now` was read from.
+  double due_at = 0.0;
+};
+
 /// An in-flight serving run: the incremental face of the facade, so an
 /// HTTP/queue front-end can drive one request with repeated Step() calls
 /// (returning each quantum's merged records as they land) instead of one
@@ -243,6 +255,18 @@ class Session {
   /// nothing left to run. When an engine round fails, the outcomes of the
   /// rounds before it in the pass stay in steps(): they spent budget.
   common::Result<std::vector<StepOutcome>> Step();
+
+  /// Step() without sleeping through crowd latency, the current time
+  /// passed in (read from the clock the creating service was configured
+  /// with). Pipelined mode launches on the call that opens a quantum and
+  /// polls its tickets once per call: until one resolves, the attempt is
+  /// incomplete and names when to call again; the call that harvests
+  /// completes it with exactly Step()'s outcomes. Engine mode collects
+  /// through SubmitAndAwait, so there StepAt is Step() and always
+  /// complete. While a quantum is open only StepAt or Step() (which
+  /// finishes it blocking) may advance the session; AddInstances answers
+  /// FailedPrecondition.
+  common::Result<StepAttempt> StepAt(double now);
 
   /// Steps until done(), leaving steps() exactly as a Step() loop would.
   /// Engine mode with a ConcurrentSelectSafe() selector runs each live
@@ -321,6 +345,12 @@ class Session {
   /// One pass of the session's loop; each appends its outcomes to steps_.
   common::Status StepEngine();
   common::Status StepPipelined();
+  /// Appends a finished pipelined quantum's records to steps_; `more` is
+  /// false when the scheduler reported the run complete.
+  void AppendPipelinedRecords(
+      const std::vector<core::BudgetScheduler::StepRecord>& records,
+      bool more);
+  std::vector<StepOutcome> OutcomesSince(size_t first) const;
 
   StepOutcome FromRoundRecord(int instance, const core::RoundRecord& record);
   StepOutcome FromStepRecord(const core::BudgetScheduler::StepRecord& record);
@@ -349,6 +379,9 @@ class Session {
   /// reads the scheduler's log instead (see selection_compute_samples).
   std::vector<double> selection_samples_;
   double wall_seconds_ = 0.0;
+  /// Started when StepAt opens a pipelined quantum, so the quantum's wall
+  /// time spans its waits, as a blocking Step()'s does.
+  common::Stopwatch open_quantum_timer_;
   bool done_ = false;
 };
 

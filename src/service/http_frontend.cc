@@ -1,12 +1,14 @@
 #include "service/http_frontend.h"
 
 #include <algorithm>
+#include <chrono>
+#include <functional>
 #include <utility>
 #include <vector>
 
 #include "common/json_util.h"
-#include "common/string_util.h"
 #include "common/math_util.h"
+#include "common/string_util.h"
 #include "net/wire.h"
 #include "service/request_json.h"
 
@@ -41,9 +43,7 @@ JsonValue ProgressToJson(const SessionProgress& progress) {
 HttpFrontend::HttpFrontend(Options options)
     : options_(options),
       service_(FusionService::Config{.clock = options.clock}),
-      server_(net::SyncHandlerAdapter([this](const HttpRequest& request) {
-                return Handle(request);
-              }),
+      server_(std::bind_front(&HttpFrontend::Handle, this),
               static_cast<const net::ServerConfig&>(options)) {}
 
 HttpFrontend::~HttpFrontend() { Stop(); }
@@ -51,10 +51,16 @@ HttpFrontend::~HttpFrontend() { Stop(); }
 common::Status HttpFrontend::Start() {
   CF_RETURN_IF_ERROR(server_.Start());
   start_seconds_ = clock()->NowSeconds();
+  waker_ = std::thread([this] { WakerLoop(); });
   return Status::Ok();
 }
 
-void HttpFrontend::Stop() { server_.Stop(); }
+void HttpFrontend::Stop() {
+  // Server first: once its workers are joined nothing parks any more, and
+  // replies sent from here on are dropped with their connections.
+  server_.Stop();
+  StopWaker();
+}
 
 HttpFrontend::Metrics HttpFrontend::GetMetrics() const {
   Metrics metrics;
@@ -88,6 +94,10 @@ HttpFrontend::Metrics HttpFrontend::GetMetrics() const {
   metrics.connections_rejected = server_.connections_rejected();
   metrics.requests_shed = server_.requests_shed();
   metrics.connections_current = server_.connections_current();
+  {
+    std::lock_guard<std::mutex> lock(waker_mutex_);
+    metrics.steps_parked = static_cast<int>(parked_.size());
+  }
   return metrics;
 }
 
@@ -119,19 +129,29 @@ void HttpFrontend::RecordSelectionSamples(
   exported = samples_seconds.size();
 }
 
-net::HttpResponse HttpFrontend::Handle(const HttpRequest& request) {
+void HttpFrontend::Handle(const HttpRequest& request,
+                          net::ResponseWriter&& writer) {
   if (options_.trace_recorder != nullptr) {
     options_.trace_recorder->Record(request.method, request.target,
                                     request.body);
   }
   const double start = clock()->NowSeconds();
-  HttpResponse response = Route(request);
-  const double elapsed_ms = (clock()->NowSeconds() - start) * 1e3;
-  RecordLatency(elapsed_ms, response.status_code);
-  return response;
+  std::optional<HttpResponse> response = Route(request, writer, start);
+  if (response.has_value()) {
+    Reply(std::move(writer), std::move(*response), start);
+  }
 }
 
-net::HttpResponse HttpFrontend::Route(const HttpRequest& request) {
+void HttpFrontend::Reply(net::ResponseWriter writer, HttpResponse response,
+                         double started_at) {
+  RecordLatency((clock()->NowSeconds() - started_at) * 1e3,
+                response.status_code);
+  writer.Send(std::move(response));
+}
+
+std::optional<net::HttpResponse> HttpFrontend::Route(
+    const HttpRequest& request, net::ResponseWriter& writer,
+    double started_at) {
   const std::string& target = request.target;
   if (target == "/healthz") {
     if (request.method != "GET") {
@@ -163,6 +183,7 @@ net::HttpResponse HttpFrontend::Route(const HttpRequest& request) {
     body.Set("connections_rejected", metrics.connections_rejected);
     body.Set("requests_shed", metrics.requests_shed);
     body.Set("connections_current", metrics.connections_current);
+    body.Set("steps_parked", metrics.steps_parked);
     return JsonResponse(200, body);
   }
   if (target == "/v1/fusion:run") {
@@ -170,7 +191,8 @@ net::HttpResponse HttpFrontend::Route(const HttpRequest& request) {
   }
   const std::string sessions_prefix = "/v1/sessions";
   if (common::StartsWith(target, sessions_prefix)) {
-    return HandleSessions(request, target.substr(sessions_prefix.size()));
+    return HandleSessions(request, target.substr(sessions_prefix.size()),
+                          writer, started_at);
   }
   return ErrorResponse(Status::NotFound("no route for " + target));
 }
@@ -220,8 +242,9 @@ std::shared_ptr<HttpFrontend::SessionEntry> HttpFrontend::FindSession(
   return it->second;
 }
 
-net::HttpResponse HttpFrontend::HandleSessions(const HttpRequest& request,
-                                               const std::string& rest) {
+std::optional<net::HttpResponse> HttpFrontend::HandleSessions(
+    const HttpRequest& request, const std::string& rest,
+    net::ResponseWriter& writer, double started_at) {
   if (rest.empty()) {
     if (request.method != "POST") {
       return ErrorResponse(
@@ -307,20 +330,7 @@ net::HttpResponse HttpFrontend::HandleSessions(const HttpRequest& request,
     if (request.method != "POST") {
       return ErrorResponse(Status::InvalidArgument("step is POST-only"));
     }
-    std::lock_guard<std::mutex> lock(entry->mutex);
-    auto outcomes = entry->session->Step();
-    if (!outcomes.ok()) return ErrorResponse(outcomes.status());
-    RecordSelectionSamples(entry->session->selection_compute_samples(),
-                           entry->selection_samples_exported);
-    JsonValue response = JsonValue::MakeObject();
-    response.Set("session_id", entry->id);
-    response.Set("done", entry->session->done());
-    JsonValue array = JsonValue::MakeArray();
-    for (const StepOutcome& outcome : *outcomes) {
-      array.Append(StepOutcomeToJson(outcome));
-    }
-    response.Set("outcomes", std::move(array));
-    return JsonResponse(200, response);
+    return HandleStep(entry, writer, started_at);
   }
 
   if (tail == "/instances") {
@@ -373,6 +383,111 @@ net::HttpResponse HttpFrontend::HandleSessions(const HttpRequest& request,
   }
 
   return ErrorResponse(Status::NotFound("no route for " + request.target));
+}
+
+std::optional<net::HttpResponse> HttpFrontend::HandleStep(
+    const std::shared_ptr<SessionEntry>& entry, net::ResponseWriter& writer,
+    double started_at) {
+  std::unique_lock<std::mutex> lock(entry->mutex);
+  if (entry->step_parked) {
+    return ErrorResponse(Status::FailedPrecondition(
+        "session \"" + entry->id +
+        "\" already has a step waiting on the crowd; step again once it "
+        "answers"));
+  }
+  auto attempt = entry->session->StepAt(clock()->NowSeconds());
+  if (attempt.ok() && !attempt->complete) {
+    entry->step_parked = true;
+    lock.unlock();
+    Park(ParkedStep{entry, std::move(writer), attempt->due_at, started_at});
+    return std::nullopt;
+  }
+  return StepReply(*entry, attempt);
+}
+
+net::HttpResponse HttpFrontend::StepReply(
+    SessionEntry& entry, const common::Result<StepAttempt>& attempt) {
+  if (!attempt.ok()) return ErrorResponse(attempt.status());
+  RecordSelectionSamples(entry.session->selection_compute_samples(),
+                         entry.selection_samples_exported);
+  std::string body;
+  WriteStepReply(entry.id, entry.session->done(), attempt->outcomes, body);
+  return JsonResponse(200, std::move(body));
+}
+
+void HttpFrontend::Park(ParkedStep step) {
+  {
+    std::lock_guard<std::mutex> lock(waker_mutex_);
+    const double due_at = step.due_at;
+    parked_.emplace(due_at, std::move(step));
+  }
+  waker_wake_.notify_one();
+}
+
+void HttpFrontend::WakerLoop() {
+  std::unique_lock<std::mutex> lock(waker_mutex_);
+  for (;;) {
+    waker_wake_.wait(lock, [this] { return waker_stop_ || !parked_.empty(); });
+    if (waker_stop_) return;
+    const double wait = parked_.begin()->first - clock()->NowSeconds();
+    if (wait > 0) {
+      if (clock() == common::Clock::Real()) {
+        // Cut short by a Park with an earlier due time, or by Stop(). A
+        // wait spans at most a second, so no due time overflows it.
+        waker_wake_.wait_for(
+            lock, std::chrono::duration<double>(std::min(wait, 1.0)));
+      } else {
+        // An injected clock (a test's ManualClock) only moves when slept
+        // on, as the blocking step slept on it.
+        lock.unlock();
+        clock()->SleepSeconds(wait);
+        lock.lock();
+      }
+      continue;
+    }
+    ParkedStep step = std::move(parked_.extract(parked_.begin()).mapped());
+    lock.unlock();
+    Resume(std::move(step));
+    lock.lock();
+  }
+}
+
+void HttpFrontend::Resume(ParkedStep step) {
+  std::unique_lock<std::mutex> lock(step.entry->mutex);
+  auto attempt = step.entry->session->StepAt(clock()->NowSeconds());
+  if (attempt.ok() && !attempt->complete) {
+    lock.unlock();
+    step.due_at = attempt->due_at;
+    Park(std::move(step));
+    return;
+  }
+  step.entry->step_parked = false;
+  HttpResponse response = StepReply(*step.entry, attempt);
+  lock.unlock();
+  Reply(std::move(step.writer), std::move(response), step.started_at);
+}
+
+void HttpFrontend::StopWaker() {
+  if (!waker_.joinable()) return;
+  {
+    std::lock_guard<std::mutex> lock(waker_mutex_);
+    waker_stop_ = true;
+  }
+  waker_wake_.notify_all();
+  waker_.join();
+  std::multimap<double, ParkedStep> dropped;
+  {
+    std::lock_guard<std::mutex> lock(waker_mutex_);
+    dropped.swap(parked_);
+    waker_stop_ = false;
+  }
+  // The sessions stay stepable after a restart: their open quanta resume
+  // on the next /step. Each dropped writer answers into the stopped
+  // server, which discards it.
+  for (auto& [due_at, step] : dropped) {
+    std::lock_guard<std::mutex> lock(step.entry->mutex);
+    step.entry->step_parked = false;
+  }
 }
 
 }  // namespace crowdfusion::service

@@ -1,12 +1,17 @@
 #ifndef CROWDFUSION_SERVICE_HTTP_FRONTEND_H_
 #define CROWDFUSION_SERVICE_HTTP_FRONTEND_H_
 
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "common/clock.h"
 #include "common/status.h"
@@ -28,7 +33,11 @@ namespace crowdfusion::service {
 ///                                  -> {"session_id", "num_instances",
 ///                                      "ttl_seconds", "label"}
 ///   POST   /v1/sessions/{id}/step  advance one quantum
-///                                  -> {"done", "outcomes": [...]}
+///                                  -> {"session_id", "done",
+///                                      "outcomes": [...]}; a pipelined
+///                                  step waiting on the crowd parks (see
+///                                  below), and a second step on a
+///                                  session whose step is parked is 409
 ///   POST   /v1/sessions/{id}/instances  stream new fact universes into a
 ///                                  live session ({"instances": [...],
 ///                                  "additional_budget": n} ->
@@ -49,6 +58,20 @@ namespace crowdfusion::service {
 /// answer 404 afterwards. DELETE is idempotent. Handlers serialize
 /// per-session (Session is single-caller by contract) but run
 /// concurrently across sessions.
+///
+/// Parked steps: a pipelined /step whose tickets are all still in flight
+/// does not hold its worker through the crowd's latency. It parks the
+/// session entry, the ResponseWriter and the due time with the
+/// frontend's one waker thread and returns the worker to the pool; the
+/// waker calls Session::StepAt again when the step is due and sends the
+/// reply once the quantum completes. A parked request still counts
+/// against max_queue_depth. While a step is parked the session answers
+/// GET (progress, result) and DELETE as usual; a second /step answers
+/// 409 FailedPrecondition, as does /instances. A DELETE or TTL eviction
+/// does not cancel the parked step: it completes and answers. Stop()
+/// drops every parked step (its connection closes unanswered) and joins
+/// the waker. Engine-mode steps collect through SubmitAndAwait and still
+/// run on the worker.
 class HttpFrontend {
  public:
   /// The unified net::ServerConfig (bind, reactor limits, timeouts,
@@ -108,6 +131,8 @@ class HttpFrontend {
     int64_t connections_rejected = 0;
     int64_t requests_shed = 0;
     int connections_current = 0;
+    /// /step requests parked with the waker, waiting on the crowd.
+    int steps_parked = 0;
   };
   Metrics GetMetrics() const;
 
@@ -121,6 +146,19 @@ class HttpFrontend {
     /// How many of the session's selection-compute samples have already
     /// been folded into the metrics window (guarded by `mutex`).
     size_t selection_samples_exported = 0;
+    /// A /step of this session is parked with the waker (guarded by
+    /// `mutex`).
+    bool step_parked = false;
+  };
+
+  /// A /step waiting on the crowd: what to resume, whom to answer, when.
+  struct ParkedStep {
+    std::shared_ptr<SessionEntry> entry;
+    net::ResponseWriter writer;
+    /// Clock time to call Session::StepAt again.
+    double due_at = 0.0;
+    /// Clock time the request reached the handler (latency metric).
+    double started_at = 0.0;
   };
 
   common::Clock* clock() const {
@@ -128,11 +166,37 @@ class HttpFrontend {
                                      : options_.clock;
   }
 
-  net::HttpResponse Handle(const net::HttpRequest& request);
-  net::HttpResponse Route(const net::HttpRequest& request);
+  /// The server's AsyncHandler.
+  void Handle(const net::HttpRequest& request, net::ResponseWriter&& writer);
+  /// Routes and answers one request. Returns nullopt when the request
+  /// parked: `writer` then moved to the waker, which answers it.
+  std::optional<net::HttpResponse> Route(const net::HttpRequest& request,
+                                         net::ResponseWriter& writer,
+                                         double started_at);
   net::HttpResponse HandleRun(const net::HttpRequest& request);
-  net::HttpResponse HandleSessions(const net::HttpRequest& request,
-                                   const std::string& rest);
+  std::optional<net::HttpResponse> HandleSessions(
+      const net::HttpRequest& request, const std::string& rest,
+      net::ResponseWriter& writer, double started_at);
+  std::optional<net::HttpResponse> HandleStep(
+      const std::shared_ptr<SessionEntry>& entry, net::ResponseWriter& writer,
+      double started_at);
+  /// The reply to a finished (or failed) step attempt; the caller holds
+  /// entry.mutex.
+  net::HttpResponse StepReply(SessionEntry& entry,
+                              const common::Result<StepAttempt>& attempt);
+  /// Records the request's latency and sends its response.
+  void Reply(net::ResponseWriter writer, net::HttpResponse response,
+             double started_at);
+
+  /// Hands a step to the waker.
+  void Park(ParkedStep step);
+  /// The waker thread: resumes each parked step when it is due.
+  void WakerLoop();
+  /// Advances one due step: replies when its quantum completes, parks it
+  /// again otherwise.
+  void Resume(ParkedStep step);
+  /// Joins the waker and drops the steps still parked.
+  void StopWaker();
 
   /// Sweeps expired sessions; caller must hold sessions_mutex_.
   void SweepExpiredLocked(double now);
@@ -167,6 +231,13 @@ class HttpFrontend {
   int64_t selection_computes_ = 0;
   /// Sliding window of recent Select() wall times, ms.
   std::deque<double> selection_compute_ms_;
+
+  /// Parked steps by due time, and the waker that serves them.
+  mutable std::mutex waker_mutex_;
+  std::condition_variable waker_wake_;
+  std::multimap<double, ParkedStep> parked_;
+  bool waker_stop_ = false;
+  std::thread waker_;
 };
 
 }  // namespace crowdfusion::service

@@ -597,6 +597,20 @@ void WriteFusionResponse(const FusionResponse& response, std::string& out) {
   json.EndObject();
 }
 
+void WriteStepReply(std::string_view session_id, bool done,
+                    std::span<const StepOutcome> outcomes, std::string& out) {
+  out.reserve(out.size() + 64 + session_id.size() + 224 * outcomes.size());
+  common::JsonWriter json(out);
+  json.BeginObject();
+  Member(json, "session_id", session_id);
+  Member(json, "done", done);
+  json.Key("outcomes");
+  json.BeginArray();
+  for (const StepOutcome& outcome : outcomes) WriteStepOutcome(outcome, json);
+  json.EndArray();
+  json.EndObject();
+}
+
 std::string SerializeFusionResponse(const FusionResponse& response) {
   return FusionResponseToJson(response).Dump(2);
 }

@@ -1,7 +1,9 @@
 #ifndef CROWDFUSION_SERVICE_REQUEST_JSON_H_
 #define CROWDFUSION_SERVICE_REQUEST_JSON_H_
 
+#include <span>
 #include <string>
+#include <string_view>
 
 #include "common/json.h"
 #include "common/status.h"
@@ -62,9 +64,14 @@ common::Result<InstanceSpec> InstanceSpecFromJson(
     const common::JsonValue& json);
 
 /// One select-collect-merge quantum, as embedded in response "steps" —
-/// exposed for the incremental session wire (POST /v1/sessions/{id}/step
-/// streams these as they land).
+/// the tree the tests and the traced replay read.
 common::JsonValue StepOutcomeToJson(const StepOutcome& outcome);
+
+/// Appends the compact JSON of one POST /v1/sessions/{id}/step reply to
+/// `out` with no JsonValue tree: exactly the bytes of the object
+/// {"session_id", "done", "outcomes": [StepOutcomeToJson(o)...]} dumped.
+void WriteStepReply(std::string_view session_id, bool done,
+                    std::span<const StepOutcome> outcomes, std::string& out);
 
 }  // namespace crowdfusion::service
 

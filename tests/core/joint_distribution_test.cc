@@ -410,8 +410,9 @@ TEST(JointDistributionTest, IndependentMarginalsMatchPerMaskProductLoop) {
       for (uint64_t mask = 0; mask < (1ULL << n); ++mask) {
         double p = 1.0;
         for (int i = 0; i < n; ++i) {
-          p *= common::GetBit(mask, i) ? marginals[static_cast<size_t>(i)]
-                                       : 1.0 - marginals[static_cast<size_t>(i)];
+          p *= common::GetBit(mask, i)
+                   ? marginals[static_cast<size_t>(i)]
+                   : 1.0 - marginals[static_cast<size_t>(i)];
         }
         if (p > 0.0) entries.push_back({mask, p});
       }

@@ -28,7 +28,7 @@ ClaimDatabase CollusionDatabase(int colluders, int honest) {
     db.AddSource(std::to_string(s));
   }
   for (int e = 0; e < kEntities; ++e) {
-    db.AddEntity(std::to_string(e));
+    db.AddEntity();
     const int truth = db.AddValue(e, "truth").value();
     const int lie = db.AddValue(e, "lie").value();
     const bool targeted = e >= kFirstTarget;

@@ -11,7 +11,7 @@ TEST(ClaimDatabaseTest, AddSourcesEntitiesValues) {
   ClaimDatabase db;
   EXPECT_EQ(db.AddSource("amazon"), 0);
   EXPECT_EQ(db.AddSource("ecampus"), 1);
-  EXPECT_EQ(db.AddEntity("isbn-1"), 0);
+  EXPECT_EQ(db.AddEntity(), 0);
   auto v0 = db.AddValue(0, "Alice Smith");
   auto v1 = db.AddValue(0, "Bob Jones");
   ASSERT_TRUE(v0.ok());
@@ -25,7 +25,7 @@ TEST(ClaimDatabaseTest, AddSourcesEntitiesValues) {
 
 TEST(ClaimDatabaseTest, DuplicateValueTextReturnsSameId) {
   ClaimDatabase db;
-  db.AddEntity("e");
+  db.AddEntity();
   auto a = db.AddValue(0, "same text");
   auto b = db.AddValue(0, "same text");
   ASSERT_TRUE(a.ok());
@@ -36,8 +36,8 @@ TEST(ClaimDatabaseTest, DuplicateValueTextReturnsSameId) {
 
 TEST(ClaimDatabaseTest, SameTextDifferentEntitiesDistinctValues) {
   ClaimDatabase db;
-  db.AddEntity("e1");
-  db.AddEntity("e2");
+  db.AddEntity();
+  db.AddEntity();
   auto a = db.AddValue(0, "text");
   auto b = db.AddValue(1, "text");
   ASSERT_TRUE(a.ok());
@@ -54,7 +54,7 @@ TEST(ClaimDatabaseTest, ClaimsAreIdempotentAndIndexed) {
   ClaimDatabase db;
   db.AddSource("s0");
   db.AddSource("s1");
-  db.AddEntity("e");
+  db.AddEntity();
   const int v = db.AddValue(0, "val").value();
   ASSERT_TRUE(db.AddClaim(0, v).ok());
   ASSERT_TRUE(db.AddClaim(0, v).ok());  // duplicate
@@ -67,7 +67,7 @@ TEST(ClaimDatabaseTest, ClaimsAreIdempotentAndIndexed) {
 TEST(ClaimDatabaseTest, AddClaimValidatesIds) {
   ClaimDatabase db;
   db.AddSource("s");
-  db.AddEntity("e");
+  db.AddEntity();
   const int v = db.AddValue(0, "val").value();
   EXPECT_EQ(db.AddClaim(5, v).code(), StatusCode::kOutOfRange);
   EXPECT_EQ(db.AddClaim(0, 5).code(), StatusCode::kOutOfRange);
@@ -78,7 +78,7 @@ TEST(ClaimDatabaseTest, EntitySourcesDeduplicatesAndSorts) {
   db.AddSource("s0");
   db.AddSource("s1");
   db.AddSource("s2");
-  db.AddEntity("e");
+  db.AddEntity();
   const int v0 = db.AddValue(0, "a").value();
   const int v1 = db.AddValue(0, "b").value();
   ASSERT_TRUE(db.AddClaim(2, v0).ok());
@@ -89,7 +89,7 @@ TEST(ClaimDatabaseTest, EntitySourcesDeduplicatesAndSorts) {
 
 TEST(ClaimDatabaseTest, EmptyEntityHasNoSources) {
   ClaimDatabase db;
-  db.AddEntity("lonely");
+  db.AddEntity();
   EXPECT_TRUE(db.EntitySources(0).empty());
   EXPECT_TRUE(db.entity_values(0).empty());
 }

@@ -20,7 +20,7 @@ ClaimDatabase SkewedDatabase(int entities, int good, int bad) {
     db.AddSource("s" + std::to_string(s));
   }
   for (int e = 0; e < entities; ++e) {
-    db.AddEntity("e" + std::to_string(e));
+    db.AddEntity();
     const int truth = db.AddValue(e, "truth-" + std::to_string(e)).value();
     const int lie = db.AddValue(e, "lie-" + std::to_string(e)).value();
     for (int s = 0; s < good; ++s) EXPECT_TRUE(db.AddClaim(s, truth).ok());
@@ -49,7 +49,7 @@ ClaimDatabase CopyingDatabase() {
     db.AddSource("s" + std::to_string(s));
   }
   for (int e = 0; e < kNumStrong + kNumWeak; ++e) {
-    db.AddEntity("e" + std::to_string(e));
+    db.AddEntity();
     const int truth = db.AddValue(e, "truth").value();
     const int lie = db.AddValue(e, "lie").value();
     const bool strong = e < kNumStrong;
@@ -157,7 +157,7 @@ TEST(TruthFinderTest, ImplicationBoostsSimilarValues) {
   db.AddSource("s0");
   db.AddSource("s1");
   db.AddSource("s2");
-  db.AddEntity("e");
+  db.AddEntity();
   const int a = db.AddValue(0, "A").value();
   const int b = db.AddValue(0, "B").value();
   ASSERT_TRUE(db.AddClaim(0, a).ok());
@@ -211,7 +211,7 @@ TEST(AllFusersTest, HandleEmptyAndDegenerateDatabases) {
 
   ClaimDatabase lonely;
   lonely.AddSource("s");
-  lonely.AddEntity("e");
+  lonely.AddEntity();
   ASSERT_TRUE(lonely.AddValue(0, "only").ok());
   // Value never claimed; sources never claiming.
   EXPECT_TRUE(MajorityVoteFuser().Fuse(lonely).ok());
@@ -222,7 +222,7 @@ TEST(AllFusersTest, HandleEmptyAndDegenerateDatabases) {
 
 TEST(ValidateFusionResultTest, CatchesBadResults) {
   ClaimDatabase db;
-  db.AddEntity("e");
+  db.AddEntity();
   ASSERT_TRUE(db.AddValue(0, "v").ok());
   FusionResult result;
   result.value_probability = {};  // wrong size

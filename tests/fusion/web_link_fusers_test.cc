@@ -12,7 +12,7 @@ ClaimDatabase AgreementDatabase() {
   ClaimDatabase db;
   for (int s = 0; s < 7; ++s) db.AddSource("s" + std::to_string(s));
   for (int e = 0; e < 12; ++e) {
-    db.AddEntity("e" + std::to_string(e));
+    db.AddEntity();
     const int truth = db.AddValue(e, "truth").value();
     const int lie = db.AddValue(e, "lie").value();
     for (int s = 0; s < 5; ++s) EXPECT_TRUE(db.AddClaim(s, truth).ok());
@@ -81,7 +81,7 @@ TEST(WebLinkFusersTest, HandleEmptyAndUnclaimedValues) {
 
   ClaimDatabase lonely;
   lonely.AddSource("s");
-  lonely.AddEntity("e");
+  lonely.AddEntity();
   ASSERT_TRUE(lonely.AddValue(0, "unclaimed").ok());
   for (auto* fuser :
        std::initializer_list<Fuser*>{new SumsFuser, new AverageLogFuser,
@@ -101,7 +101,7 @@ TEST(AverageLogFuserTest, DampsProlificLowQualitySources) {
   for (int s = 0; s < 4; ++s) db.AddSource("s" + std::to_string(s));
   const int spammer = 3;
   for (int e = 0; e < 10; ++e) {
-    db.AddEntity("e" + std::to_string(e));
+    db.AddEntity();
     const int truth = db.AddValue(e, "truth").value();
     const int spam = db.AddValue(e, "spam-" + std::to_string(e)).value();
     for (int s = 0; s < 3; ++s) ASSERT_TRUE(db.AddClaim(s, truth).ok());

@@ -1,8 +1,10 @@
 /// The served path against the code it replaced. Session::Drain() (which
 /// runs engine-mode instances concurrently when the selector allows it)
-/// must leave exactly the response a Step() loop leaves, and
-/// WriteFusionResponse must write exactly the bytes of
-/// FusionResponseToJson(response).Dump().
+/// and a Session::StepAt() loop (the parked /step) must leave exactly the
+/// response a Step() loop leaves; WriteFusionResponse must write exactly
+/// the bytes of FusionResponseToJson(response).Dump(), and WriteStepReply
+/// exactly the bytes of the /step reply tree built from
+/// StepOutcomeToJson.
 
 #include <gtest/gtest.h>
 
@@ -118,6 +120,50 @@ void ExpectDrainMatchesStepLoop(const FusionService& service,
       << request.label;
 }
 
+/// A Step() loop run through StepAt() as the frontend's waker drives it:
+/// every incomplete attempt jumps `clock` to its due time. Returns the
+/// quanta, one entry per completed attempt, and counts the waits.
+common::Result<FusionResponse> RunByStepAtLoop(
+    const FusionService& service, FusionRequest request,
+    common::ManualClock& clock, std::vector<std::vector<StepOutcome>>& quanta,
+    int& waits) {
+  CF_ASSIGN_OR_RETURN(const std::unique_ptr<Session> session,
+                      service.CreateSession(std::move(request)));
+  while (!session->done()) {
+    CF_ASSIGN_OR_RETURN(StepAttempt attempt,
+                        session->StepAt(clock.NowSeconds()));
+    if (!attempt.complete) {
+      ++waits;
+      clock.AdvanceSeconds(attempt.due_at - clock.NowSeconds());
+      continue;
+    }
+    quanta.push_back(std::move(attempt.outcomes));
+  }
+  return session->Finish();
+}
+
+/// The /step reply as the frontend built it before WriteStepReply.
+std::string StepReplyTree(const std::string& session_id, bool done,
+                          const std::vector<StepOutcome>& outcomes) {
+  common::JsonValue reply = common::JsonValue::MakeObject();
+  reply.Set("session_id", session_id);
+  reply.Set("done", done);
+  common::JsonValue array = common::JsonValue::MakeArray();
+  for (const StepOutcome& outcome : outcomes) {
+    array.Append(StepOutcomeToJson(outcome));
+  }
+  reply.Set("outcomes", std::move(array));
+  return reply.Dump();
+}
+
+void ExpectStepReplyMatchesTree(const std::string& session_id, bool done,
+                                const std::vector<StepOutcome>& outcomes) {
+  std::string written = "prefix";
+  WriteStepReply(session_id, done, outcomes, written);
+  EXPECT_EQ("prefix" + StepReplyTree(session_id, done, outcomes), written)
+      << session_id;
+}
+
 void ExpectWriterMatchesTree(const FusionResponse& response) {
   const std::string tree = FusionResponseToJson(response).Dump();
   std::string written;
@@ -182,6 +228,86 @@ TEST(ServedPathDiffTest, DrainMatchesStepLoopOverAnHttpCrowd) {
     ExpectDrainMatchesStepLoop(service, request);
   }
   server.Stop();
+}
+
+TEST(ServedPathDiffTest, StepAtLoopMatchesStepLoopOverLatencyCrowds) {
+  // Both clocks start at the same time and only move by the waits, so
+  // even the reported latencies must match.
+  int waits = 0;
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    FusionRequest request = BooksRequest(seed);
+    request.mode = RunMode::kPipelined;
+    request.budget.budget_per_instance = 6;
+    request.pipeline.max_in_flight = 1 + static_cast<int>(seed % 4);
+    request.provider.latency_median_seconds = 0.03;
+    request.provider.latency_seed = seed;
+    common::ManualClock stepped_clock(1000.0);
+    const FusionService stepped_service(
+        FusionService::Config{.clock = &stepped_clock});
+    const auto stepped = RunByStepLoop(stepped_service, request);
+    common::ManualClock clock(1000.0);
+    const FusionService service(FusionService::Config{.clock = &clock});
+    std::vector<std::vector<StepOutcome>> quanta;
+    const auto attempted =
+        RunByStepAtLoop(service, request, clock, quanta, waits);
+    ASSERT_TRUE(stepped.ok()) << stepped.status();
+    ASSERT_TRUE(attempted.ok()) << attempted.status();
+    EXPECT_EQ(WithoutTimings(*stepped), WithoutTimings(*attempted))
+        << "seed " << seed;
+    EXPECT_EQ(clock.NowSeconds(), stepped_clock.NowSeconds());
+    size_t outcomes = 0;
+    for (const auto& quantum : quanta) outcomes += quantum.size();
+    EXPECT_EQ(outcomes, attempted->steps.size());
+  }
+  EXPECT_GT(waits, 16);
+}
+
+TEST(ServedPathDiffTest, StepReplyWriterMatchesTree) {
+  // Every quantum of engine, pipelined and latency-crowd sessions, as the
+  // /step route would answer it.
+  int replies = 0;
+  const FusionService service;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    for (const RunMode mode : {RunMode::kEngine, RunMode::kPipelined}) {
+      FusionRequest request = BooksRequest(seed);
+      request.mode = mode;
+      request.budget.budget_per_instance = 4;
+      auto session = service.CreateSession(request);
+      ASSERT_TRUE(session.ok()) << session.status();
+      const std::string id = "s-" + std::to_string(seed);
+      while (!(*session)->done()) {
+        const auto outcomes = (*session)->Step();
+        ASSERT_TRUE(outcomes.ok()) << outcomes.status();
+        ExpectStepReplyMatchesTree(id, (*session)->done(), *outcomes);
+        ++replies;
+      }
+    }
+  }
+  common::ManualClock clock(1000.0);
+  const FusionService latency_service(FusionService::Config{.clock = &clock});
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    FusionRequest request = BooksRequest(seed);
+    request.mode = RunMode::kPipelined;
+    request.budget.budget_per_instance = 4;
+    request.provider.latency_median_seconds = 0.03;
+    std::vector<std::vector<StepOutcome>> quanta;
+    int waits = 0;
+    ASSERT_TRUE(
+        RunByStepAtLoop(latency_service, request, clock, quanta, waits).ok());
+    for (size_t q = 0; q < quanta.size(); ++q) {
+      ExpectStepReplyMatchesTree("latency", q + 1 == quanta.size(),
+                                 quanta[q]);
+      ++replies;
+    }
+  }
+  // A done session's empty reply, an odd id, and odd doubles.
+  ExpectStepReplyMatchesTree("", true, {});
+  StepOutcome odd;
+  odd.expected_gain_bits = std::numeric_limits<double>::quiet_NaN();
+  odd.utility_bits = -std::numeric_limits<double>::infinity();
+  odd.latency_seconds = 5e-324;
+  ExpectStepReplyMatchesTree("\"q\"\n\x01 \xc3\xa9", false, {odd, odd});
+  EXPECT_GE(replies, 64);
 }
 
 TEST(ServedPathDiffTest, DrainFinishesARunThatStepStarted) {
