@@ -109,16 +109,16 @@ Outcome RunUniform(const std::vector<BookProblem>& problems, int total_budget,
     crowd::SimulatedCrowd provider(problems[b].truths, problems[b].categories,
                                    crowd::WorkerBias::Uniform(crowd.pc()),
                                    crowd_seed + b);
-    core::EngineOptions options;
-    options.budget = per_book;
-    options.tasks_per_round = 1;
-    auto engine = core::CrowdFusionEngine::Create(
-        problems[b].joint, crowd, &selector, &provider, options);
-    CF_CHECK(engine.ok());
-    auto records = engine->Run();
-    CF_CHECK(records.ok());
-    joints.push_back(engine->current());
-    costs.push_back(engine->cost_spent());
+    auto scheduler = core::BudgetScheduler::Create(
+        crowd, &selector, {.total_budget = per_book, .max_in_flight = 1});
+    CF_CHECK(scheduler.ok());
+    CF_CHECK(scheduler
+                 ->AddInstance(common::StrFormat("book%zu", b),
+                               problems[b].joint, &provider)
+                 .ok());
+    CF_CHECK(scheduler->RunPipelined().ok());
+    joints.push_back(scheduler->joint(0));
+    costs.push_back(scheduler->cost_spent(0));
   }
   return Score(joints, problems, costs);
 }

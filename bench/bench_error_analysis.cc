@@ -15,8 +15,8 @@
 #include <map>
 
 #include "common/table_printer.h"
-#include "core/crowdfusion.h"
 #include "core/greedy_selector.h"
+#include "core/scheduler.h"
 #include "crowd/simulated_crowd.h"
 #include "data/book_dataset.h"
 #include "data/correlation_model.h"
@@ -81,15 +81,17 @@ int main(int argc, char** argv) {
     auto joint = data::BuildBookJoint(marginals, book.statements, correlation);
     CF_CHECK(joint.ok());
     crowd::SimulatedCrowd provider(truths, categories, bias, seed++);
-    core::EngineOptions engine_options;
-    engine_options.budget = budget;
-    auto engine = core::CrowdFusionEngine::Create(
-        std::move(joint).value(), *crowd_model, &selector, &provider,
-        engine_options);
-    CF_CHECK(engine.ok());
-    auto records = engine->Run();
+    // The paper's per-book loop: one book, one ticket at a time.
+    auto scheduler = core::BudgetScheduler::Create(
+        *crowd_model, &selector,
+        {.total_budget = budget, .max_in_flight = 1});
+    CF_CHECK(scheduler.ok());
+    CF_CHECK(scheduler
+                 ->AddInstance(book.isbn, std::move(joint).value(), &provider)
+                 .ok());
+    auto records = scheduler->RunPipelined();
     CF_CHECK(records.ok());
-    for (const core::RoundRecord& record : *records) {
+    for (const core::BudgetScheduler::StepRecord& record : *records) {
       for (size_t i = 0; i < record.tasks.size(); ++i) {
         const int fact = record.tasks[i];
         CategoryStats& cs = stats[categories[static_cast<size_t>(fact)]];
@@ -100,7 +102,8 @@ int main(int argc, char** argv) {
       }
     }
 
-    const std::vector<double> final_marginals = engine->current().Marginals();
+    const std::vector<double> final_marginals =
+        scheduler->joint(0).Marginals();
     for (int i = 0; i < n; ++i) {
       CategoryStats& cs = stats[categories[static_cast<size_t>(i)]];
       ++cs.facts;

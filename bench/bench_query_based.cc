@@ -17,10 +17,10 @@
 #include "bench_util.h"
 #include "common/math_util.h"
 #include "common/table_printer.h"
-#include "core/crowdfusion.h"
 #include "core/greedy_selector.h"
 #include "core/query_based.h"
 #include "core/random_selector.h"
+#include "core/scheduler.h"
 #include "crowd/simulated_crowd.h"
 
 using namespace crowdfusion;
@@ -35,13 +35,12 @@ double RunRounds(core::TaskSelector& selector,
                  int budget, uint64_t seed) {
   crowd::SimulatedCrowd provider =
       crowd::SimulatedCrowd::WithUniformAccuracy(truths, crowd.pc(), seed);
-  core::EngineOptions options;
-  options.budget = budget;
-  auto engine = core::CrowdFusionEngine::Create(initial, crowd, &selector,
-                                                &provider, options);
-  CF_CHECK(engine.ok());
-  CF_CHECK(engine->Run().ok());
-  return common::Entropy(engine->current().MarginalizeOnto(foi));
+  auto scheduler = core::BudgetScheduler::Create(
+      crowd, &selector, {.total_budget = budget, .max_in_flight = 1});
+  CF_CHECK(scheduler.ok());
+  CF_CHECK(scheduler->AddInstance("book", initial, &provider).ok());
+  CF_CHECK(scheduler->RunPipelined().ok());
+  return common::Entropy(scheduler->joint(0).MarginalizeOnto(foi));
 }
 
 }  // namespace

@@ -136,6 +136,25 @@ assert m["connections_accepted"] >= 1, m   # every curl above connected
 print("metricsz ok:", json.dumps(m))
 '
 
+# --- an engine-mode session over the remote crowd, driven by /step: each
+# step parks on the crowd, and the result is the one-shot engine run's ---
+ESID=$(curl -fsS -X POST --data @"$WORK/run_crowd_http_engine.request.json" \
+  "$BASE/v1/sessions" |
+  python3 -c 'import json,sys; print(json.load(sys.stdin)["session_id"])')
+echo "created engine session $ESID"
+for _ in $(seq 1 64); do
+  DONE=$(curl -fsS -X POST -d '{}' "$BASE/v1/sessions/$ESID/step" |
+    python3 -c 'import json,sys; print(json.load(sys.stdin)["done"])')
+  [ "$DONE" = "True" ] && break
+done
+test "$DONE" = "True"
+curl -fsS "$BASE/v1/sessions/$ESID/result" |
+  python3 "$FIXTURES/normalize_response.py" >"$WORK/engine_session.norm"
+diff -u "$WORK/run_crowd_http_engine.norm" "$WORK/engine_session.norm" \
+  || { echo "FAIL: engine session result != one-shot engine run"; exit 1; }
+echo "engine session ok: stepped result == one-shot run"
+curl -fsS -X DELETE "$BASE/v1/sessions/$ESID" >/dev/null
+
 # --- clean SIGTERM shutdown ----------------------------------------------
 kill -TERM "$SERVE_PID"
 RC=0

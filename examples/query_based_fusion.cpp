@@ -17,10 +17,10 @@
 #include "common/math_util.h"
 #include "common/string_util.h"
 #include "common/table_printer.h"
-#include "core/crowdfusion.h"
 #include "core/greedy_selector.h"
 #include "core/query_based.h"
 #include "core/random_selector.h"
+#include "core/scheduler.h"
 #include "core/utility.h"
 #include "crowd/simulated_crowd.h"
 #include "data/book_dataset.h"
@@ -39,15 +39,17 @@ double RunRounds(core::TaskSelector& selector,
                  int budget, uint64_t seed) {
   crowd::SimulatedCrowd provider =
       crowd::SimulatedCrowd::WithUniformAccuracy(truths, crowd.pc(), seed);
-  core::EngineOptions options;
-  options.budget = budget;
-  auto engine = core::CrowdFusionEngine::Create(initial, crowd, &selector,
-                                                &provider, options);
-  if (!engine.ok()) return common::Entropy(initial.MarginalizeOnto(foi));
+  // The paper's loop on one book: one ticket at a time.
+  auto scheduler = core::BudgetScheduler::Create(
+      crowd, &selector, {.total_budget = budget, .max_in_flight = 1});
+  if (!scheduler.ok() ||
+      !scheduler->AddInstance("book", initial, &provider).ok()) {
+    return common::Entropy(initial.MarginalizeOnto(foi));
+  }
   // A failed round leaves the joint as the last merged round left it.
-  (void)engine->Run();
+  (void)scheduler->RunPipelined();
   // Residual FOI entropy of the refined joint.
-  return common::Entropy(engine->current().MarginalizeOnto(foi));
+  return common::Entropy(scheduler->joint(0).MarginalizeOnto(foi));
 }
 
 }  // namespace

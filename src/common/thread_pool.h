@@ -20,8 +20,8 @@ namespace crowdfusion::common {
 ///
 /// ParallelFor is deadlock-safe under nesting: the calling thread claims
 /// shards itself alongside the workers, so the loop completes even when
-/// every worker is busy (e.g. engines running on the pool whose selectors
-/// shard their scans on the same pool).
+/// every worker is busy (e.g. per-book schedulers running on the pool
+/// whose selectors shard their scans on the same pool).
 class ThreadPool {
  public:
   /// `num_threads <= 0` sizes the pool to the hardware (capped).

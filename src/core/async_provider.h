@@ -52,9 +52,9 @@ struct TicketStatus {
 /// submitting a batch of fact ids returns a ticket immediately; answers
 /// land after the platform's latency and are fetched by ticket. Nothing
 /// blocks except Await, and every provider keeps time on an injected
-/// clock, so ManualClock tests stay deterministic. The engine's
-/// select–collect–merge round is Submit(max_attempts = 1) + Await; the
-/// scheduler keeps several tickets in flight and polls them. One provider
+/// clock, so ManualClock tests stay deterministic. The scheduler keeps
+/// one or more tickets in flight and polls them; the gold pre-test is
+/// Submit(max_attempts = 1) + Await. One provider
 /// instance serves one fact universe. Implementations:
 /// crowd::SimulatedCrowd (the gMission substitute), core::ScriptedProvider
 /// (tests and config-built runs), net::HttpAnswerProvider (a remote
@@ -98,7 +98,7 @@ class AsyncAnswerProvider {
 };
 
 /// One single-attempt ticket, submitted and awaited: the collection step
-/// of an engine round (and of the gold pre-test). A failed attempt
+/// of the gold pre-test (crowd::EstimateAccuracy). A failed attempt
 /// surfaces its own status after exactly one provider call.
 common::Result<std::vector<bool>> SubmitAndAwait(
     AsyncAnswerProvider& provider, std::span<const int> fact_ids);

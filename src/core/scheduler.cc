@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "common/logging.h"
-#include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "core/bayes.h"
@@ -64,30 +63,28 @@ common::Status BudgetScheduler::AddBudget(int tasks) {
   return Status::Ok();
 }
 
-common::Status BudgetScheduler::RefreshSelectionTimed(
-    Instance& instance, int k, double& elapsed_seconds) {
-  elapsed_seconds = 0.0;
-  const int effective_k = std::min(k, instance.joint.num_facts());
-  if (instance.selection_valid && instance.cached_k == effective_k) {
-    return Status::Ok();
-  }
+bool BudgetScheduler::SelectionStale(const Instance& instance, int k) {
+  return !(instance.selection_valid &&
+           instance.cached_k == std::min(k, instance.joint.num_facts()));
+}
+
+common::Status BudgetScheduler::Reselect(Instance& instance, int k) {
   SelectionRequest request;
   request.joint = &instance.joint;
   request.crowd = &crowd_;
-  request.k = effective_k;
-  const common::Stopwatch timer;
+  request.k = std::min(k, instance.joint.num_facts());
   CF_ASSIGN_OR_RETURN(instance.cached_selection,
                       selector_->Select(request));
-  elapsed_seconds = timer.ElapsedSeconds();
   instance.selection_valid = true;
-  instance.cached_k = effective_k;
+  instance.cached_k = request.k;
   return Status::Ok();
 }
 
 common::Status BudgetScheduler::RefreshSelection(Instance& instance, int k) {
-  double elapsed = 0.0;
-  CF_RETURN_IF_ERROR(RefreshSelectionTimed(instance, k, elapsed));
-  if (elapsed > 0.0) selection_compute_seconds_.push_back(elapsed);
+  if (!SelectionStale(instance, k)) return Status::Ok();
+  CF_RETURN_IF_ERROR(Reselect(instance, k));
+  selection_compute_seconds_.push_back(
+      instance.cached_selection.stats.elapsed_seconds);
   return Status::Ok();
 }
 
@@ -99,39 +96,35 @@ common::Status BudgetScheduler::RefreshStaleSelectionsConcurrently(int k) {
   for (size_t i = 0; i < instances_.size(); ++i) {
     const Instance& instance = instances_[i];
     if (instance.in_flight || instance.dead) continue;
-    const int effective_k = std::min(k, instance.joint.num_facts());
-    if (!(instance.selection_valid && instance.cached_k == effective_k)) {
-      stale.push_back(i);
-    }
+    if (SelectionStale(instance, k)) stale.push_back(i);
   }
   if (stale.size() < 2) return Status::Ok();  // nothing to overlap
-  // Distinct instances, a concurrency-safe selector, and per-slot result
-  // arrays: the workers share nothing mutable, and the ParallelFor join
+  // Distinct instances, a concurrency-safe selector, and a per-slot status
+  // array: the workers share nothing mutable, and the ParallelFor join
   // orders every write before the ascending fold below. Each book's
   // selection is exactly what the serial loop would have computed, so
   // this changes wall-clock, never the schedule.
   std::vector<Status> statuses(stale.size());
-  std::vector<double> elapsed(stale.size(), 0.0);
   common::ThreadPool::Shared()->ParallelFor(
       0, static_cast<int64_t>(stale.size()),
-      [this, k, &stale, &statuses, &elapsed](int64_t begin, int64_t end) {
+      [this, k, &stale, &statuses](int64_t begin, int64_t end) {
         for (int64_t s = begin; s < end; ++s) {
-          statuses[static_cast<size_t>(s)] = RefreshSelectionTimed(
-              instances_[stale[static_cast<size_t>(s)]], k,
-              elapsed[static_cast<size_t>(s)]);
+          statuses[static_cast<size_t>(s)] =
+              Reselect(instances_[stale[static_cast<size_t>(s)]], k);
         }
       });
   for (size_t s = 0; s < stale.size(); ++s) {
     CF_RETURN_IF_ERROR(statuses[s]);
-    if (elapsed[s] > 0.0) selection_compute_seconds_.push_back(elapsed[s]);
+    selection_compute_seconds_.push_back(
+        instances_[stale[s]].cached_selection.stats.elapsed_seconds);
   }
   return Status::Ok();
 }
 
 common::Result<int> BudgetScheduler::PickBestIdleInstance(int k) {
-  // Debug guard on the borrow contract (see CrowdFusionEngine): the selector
-  // and every instance provider are borrowed and must outlive the
-  // scheduler, including while tickets are in flight.
+  // Debug guard on the borrow contract: the selector and every instance
+  // provider are borrowed and must outlive the scheduler, including while
+  // tickets are in flight.
   CF_DCHECK(selector_ != nullptr) << "selector destroyed under the scheduler";
   // Refresh every stale idle selection concurrently when the selector
   // permits; the serial sweep below then runs on warm caches.
@@ -176,10 +169,7 @@ common::Status BudgetScheduler::SubmitSelection(Instance& instance,
                                                 double now) {
   CF_DCHECK(!instance.in_flight);
   instance.pending_tasks = instance.cached_selection.tasks;
-  instance.pending_gain_bits =
-      instance.cached_selection.entropy_bits -
-      static_cast<double>(instance.pending_tasks.size()) *
-          crowd_.EntropyBits();
+  instance.pending_entropy_bits = instance.cached_selection.entropy_bits;
   CF_ASSIGN_OR_RETURN(instance.ticket,
                       instance.provider->Submit(instance.pending_tasks,
                                                 options_.ticket));
@@ -189,29 +179,44 @@ common::Status BudgetScheduler::SubmitSelection(Instance& instance,
   return Status::Ok();
 }
 
+common::Status BudgetScheduler::PollTicket(Instance& instance) {
+  CF_ASSIGN_OR_RETURN(instance.status,
+                      instance.provider->Poll(instance.ticket));
+  instance.polled = true;
+  return Status::Ok();
+}
+
 common::Result<BudgetScheduler::StepRecord> BudgetScheduler::HarvestTicket(
     Instance& instance, double now) {
   CF_DCHECK(instance.in_flight);
-  StepRecord record;
-  record.step = steps_run_++;
-  record.instance =
-      static_cast<int>(&instance - instances_.data());
-  record.tasks = instance.pending_tasks;
-  record.expected_gain_bits = instance.pending_gain_bits;
-  record.latency_seconds = now - instance.submitted_at;
   instance.in_flight = false;
-  CF_ASSIGN_OR_RETURN(record.answers,
-                      instance.provider->Await(instance.ticket));
-  if (record.answers.size() != record.tasks.size()) {
-    return Status::Internal(common::StrFormat(
-        "provider returned %zu answers for %zu tasks", record.answers.size(),
-        record.tasks.size()));
+  const int tasks = static_cast<int>(instance.pending_tasks.size());
+  common::Result<std::vector<bool>> answers =
+      instance.provider->Await(instance.ticket);
+  if (answers.ok() && static_cast<int>(answers->size()) != tasks) {
+    answers = Status::Internal(common::StrFormat(
+        "provider returned %zu answers for %d tasks", answers->size(),
+        tasks));
   }
+  if (!answers.ok()) {
+    // Nothing was merged or charged: a later step may spend the budget.
+    cost_reserved_ -= tasks;
+    return answers.status();
+  }
+  StepRecord record;
+  record.instance = static_cast<int>(&instance - instances_.data());
+  record.tasks = instance.pending_tasks;
+  record.answers = std::move(answers).value();
+  record.selected_entropy_bits = instance.pending_entropy_bits;
+  record.expected_gain_bits =
+      record.selected_entropy_bits - tasks * crowd_.EntropyBits();
+  record.latency_seconds = now - instance.submitted_at;
   AnswerSet answer_set{record.tasks, record.answers};
   CF_RETURN_IF_ERROR(MergeAnswersInPlace(instance.joint, answer_set, crowd_));
   instance.selection_valid = false;  // joint changed
-  instance.cost_spent += static_cast<int>(record.tasks.size());
-  cost_spent_ += static_cast<int>(record.tasks.size());
+  instance.cost_spent += tasks;
+  cost_spent_ += tasks;
+  record.step = steps_run_++;
   record.cumulative_cost = cost_spent_;
   record.total_utility_bits = TotalUtilityBits();
   return record;
@@ -254,8 +259,11 @@ common::Result<BudgetScheduler::Advance> BudgetScheduler::AdvancePipelinedStep(
   // leaves the next call to launch afresh.
   const bool launch = !step_open_;
   step_open_ = false;
+  // Each in-flight ticket is polled once per call: the launch loop polls
+  // what it submits, the wait pass the rest, and the harvest reads both.
   int in_flight_count = 0;
-  for (const Instance& instance : instances_) {
+  for (Instance& instance : instances_) {
+    instance.polled = false;
     if (instance.in_flight) ++in_flight_count;
   }
 
@@ -273,9 +281,8 @@ common::Result<BudgetScheduler::Advance> BudgetScheduler::AdvancePipelinedStep(
     Instance& launched = instances_[static_cast<size_t>(best)];
     CF_RETURN_IF_ERROR(SubmitSelection(launched, now));
     ++in_flight_count;
-    CF_ASSIGN_OR_RETURN(const TicketStatus ticket_status,
-                        launched.provider->Poll(launched.ticket));
-    if (ticket_status.phase != TicketPhase::kInFlight) break;
+    CF_RETURN_IF_ERROR(PollTicket(launched));
+    if (launched.status.phase != TicketPhase::kInFlight) break;
   }
 
   if (in_flight_count == 0) {
@@ -286,6 +293,15 @@ common::Result<BudgetScheduler::Advance> BudgetScheduler::AdvancePipelinedStep(
       record.step = steps_run_++;
       record.cumulative_cost = cost_spent_;
       record.instance = -1;
+      // The empty selections' H(T), summed from -0.0 (the identity of +)
+      // so a one-instance marker carries its selection's value exactly.
+      record.selected_entropy_bits = -0.0;
+      for (const Instance& instance : instances_) {
+        if (!instance.dead) {
+          record.selected_entropy_bits +=
+              instance.cached_selection.entropy_bits;
+        }
+      }
       record.total_utility_bits = TotalUtilityBits();
       records.push_back(std::move(record));
     }
@@ -298,12 +314,11 @@ common::Result<BudgetScheduler::Advance> BudgetScheduler::AdvancePipelinedStep(
   double min_wait = std::numeric_limits<double>::infinity();
   for (Instance& instance : instances_) {
     if (!instance.in_flight) continue;
-    CF_ASSIGN_OR_RETURN(const TicketStatus ticket_status,
-                        instance.provider->Poll(instance.ticket));
-    if (ticket_status.phase != TicketPhase::kInFlight) {
+    if (!instance.polled) CF_RETURN_IF_ERROR(PollTicket(instance));
+    if (instance.status.phase != TicketPhase::kInFlight) {
       any_resolved = true;
     } else {
-      min_wait = std::min(min_wait, ticket_status.seconds_until_ready);
+      min_wait = std::min(min_wait, instance.status.seconds_until_ready);
     }
   }
   if (!any_resolved) {
@@ -318,11 +333,11 @@ common::Result<BudgetScheduler::Advance> BudgetScheduler::AdvancePipelinedStep(
   // determinism), merging answers and re-ranking lazily: only the merged
   // instances' cached selections are invalidated.
   for (Instance& instance : instances_) {
-    if (!instance.in_flight) continue;
-    CF_ASSIGN_OR_RETURN(const TicketStatus ticket_status,
-                        instance.provider->Poll(instance.ticket));
-    if (ticket_status.phase == TicketPhase::kInFlight) continue;
-    if (ticket_status.phase == TicketPhase::kFailed &&
+    if (!instance.in_flight ||
+        instance.status.phase == TicketPhase::kInFlight) {
+      continue;
+    }
+    if (instance.status.phase == TicketPhase::kFailed &&
         options_.on_ticket_failure == TicketFailurePolicy::kSkipInstance) {
       // Kill only this instance: release its budget reservation, drop the
       // ticket's bookkeeping, and keep serving everyone else.
@@ -368,7 +383,9 @@ int BudgetScheduler::cost_spent(int instance) const {
 }
 
 double BudgetScheduler::TotalUtilityBits() const {
-  double total = 0.0;
+  // Seeded with -0.0, the identity of +: a one-instance total is that
+  // instance's Q(F) bit for bit, sign of zero included.
+  double total = -0.0;
   for (const Instance& instance : instances_) {
     total += -instance.joint.EntropyBits();
   }

@@ -7,7 +7,8 @@
 #include "common/clock.h"
 #include "common/status.h"
 #include "core/async_provider.h"
-#include "core/crowdfusion.h"
+#include "core/crowd_model.h"
+#include "core/joint_distribution.h"
 #include "core/task_selector.h"
 
 namespace crowdfusion::core {
@@ -37,7 +38,9 @@ namespace crowdfusion::core {
 /// loop verbatim: submit the winner's tasks, wait out the crowd's
 /// latency, merge. With a zero-latency provider every window size
 /// serves that same schedule; with real latency, selection compute for
-/// book B overlaps answer latency for book A.
+/// book B overlaps answer latency for book A. One instance with a window
+/// of 1 and a budget B is the paper's per-book refinement run: the
+/// service's engine mode runs one such scheduler per book.
 class BudgetScheduler {
  public:
   /// What RunPipelined does when a ticket fails terminally (the provider's
@@ -63,8 +66,8 @@ class BudgetScheduler {
     TicketFailurePolicy on_ticket_failure = TicketFailurePolicy::kAbort;
     /// Service contract stamped on every submitted ticket. max_attempts
     /// defaults to 1 here (not TicketOptions' 3) so a failing provider
-    /// surfaces its error after exactly one collection call, as an engine
-    /// round does; raise it to opt into retries.
+    /// surfaces its error after exactly one collection call, as the
+    /// paper's round does; raise it to opt into retries.
     TicketOptions ticket = {.max_attempts = 1};
     /// Time source for poll sleeps; nullptr means Clock::Real(). Tests
     /// inject a ManualClock shared with the providers. Not owned; must
@@ -89,6 +92,11 @@ class BudgetScheduler {
     int instance = -1;
     std::vector<int> tasks;
     std::vector<bool> answers;
+    /// The selector's H(T) for the submitted tasks, bits. On the
+    /// exhaustion marker: the empty selections' value summed over the
+    /// live instances (0 for the entropy selectors; query_based reports
+    /// its current FOI utility).
+    double selected_entropy_bits = 0.0;
     /// Expected gain that won the step, bits.
     double expected_gain_bits = 0.0;
     /// Sum of Q(F) over all instances after the merge.
@@ -136,7 +144,7 @@ class BudgetScheduler {
   common::Result<std::vector<StepRecord>> RunPipelined();
 
   /// One serving quantum, for callers that interleave serving with other
-  /// work (the service facade's Session::Step): fills the in-flight
+  /// work (the service facade's engine-mode Drain): fills the in-flight
   /// window with the best idle instances, sleeps until the earliest
   /// outstanding ticket resolves, and harvests every resolved ticket,
   /// appending the merged records. Returns false when the run is complete
@@ -192,9 +200,10 @@ class BudgetScheduler {
   /// Sum of Q(F) over all instances.
   double TotalUtilityBits() const;
 
-  /// Wall seconds of every selector Select() this scheduler ran, in issue
-  /// order (concurrent refreshes are recorded in instance order after the
-  /// join). Feeds the service layer's selection-compute percentiles.
+  /// Selection::stats.elapsed_seconds of every selector Select() this
+  /// scheduler ran, in issue order (concurrent refreshes are recorded in
+  /// instance order after the join). Feeds the service layer's
+  /// selection-compute percentiles.
   const std::vector<double>& selection_compute_seconds() const {
     return selection_compute_seconds_;
   }
@@ -224,29 +233,34 @@ class BudgetScheduler {
     bool in_flight = false;
     TicketId ticket = 0;
     std::vector<int> pending_tasks;
-    double pending_gain_bits = 0.0;
+    double pending_entropy_bits = 0.0;
     double submitted_at = 0.0;
+    /// The ticket's status as polled by the current AdvancePipelinedStep
+    /// call, valid while `polled`: each ticket is polled once per call.
+    TicketStatus status;
+    bool polled = false;
   };
 
   BudgetScheduler(CrowdModel crowd, TaskSelector* selector, Options options)
       : crowd_(crowd), selector_(selector), options_(options) {}
 
-  /// Refreshes the cached selection of one instance if stale, recording
-  /// the Select() wall time in `elapsed_seconds` (0 on a cache hit).
-  /// Thread-compatible: touches only `instance`, so distinct instances
-  /// may refresh concurrently.
-  common::Status RefreshSelectionTimed(Instance& instance, int k,
-                                       double& elapsed_seconds);
+  /// True when `instance` has no cached selection for this k.
+  static bool SelectionStale(const Instance& instance, int k);
 
-  /// RefreshSelectionTimed plus the timing bookkeeping; scheduler thread
-  /// only.
+  /// Selects for one instance and caches the result. Thread-compatible:
+  /// touches only `instance`, so distinct instances may select
+  /// concurrently.
+  common::Status Reselect(Instance& instance, int k);
+
+  /// Reselects a stale instance and logs the Select() time; scheduler
+  /// thread only.
   common::Status RefreshSelection(Instance& instance, int k);
 
   /// When the selector is ConcurrentSelectSafe and two or more idle alive
   /// instances have stale selections, refreshes them all concurrently on
   /// the shared ThreadPool (compute-vs-compute overlap across books).
-  /// Statuses and timings land in per-slot arrays and are folded in
-  /// ascending instance order after the join, so error propagation and
+  /// Statuses land in a per-slot array and are folded, with the timings,
+  /// in ascending instance order after the join, so error propagation and
   /// the timing log stay deterministic and the scheduler stays movable
   /// (no lock members).
   common::Status RefreshStaleSelectionsConcurrently(int k);
@@ -262,7 +276,12 @@ class BudgetScheduler {
   /// Submits `instance`'s cached selection and marks it in flight.
   common::Status SubmitSelection(Instance& instance, double now);
 
-  /// Merges a resolved ticket's answers and emits its StepRecord.
+  /// Polls `instance`'s ticket into its `status`.
+  common::Status PollTicket(Instance& instance);
+
+  /// Merges a resolved ticket's answers and emits its StepRecord. A
+  /// failed collection releases the ticket's budget reservation and
+  /// consumes no step number.
   common::Result<StepRecord> HarvestTicket(Instance& instance, double now);
 
   common::Clock* clock() const {

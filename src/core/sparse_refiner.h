@@ -100,7 +100,7 @@ class SparsePartitionRefiner {
   /// the determinism contract.
   static constexpr int kCandidateTileWidth = 8;
 
-  /// Borrows `joint`, as the engine borrows its selector: the joint must
+  /// Borrows `joint`, as the scheduler borrows its selector: the joint must
   /// outlive the refiner and stay unchanged while it is used. The first
   /// Commit copies the support into the refiner's own (permuted) arrays.
   /// The crowd model is copied by value.

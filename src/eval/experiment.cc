@@ -190,8 +190,8 @@ common::Result<ExperimentResult> RunExperiment(
   result.initial_quality = {initial.precision, initial.recall, initial.f1};
   result.initial_utility_bits = initial.utility_bits;
 
-  // Each Step is one global round: every live book advances one engine
-  // round, so curve costs are the paper's global task counts.
+  // Each Step is one global round: every live book advances one round on
+  // its own scheduler, so curve costs are the paper's global task counts.
   while (!session->done()) {
     CF_ASSIGN_OR_RETURN(const std::vector<service::StepOutcome> outcomes,
                         session->Step());

@@ -60,10 +60,18 @@ Status CheckInstances(const std::vector<InstanceSpec>& specs) {
 // Session
 // ---------------------------------------------------------------------------
 
-const core::JointDistribution& Session::joint(int instance) const {
+std::pair<const core::BudgetScheduler*, int> Session::Locate(
+    int instance) const {
   CF_CHECK(instance >= 0 && instance < num_instances());
-  if (scheduler_.has_value()) return scheduler_->joint(instance);
-  return instances_[static_cast<size_t>(instance)].engine->current();
+  if (mode_ == RunMode::kEngine) {
+    return {&loops_[static_cast<size_t>(instance)].scheduler, 0};
+  }
+  return {&loops_.front().scheduler, instance};
+}
+
+const core::JointDistribution& Session::joint(int instance) const {
+  const auto [scheduler, index] = Locate(instance);
+  return scheduler->joint(index);
 }
 
 const std::vector<bool>& Session::truths(int instance) const {
@@ -77,26 +85,19 @@ int Session::num_facts(int instance) const {
 }
 
 int Session::cost_spent(int instance) const {
-  CF_CHECK(instance >= 0 && instance < num_instances());
-  if (scheduler_.has_value()) return scheduler_->cost_spent(instance);
-  return instances_[static_cast<size_t>(instance)].engine->cost_spent();
+  const auto [scheduler, index] = Locate(instance);
+  return scheduler->cost_spent(index);
 }
 
 int Session::total_cost_spent() const {
-  if (scheduler_.has_value()) return scheduler_->total_cost_spent();
   int total = 0;
-  for (const Instance& instance : instances_) {
-    total += instance.engine->cost_spent();
-  }
+  for (const Loop& loop : loops_) total += loop.scheduler.total_cost_spent();
   return total;
 }
 
 double Session::total_utility_bits() const {
-  if (scheduler_.has_value()) return scheduler_->TotalUtilityBits();
   double total = 0.0;
-  for (const Instance& instance : instances_) {
-    total += -instance.engine->current().EntropyBits();
-  }
+  for (const Loop& loop : loops_) total += loop.scheduler.TotalUtilityBits();
   return total;
 }
 
@@ -119,98 +120,43 @@ int64_t Session::tickets_resubmitted() const {
   return total;
 }
 
-StepOutcome Session::FromRoundRecord(int instance,
-                                     const core::RoundRecord& record) {
-  StepOutcome outcome;
-  outcome.step = steps_emitted_++;
-  outcome.instance = instance;
-  outcome.round = record.round;
-  outcome.tasks = record.tasks;
-  outcome.answers = record.answers;
-  outcome.selected_entropy_bits = record.selected_entropy_bits;
-  outcome.expected_gain_bits =
-      record.tasks.empty()
-          ? 0.0
-          : record.selected_entropy_bits -
-                static_cast<double>(record.tasks.size()) *
-                    crowd_->EntropyBits();
-  outcome.utility_bits = record.utility_bits;
-  outcome.cumulative_cost = record.cumulative_cost;
-  selection_seconds_ += record.selection_stats.elapsed_seconds;
-  selection_samples_.push_back(record.selection_stats.elapsed_seconds);
-  return outcome;
-}
-
 double Session::selection_seconds() const {
-  if (!scheduler_.has_value()) return selection_seconds_;
   double total = 0.0;
-  for (double s : scheduler_->selection_compute_seconds()) total += s;
+  for (const Loop& loop : loops_) {
+    for (double s : loop.scheduler.selection_compute_seconds()) total += s;
+  }
   return total;
 }
 
 std::vector<double> Session::selection_compute_samples() const {
-  return scheduler_.has_value() ? scheduler_->selection_compute_seconds()
-                                : selection_samples_;
+  std::vector<double> samples;
+  for (const Loop& loop : loops_) {
+    const std::vector<double>& log = loop.scheduler.selection_compute_seconds();
+    samples.insert(samples.end(), log.begin(), log.end());
+  }
+  return samples;
 }
 
-StepOutcome Session::FromStepRecord(
-    const core::BudgetScheduler::StepRecord& record) {
+StepOutcome Session::ToOutcome(
+    size_t loop, const core::BudgetScheduler::StepRecord& record) const {
   StepOutcome outcome;
-  outcome.step = steps_emitted_++;
-  outcome.instance = record.instance;
+  outcome.step = static_cast<int>(steps_.size());
+  if (mode_ == RunMode::kEngine) {
+    // The instance's own scheduler: its exhaustion marker is the
+    // instance's last, empty round.
+    outcome.instance = static_cast<int>(loop);
+    outcome.round = record.step;
+  } else {
+    outcome.instance = record.instance;
+  }
   outcome.tasks = record.tasks;
   outcome.answers = record.answers;
+  outcome.selected_entropy_bits = record.selected_entropy_bits;
   outcome.expected_gain_bits = record.expected_gain_bits;
-  outcome.selected_entropy_bits =
-      record.tasks.empty()
-          ? 0.0
-          : record.expected_gain_bits +
-                static_cast<double>(record.tasks.size()) *
-                    crowd_->EntropyBits();
   outcome.utility_bits = record.total_utility_bits;
   outcome.cumulative_cost = record.cumulative_cost;
   outcome.latency_seconds = record.latency_seconds;
   return outcome;
-}
-
-common::Status Session::StepEngine() {
-  // One round-robin pass: every instance that still has budget and gain
-  // runs one engine round, in registration order — exactly the global
-  // rounds eval::RunExperiment reported before this facade existed. A
-  // failed round ends the pass; the rounds before it have spent their
-  // budget, so their outcomes stay in steps_.
-  bool ran = false;
-  for (size_t i = 0; i < instances_.size(); ++i) {
-    Instance& instance = instances_[i];
-    if (instance.exhausted || !instance.engine->HasBudget()) continue;
-    CF_ASSIGN_OR_RETURN(const core::RoundRecord record,
-                        instance.engine->RunRound());
-    if (record.tasks.empty()) {
-      // Selector sees no gain for this instance; stop asking (K* < k).
-      instance.exhausted = true;
-    }
-    steps_.push_back(FromRoundRecord(static_cast<int>(i), record));
-    ran = true;
-  }
-  if (!ran) done_ = true;
-  return common::Status::Ok();
-}
-
-void Session::AppendPipelinedRecords(
-    const std::vector<core::BudgetScheduler::StepRecord>& records,
-    bool more) {
-  for (const auto& record : records) steps_.push_back(FromStepRecord(record));
-  // A spent budget means nothing is in flight either (cost_spent <=
-  // cost_reserved <= total_budget), so the run is over now rather than
-  // one empty quantum later.
-  if (!more || !scheduler_->HasBudget()) done_ = true;
-}
-
-common::Status Session::StepPipelined() {
-  std::vector<core::BudgetScheduler::StepRecord> records;
-  CF_ASSIGN_OR_RETURN(const bool more, scheduler_->RunPipelinedStep(records));
-  AppendPipelinedRecords(records, more);
-  return common::Status::Ok();
 }
 
 std::vector<StepOutcome> Session::OutcomesSince(size_t first) const {
@@ -218,65 +164,107 @@ std::vector<StepOutcome> Session::OutcomesSince(size_t first) const {
       steps_.begin() + static_cast<std::ptrdiff_t>(first), steps_.end());
 }
 
+bool Session::AnyLive() const {
+  return std::any_of(loops_.begin(), loops_.end(),
+                     [](const Loop& loop) { return loop.live(); });
+}
+
 common::Result<std::vector<StepOutcome>> Session::Step() {
-  if (done_) return std::vector<StepOutcome>{};
-  common::Stopwatch stopwatch;
-  const size_t first = steps_.size();
-  const common::Status status =
-      mode_ == RunMode::kEngine ? StepEngine() : StepPipelined();
-  wall_seconds_ += stopwatch.ElapsedSeconds();
-  if (!status.ok()) return status;
-  return OutcomesSince(first);
+  for (;;) {
+    double wait_seconds = 0.0;
+    CF_ASSIGN_OR_RETURN(StepAttempt attempt,
+                        Advance(clock_->NowSeconds(), wait_seconds));
+    if (attempt.complete) return std::move(attempt.outcomes);
+    clock_->SleepSeconds(wait_seconds);
+  }
 }
 
 common::Result<StepAttempt> Session::StepAt(double now) {
-  if (mode_ == RunMode::kEngine || done_) {
-    CF_ASSIGN_OR_RETURN(std::vector<StepOutcome> outcomes, Step());
-    return StepAttempt{.outcomes = std::move(outcomes)};
-  }
-  if (!scheduler_->step_open()) open_quantum_timer_.Restart();
-  std::vector<core::BudgetScheduler::StepRecord> records;
-  const auto advance = scheduler_->AdvancePipelinedStep(now, records);
-  using State = core::BudgetScheduler::Advance::State;
-  if (advance.ok() && advance->state == State::kWaiting) {
-    StepAttempt waiting;
-    waiting.complete = false;
-    waiting.due_at = now + advance->wait_seconds;
-    return waiting;
-  }
+  double wait_seconds = 0.0;
+  return Advance(now, wait_seconds);
+}
+
+void Session::CloseQuantum() {
+  quantum_open_ = false;
   wall_seconds_ += open_quantum_timer_.ElapsedSeconds();
-  if (!advance.ok()) return advance.status();
-  const size_t first = steps_.size();
-  AppendPipelinedRecords(records, advance->state == State::kStepped);
-  return StepAttempt{.outcomes = OutcomesSince(first)};
+}
+
+common::Result<StepAttempt> Session::Advance(double now,
+                                             double& wait_seconds) {
+  if (done_) return StepAttempt{};
+  if (!quantum_open_) {
+    quantum_open_ = true;
+    quantum_first_ = steps_.size();
+    cursor_ = 0;
+    open_quantum_timer_.Restart();
+  }
+  // One pass over the live loops, in registration order: in engine mode
+  // every instance that still has budget and gain runs one round, exactly
+  // the global rounds eval::RunExperiment reports. A failed round ends
+  // the pass; the rounds before it have spent their budget, so their
+  // outcomes stay in steps_.
+  using State = core::BudgetScheduler::Advance::State;
+  std::vector<core::BudgetScheduler::StepRecord> records;
+  for (; cursor_ < loops_.size(); ++cursor_) {
+    Loop& loop = loops_[cursor_];
+    if (!loop.live()) continue;
+    const auto advance = loop.scheduler.AdvancePipelinedStep(now, records);
+    if (!advance.ok()) {
+      CloseQuantum();
+      return advance.status();
+    }
+    if (advance->state == State::kWaiting) {
+      wait_seconds = advance->wait_seconds;
+      StepAttempt waiting;
+      waiting.complete = false;
+      waiting.due_at = now + wait_seconds;
+      return waiting;
+    }
+    for (const auto& record : records) {
+      steps_.push_back(ToOutcome(cursor_, record));
+    }
+    records.clear();
+    // A spent budget means nothing is in flight either (cost_spent <=
+    // cost_reserved <= total_budget), so the loop is over now rather
+    // than one empty quantum later.
+    if (advance->state == State::kDone || !loop.scheduler.HasBudget()) {
+      loop.done = true;
+    }
+  }
+  CloseQuantum();
+  done_ = !AnyLive();
+  return StepAttempt{.outcomes = OutcomesSince(quantum_first_)};
 }
 
 common::Status Session::Drain() {
-  if (mode_ != RunMode::kEngine || !selector_->ConcurrentSelectSafe()) {
+  if (mode_ != RunMode::kEngine || quantum_open_ ||
+      !selector_->ConcurrentSelectSafe()) {
     while (!done_) CF_RETURN_IF_ERROR(Step().status());
     return Status::Ok();
   }
   if (done_) return Status::Ok();
   common::Stopwatch stopwatch;
-  // Each instance runs the rounds StepEngine's passes would give it, back
-  // to back, into its own slot; the ParallelFor join orders every write
-  // before the merge below.
-  std::vector<std::vector<core::RoundRecord>> records(instances_.size());
-  std::vector<Status> statuses(instances_.size());
+  // Each instance's scheduler runs the rounds Step()'s passes would give
+  // it, back to back, into its own slot; the ParallelFor join orders
+  // every write before the merge below. One instance with a window of 1
+  // merges one record per quantum, so record r is the instance's round
+  // in pass r.
+  std::vector<std::vector<core::BudgetScheduler::StepRecord>> records(
+      loops_.size());
+  std::vector<Status> statuses(loops_.size());
   common::ThreadPool::Shared()->ParallelFor(
-      0, static_cast<int64_t>(instances_.size()),
+      0, static_cast<int64_t>(loops_.size()),
       [this, &records, &statuses](int64_t begin, int64_t end) {
         for (auto i = static_cast<size_t>(begin);
              i < static_cast<size_t>(end); ++i) {
-          Instance& instance = instances_[i];
-          while (!instance.exhausted && instance.engine->HasBudget()) {
-            auto record = instance.engine->RunRound();
-            if (!record.ok()) {
-              statuses[i] = record.status();
+          Loop& loop = loops_[i];
+          while (loop.live()) {
+            const auto more = loop.scheduler.RunPipelinedStep(records[i]);
+            if (!more.ok()) {
+              statuses[i] = more.status();
               break;
             }
-            if (record->tasks.empty()) instance.exhausted = true;
-            records[i].push_back(std::move(record).value());
+            if (!*more || !loop.scheduler.HasBudget()) loop.done = true;
           }
         }
       });
@@ -285,8 +273,7 @@ common::Status Session::Drain() {
   for (size_t pass = 0; pass < passes; ++pass) {
     for (size_t i = 0; i < records.size(); ++i) {
       if (pass < records[i].size()) {
-        steps_.push_back(
-            FromRoundRecord(static_cast<int>(i), records[i][pass]));
+        steps_.push_back(ToOutcome(i, records[i][pass]));
       }
     }
   }
@@ -303,8 +290,9 @@ SessionProgress Session::Poll() const {
   progress.total_cost_spent = total_cost_spent();
   progress.total_budget = total_budget_;
   progress.total_utility_bits = total_utility_bits();
-  progress.dead_instances =
-      scheduler_.has_value() ? scheduler_->dead_instances() : 0;
+  for (const Loop& loop : loops_) {
+    progress.dead_instances += loop.scheduler.dead_instances();
+  }
   return progress;
 }
 
@@ -315,8 +303,7 @@ FusionResponse Session::Finish() const {
   response.steps = steps_;
   response.total_cost_spent = total_cost_spent();
   response.total_utility_bits = total_utility_bits();
-  response.dead_instances =
-      scheduler_.has_value() ? scheduler_->dead_instances() : 0;
+  response.dead_instances = Poll().dead_instances;
 
   response.instances.reserve(instances_.size());
   for (size_t i = 0; i < instances_.size(); ++i) {
@@ -327,8 +314,8 @@ FusionResponse Session::Finish() const {
     report.utility_bits = -report.final_joint.EntropyBits();
     report.cost_spent = cost_spent(static_cast<int>(i));
     report.num_facts = instances_[i].num_facts;
-    report.dead = scheduler_.has_value() &&
-                  scheduler_->instance_dead(static_cast<int>(i));
+    const auto [scheduler, index] = Locate(static_cast<int>(i));
+    report.dead = scheduler->instance_dead(index);
     response.instances.push_back(std::move(report));
   }
 
@@ -482,20 +469,20 @@ common::Result<std::unique_ptr<Session>> FusionService::CreateSession(
                       selectors_.Create(request.selector.kind,
                                         request.selector));
 
-  const int num_instances = static_cast<int>(workload.size());
-  const int total_budget =
-      request.budget.total_budget > 0
-          ? request.budget.total_budget
-          : request.budget.budget_per_instance * num_instances;
-  session->total_budget_ = request.mode == RunMode::kEngine
-                               ? request.budget.budget_per_instance *
-                                     num_instances
-                               : total_budget;
-
-  if (request.mode != RunMode::kEngine) {
-    core::BudgetScheduler::Options options;
-    options.total_budget = total_budget;
-    options.tasks_per_step = request.budget.tasks_per_step;
+  core::BudgetScheduler::Options& options = session->scheduler_options_;
+  options.tasks_per_step = request.budget.tasks_per_step;
+  options.clock = config_.clock;
+  if (request.mode == RunMode::kEngine) {
+    // Per instance: one ticket at a time, default ticket contract.
+    options.total_budget = request.budget.budget_per_instance;
+    options.max_in_flight = 1;
+  } else {
+    options.total_budget =
+        request.budget.total_budget > 0
+            ? request.budget.total_budget
+            : request.budget.budget_per_instance *
+                  static_cast<int>(workload.size());
+    session->total_budget_ = options.total_budget;
     options.max_in_flight = request.pipeline.max_in_flight;
     options.ticket.max_attempts = request.pipeline.ticket_max_attempts;
     options.ticket.deadline_seconds =
@@ -505,28 +492,31 @@ common::Result<std::unique_ptr<Session>> FusionService::CreateSession(
     options.on_ticket_failure = request.pipeline.on_ticket_failure;
     options.max_poll_seconds = request.pipeline.max_poll_seconds;
     options.concurrent_selection = request.pipeline.concurrent_selection;
-    options.clock = config_.clock;
-    CF_ASSIGN_OR_RETURN(core::BudgetScheduler scheduler,
-                        core::BudgetScheduler::Create(
-                            crowd, session->selector_.get(), options));
-    session->scheduler_.emplace(std::move(scheduler));
   }
+  if (config_.clock != nullptr) session->clock_ = config_.clock;
 
   // Bind one provider per instance from the request's template: fill the
   // instance's gold labels and derive per-instance seeds, then build
   // through the registry. The session owns every provider, so the
-  // engine/scheduler borrow contracts hold by construction.
+  // scheduler borrow contract holds by construction.
   session->provider_template_ = request.provider;
-  session->budget_ = request.budget;
   session->providers_ = &providers_;
-  for (int index = 0; index < num_instances; ++index) {
-    CF_RETURN_IF_ERROR(session->BindInstance(
-        std::move(workload[static_cast<size_t>(index)])));
+  for (InstanceSpec& spec : workload) {
+    CF_RETURN_IF_ERROR(session->BindInstance(std::move(spec)));
   }
   return session;
 }
 
 common::Status Session::BindInstance(InstanceSpec spec) {
+  // Engine mode gives every instance a loop of its own; it joins loops_
+  // only once the instance is bound, so a failed arrival leaves none.
+  std::optional<core::BudgetScheduler> own_loop;
+  if (loops_.empty() || mode_ == RunMode::kEngine) {
+    CF_ASSIGN_OR_RETURN(core::BudgetScheduler scheduler,
+                        core::BudgetScheduler::Create(
+                            *crowd_, selector_.get(), scheduler_options_));
+    own_loop.emplace(std::move(scheduler));
+  }
   const int index = next_seed_index_++;
   Instance instance;
   instance.name = spec.name.empty()
@@ -549,22 +539,20 @@ common::Status Session::BindInstance(InstanceSpec spec) {
   CF_ASSIGN_OR_RETURN(instance.provider,
                       providers_->Create(provider_spec.kind, provider_spec));
 
-  if (mode_ == RunMode::kEngine) {
-    core::EngineOptions options;
-    options.budget = budget_.budget_per_instance;
-    options.tasks_per_round = budget_.tasks_per_step;
-    CF_ASSIGN_OR_RETURN(
-        core::CrowdFusionEngine engine,
-        core::CrowdFusionEngine::Create(std::move(spec.joint), *crowd_,
-                                        selector_.get(),
-                                        instance.provider.get(), options));
-    instance.engine.emplace(std::move(engine));
-  } else {
-    CF_RETURN_IF_ERROR(scheduler_
-                           ->AddInstance(instance.name, std::move(spec.joint),
-                                         instance.provider.get())
-                           .status());
+  core::BudgetScheduler& scheduler =
+      own_loop.has_value() ? *own_loop : loops_.back().scheduler;
+  CF_RETURN_IF_ERROR(scheduler
+                         .AddInstance(instance.name, std::move(spec.joint),
+                                      instance.provider.get())
+                         .status());
+  if (own_loop.has_value()) {
+    loops_.push_back(Loop{.scheduler = std::move(*own_loop)});
+    if (mode_ == RunMode::kEngine) {
+      total_budget_ += scheduler_options_.total_budget;
+    }
   }
+  // Arrivals revive a loop that stopped for lack of gain.
+  loops_.back().done = false;
   instances_.push_back(std::move(instance));
   return Status::Ok();
 }
@@ -582,29 +570,24 @@ common::Result<int> Session::AddInstances(std::vector<InstanceSpec> specs,
         "engine mode budgets per instance (budget_per_instance); "
         "additional_budget is a scheduler-mode knob");
   }
-  if (scheduler_.has_value() && scheduler_->step_open()) {
+  if (quantum_open_) {
     return Status::FailedPrecondition(
         "a step is waiting on the crowd; add instances once it completes");
   }
   CF_RETURN_IF_ERROR(CheckInstances(specs));
 
   const int first_new_instance = num_instances();
-  if (mode_ != RunMode::kEngine && additional_budget > 0) {
-    CF_RETURN_IF_ERROR(scheduler_->AddBudget(additional_budget));
+  if (additional_budget > 0) {
+    CF_RETURN_IF_ERROR(loops_.front().scheduler.AddBudget(additional_budget));
     total_budget_ += additional_budget;
   }
   for (InstanceSpec& spec : specs) {
     CF_RETURN_IF_ERROR(BindInstance(std::move(spec)));
-    if (mode_ == RunMode::kEngine) {
-      total_budget_ += budget_.budget_per_instance;
-    }
   }
 
   // A run that stopped for lack of gain (or arrivals) resumes; one whose
   // global budget is already spent stays done until budget arrives too.
-  if (mode_ == RunMode::kEngine || scheduler_->HasBudget()) {
-    done_ = false;
-  }
+  done_ = !AnyLive();
   return first_new_instance;
 }
 

@@ -12,7 +12,6 @@
 #include "common/clock.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
-#include "core/crowdfusion.h"
 #include "core/joint_distribution.h"
 #include "core/registry.h"
 #include "core/scheduler.h"
@@ -22,16 +21,19 @@
 
 namespace crowdfusion::service {
 
-/// Which serving backend executes the request. Both run the same
-/// select -> collect -> merge loop; they differ in how budget and latency
-/// are scheduled:
-///  * kEngine: one CrowdFusionEngine per instance with a per-instance
-///    budget, advanced round-robin (the paper's Figure-1 loop, and the
-///    trajectory eval::RunExperiment reports).
-///  * kPipelined: one BudgetScheduler holding a global budget (the
-///    Section V-D allocation strategy) with up to max_in_flight ticket
-///    batches outstanding, overlapping crowd latency. A window of 1 is
-///    one ticket at a time; the wire spells that "blocking".
+/// Which budget policy serves the request. Both run the one
+/// select -> collect -> merge loop, core::BudgetScheduler; they differ in
+/// who holds the budget:
+///  * kEngine: per instance. Each instance gets its own one-instance
+///    scheduler with budget budget_per_instance, one ticket at a time
+///    (one attempt, kAbort), and the instances advance round-robin (the
+///    paper's Figure-1 loop, and the trajectory eval::RunExperiment
+///    reports). The pipeline knobs do not apply.
+///  * kPipelined: global. One scheduler over every instance holds the
+///    whole budget (the Section V-D allocation strategy) with up to
+///    max_in_flight ticket batches outstanding, overlapping crowd
+///    latency. A window of 1 is one ticket at a time; the wire spells
+///    that "blocking".
 enum class RunMode { kEngine, kPipelined };
 
 /// Config spelling of a RunMode ("engine", "pipelined").
@@ -129,15 +131,18 @@ struct FusionRequest {
                          const FusionRequest& b) = default;
 };
 
-/// One select-collect-merge quantum, unified across backends.
-/// Mode-dependent fields (the differential tests pin these semantics):
-///  * kEngine: `round`/`cumulative_cost`/`utility_bits` are per-instance
-///    (mirroring core::RoundRecord); latency_seconds is 0.
-///  * kPipelined: `utility_bits` is the TOTAL utility over all
-///    instances and `cumulative_cost` the global spend (mirroring
-///    core::BudgetScheduler::StepRecord); `round` is -1.
-/// An outcome with instance == -1 is the exhaustion marker: budget
-/// remained but no instance had a positive-gain task left.
+/// One select-collect-merge step, mapped from the serving scheduler's
+/// core::BudgetScheduler::StepRecord. `utility_bits` and
+/// `cumulative_cost` are that scheduler's totals, so they depend on the
+/// mode (the differential tests pin these semantics):
+///  * kEngine: per instance, as the instance's own scheduler counts them;
+///    `round` is that scheduler's step. An instance whose selector finds
+///    no more gain ends with an outcome that has no tasks (its
+///    scheduler's exhaustion marker).
+///  * kPipelined: `utility_bits` is the TOTAL utility over all instances
+///    and `cumulative_cost` the global spend; `round` is -1. An outcome
+///    with instance == -1 is the exhaustion marker: budget remained but
+///    no instance had a positive-gain task left.
 struct StepOutcome {
   int step = 0;
   int instance = -1;
@@ -172,9 +177,8 @@ struct InstanceReport {
 /// Bench-ready aggregate statistics of one run.
 struct RunStats {
   double wall_seconds = 0.0;
-  /// Selector wall-clock summed over every Select() of the run: engine
-  /// rounds report it via their RoundRecord stats, pipelined mode via
-  /// the scheduler's per-Select timing log.
+  /// Selector wall-clock summed over every Select() of the run, from the
+  /// schedulers' per-Select timing logs.
   double selection_seconds = 0.0;
   double steps_per_second = 0.0;
   /// Submit-to-merge latency percentiles over the run's steps, ms.
@@ -236,8 +240,8 @@ struct StepAttempt {
 /// HTTP/queue front-end can drive one request with repeated Step() calls
 /// (returning each quantum's merged records as they land) instead of one
 /// blocking Run(). The session OWNS everything the run needs — selector,
-/// providers, joints, engines/scheduler — so the engine/scheduler borrow
-/// contracts are satisfied by construction and cannot dangle.
+/// providers, joints, schedulers — so the scheduler borrow contract is
+/// satisfied by construction and cannot dangle.
 class Session {
  public:
   Session(const Session&) = delete;
@@ -250,31 +254,32 @@ class Session {
   /// pipelined mode fills the in-flight window and harvests everything
   /// that resolved (with a window of 1: one select-collect-merge step).
   /// done() turns true with the quantum that completes the run: the one
-  /// that spends the last of the budget or emits the exhaustion marker
-  /// (a final instance == -1 outcome). An empty vector means there was
-  /// nothing left to run. When an engine round fails, the outcomes of the
-  /// rounds before it in the pass stay in steps(): they spent budget.
+  /// that spends the last of the budget or emits the last exhaustion
+  /// marker. An empty vector means there was nothing left to run. When an
+  /// engine round fails, the outcomes of the rounds before it in the pass
+  /// stay in steps(): they spent budget. Step() is StepAt() in a loop
+  /// that sleeps, on the service's clock, until each wait is over.
   common::Result<std::vector<StepOutcome>> Step();
 
   /// Step() without sleeping through crowd latency, the current time
   /// passed in (read from the clock the creating service was configured
-  /// with). Pipelined mode launches on the call that opens a quantum and
-  /// polls its tickets once per call: until one resolves, the attempt is
+  /// with). The call that opens a quantum launches; every call polls the
+  /// quantum's in-flight tickets once. Until one resolves, the attempt is
   /// incomplete and names when to call again; the call that harvests
-  /// completes it with exactly Step()'s outcomes. Engine mode collects
-  /// through SubmitAndAwait, so there StepAt is Step() and always
-  /// complete. While a quantum is open only StepAt or Step() (which
-  /// finishes it blocking) may advance the session; AddInstances answers
-  /// FailedPrecondition.
+  /// completes it with exactly Step()'s outcomes. An engine-mode pass
+  /// advances the instances in order, each through its own scheduler, so
+  /// it waits on one instance's ticket at a time, as Step() does. While a
+  /// quantum is open only StepAt or Step() (which finishes it blocking)
+  /// may advance the session; AddInstances answers FailedPrecondition.
   common::Result<StepAttempt> StepAt(double now);
 
   /// Steps until done(), leaving steps() exactly as a Step() loop would.
   /// Engine mode with a ConcurrentSelectSafe() selector runs each live
-  /// instance's remaining rounds concurrently on the shared ThreadPool (an
-  /// instance owns its engine, provider and seeds; the CrowdModel is
-  /// const), then appends the outcomes pass-major, instance-minor, as
-  /// Step() does. Otherwise it loops Step(). On failure, returns the
-  /// lowest-indexed failing instance's error; completed rounds stay.
+  /// instance's scheduler to the end concurrently on the shared
+  /// ThreadPool (an instance owns its scheduler, provider and seeds), then
+  /// appends the outcomes pass-major, instance-minor, as Step() does.
+  /// Otherwise it loops Step(). On failure, returns the lowest-indexed
+  /// failing instance's error; completed rounds stay.
   common::Status Drain();
 
   /// Non-blocking progress snapshot.
@@ -313,8 +318,8 @@ class Session {
   int total_cost_spent() const;
   double total_utility_bits() const;
   double selection_seconds() const;
-  /// Individual Select() wall times, seconds, in issue order (engine
-  /// rounds or scheduler refreshes).
+  /// Individual Select() wall times, seconds, in issue order per
+  /// scheduler (engine mode: instance by instance).
   std::vector<double> selection_compute_samples() const;
   /// (served, correct) summed over providers that track it.
   std::pair<int64_t, int64_t> answers_served_correct() const;
@@ -330,38 +335,47 @@ class Session {
     std::vector<bool> truths;
     std::shared_ptr<core::AsyncAnswerProvider> provider;
     int num_facts = 0;
-    /// Engine mode only: the per-instance loop and its no-gain flag.
-    std::optional<core::CrowdFusionEngine> engine;
-    bool exhausted = false;
+  };
+
+  /// One refinement loop: engine mode runs one per instance, pipelined
+  /// mode one for all of them.
+  struct Loop {
+    core::BudgetScheduler scheduler;
+    /// The scheduler reported the run complete or spent its budget.
+    bool done = false;
+
+    bool live() const { return !done && scheduler.HasBudget(); }
   };
 
   Session() = default;
 
   /// Binds one provider from the stored template and registers the
-  /// instance with the session's backend — the one path used both at
-  /// creation and by AddInstances.
+  /// instance with its loop (a new one in engine mode) — the one path
+  /// used both at creation and by AddInstances.
   common::Status BindInstance(InstanceSpec spec);
 
-  /// One pass of the session's loop; each appends its outcomes to steps_.
-  common::Status StepEngine();
-  common::Status StepPipelined();
-  /// Appends a finished pipelined quantum's records to steps_; `more` is
-  /// false when the scheduler reported the run complete.
-  void AppendPipelinedRecords(
-      const std::vector<core::BudgetScheduler::StepRecord>& records,
-      bool more);
-  std::vector<StepOutcome> OutcomesSince(size_t first) const;
+  /// StepAt, also reporting how long an incomplete attempt should wait
+  /// (exactly the scheduler's wait, which Step() sleeps).
+  common::Result<StepAttempt> Advance(double now, double& wait_seconds);
+  void CloseQuantum();
+  bool AnyLive() const;
 
-  StepOutcome FromRoundRecord(int instance, const core::RoundRecord& record);
-  StepOutcome FromStepRecord(const core::BudgetScheduler::StepRecord& record);
+  /// The scheduler serving `instance`, and the instance's index there.
+  std::pair<const core::BudgetScheduler*, int> Locate(int instance) const;
+
+  StepOutcome ToOutcome(size_t loop,
+                        const core::BudgetScheduler::StepRecord& record) const;
+  std::vector<StepOutcome> OutcomesSince(size_t first) const;
 
   RunMode mode_ = RunMode::kEngine;
   std::string label_;
   std::optional<core::CrowdModel> crowd_;
   std::unique_ptr<core::TaskSelector> selector_;
+  /// Every loop's scheduler options; engine mode's budget is per instance.
+  core::BudgetScheduler::Options scheduler_options_;
+  common::Clock* clock_ = common::Clock::Real();
   /// Creation-request state AddInstances binds arrivals from.
   core::ProviderSpec provider_template_;
-  BudgetSpec budget_;
   /// Borrowed from the creating service (alive for every in-repo client:
   /// the HTTP front-end, eval, and the CLI all outlive their sessions).
   const core::ProviderRegistry* providers_ = nullptr;
@@ -369,25 +383,23 @@ class Session {
   /// arrival N + i seeds exactly like a creation-time instance N + i.
   int next_seed_index_ = 0;
   std::vector<Instance> instances_;
-  /// Pipelined mode only.
-  std::optional<core::BudgetScheduler> scheduler_;
+  std::vector<Loop> loops_;
   int total_budget_ = 0;
   std::vector<StepOutcome> steps_;
-  int steps_emitted_ = 0;
-  double selection_seconds_ = 0.0;
-  /// Engine mode: one entry per round's selector call. Pipelined mode
-  /// reads the scheduler's log instead (see selection_compute_samples).
-  std::vector<double> selection_samples_;
   double wall_seconds_ = 0.0;
-  /// Started when StepAt opens a pipelined quantum, so the quantum's wall
-  /// time spans its waits, as a blocking Step()'s does.
+  /// The open quantum: where its outcomes start in steps_ and, in engine
+  /// mode, the loop it is advancing. Its wall time spans its waits, as a
+  /// blocking Step()'s does.
+  bool quantum_open_ = false;
+  size_t quantum_first_ = 0;
+  size_t cursor_ = 0;
   common::Stopwatch open_quantum_timer_;
   bool done_ = false;
 };
 
-/// The facade: one typed request/response API over the per-instance
-/// engines and the global-budget scheduler, with every backend
-/// constructed from string-keyed registries. Thread-compatible: one
+/// The facade: one typed request/response API over the refinement loop
+/// under either budget policy, with every backend constructed from
+/// string-keyed registries. Thread-compatible: one
 /// service may mint many sessions; each session is single-caller.
 class FusionService {
  public:

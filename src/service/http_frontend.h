@@ -34,8 +34,8 @@ namespace crowdfusion::service {
 ///                                      "ttl_seconds", "label"}
 ///   POST   /v1/sessions/{id}/step  advance one quantum
 ///                                  -> {"session_id", "done",
-///                                      "outcomes": [...]}; a pipelined
-///                                  step waiting on the crowd parks (see
+///                                      "outcomes": [...]}; a step
+///                                  waiting on the crowd parks (see
 ///                                  below), and a second step on a
 ///                                  session whose step is parked is 409
 ///   POST   /v1/sessions/{id}/instances  stream new fact universes into a
@@ -59,8 +59,8 @@ namespace crowdfusion::service {
 /// per-session (Session is single-caller by contract) but run
 /// concurrently across sessions.
 ///
-/// Parked steps: a pipelined /step whose tickets are all still in flight
-/// does not hold its worker through the crowd's latency. It parks the
+/// Parked steps: a /step whose tickets are all still in flight (in either
+/// mode) does not hold its worker through the crowd's latency. It parks the
 /// session entry, the ResponseWriter and the due time with the
 /// frontend's one waker thread and returns the worker to the pool; the
 /// waker calls Session::StepAt again when the step is due and sends the
@@ -70,8 +70,7 @@ namespace crowdfusion::service {
 /// 409 FailedPrecondition, as does /instances. A DELETE or TTL eviction
 /// does not cancel the parked step: it completes and answers. Stop()
 /// drops every parked step (its connection closes unanswered) and joins
-/// the waker. Engine-mode steps collect through SubmitAndAwait and still
-/// run on the worker.
+/// the waker.
 class HttpFrontend {
  public:
   /// The unified net::ServerConfig (bind, reactor limits, timeouts,

@@ -1,19 +1,22 @@
-/// End-to-end budget-exhaustion regression: the engine must never spend
-/// more than its budget B, even when B is not a multiple of k, and the
-/// RoundRecord cost accounting must be exact and monotone.
+/// End-to-end budget-exhaustion regression: a book's loop (engine mode's
+/// one-instance scheduler) must never spend more than its budget B, even
+/// when B is not a multiple of k, and the StepRecord cost accounting must
+/// be exact and monotone.
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/crowdfusion.h"
 #include "core/greedy_selector.h"
 #include "core/running_example.h"
+#include "core/scheduler.h"
 #include "crowd/simulated_crowd.h"
 
 namespace crowdfusion::core {
 namespace {
 
-std::vector<RoundRecord> RunToExhaustion(int budget, int tasks_per_round,
+using StepRecord = BudgetScheduler::StepRecord;
+
+std::vector<StepRecord> RunToExhaustion(int budget, int tasks_per_round,
                                          double pc, uint64_t seed,
                                          int* cost_spent_out) {
   const JointDistribution joint = RunningExample::Joint();
@@ -23,15 +26,16 @@ std::vector<RoundRecord> RunToExhaustion(int budget, int tasks_per_round,
   // distribution off a point mass, so selection never stops early.
   crowd::SimulatedCrowd provider = crowd::SimulatedCrowd::WithUniformAccuracy(
       {true, true, true, false}, pc, seed);
-  EngineOptions options;
-  options.budget = budget;
-  options.tasks_per_round = tasks_per_round;
-  auto engine =
-      CrowdFusionEngine::Create(joint, crowd, &selector, &provider, options);
-  EXPECT_TRUE(engine.ok()) << engine.status().ToString();
-  auto records = engine.value().Run();
+  auto scheduler = BudgetScheduler::Create(
+      crowd, &selector,
+      {.total_budget = budget,
+       .tasks_per_step = tasks_per_round,
+       .max_in_flight = 1});
+  EXPECT_TRUE(scheduler.ok()) << scheduler.status().ToString();
+  EXPECT_TRUE(scheduler->AddInstance("book", joint, &provider).ok());
+  auto records = scheduler->RunPipelined();
   EXPECT_TRUE(records.ok()) << records.status().ToString();
-  *cost_spent_out = engine.value().cost_spent();
+  *cost_spent_out = scheduler->cost_spent(0);
   return std::move(records).value();
 }
 
@@ -39,12 +43,12 @@ TEST(BudgetExhaustionTest, NeverOverspendsWithRaggedLastRound) {
   // k = 3 does not divide B = 7: rounds must go 3, 3, 1.
   constexpr int kBudget = 7;
   int cost_spent = 0;
-  const std::vector<RoundRecord> records =
+  const std::vector<StepRecord> records =
       RunToExhaustion(kBudget, /*tasks_per_round=*/3, /*pc=*/0.65,
                       /*seed=*/42, &cost_spent);
   EXPECT_LE(cost_spent, kBudget);
   int total_tasks = 0;
-  for (const RoundRecord& record : records) {
+  for (const StepRecord& record : records) {
     EXPECT_LE(static_cast<int>(record.tasks.size()), 3);
     EXPECT_EQ(record.tasks.size(), record.answers.size());
     total_tasks += static_cast<int>(record.tasks.size());
@@ -59,12 +63,12 @@ TEST(BudgetExhaustionTest, NeverOverspendsWithRaggedLastRound) {
 
 TEST(BudgetExhaustionTest, CumulativeCostIsMonotoneAndExact) {
   int cost_spent = 0;
-  const std::vector<RoundRecord> records = RunToExhaustion(
+  const std::vector<StepRecord> records = RunToExhaustion(
       /*budget=*/20, /*tasks_per_round=*/2, /*pc=*/0.7, /*seed=*/7,
       &cost_spent);
   int running = 0;
   int previous = 0;
-  for (const RoundRecord& record : records) {
+  for (const StepRecord& record : records) {
     running += static_cast<int>(record.tasks.size());
     EXPECT_EQ(record.cumulative_cost, running);
     EXPECT_GE(record.cumulative_cost, previous);
@@ -79,7 +83,7 @@ TEST(BudgetExhaustionTest, BudgetSpentIsIndependentOfK) {
   constexpr int kBudget = 12;
   for (int k : {1, 2, 3, 4}) {
     int cost_spent = 0;
-    const std::vector<RoundRecord> records = RunToExhaustion(
+    const std::vector<StepRecord> records = RunToExhaustion(
         kBudget, k, /*pc=*/0.65, /*seed=*/static_cast<uint64_t>(100 + k),
         &cost_spent);
     EXPECT_EQ(cost_spent, kBudget) << "k=" << k;

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -97,6 +98,31 @@ using common::ManualClock;
 
 constexpr int kSeeds = 32;
 
+/// Forwards to a provider, counting Poll calls per ticket.
+class PollCountingProvider : public AsyncAnswerProvider {
+ public:
+  explicit PollCountingProvider(AsyncAnswerProvider* inner) : inner_(inner) {}
+
+  common::Result<TicketId> Submit(std::span<const int> fact_ids,
+                                  const TicketOptions& options) override {
+    return inner_->Submit(fact_ids, options);
+  }
+  using AsyncAnswerProvider::Submit;
+  common::Result<TicketStatus> Poll(TicketId ticket) override {
+    ++polls[ticket];
+    return inner_->Poll(ticket);
+  }
+  common::Result<std::vector<bool>> Await(TicketId ticket) override {
+    return inner_->Await(ticket);
+  }
+  void Cancel(TicketId ticket) override { inner_->Cancel(ticket); }
+
+  std::map<TicketId, int> polls;
+
+ private:
+  AsyncAnswerProvider* inner_;
+};
+
 /// One seeded run: a scheduler over 2-4 books, each answered by a
 /// lognormal-latency crowd on the run's own ManualClock. Latencies straddle
 /// max_poll_seconds, so some waits are capped and take several polls.
@@ -134,10 +160,12 @@ struct LatencyRun {
       latency.sigma = 0.6;
       latency.seed = seed * 17 + static_cast<uint64_t>(i);
       crowds.back()->ConfigureAsync(latency, &clock);
+      counters.push_back(
+          std::make_unique<PollCountingProvider>(crowds.back().get()));
       EXPECT_TRUE(scheduler
                       ->AddInstance("book" + std::to_string(i),
                                     std::move(joint).value(),
-                                    crowds.back().get())
+                                    counters.back().get())
                       .ok());
     }
   }
@@ -154,6 +182,7 @@ struct LatencyRun {
   GreedySelector selector;
   std::unique_ptr<BudgetScheduler> scheduler;
   std::vector<std::unique_ptr<crowd::SimulatedCrowd>> crowds;
+  std::vector<std::unique_ptr<PollCountingProvider>> counters;
 };
 
 /// The old blocking step, looped to the end of the run.
@@ -217,6 +246,39 @@ TEST(PipelinedAdvanceTest, AdvanceLoopMatchesTheBlockingStep) {
   }
   // The latency crowds really made the advance wait, capped waits included.
   EXPECT_GT(total_waits, 2 * kSeeds);
+}
+
+TEST(PipelinedAdvanceTest, EachCallPollsAnInFlightTicketAtMostOnce) {
+  // The launch loop, the wait pass and the harvest share one poll per
+  // ticket: over a remote crowd every Poll is a round trip.
+  using State = BudgetScheduler::Advance::State;
+  int polled_calls = 0;
+  for (const int window : {1, 4}) {
+    for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+      SCOPED_TRACE("window " + std::to_string(window) + " seed " +
+                   std::to_string(seed));
+      LatencyRun run(seed, window);
+      std::vector<BudgetScheduler::StepRecord> records;
+      for (;;) {
+        for (auto& counter : run.counters) counter->polls.clear();
+        const double now = run.clock.NowSeconds();
+        auto advance = run.scheduler->AdvancePipelinedStep(now, records);
+        ASSERT_TRUE(advance.ok()) << advance.status();
+        for (const auto& counter : run.counters) {
+          for (const auto& [ticket, polls] : counter->polls) {
+            EXPECT_EQ(polls, 1) << "ticket " << ticket;
+            ++polled_calls;
+          }
+        }
+        if (advance->state == State::kDone) break;
+        if (advance->state == State::kWaiting) {
+          run.clock.AdvanceSeconds(advance->wait_seconds);
+        }
+      }
+      EXPECT_FALSE(records.empty());
+    }
+  }
+  EXPECT_GT(polled_calls, 4 * kSeeds);
 }
 
 TEST(PipelinedAdvanceTest, OnlyTheOpeningCallLaunches) {

@@ -4,9 +4,9 @@
 
 #include "common/clock.h"
 #include "core/async_provider.h"
-#include "core/crowdfusion.h"
 #include "core/greedy_selector.h"
 #include "core/running_example.h"
+#include "core/scheduler.h"
 #include "crowd/latency_model.h"
 #include "crowd/simulated_crowd.h"
 
@@ -48,8 +48,9 @@ TEST(AsyncSimulatedCrowdTest, LatencyNeverChangesTheAnswers) {
 }
 
 TEST(AsyncSimulatedCrowdTest, EngineRoundWaitsOutTheCrowdsLatency) {
-  // Engine rounds collect through tickets, so a crowd's simulated latency
-  // elapses on its clock in engine mode too, one batch at a time.
+  // Engine-mode rounds (one book, one ticket at a time) collect through
+  // tickets, so a crowd's simulated latency elapses on its clock, one
+  // batch at a time.
   SimulatedCrowd crowd = SimulatedCrowd::WithUniformAccuracy(
       {true, true, true, false}, 0.8, 5);
   ManualClock clock;
@@ -60,21 +61,26 @@ TEST(AsyncSimulatedCrowdTest, EngineRoundWaitsOutTheCrowdsLatency) {
   auto model = core::CrowdModel::Create(0.8);
   ASSERT_TRUE(model.ok());
   core::GreedySelector selector;
-  core::EngineOptions options;
-  options.budget = 4;
-  options.tasks_per_round = 2;
-  auto engine = core::CrowdFusionEngine::Create(
-      core::RunningExample::Joint(), *model, &selector, &crowd, options);
-  ASSERT_TRUE(engine.ok());
+  auto book = core::BudgetScheduler::Create(
+      *model, &selector,
+      {.total_budget = 4,
+       .tasks_per_step = 2,
+       .max_in_flight = 1,
+       .clock = &clock,
+       .max_poll_seconds = 10.0});  // one sleep per wait
+  ASSERT_TRUE(book.ok());
+  ASSERT_TRUE(
+      book->AddInstance("book", core::RunningExample::Joint(), &crowd).ok());
 
-  auto first = engine->RunRound();
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(first->answers.size(), 2u);
+  std::vector<core::BudgetScheduler::StepRecord> records;
+  ASSERT_TRUE(book->RunPipelinedStep(records).ok());
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].answers.size(), 2u);
+  EXPECT_DOUBLE_EQ(records[0].latency_seconds, 3.0);
   EXPECT_DOUBLE_EQ(clock.NowSeconds(), 3.0);
-  auto second = engine->RunRound();
-  ASSERT_TRUE(second.ok());
+  ASSERT_TRUE(book->RunPipelinedStep(records).ok());
   EXPECT_DOUBLE_EQ(clock.NowSeconds(), 6.0);
-  EXPECT_EQ(engine->cost_spent(), 4);
+  EXPECT_EQ(book->total_cost_spent(), 4);
 }
 
 TEST(AsyncSimulatedCrowdTest, EngineRoundFailsOnAnInjectedOutage) {
@@ -89,12 +95,16 @@ TEST(AsyncSimulatedCrowdTest, EngineRoundFailsOnAnInjectedOutage) {
   auto model = core::CrowdModel::Create(0.8);
   ASSERT_TRUE(model.ok());
   core::GreedySelector selector;
-  auto engine = core::CrowdFusionEngine::Create(
-      core::RunningExample::Joint(), *model, &selector, &crowd,
-      core::EngineOptions{});
-  ASSERT_TRUE(engine.ok());
-  EXPECT_EQ(engine->RunRound().status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(engine->cost_spent(), 0);
+  auto book = core::BudgetScheduler::Create(
+      *model, &selector,
+      {.total_budget = 60, .max_in_flight = 1, .clock = &clock});
+  ASSERT_TRUE(book.ok());
+  ASSERT_TRUE(
+      book->AddInstance("book", core::RunningExample::Joint(), &crowd).ok());
+  std::vector<core::BudgetScheduler::StepRecord> records;
+  EXPECT_EQ(book->RunPipelinedStep(records).status().code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(book->total_cost_spent(), 0);
   EXPECT_EQ(crowd.answers_served(), 0);
 }
 

@@ -1,12 +1,12 @@
 /// End-to-end integration tests driving the whole stack: synthetic Book
-/// dataset -> machine-only fusion -> correlation model -> CrowdFusion
-/// engine with a simulated crowd -> metrics.
+/// dataset -> machine-only fusion -> correlation model -> the per-book
+/// refinement loop with a simulated crowd -> metrics.
 
 #include <gtest/gtest.h>
 
-#include "core/crowdfusion.h"
 #include "core/greedy_selector.h"
 #include "core/query_based.h"
+#include "core/scheduler.h"
 #include "crowd/simulated_crowd.h"
 #include "data/book_dataset.h"
 #include "data/correlation_model.h"
@@ -57,25 +57,25 @@ TEST(IntegrationTest, SingleBookPipelineDrivesMarginalsTowardTruth) {
   greedy_options.use_pruning = true;
   greedy_options.use_preprocessing = true;
   core::GreedySelector selector(greedy_options);
-  core::EngineOptions engine_options;
-  engine_options.budget = 60;
-  engine_options.tasks_per_round = 2;
-  auto engine = core::CrowdFusionEngine::Create(
-      *joint, *crowd_model, &selector, &provider, engine_options);
-  ASSERT_TRUE(engine.ok());
-  auto records = engine->Run();
+  auto scheduler = core::BudgetScheduler::Create(
+      *crowd_model, &selector,
+      {.total_budget = 60, .tasks_per_step = 2, .max_in_flight = 1});
+  ASSERT_TRUE(scheduler.ok());
+  ASSERT_TRUE(scheduler->AddInstance(book.isbn, *joint, &provider).ok());
+  auto records = scheduler->RunPipelined();
   ASSERT_TRUE(records.ok()) << records.status();
 
   // After 60 answers from an 85% crowd, thresholded marginals should be
   // nearly all correct.
-  const std::vector<double> final_marginals = engine->current().Marginals();
+  const std::vector<double> final_marginals =
+      scheduler->joint(0).Marginals();
   const eval::ConfusionCounts counts =
       eval::CountConfusion(final_marginals, truths);
   const double accuracy = eval::ComputeAccuracy(counts);
   EXPECT_GT(accuracy, 0.8);
   // Utility increased over the run.
   ASSERT_FALSE(records->empty());
-  EXPECT_GT(records->back().utility_bits, -joint->EntropyBits() + 0.5);
+  EXPECT_GT(records->back().total_utility_bits, -joint->EntropyBits() + 0.5);
 }
 
 TEST(IntegrationTest, QueryBasedSelectorWorksInsideEngine) {
@@ -104,15 +104,14 @@ TEST(IntegrationTest, QueryBasedSelectorWorksInsideEngine) {
   core::QueryBasedGreedySelector::Options query_options;
   query_options.foi = {0};  // only the first statement matters
   core::QueryBasedGreedySelector selector(query_options);
-  core::EngineOptions engine_options;
-  engine_options.budget = 10;
-  auto engine = core::CrowdFusionEngine::Create(
-      *joint, *crowd_model, &selector, &provider, engine_options);
-  ASSERT_TRUE(engine.ok());
-  auto records = engine->Run();
+  auto scheduler = core::BudgetScheduler::Create(
+      *crowd_model, &selector, {.total_budget = 10, .max_in_flight = 1});
+  ASSERT_TRUE(scheduler.ok());
+  ASSERT_TRUE(scheduler->AddInstance(book.isbn, *joint, &provider).ok());
+  auto records = scheduler->RunPipelined();
   ASSERT_TRUE(records.ok()) << records.status();
   // The FOI marginal should be close to its truth.
-  const double p0 = engine->current().Marginal(0);
+  const double p0 = scheduler->joint(0).Marginal(0);
   EXPECT_NEAR(p0, truths[0] ? 1.0 : 0.0, 0.2);
 }
 

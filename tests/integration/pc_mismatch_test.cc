@@ -5,8 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "core/bayes.h"
-#include "core/crowdfusion.h"
 #include "core/greedy_selector.h"
+#include "core/scheduler.h"
 #include "crowd/simulated_crowd.h"
 #include "eval/metrics.h"
 #include "support/oracles.h"
@@ -18,7 +18,7 @@ using core::CrowdModel;
 using core::JointDistribution;
 
 /// Mean final utility over `repeats` runs of a 6-fact uniform joint
-/// against a crowd of true accuracy `true_pc`, with the engine assuming
+/// against a crowd of true accuracy `true_pc`, with the system assuming
 /// `assumed_pc`.
 double MeanFinalUtility(double assumed_pc, double true_pc, int repeats) {
   auto joint = core::Uniform(6);
@@ -32,15 +32,13 @@ double MeanFinalUtility(double assumed_pc, double true_pc, int repeats) {
     crowd::SimulatedCrowd provider = crowd::SimulatedCrowd::WithUniformAccuracy(
         truths, true_pc, 5000 + static_cast<uint64_t>(r));
     core::GreedySelector selector;
-    core::EngineOptions options;
-    options.budget = 24;
-    options.tasks_per_round = 2;
-    auto engine = core::CrowdFusionEngine::Create(
-        *joint, *crowd_model, &selector, &provider, options);
-    EXPECT_TRUE(engine.ok());
-    auto records = engine->Run();
-    EXPECT_TRUE(records.ok());
-    total += -engine->current().EntropyBits();
+    auto book = core::BudgetScheduler::Create(
+        *crowd_model, &selector,
+        {.total_budget = 24, .tasks_per_step = 2, .max_in_flight = 1});
+    EXPECT_TRUE(book.ok());
+    EXPECT_TRUE(book->AddInstance("book", *joint, &provider).ok());
+    EXPECT_TRUE(book->RunPipelined().ok());
+    total += -book->joint(0).EntropyBits();
   }
   return total / repeats;
 }
@@ -59,16 +57,14 @@ double MeanFinalAccuracy(double assumed_pc, double true_pc, int repeats) {
     crowd::SimulatedCrowd provider = crowd::SimulatedCrowd::WithUniformAccuracy(
         truths, true_pc, 7000 + static_cast<uint64_t>(r));
     core::GreedySelector selector;
-    core::EngineOptions options;
-    options.budget = 24;
-    options.tasks_per_round = 2;
-    auto engine = core::CrowdFusionEngine::Create(
-        *joint, *crowd_model, &selector, &provider, options);
-    EXPECT_TRUE(engine.ok());
-    auto records = engine->Run();
-    EXPECT_TRUE(records.ok());
+    auto book = core::BudgetScheduler::Create(
+        *crowd_model, &selector,
+        {.total_budget = 24, .tasks_per_step = 2, .max_in_flight = 1});
+    EXPECT_TRUE(book.ok());
+    EXPECT_TRUE(book->AddInstance("book", *joint, &provider).ok());
+    EXPECT_TRUE(book->RunPipelined().ok());
     total += eval::ComputeAccuracy(
-        eval::CountConfusion(engine->current().Marginals(), truths));
+        eval::CountConfusion(book->joint(0).Marginals(), truths));
   }
   return total / repeats;
 }

@@ -243,6 +243,53 @@ TEST(FusionServiceTest, PipelinedSessionIsDoneWithTheStepThatSpendsTheBudget) {
   }
 }
 
+TEST(FusionServiceTest, EngineSessionIsDoneWithThePassThatSpendsTheBudget) {
+  // Engine mode keeps the same contract: the fourth pass spends the book's
+  // last task and reports done, with no fifth, empty Step().
+  FusionService service;
+  FusionRequest request = RunningExampleRequest();
+  request.budget.budget_per_instance = 4;
+  request.budget.tasks_per_step = 1;
+  auto session = service.CreateSession(request);
+  ASSERT_TRUE(session.ok()) << session.status();
+  int steps = 0;
+  while (!(*session)->done() && steps < 10) {
+    auto outcomes = (*session)->Step();
+    ASSERT_TRUE(outcomes.ok()) << outcomes.status();
+    EXPECT_EQ(outcomes->size(), 1u);
+    ++steps;
+  }
+  EXPECT_EQ(steps, 4);
+  EXPECT_EQ((*session)->total_cost_spent(), 4);
+}
+
+TEST(FusionServiceTest, EngineSessionIsDoneWithThePassThatExhaustsTheLastBook) {
+  // A perfect crowd drives the book to certainty long before its budget:
+  // the pass whose round selects nothing ends the run and says so.
+  FusionService service;
+  FusionRequest request = RunningExampleRequest();
+  request.provider = core::ProviderSpec{};
+  request.provider.kind = "scripted";  // answers = bound gold labels
+  request.assumed_pc = 1.0;
+  request.budget.budget_per_instance = 100;
+  auto session = service.CreateSession(request);
+  ASSERT_TRUE(session.ok()) << session.status();
+  std::vector<StepOutcome> last;
+  int steps = 0;
+  while (!(*session)->done() && steps < 100) {
+    auto outcomes = (*session)->Step();
+    ASSERT_TRUE(outcomes.ok()) << outcomes.status();
+    ASSERT_FALSE(outcomes->empty()) << "an empty pass before done()";
+    last = std::move(outcomes).value();
+    ++steps;
+  }
+  ASSERT_TRUE((*session)->done());
+  ASSERT_EQ(last.size(), 1u);
+  EXPECT_TRUE(last[0].tasks.empty());
+  EXPECT_EQ(last[0].instance, 0);
+  EXPECT_LT((*session)->total_cost_spent(), 100);
+}
+
 TEST(FusionServiceTest, PipelinedSkipInstancePolicySkipsOnlyTheFailingBook) {
   // Two instances: one served by a provider that always fails, one
   // healthy. kAbort kills the run; kSkipInstance serves the healthy book.

@@ -1,6 +1,7 @@
 /// The facade's zero-behavior-change pin: across 32 seeds,
 /// FusionService-built runs reproduce the corresponding direct-API runs
-/// bit-for-bit — engine mode against hand-wired CrowdFusionEngines,
+/// bit-for-bit — engine mode against the hand-wired per-book engine
+/// oracle (tests/support/engine_oracle.h),
 /// pipelined mode against BudgetScheduler::RunPipelined — on records,
 /// answers, utilities, and final joints, and the "blocking" wire spelling
 /// is exactly a pipelined request with a window of 1. The service must
@@ -17,6 +18,7 @@
 #include "crowd/simulated_crowd.h"
 #include "service/fusion_service.h"
 #include "service/request_json.h"
+#include "support/engine_oracle.h"
 #include "support/status_printing.h"
 
 namespace crowdfusion::service {

@@ -150,6 +150,34 @@ TEST_F(SessionGrowthTest, ValidatesArrivalsBeforeBindingAny) {
   EXPECT_EQ(session->num_instances(), 2);
 }
 
+TEST_F(SessionGrowthTest, FailedEngineArrivalLeavesTheSessionAsItWas) {
+  // The joint passes the shape check but its loop refuses it: no loop,
+  // instance or budget may be left behind, and the next arrival binds as
+  // instance 2 and is served.
+  auto session = CreateOrDie(GrowableRequest(RunMode::kEngine));
+  InstanceSpec unnormalized;
+  unnormalized.name = "unnormalized";
+  auto joint = core::JointDistribution::FromEntries(
+      1, {{0, 0.3}, {1, 0.3}}, /*normalize=*/false, /*tolerance=*/0.5);
+  ASSERT_TRUE(joint.ok()) << joint.status();
+  unnormalized.joint = std::move(joint).value();
+  auto failed = session->AddInstances({std::move(unnormalized)});
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(session->num_instances(), 2);
+  EXPECT_EQ(session->Poll().total_budget, 6);
+
+  auto added = session->AddInstances(
+      {MakeInstance("late", {0.45, 0.65}, {true, false})});
+  ASSERT_TRUE(added.ok()) << added.status();
+  EXPECT_EQ(*added, 2);
+  Drain(*session);
+  EXPECT_GT(session->cost_spent(2), 0);
+  EXPECT_EQ(session->total_cost_spent(), session->cost_spent(0) +
+                                             session->cost_spent(1) +
+                                             session->cost_spent(2));
+}
+
 TEST_F(SessionGrowthTest, SchedulerArrivalNeedsBudgetToRevive) {
   auto session = CreateOrDie(GrowableRequest(RunMode::kPipelined));
   Drain(*session);

@@ -1,11 +1,12 @@
-/// A pipelined /step waiting on the crowd parks its request with the
-/// frontend's waker instead of holding a handler worker. Two workers serve
-/// four sessions over a latency crowd: health checks answer while every
-/// step is parked, the four steps overlap their waits, a second step on a
-/// parked session is refused with 409, and Stop() with steps parked
-/// returns promptly and releases their sessions. On an injected clock the
-/// waker sleeps the clock as the blocking step did, so served replies are
-/// the bytes of in-process steps.
+/// A /step waiting on the crowd parks its request with the frontend's
+/// waker instead of holding a handler worker, in pipelined and engine
+/// mode alike. Two workers serve four sessions over a latency crowd:
+/// health checks answer while every step is parked, the four steps
+/// overlap their waits, a second step on a parked session is refused with
+/// 409, and Stop() with steps parked returns promptly and releases their
+/// sessions. On an injected clock the waker sleeps the clock as the
+/// blocking step did, so served replies are the bytes of in-process
+/// steps.
 
 #include <gtest/gtest.h>
 
@@ -37,9 +38,10 @@ constexpr int kSessions = 4;
 /// One 6-fact book answered by the crowd server after exactly
 /// `latency_seconds` per ticket, one task per step.
 FusionRequest LatencyRequest(const std::string& endpoint,
-                             double latency_seconds) {
+                             double latency_seconds,
+                             RunMode mode = RunMode::kPipelined) {
   FusionRequest request;
-  request.mode = RunMode::kPipelined;
+  request.mode = mode;
   InstanceSpec instance;
   instance.name = "book";
   const std::vector<double> marginals = {0.3, 0.6, 0.45, 0.7, 0.55, 0.4};
@@ -84,11 +86,12 @@ class StepParkingTest : public ::testing::Test {
     crowd_.Stop();
   }
 
-  std::string CreateSession(double latency_seconds) {
+  std::string CreateSession(double latency_seconds,
+                            RunMode mode = RunMode::kPipelined) {
     net::HttpClient client(ClientOptions(frontend_->port()));
     auto created = client.Post(
         "/v1/sessions", SerializeFusionRequest(LatencyRequest(
-                            crowd_.endpoint(), latency_seconds)));
+                            crowd_.endpoint(), latency_seconds, mode)));
     EXPECT_TRUE(created.ok()) << created.status();
     if (!created.ok()) return "";
     EXPECT_EQ(created->status_code, 201) << created->body;
@@ -107,14 +110,20 @@ class StepParkingTest : public ::testing::Test {
     return false;
   }
 
+  /// Four sessions of `mode` step at once on two workers: every step
+  /// parks, health checks answer meanwhile, and the waits overlap.
+  void ExpectParkedStepsFreeTheWorkers(RunMode mode);
+
   net::LoopbackCrowdServer crowd_;
   std::unique_ptr<HttpFrontend> frontend_;
 };
 
-TEST_F(StepParkingTest, ParkedStepsFreeTheWorkers) {
+void StepParkingTest::ExpectParkedStepsFreeTheWorkers(RunMode mode) {
   constexpr double kLatency = 0.6;
   std::vector<std::string> ids;
-  for (int s = 0; s < kSessions; ++s) ids.push_back(CreateSession(kLatency));
+  for (int s = 0; s < kSessions; ++s) {
+    ids.push_back(CreateSession(kLatency, mode));
+  }
 
   std::atomic<int> answered{0};
   std::vector<int> status(kSessions, 0);
@@ -153,6 +162,16 @@ TEST_F(StepParkingTest, ParkedStepsFreeTheWorkers) {
   EXPECT_GE(elapsed, kLatency);
   EXPECT_LT(elapsed, 1.5 * kLatency);
   EXPECT_EQ(frontend_->GetMetrics().steps_parked, 0);
+}
+
+TEST_F(StepParkingTest, ParkedStepsFreeTheWorkers) {
+  ExpectParkedStepsFreeTheWorkers(RunMode::kPipelined);
+}
+
+TEST_F(StepParkingTest, ParkedEngineStepsFreeTheWorkers) {
+  // An engine-mode pass over one book is one round on the book's own
+  // scheduler: it parks on the crowd exactly as a pipelined step does.
+  ExpectParkedStepsFreeTheWorkers(RunMode::kEngine);
 }
 
 TEST_F(StepParkingTest, SecondStepOnAParkedSessionIsRefused) {
@@ -259,10 +278,11 @@ TEST_F(StepParkingTest, StopWithParkedStepsReturnsAndReleasesSessions) {
   EXPECT_EQ(crowd_.universes_live(), 0);
 }
 
-TEST(StepParkingClockTest, ParkedStepsOnAManualClockMatchInProcessSteps) {
-  // Three books answered by in-process latency crowds on the clock, two
-  // tickets in flight at a time.
-  FusionRequest request = LatencyRequest("", 0.0);
+/// Three books answered by in-process latency crowds on the clock: every
+/// /step reply of a served `mode` session is the bytes of the same
+/// in-process Step().
+void ExpectParkedStepsMatchInProcessSteps(RunMode mode) {
+  FusionRequest request = LatencyRequest("", 0.0, mode);
   request.provider.kind = "simulated_crowd";
   request.provider.endpoint.clear();
   request.provider.latency_median_seconds = 0.03;
@@ -305,6 +325,16 @@ TEST(StepParkingClockTest, ParkedStepsOnAManualClockMatchInProcessSteps) {
   EXPECT_GT(replies, 2);
   EXPECT_GT(clock.NowSeconds(), 1000.0);
   EXPECT_EQ(served_clock.NowSeconds(), clock.NowSeconds());
+}
+
+TEST(StepParkingClockTest, ParkedStepsOnAManualClockMatchInProcessSteps) {
+  // Two tickets in flight at a time.
+  ExpectParkedStepsMatchInProcessSteps(RunMode::kPipelined);
+}
+
+TEST(StepParkingClockTest, ParkedEngineStepsOnAManualClockMatchInProcessSteps) {
+  // A pass waits on each book's ticket in turn, parking once per book.
+  ExpectParkedStepsMatchInProcessSteps(RunMode::kEngine);
 }
 
 }  // namespace

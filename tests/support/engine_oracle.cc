@@ -1,4 +1,4 @@
-#include "core/crowdfusion.h"
+#include "support/engine_oracle.h"
 
 #include <algorithm>
 

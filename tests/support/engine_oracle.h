@@ -1,8 +1,7 @@
-#ifndef CROWDFUSION_CORE_CROWDFUSION_H_
-#define CROWDFUSION_CORE_CROWDFUSION_H_
+#ifndef CROWDFUSION_TESTS_SUPPORT_ENGINE_ORACLE_H_
+#define CROWDFUSION_TESTS_SUPPORT_ENGINE_ORACLE_H_
 
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "common/status.h"
@@ -37,23 +36,20 @@ struct EngineOptions {
   int tasks_per_round = 1;
 };
 
-static_assert(std::is_trivially_copyable_v<EngineOptions>,
-              "EngineOptions must stay trivially copyable: engines and "
-              "experiment configs copy it freely across async hand-offs");
-
-/// The CrowdFusion system loop (Figure 1): starting from any probabilistic
-/// fusion result, repeatedly select tasks, collect crowd answers, and merge
-/// them via Bayes until the budget runs out. Each round collects through
-/// the ticket contract: Submit with a single attempt, then Await, so a
-/// failed collection fails the round after exactly one provider call, and
-/// a provider's simulated latency elapses on its own clock.
+/// The CrowdFusion system loop (Figure 1) written out literally: starting
+/// from any probabilistic fusion result, repeatedly select tasks, collect
+/// crowd answers, and merge them via Bayes until the budget runs out. Each
+/// round collects through the ticket contract: Submit with a single
+/// attempt, then Await, so a failed collection fails the round after
+/// exactly one provider call, and a provider's simulated latency elapses
+/// on its own clock. The shipped loop is core::BudgetScheduler; a
+/// one-instance scheduler with a window of 1 is held to this engine
+/// round for round (tests/core/engine_differential_test.cc).
 ///
-/// Lifetime contract (load-bearing now that engines are handed across
-/// threads and overlap with in-flight crowd tickets): the engine BORROWS
-/// the selector and the provider — it never owns or deletes them, and both
-/// must outlive the engine and every outstanding round started through
-/// it. Violations are asserted (debug-only) at each round; in release they
-/// are undefined behavior. The crowd model is copied by value, as is the
+/// Lifetime contract: the engine BORROWS the selector and the provider —
+/// it never owns or deletes them, and both must outlive the engine and
+/// every outstanding round started through it. Violations are asserted
+/// (debug-only) at each round; in release they are undefined behavior. The crowd model is copied by value, as is the
 /// joint — only those two pointers are borrowed. The crowd model is the
 /// accuracy the *system* assumes — experiments may pair it with a provider
 /// whose true accuracy differs (the paper's Pc setting study).
@@ -100,4 +96,4 @@ class CrowdFusionEngine {
 
 }  // namespace crowdfusion::core
 
-#endif  // CROWDFUSION_CORE_CROWDFUSION_H_
+#endif  // CROWDFUSION_TESTS_SUPPORT_ENGINE_ORACLE_H_
