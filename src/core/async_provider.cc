@@ -10,11 +10,28 @@ namespace crowdfusion::core {
 using common::Status;
 
 common::Result<std::vector<bool>> SubmitAndAwait(
-    AsyncAnswerProvider& provider, std::span<const int> fact_ids) {
+    AsyncAnswerProvider& provider, std::span<const int> fact_ids,
+    common::Clock* clock) {
   CF_ASSIGN_OR_RETURN(
       const TicketId ticket,
       provider.Submit(fact_ids, TicketOptions{.max_attempts = 1}));
-  return provider.Await(ticket);
+  for (;;) {
+    CF_ASSIGN_OR_RETURN(const TicketStatus status, provider.Poll(ticket));
+    if (status.phase == TicketPhase::kInFlight) {
+      // The 1 µs floor keeps a provider reporting "ready in 0 s" for a
+      // ticket still in flight (clock skew) from spinning.
+      clock->SleepSeconds(std::max(status.seconds_until_ready, 1.0e-6));
+      continue;
+    }
+    common::Result<std::vector<bool>> answers = provider.Take(ticket);
+    // A ready ticket answers FailedPrecondition only when the provider
+    // moved it (a failover pool): it is in flight again.
+    if (status.phase == TicketPhase::kReady &&
+        answers.status().code() == common::StatusCode::kFailedPrecondition) {
+      continue;
+    }
+    return answers;
+  }
 }
 
 TicketLedger::TicketLedger(common::Clock* clock)
@@ -55,27 +72,17 @@ common::Result<TicketStatus> TicketLedger::Poll(TicketId ticket) {
   return status;
 }
 
-common::Result<std::vector<bool>> TicketLedger::Await(TicketId ticket) {
-  double remaining = 0.0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = tickets_.find(ticket);
-    if (it == tickets_.end()) {
-      return Status::NotFound(
-          common::StrFormat("unknown or already-taken ticket %lld",
-                            static_cast<long long>(ticket)));
-    }
-    remaining = it->second.ready_at - clock_->NowSeconds();
-  }
-  // Sleep outside the lock: with a real clock this blocks for the
-  // platform's remaining latency and must not stall Submit/Poll callers.
-  if (remaining > 0) clock_->SleepSeconds(remaining);
+common::Result<std::vector<bool>> TicketLedger::Take(TicketId ticket) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = tickets_.find(ticket);
   if (it == tickets_.end()) {
     return Status::NotFound(
-        common::StrFormat("ticket %lld taken concurrently",
+        common::StrFormat("unknown or already-taken ticket %lld",
                           static_cast<long long>(ticket)));
+  }
+  if (it->second.ready_at > clock_->NowSeconds()) {
+    return Status::FailedPrecondition(
+        "ticket still in flight; poll until ready");
   }
   common::Result<std::vector<bool>> result =
       std::move(it->second.outcome.result);

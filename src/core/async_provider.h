@@ -50,19 +50,20 @@ struct TicketStatus {
 
 /// The one crowd collection contract, shaped like a real platform:
 /// submitting a batch of fact ids returns a ticket immediately; answers
-/// land after the platform's latency and are fetched by ticket. Nothing
-/// blocks except Await, and every provider keeps time on an injected
-/// clock, so ManualClock tests stay deterministic. The scheduler keeps
-/// one or more tickets in flight and polls them; the gold pre-test is
-/// Submit(max_attempts = 1) + Await. One provider
-/// instance serves one fact universe. Implementations:
+/// land after the platform's latency and are fetched by ticket. No call
+/// blocks on the crowd: the caller polls, waits out the reported ETA on
+/// its own clock, and takes the resolved ticket. Providers keep time on
+/// an injected clock, so ManualClock tests stay deterministic. The
+/// scheduler keeps one or more tickets in flight and polls them; the gold
+/// pre-test is SubmitAndAwait. One provider instance serves one fact
+/// universe. Implementations:
 /// crowd::SimulatedCrowd (the gMission substitute), core::ScriptedProvider
 /// (tests and config-built runs), net::HttpAnswerProvider (a remote
 /// platform) and net::ProviderPool (failover over several).
 ///
 /// Thread-safety: implementations in this repo guard their ticket state, so
-/// Submit/Poll/Await may be called from any thread; calls for the *same*
-/// ticket should still come from one logical owner (Await consumes).
+/// Submit/Poll/Take may be called from any thread; calls for the *same*
+/// ticket should still come from one logical owner (Take consumes).
 class AsyncAnswerProvider {
  public:
   virtual ~AsyncAnswerProvider() = default;
@@ -78,11 +79,13 @@ class AsyncAnswerProvider {
   /// NotFound.
   virtual common::Result<TicketStatus> Poll(TicketId ticket) = 0;
 
-  /// Blocks (via the provider's clock) until the ticket resolves, then
-  /// consumes it: returns the answers, or the ticket's failure status.
-  virtual common::Result<std::vector<bool>> Await(TicketId ticket) = 0;
+  /// Consumes a resolved ticket: returns its answers, or its failure
+  /// status. A ticket still in flight is FailedPrecondition and stays
+  /// live, so the caller polls again; a ticket a Poll just reported kReady
+  /// can still answer so when the provider moved it (a failover pool).
+  virtual common::Result<std::vector<bool>> Take(TicketId ticket) = 0;
 
-  /// Abandons a ticket the caller will never Await (e.g. a scheduler run
+  /// Abandons a ticket the caller will never Take (e.g. a scheduler run
   /// aborted with batches still in flight), releasing its bookkeeping.
   /// Unknown tickets are ignored. Default: no-op, for providers without
   /// per-ticket state.
@@ -97,19 +100,22 @@ class AsyncAnswerProvider {
   virtual int64_t TicketsResubmitted() { return 0; }
 };
 
-/// One single-attempt ticket, submitted and awaited: the collection step
-/// of the gold pre-test (crowd::EstimateAccuracy). A failed attempt
-/// surfaces its own status after exactly one provider call.
+/// One single-attempt ticket, submitted, waited for and taken: the
+/// collection step of the gold pre-test (crowd::EstimateAccuracy). Polls
+/// the ticket and sleeps each reported ETA on `clock` (the clock the
+/// provider keeps time on; borrowed, not null) until it resolves, then
+/// takes it. A failed attempt surfaces its own status.
 common::Result<std::vector<bool>> SubmitAndAwait(
-    AsyncAnswerProvider& provider, std::span<const int> fact_ids);
+    AsyncAnswerProvider& provider, std::span<const int> fact_ids,
+    common::Clock* clock);
 
 /// Shared ticket bookkeeping for the providers in this repo, which all
 /// resolve a ticket's fate *eagerly at submit time* (answers, retries and
 /// latency are sampled up front in submission order, so a provider's RNG
 /// streams advance in submission order whatever the latency) and then
-/// replay it against the clock: Poll compares now to the precomputed
-/// ready time, Await sleeps the difference. Mutex-guarded so a provider
-/// can be polled from a scheduler thread while other threads submit.
+/// replay it against the clock: Poll and Take compare now to the
+/// precomputed ready time. Mutex-guarded so a provider can be polled from
+/// a scheduler thread while other threads submit.
 class TicketLedger {
  public:
   /// The precomputed fate of a ticket.
@@ -127,7 +133,7 @@ class TicketLedger {
 
   TicketId Add(Outcome outcome);
   common::Result<TicketStatus> Poll(TicketId ticket);
-  common::Result<std::vector<bool>> Await(TicketId ticket);
+  common::Result<std::vector<bool>> Take(TicketId ticket);
 
   /// Drops a ticket without consuming it (idempotent): abandoned tickets
   /// must not accumulate in a long-lived serving process.

@@ -156,11 +156,11 @@ struct ProviderSpec {
   /// registered on every endpoint so a ticket batch can be resubmitted to
   /// a different platform when its home endpoint hangs or dies.
   std::vector<std::string> endpoints;
-  /// Ceiling on one collection attempt against one endpoint ("http" and
-  /// "http_pool"): an Await past this budget returns kDeadlineExceeded,
-  /// and the pool treats an in-flight ticket older than this as expired
-  /// and resubmits it elsewhere. 0 means wait forever ("http") / the
-  /// pool's default attempt budget ("http_pool").
+  /// "http_pool" only: the ceiling on one collection attempt against one
+  /// endpoint. The pool treats an in-flight ticket older than this as
+  /// expired and resubmits it elsewhere; 0 means the pool's default
+  /// attempt budget. The plain "http" kind ignores it (the caller bounds
+  /// its own waits).
   double await_timeout_seconds = 0.0;
 
   friend bool operator==(const ProviderSpec& a,

@@ -155,7 +155,7 @@ common::Result<int> BudgetScheduler::PickBestIdleInstance(int k) {
 void BudgetScheduler::AbandonInFlightTickets() {
   for (Instance& instance : instances_) {
     if (!instance.in_flight) continue;
-    // The ticket will never be awaited; tell the provider to drop its
+    // The ticket will never be taken; tell the provider to drop its
     // bookkeeping so abandoned tickets can't pile up in a long-lived
     // serving process.
     instance.provider->Cancel(instance.ticket);
@@ -189,10 +189,16 @@ common::Status BudgetScheduler::PollTicket(Instance& instance) {
 common::Result<BudgetScheduler::StepRecord> BudgetScheduler::HarvestTicket(
     Instance& instance, double now) {
   CF_DCHECK(instance.in_flight);
-  instance.in_flight = false;
   const int tasks = static_cast<int>(instance.pending_tasks.size());
   common::Result<std::vector<bool>> answers =
-      instance.provider->Await(instance.ticket);
+      instance.provider->Take(instance.ticket);
+  if (instance.status.phase == TicketPhase::kReady &&
+      answers.status().code() == common::StatusCode::kFailedPrecondition) {
+    // Polled ready, yet in flight again (a pool failed the batch over):
+    // the ticket stays in flight with its reservation.
+    return answers.status();
+  }
+  instance.in_flight = false;
   if (answers.ok() && static_cast<int>(answers->size()) != tasks) {
     answers = Status::Internal(common::StrFormat(
         "provider returned %zu answers for %d tasks", answers->size(),
@@ -332,6 +338,7 @@ common::Result<BudgetScheduler::Advance> BudgetScheduler::AdvancePipelinedStep(
   // Harvest every resolved ticket (ascending instance order, for
   // determinism), merging answers and re-ranking lazily: only the merged
   // instances' cached selections are invalidated.
+  bool settled = false;  // a ticket merged, or its instance killed
   for (Instance& instance : instances_) {
     if (!instance.in_flight ||
         instance.status.phase == TicketPhase::kInFlight) {
@@ -346,10 +353,19 @@ common::Result<BudgetScheduler::Advance> BudgetScheduler::AdvancePipelinedStep(
       instance.dead = true;
       instance.selection_valid = false;
       cost_reserved_ -= static_cast<int>(instance.pending_tasks.size());
+      settled = true;
       continue;
     }
-    CF_ASSIGN_OR_RETURN(StepRecord record, HarvestTicket(instance, now));
-    records.push_back(std::move(record));
+    common::Result<StepRecord> record = HarvestTicket(instance, now);
+    if (!record.ok() && instance.in_flight) continue;  // not taken yet
+    CF_RETURN_IF_ERROR(record.status());
+    records.push_back(*std::move(record));
+    settled = true;
+  }
+  if (!settled) {
+    // Every resolved ticket went back in flight: poll again shortly.
+    step_open_ = true;
+    return Advance{.state = Advance::State::kWaiting, .wait_seconds = 1.0e-6};
   }
   return Advance{.state = Advance::State::kStepped};
 }

@@ -158,7 +158,8 @@ class BudgetScheduler {
   /// What one AdvancePipelinedStep call did.
   struct Advance {
     enum class State {
-      /// Tickets are in flight and none has resolved: call again after
+      /// Tickets are in flight and none has resolved (or every resolved
+      /// one went back in flight at its Take): call again after
       /// `wait_seconds`.
       kWaiting,
       /// The quantum harvested its resolved tickets; records appended.
@@ -279,9 +280,11 @@ class BudgetScheduler {
   /// Polls `instance`'s ticket into its `status`.
   common::Status PollTicket(Instance& instance);
 
-  /// Merges a resolved ticket's answers and emits its StepRecord. A
-  /// failed collection releases the ticket's budget reservation and
-  /// consumes no step number.
+  /// Takes a resolved ticket, merges its answers and emits its StepRecord.
+  /// A failed collection releases the ticket's budget reservation and
+  /// consumes no step number. A ticket polled kReady whose Take answers
+  /// FailedPrecondition stays in flight, reservation kept, and that
+  /// status is returned.
   common::Result<StepRecord> HarvestTicket(Instance& instance, double now);
 
   common::Clock* clock() const {

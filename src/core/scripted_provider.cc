@@ -15,8 +15,8 @@ common::Result<TicketStatus> ScriptedProvider::Poll(TicketId ticket) {
   return ledger_->Poll(ticket);
 }
 
-common::Result<std::vector<bool>> ScriptedProvider::Await(TicketId ticket) {
-  return ledger_->Await(ticket);
+common::Result<std::vector<bool>> ScriptedProvider::Take(TicketId ticket) {
+  return ledger_->Take(ticket);
 }
 
 void ScriptedProvider::Cancel(TicketId ticket) { ledger_->Forget(ticket); }

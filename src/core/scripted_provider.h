@@ -39,7 +39,7 @@ class ScriptedProvider : public AsyncAnswerProvider {
                                   const TicketOptions& options) override;
   using AsyncAnswerProvider::Submit;
   common::Result<TicketStatus> Poll(TicketId ticket) override;
-  common::Result<std::vector<bool>> Await(TicketId ticket) override;
+  common::Result<std::vector<bool>> Take(TicketId ticket) override;
   void Cancel(TicketId ticket) override;
 
   /// Collection attempts made so far (successful or not).

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/clock.h"
 #include "common/math_util.h"
 #include "common/string_util.h"
 
@@ -52,7 +53,8 @@ common::Result<AccuracyEstimate> EstimateAccuracy(
   int trials = 0;
   for (int r = 0; r < repetitions; ++r) {
     CF_ASSIGN_OR_RETURN(std::vector<bool> answers,
-                        core::SubmitAndAwait(provider, gold_fact_ids));
+                        core::SubmitAndAwait(provider, gold_fact_ids,
+                                             common::Clock::Real()));
     if (answers.size() != gold_fact_ids.size()) {
       return Status::Internal("provider returned wrong answer count");
     }

@@ -33,7 +33,8 @@ AccuracyEstimate WilsonEstimate(int correct, int trials, double z = 1.96);
 /// Runs the paper's recommended calibration ("estimate the reliability by a
 /// pre-test with groundtruth", Section V-C3): publishes each gold task
 /// `repetitions` times to the provider and scores the answers against the
-/// known truths. Each repetition is one core::SubmitAndAwait round trip.
+/// known truths. Each repetition is one core::SubmitAndAwait round trip,
+/// waiting on the real clock (a gold crowd answers without latency).
 /// `gold_fact_ids` index into the provider's fact universe.
 common::Result<AccuracyEstimate> EstimateAccuracy(
     core::AsyncAnswerProvider& provider, const std::vector<int>& gold_fact_ids,

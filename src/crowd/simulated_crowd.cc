@@ -105,9 +105,8 @@ common::Result<core::TicketStatus> SimulatedCrowd::Poll(
   return ledger().Poll(ticket);
 }
 
-common::Result<std::vector<bool>> SimulatedCrowd::Await(
-    core::TicketId ticket) {
-  return ledger().Await(ticket);
+common::Result<std::vector<bool>> SimulatedCrowd::Take(core::TicketId ticket) {
+  return ledger().Take(ticket);
 }
 
 void SimulatedCrowd::Cancel(core::TicketId ticket) {

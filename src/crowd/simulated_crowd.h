@@ -35,7 +35,7 @@ namespace crowdfusion::crowd {
 /// model's separate stream, which draws nothing at zero latency. So the
 /// answers a run sees depend only on the seed and the batches asked,
 /// never on the latency configured. Submit calls must come from one
-/// thread at a time; Poll/Await are internally synchronized.
+/// thread at a time; Poll/Take are internally synchronized.
 class SimulatedCrowd : public core::AsyncAnswerProvider {
  public:
   /// `categories` may be empty, in which case every fact is kClean.
@@ -71,7 +71,7 @@ class SimulatedCrowd : public core::AsyncAnswerProvider {
       const core::TicketOptions& options) override;
   using core::AsyncAnswerProvider::Submit;
   common::Result<core::TicketStatus> Poll(core::TicketId ticket) override;
-  common::Result<std::vector<bool>> Await(core::TicketId ticket) override;
+  common::Result<std::vector<bool>> Take(core::TicketId ticket) override;
   void Cancel(core::TicketId ticket) override;
   std::pair<int64_t, int64_t> ServedCorrect() override {
     return {answers_served_, answers_correct_};

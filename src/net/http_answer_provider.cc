@@ -1,6 +1,5 @@
 #include "net/http_answer_provider.h"
 
-#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -105,30 +104,8 @@ common::Result<core::TicketStatus> HttpAnswerProvider::Poll(
   return status;
 }
 
-common::Result<std::vector<bool>> HttpAnswerProvider::Await(
+common::Result<std::vector<bool>> HttpAnswerProvider::Take(
     core::TicketId ticket) {
-  const bool bounded = options_.await_timeout_seconds > 0;
-  const double deadline =
-      clock()->NowSeconds() + options_.await_timeout_seconds;
-  for (;;) {
-    CF_ASSIGN_OR_RETURN(const core::TicketStatus status, Poll(ticket));
-    if (status.phase != core::TicketPhase::kInFlight) break;
-    double sleep =
-        std::max(status.seconds_until_ready, options_.min_poll_seconds);
-    if (bounded) {
-      // Cap each sleep to the remaining budget so a platform reporting a
-      // distant ETA cannot overshoot the deadline by one long nap.
-      const double remaining = deadline - clock()->NowSeconds();
-      if (remaining <= 0) {
-        return Status::DeadlineExceeded(common::StrFormat(
-            "ticket %lld still in flight after %.3f s await budget",
-            static_cast<long long>(ticket),
-            options_.await_timeout_seconds));
-      }
-      sleep = std::min(sleep, remaining);
-    }
-    clock()->SleepSeconds(sleep);
-  }
   CF_ASSIGN_OR_RETURN(const HttpResponse response,
                       client_.Post(TicketPath(ticket, ":take"), "{}"));
   CF_ASSIGN_OR_RETURN(const JsonValue body, ExpectJson(response));
@@ -165,11 +142,10 @@ std::pair<int64_t, int64_t> HttpAnswerProvider::ServedCorrect() {
   return {served, correct};
 }
 
-common::Status RegisterHttpProvider(core::ProviderRegistry& registry,
-                                    common::Clock* clock) {
+common::Status RegisterHttpProvider(core::ProviderRegistry& registry) {
   return registry.Register(
       "http",
-      [clock](const core::ProviderSpec& spec)
+      [](const core::ProviderSpec& spec)
           -> common::Result<std::shared_ptr<core::AsyncAnswerProvider>> {
         if (spec.endpoint.empty()) {
           return Status::InvalidArgument(
@@ -181,8 +157,6 @@ common::Status RegisterHttpProvider(core::ProviderRegistry& registry,
         HttpAnswerProvider::Options options;
         options.host = endpoint.host;
         options.port = endpoint.port;
-        options.await_timeout_seconds = spec.await_timeout_seconds;
-        options.clock = clock;
         auto provider = std::make_shared<HttpAnswerProvider>(options);
 
         // The universe template is the spec itself, minus the transport

@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "common/clock.h"
 #include "common/status.h"
 #include "core/async_provider.h"
 #include "core/registry.h"
@@ -17,10 +16,11 @@ namespace crowdfusion::net {
 /// the crowd HTTP wire (see net/loopback_crowd_server.h for the protocol).
 /// Submit POSTs a ticket batch — the TicketOptions deadline/retry contract
 /// travels with it and is enforced by the platform's own ledger machinery —
-/// Poll GETs the ticket status, Await polls and sleeps on the injected
-/// clock until the platform reports the ticket resolved, then consumes it
-/// with :take, and Cancel DELETEs abandoned tickets so a long-lived
-/// serving process leaks nothing remotely.
+/// Poll GETs the ticket status, Take consumes a resolved ticket with one
+/// :take POST (the platform answers FailedPrecondition for one still in
+/// flight), and Cancel DELETEs abandoned tickets so a long-lived serving
+/// process leaks nothing remotely. No call sleeps: the caller owns the
+/// waiting.
 ///
 /// One provider serves one remote fact universe. Transport failures are
 /// kUnavailable; platform-reported errors arrive with their original
@@ -37,18 +37,6 @@ class HttpAnswerProvider : public core::AsyncAnswerProvider {
     std::string universe;
     /// Per-HTTP-call ceiling.
     double request_timeout_seconds = 10.0;
-    /// Overall ceiling on one Await call: when the platform still reports
-    /// the ticket in flight after this many seconds, Await returns
-    /// kDeadlineExceeded (the ticket stays live remotely — Cancel it or
-    /// resubmit elsewhere; net::ProviderPool does exactly that). 0 or
-    /// negative means wait forever (the pre-pool behavior).
-    double await_timeout_seconds = 0.0;
-    /// Await's poll floor when the platform reports "ready in 0 s" but
-    /// the ticket is still in flight (clock skew between client and
-    /// platform).
-    double min_poll_seconds = 0.001;
-    /// Time source for Await sleeps; nullptr means Clock::Real().
-    common::Clock* clock = nullptr;
   };
 
   explicit HttpAnswerProvider(Options options);
@@ -71,7 +59,7 @@ class HttpAnswerProvider : public core::AsyncAnswerProvider {
       const core::TicketOptions& options) override;
   using core::AsyncAnswerProvider::Submit;
   common::Result<core::TicketStatus> Poll(core::TicketId ticket) override;
-  common::Result<std::vector<bool>> Await(core::TicketId ticket) override;
+  common::Result<std::vector<bool>> Take(core::TicketId ticket) override;
   void Cancel(core::TicketId ticket) override;
 
   /// (answers_served, answers_correct) as reported by the platform's
@@ -79,10 +67,6 @@ class HttpAnswerProvider : public core::AsyncAnswerProvider {
   std::pair<int64_t, int64_t> ServedCorrect() override;
 
  private:
-  common::Clock* clock() const {
-    return options_.clock == nullptr ? common::Clock::Real()
-                                     : options_.clock;
-  }
   std::string TicketPath(core::TicketId ticket, const char* suffix) const;
 
   Options options_;
@@ -95,10 +79,9 @@ class HttpAnswerProvider : public core::AsyncAnswerProvider {
 /// Registers the "http" provider kind: ProviderSpec::endpoint names a
 /// crowd platform ("host:port"); the factory registers the spec as a
 /// fresh universe there and returns the provider, which serves engine and
-/// pipelined runs alike. `clock` is borrowed by every created provider for
-/// Await sleeps.
-common::Status RegisterHttpProvider(core::ProviderRegistry& registry,
-                                    common::Clock* clock = nullptr);
+/// pipelined runs alike. ProviderSpec::await_timeout_seconds is ignored:
+/// the caller bounds its own waits.
+common::Status RegisterHttpProvider(core::ProviderRegistry& registry);
 
 }  // namespace crowdfusion::net
 

@@ -230,15 +230,11 @@ HttpResponse LoopbackCrowdServer::HandleUniverses(const HttpRequest& request,
         return ErrorResponse(Status::InvalidArgument(":take is POST-only"));
       }
       std::lock_guard<std::mutex> lock(universe->mutex);
-      // Never sleep a server worker inside Await: resolve only tickets
-      // that already landed; the client owns the waiting.
+      // The poll reads attempts_used; Take answers FailedPrecondition for
+      // a ticket still in flight, so the client owns the waiting.
       auto poll = universe->provider->Poll(*ticket);
       if (!poll.ok()) return ErrorResponse(poll.status());
-      if (poll->phase == core::TicketPhase::kInFlight) {
-        return ErrorResponse(Status::FailedPrecondition(
-            "ticket still in flight; poll until ready"));
-      }
-      auto answers = universe->provider->Await(*ticket);
+      auto answers = universe->provider->Take(*ticket);
       if (!answers.ok()) return ErrorResponse(answers.status());
       JsonValue response = JsonValue::MakeObject();
       JsonValue array = JsonValue::MakeArray();

@@ -270,51 +270,47 @@ common::Result<core::TicketStatus> ProviderPool::Poll(
   return status;
 }
 
-common::Result<std::vector<bool>> ProviderPool::Await(
-    core::TicketId ticket) {
-  for (;;) {
-    int replica = -1;
-    core::TicketId remote = 0;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      auto it = tickets_.find(ticket);
-      if (it == tickets_.end()) {
-        return Status::NotFound(common::StrFormat(
-            "unknown pool ticket %lld", static_cast<long long>(ticket)));
-      }
-      if (!it->second.terminal.ok()) {
-        const Status terminal = it->second.terminal;
-        tickets_.erase(it);  // Await consumes, even a failure
-        return terminal;
-      }
-      replica = it->second.replica;
-      remote = it->second.remote;
+common::Result<std::vector<bool>> ProviderPool::Take(core::TicketId ticket) {
+  int replica = -1;
+  core::TicketId remote = 0;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = tickets_.find(ticket);
+    if (it == tickets_.end()) {
+      return Status::NotFound(common::StrFormat(
+          "unknown pool ticket %lld", static_cast<long long>(ticket)));
     }
-
-    auto result =
-        replicas_[static_cast<size_t>(replica)].provider->Await(remote);
-    if (result.ok()) {
-      MarkSuccess(replica);
-      std::lock_guard<std::mutex> lock(mutex_);
-      tickets_.erase(ticket);
-      return result;
-    }
-    const StatusCode code = result.status().code();
-    if (Resubmittable(code) || code == StatusCode::kNotFound) {
-      MarkFailure(replica);
-      if (Failover(ticket, replica, result.status())) continue;
-      std::lock_guard<std::mutex> lock(mutex_);
-      const Status terminal = tickets_.at(ticket).terminal;
-      tickets_.erase(ticket);
+    if (!it->second.terminal.ok()) {
+      const Status terminal = it->second.terminal;
+      tickets_.erase(it);  // Take consumes, even a failure
       return terminal;
     }
-    // A platform that answered with a non-transport error is healthy;
-    // the failure belongs to the batch and travels to the caller as-is.
-    MarkSuccess(replica);
-    std::lock_guard<std::mutex> lock(mutex_);
-    tickets_.erase(ticket);
-    return result;
+    replica = it->second.replica;
+    remote = it->second.remote;
   }
+
+  auto result = replicas_[static_cast<size_t>(replica)].provider->Take(remote);
+  const StatusCode code = result.status().code();
+  if (code == StatusCode::kFailedPrecondition) return result;  // in flight
+  if (Resubmittable(code) || code == StatusCode::kNotFound) {
+    // The replica died between a ready Poll and this take: fail the batch
+    // over as Poll does; the caller polls the new attempt.
+    MarkFailure(replica);
+    if (Failover(ticket, replica, result.status())) {
+      return Status::FailedPrecondition(
+          "pool ticket failed over to another replica; poll until ready");
+    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    const Status terminal = tickets_.at(ticket).terminal;
+    tickets_.erase(ticket);
+    return terminal;
+  }
+  // Answers, or a non-transport error from a healthy platform: the
+  // failure belongs to the batch and travels to the caller as-is.
+  MarkSuccess(replica);
+  std::lock_guard<std::mutex> lock(mutex_);
+  tickets_.erase(ticket);
+  return result;
 }
 
 void ProviderPool::Cancel(core::TicketId ticket) {
@@ -391,8 +387,6 @@ common::Status RegisterHttpPoolProvider(core::ProviderRegistry& registry,
           HttpAnswerProvider::Options options;
           options.host = endpoint.host;
           options.port = endpoint.port;
-          options.await_timeout_seconds = attempt_timeout;
-          options.clock = clock;
           auto provider = std::make_shared<HttpAnswerProvider>(options);
           CF_RETURN_IF_ERROR(provider->CreateUniverse(universe_spec));
           replicas.push_back({text, std::move(provider)});

@@ -45,7 +45,10 @@ namespace crowdfusion::net {
 /// internally and reports the ticket in flight, or reports phase kFailed
 /// carrying the terminal status. Thread-safety matches the other
 /// providers: any thread may call in; per-ticket calls come from one
-/// logical owner (Await consumes).
+/// logical owner (Take consumes). Take never waits: a replica that dies
+/// between a ready Poll and its take fails the batch over as Poll does,
+/// and Take answers FailedPrecondition, so the caller polls the new
+/// attempt.
 class ProviderPool : public core::AsyncAnswerProvider {
  public:
   /// One crowd platform: a name for diagnostics plus a non-null,
@@ -85,7 +88,7 @@ class ProviderPool : public core::AsyncAnswerProvider {
       const core::TicketOptions& options) override;
   using core::AsyncAnswerProvider::Submit;
   common::Result<core::TicketStatus> Poll(core::TicketId ticket) override;
-  common::Result<std::vector<bool>> Await(core::TicketId ticket) override;
+  common::Result<std::vector<bool>> Take(core::TicketId ticket) override;
   void Cancel(core::TicketId ticket) override;
 
   struct Stats {
@@ -173,7 +176,7 @@ class ProviderPool : public core::AsyncAnswerProvider {
 /// ProviderSpec::await_timeout_seconds sets the per-attempt budget
 /// (default 30 s when 0). Each pool's preferred replica is rotated
 /// round-robin across the factory's creations. `clock` is borrowed by the
-/// pool and every replica.
+/// pool for its attempt budgets and re-probe windows.
 common::Status RegisterHttpPoolProvider(core::ProviderRegistry& registry,
                                         common::Clock* clock = nullptr);
 

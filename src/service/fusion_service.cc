@@ -209,6 +209,12 @@ common::Result<StepAttempt> Session::Advance(double now,
     Loop& loop = loops_[cursor_];
     if (!loop.live()) continue;
     const auto advance = loop.scheduler.AdvancePipelinedStep(now, records);
+    // A call that fails after harvesting a ticket has merged and charged
+    // it, so its record lands in steps_ either way.
+    for (const auto& record : records) {
+      steps_.push_back(ToOutcome(cursor_, record));
+    }
+    records.clear();
     if (!advance.ok()) {
       CloseQuantum();
       return advance.status();
@@ -220,10 +226,6 @@ common::Result<StepAttempt> Session::Advance(double now,
       waiting.due_at = now + wait_seconds;
       return waiting;
     }
-    for (const auto& record : records) {
-      steps_.push_back(ToOutcome(cursor_, record));
-    }
-    records.clear();
     // A spent budget means nothing is in flight either (cost_spent <=
     // cost_reserved <= total_budget), so the loop is over now rather
     // than one empty quantum later.
@@ -368,7 +370,7 @@ FusionService::FusionService(Config config)
   // The remote-platform providers: "http" turns a ProviderSpec endpoint
   // into tickets on a crowd server speaking the net wire; "http_pool"
   // spreads the same wire across N endpoints with failover resubmission.
-  CF_CHECK_OK(net::RegisterHttpProvider(providers_, config.clock));
+  CF_CHECK_OK(net::RegisterHttpProvider(providers_));
   CF_CHECK_OK(net::RegisterHttpPoolProvider(providers_, config.clock));
 }
 

@@ -64,7 +64,9 @@ namespace crowdfusion::service {
 /// session entry, the ResponseWriter and the due time with the
 /// frontend's one waker thread and returns the worker to the pool; the
 /// waker calls Session::StepAt again when the step is due and sends the
-/// reply once the quantum completes. A parked request still counts
+/// reply once the quantum completes. The waker never sleeps inside a
+/// provider: Take answers at once, even for a pool ticket that failed
+/// over between its ready poll and its take. A parked request still counts
 /// against max_queue_depth. While a step is parked the session answers
 /// GET (progress, result) and DELETE as usual; a second /step answers
 /// 409 FailedPrecondition, as does /instances. A DELETE or TTL eviction

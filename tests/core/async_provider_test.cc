@@ -14,6 +14,33 @@ using common::ManualClock;
 using common::Status;
 using common::StatusCode;
 
+/// Answers every fact `true`, `latency_seconds` after submission.
+class DelayedProvider : public AsyncAnswerProvider {
+ public:
+  DelayedProvider(common::Clock* clock, double latency_seconds)
+      : ledger(clock), latency_seconds_(latency_seconds) {}
+
+  common::Result<TicketId> Submit(std::span<const int> fact_ids,
+                                  const TicketOptions&) override {
+    TicketLedger::Outcome outcome;
+    outcome.latency_seconds = latency_seconds_;
+    outcome.result = std::vector<bool>(fact_ids.size(), true);
+    return ledger.Add(std::move(outcome));
+  }
+  using AsyncAnswerProvider::Submit;
+  common::Result<TicketStatus> Poll(TicketId ticket) override {
+    return ledger.Poll(ticket);
+  }
+  common::Result<std::vector<bool>> Take(TicketId ticket) override {
+    return ledger.Take(ticket);
+  }
+
+  TicketLedger ledger;
+
+ private:
+  double latency_seconds_;
+};
+
 /// The parity-rule provider, optionally failing its first N attempts.
 ScriptedProvider MakeScripted(int failures_before_success = 0) {
   ScriptedProvider::Options options;
@@ -33,12 +60,12 @@ TEST(ScriptedProviderTest, TicketResolvesImmediatelyWithScriptedAnswers) {
   EXPECT_EQ(status->attempts_used, 1);
   EXPECT_DOUBLE_EQ(status->seconds_until_ready, 0.0);
 
-  auto answers = provider.Await(*ticket);
+  auto answers = provider.Take(*ticket);
   ASSERT_TRUE(answers.ok());
   EXPECT_EQ(*answers, (std::vector<bool>{false, true, false, true}));
-  // Await consumed the ticket.
+  // Take consumed the ticket.
   EXPECT_EQ(provider.Poll(*ticket).status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(provider.Await(*ticket).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(provider.Take(*ticket).status().code(), StatusCode::kNotFound);
 }
 
 TEST(ScriptedProviderTest, BoundedRetryRecoversFromTransientFailure) {
@@ -53,7 +80,7 @@ TEST(ScriptedProviderTest, BoundedRetryRecoversFromTransientFailure) {
   EXPECT_EQ(status->phase, TicketPhase::kReady);
   EXPECT_EQ(status->attempts_used, 3);
   EXPECT_EQ(provider.calls(), 3);
-  auto answers = provider.Await(*ticket);
+  auto answers = provider.Take(*ticket);
   ASSERT_TRUE(answers.ok());
   EXPECT_EQ(*answers, std::vector<bool>{true});
 }
@@ -71,9 +98,8 @@ TEST(ScriptedProviderTest, RetryExhaustionSurfacesTheProviderError) {
   EXPECT_EQ(status->attempts_used, 2);
   EXPECT_EQ(status->error.code(), StatusCode::kUnavailable);
   EXPECT_EQ(provider.calls(), 2);
-  // Await on a failed ticket returns the terminal error.
-  EXPECT_EQ(provider.Await(*ticket).status().code(),
-            StatusCode::kUnavailable);
+  // Take on a failed ticket returns the terminal error.
+  EXPECT_EQ(provider.Take(*ticket).status().code(), StatusCode::kUnavailable);
 }
 
 TEST(ScriptedProviderTest, SingleAttemptFailsWithTheAttemptsOwnError) {
@@ -83,7 +109,7 @@ TEST(ScriptedProviderTest, SingleAttemptFailsWithTheAttemptsOwnError) {
 
   auto ticket = provider.Submit(std::vector<int>{0}, options);
   ASSERT_TRUE(ticket.ok());
-  const Status error = provider.Await(*ticket).status();
+  const Status error = provider.Take(*ticket).status();
   EXPECT_EQ(error.code(), StatusCode::kUnavailable);
   EXPECT_EQ(error.message(), "scripted outage");
   EXPECT_EQ(provider.calls(), 1);
@@ -117,22 +143,42 @@ TEST(TicketLedgerTest, LatencyElapsesAgainstTheClock) {
 }
 
 TEST(TicketLedgerTest, AwaitSleepsThroughRemainingLatency) {
+  // SubmitAndAwait sleeps the ledger's reported ETA on the caller's
+  // clock, in one sleep, then takes the ticket.
   ManualClock clock;
-  TicketLedger ledger(&clock);
-  TicketLedger::Outcome outcome;
-  outcome.latency_seconds = 7.5;
-  outcome.result = std::vector<bool>{true};
-  const TicketId ticket = ledger.Add(std::move(outcome));
-
-  auto answers = ledger.Await(ticket);
+  DelayedProvider provider(&clock, /*latency_seconds=*/7.5);
+  auto answers = SubmitAndAwait(provider, std::vector<int>{0}, &clock);
   ASSERT_TRUE(answers.ok());
   EXPECT_EQ(*answers, std::vector<bool>{true});
   EXPECT_DOUBLE_EQ(clock.NowSeconds(), 7.5);
-  // Await consumed the one ticket issued; the next one gets the next id.
-  EXPECT_EQ(ledger.Await(ticket).status().code(), StatusCode::kNotFound);
+  // Take consumed the one ticket issued; the next one gets the next id.
+  EXPECT_EQ(provider.ledger.Take(1).status().code(), StatusCode::kNotFound);
   TicketLedger::Outcome next;
   next.result = std::vector<bool>{false};
-  EXPECT_EQ(ledger.Add(std::move(next)), ticket + 1);
+  EXPECT_EQ(provider.ledger.Add(std::move(next)), 2);
+}
+
+TEST(TicketLedgerTest, TakeBeforeReadyKeepsTheTicket) {
+  ManualClock clock;
+  TicketLedger ledger(&clock);
+  TicketLedger::Outcome outcome;
+  outcome.latency_seconds = 2.0;
+  outcome.result = std::vector<bool>{true, false};
+  const TicketId ticket = ledger.Add(std::move(outcome));
+
+  EXPECT_EQ(ledger.Take(ticket).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_DOUBLE_EQ(clock.NowSeconds(), 0.0);  // Take never sleeps
+  auto pending = ledger.Poll(ticket);
+  ASSERT_TRUE(pending.ok());
+  EXPECT_EQ(pending->phase, TicketPhase::kInFlight);
+  EXPECT_NEAR(pending->seconds_until_ready, 2.0, 1e-12);
+
+  clock.AdvanceSeconds(2.0);
+  auto answers = ledger.Take(ticket);
+  ASSERT_TRUE(answers.ok());
+  EXPECT_EQ(*answers, (std::vector<bool>{true, false}));
+  EXPECT_EQ(ledger.Take(ticket).status().code(), StatusCode::kNotFound);
 }
 
 TEST(SimulateTicketAttemptsTest, DeadlineCutsOffRetries) {

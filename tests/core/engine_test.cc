@@ -65,8 +65,8 @@ class ShortProvider : public AsyncAnswerProvider {
   common::Result<TicketStatus> Poll(TicketId ticket) override {
     return ledger_.Poll(ticket);
   }
-  common::Result<std::vector<bool>> Await(TicketId ticket) override {
-    return ledger_.Await(ticket);
+  common::Result<std::vector<bool>> Take(TicketId ticket) override {
+    return ledger_.Take(ticket);
   }
 
  private:

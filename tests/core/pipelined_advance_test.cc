@@ -112,8 +112,8 @@ class PollCountingProvider : public AsyncAnswerProvider {
     ++polls[ticket];
     return inner_->Poll(ticket);
   }
-  common::Result<std::vector<bool>> Await(TicketId ticket) override {
-    return inner_->Await(ticket);
+  common::Result<std::vector<bool>> Take(TicketId ticket) override {
+    return inner_->Take(ticket);
   }
   void Cancel(TicketId ticket) override { inner_->Cancel(ticket); }
 

@@ -147,10 +147,8 @@ ReferenceRun RunReference(uint64_t seed,
       record.tasks = best_selection.tasks;
       record.expected_gain_bits =
           best_selection.entropy_bits - tasks * crowd.EntropyBits();
-      auto ticket = workload.providers[b]->Submit(
-          record.tasks, TicketOptions{.max_attempts = 1});
-      EXPECT_TRUE(ticket.ok());
-      auto answers = workload.providers[b]->Await(*ticket);
+      auto answers = SubmitAndAwait(*workload.providers[b], record.tasks,
+                                    common::Clock::Real());
       EXPECT_TRUE(answers.ok());
       record.answers = *answers;
       auto posterior = PosteriorGivenAnswers(

@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/clock.h"
 #include "crowd/simulated_crowd.h"
 #include "crowd/worker.h"
 
@@ -383,7 +384,7 @@ TEST(SimulatedCrowdAdversaryTest, FullCollusionFlipsEveryAnswer) {
   ASSERT_TRUE(crowd.ConfigureAdversary(spec).ok());
   ASSERT_NE(crowd.adversary(), nullptr);
   const std::vector<int> all = {0, 1, 2};
-  auto answers = core::SubmitAndAwait(crowd, all);
+  auto answers = core::SubmitAndAwait(crowd, all, common::Clock::Real());
   ASSERT_TRUE(answers.ok());
   EXPECT_EQ(*answers, (std::vector<bool>{false, true, false}));
   EXPECT_EQ(crowd.answers_served(), 3);

@@ -36,13 +36,13 @@ TEST(AsyncSimulatedCrowdTest, LatencyNeverChangesTheAnswers) {
   const std::vector<std::vector<int>> batches = {
       {0, 1, 2}, {3, 4}, {5, 0, 1, 2, 3}, {4, 5}};
   for (const auto& batch : batches) {
-    auto instant_answers = core::SubmitAndAwait(instant, batch);
+    auto instant_answers = core::SubmitAndAwait(instant, batch, &clock);
     ASSERT_TRUE(instant_answers.ok());
-    auto slow_answers = core::SubmitAndAwait(slow, batch);
+    auto slow_answers = core::SubmitAndAwait(slow, batch, &clock);
     ASSERT_TRUE(slow_answers.ok());
     EXPECT_EQ(*slow_answers, *instant_answers);
   }
-  EXPECT_GT(clock.NowSeconds(), 0.0);  // the slow crowd's Awaits slept
+  EXPECT_GT(clock.NowSeconds(), 0.0);  // the slow crowd's waits slept
   EXPECT_EQ(slow.answers_served(), instant.answers_served());
   EXPECT_EQ(slow.answers_correct(), instant.answers_correct());
 }
@@ -132,7 +132,7 @@ TEST(AsyncSimulatedCrowdTest, LatencyElapsesOnTheInjectedClock) {
   auto ready = crowd.Poll(*ticket);
   ASSERT_TRUE(ready.ok());
   EXPECT_EQ(ready->phase, TicketPhase::kReady);
-  auto answers = crowd.Await(*ticket);
+  auto answers = crowd.Take(*ticket);
   ASSERT_TRUE(answers.ok());
   EXPECT_EQ(answers->size(), 3u);
 }
@@ -163,7 +163,7 @@ TEST(AsyncSimulatedCrowdTest, InjectedFailuresAreRetriedUnderTheContract) {
   EXPECT_EQ(failed->phase, TicketPhase::kFailed);
   EXPECT_EQ(failed->attempts_used, 3);
   EXPECT_EQ(failed->error.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(crowd.Await(*ticket).status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(crowd.Take(*ticket).status().code(), StatusCode::kUnavailable);
   // Failed attempts never drew judgments.
   EXPECT_EQ(crowd.answers_served(), 0);
 }
@@ -207,7 +207,8 @@ TEST(AsyncSimulatedCrowdTest, StragglersStretchTheTail) {
     auto pending = crowd.Poll(*ticket);
     ASSERT_TRUE(pending.ok());
     max_wait = std::max(max_wait, pending->seconds_until_ready);
-    ASSERT_TRUE(crowd.Await(*ticket).ok());
+    clock.AdvanceSeconds(pending->seconds_until_ready);
+    ASSERT_TRUE(crowd.Take(*ticket).ok());
   }
   EXPECT_GE(max_wait, 25.0) << "no straggler in 40 batches at p=0.1";
 }
@@ -215,7 +216,7 @@ TEST(AsyncSimulatedCrowdTest, StragglersStretchTheTail) {
 TEST(AsyncSimulatedCrowdTest, UnknownTicketIsNotFound) {
   SimulatedCrowd crowd = SimulatedCrowd::WithUniformAccuracy(kTruths, 0.8, 3);
   EXPECT_EQ(crowd.Poll(1234).status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(crowd.Await(1234).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(crowd.Take(1234).status().code(), StatusCode::kNotFound);
 }
 
 TEST(LatencyModelTest, DisabledModelIsInstantAndNeverFails) {

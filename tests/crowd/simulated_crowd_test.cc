@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/clock.h"
+
 namespace crowdfusion::crowd {
 namespace {
 
@@ -15,16 +17,17 @@ TEST(SimulatedCrowdTest, RejectsUnknownFactIds) {
   SimulatedCrowd crowd = SimulatedCrowd::WithUniformAccuracy(
       {true, false}, 0.8, /*seed=*/1);
   const std::vector<int> bad = {2};
-  EXPECT_FALSE(core::SubmitAndAwait(crowd, bad).ok());
+  EXPECT_FALSE(core::SubmitAndAwait(crowd, bad, common::Clock::Real()).ok());
   const std::vector<int> negative = {-1};
-  EXPECT_FALSE(core::SubmitAndAwait(crowd, negative).ok());
+  EXPECT_FALSE(
+      core::SubmitAndAwait(crowd, negative, common::Clock::Real()).ok());
 }
 
 TEST(SimulatedCrowdTest, PerfectCrowdEchoesTruth) {
   SimulatedCrowd crowd = SimulatedCrowd::WithUniformAccuracy(
       {true, false, true}, 1.0, /*seed=*/1);
   const std::vector<int> all = {0, 1, 2};
-  auto answers = core::SubmitAndAwait(crowd, all);
+  auto answers = core::SubmitAndAwait(crowd, all, common::Clock::Real());
   ASSERT_TRUE(answers.ok());
   EXPECT_EQ(*answers, (std::vector<bool>{true, false, true}));
   EXPECT_EQ(crowd.answers_served(), 3);
@@ -36,7 +39,7 @@ TEST(SimulatedCrowdTest, EmpiricalAccuracyConvergesToPc) {
       {true, false}, 0.75, /*seed=*/3);
   const std::vector<int> tasks = {0, 1};
   for (int i = 0; i < 20000; ++i) {
-    ASSERT_TRUE(core::SubmitAndAwait(crowd, tasks).ok());
+    ASSERT_TRUE(core::SubmitAndAwait(crowd, tasks, common::Clock::Real()).ok());
   }
   EXPECT_EQ(crowd.answers_served(), 40000);
   EXPECT_NEAR(ServedAccuracy(crowd), 0.75, 0.01);
@@ -49,8 +52,8 @@ TEST(SimulatedCrowdTest, DeterministicPerSeed) {
   SimulatedCrowd b =
       SimulatedCrowd::WithUniformAccuracy({true, false}, 0.6, 42);
   for (int i = 0; i < 20; ++i) {
-    auto answers_a = core::SubmitAndAwait(a, tasks);
-    auto answers_b = core::SubmitAndAwait(b, tasks);
+    auto answers_a = core::SubmitAndAwait(a, tasks, common::Clock::Real());
+    auto answers_b = core::SubmitAndAwait(b, tasks, common::Clock::Real());
     ASSERT_TRUE(answers_a.ok());
     ASSERT_TRUE(answers_b.ok());
     EXPECT_EQ(*answers_a, *answers_b);
@@ -70,7 +73,7 @@ TEST(SimulatedCrowdTest, CategoryBiasesApply) {
                        bias, /*seed=*/5);
   const std::vector<int> tasks = {0, 1};
   for (int i = 0; i < 20000; ++i) {
-    ASSERT_TRUE(core::SubmitAndAwait(crowd, tasks).ok());
+    ASSERT_TRUE(core::SubmitAndAwait(crowd, tasks, common::Clock::Real()).ok());
   }
   EXPECT_NEAR(ServedAccuracy(crowd), 0.4, 0.01);
 }

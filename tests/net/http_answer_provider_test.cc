@@ -1,5 +1,6 @@
 /// HttpAnswerProvider over LoopbackCrowdServer: the async contract
-/// (Submit/Poll/Await/Cancel) across real sockets, judgment parity with
+/// (Submit/Poll/Take/Cancel) across real sockets, Take's non-blocking
+/// answer for a ticket still in flight, judgment parity with
 /// the in-process SimulatedCrowd it proxies, status transport for failing
 /// universes, and the "http" registry kind's validation.
 
@@ -9,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/clock.h"
 #include "crowd/simulated_crowd.h"
 #include "crowd/worker.h"
 #include "net/http_answer_provider.h"
@@ -60,12 +62,8 @@ TEST_F(HttpAnswerProviderTest, AwaitMatchesInProcessSimulatedCrowd) {
   const std::vector<std::vector<int>> batches = {
       {0, 1}, {2}, {3, 4, 5}, {0, 5}};
   for (const std::vector<int>& batch : batches) {
-    auto remote_ticket = provider->Submit(batch);
-    ASSERT_TRUE(remote_ticket.ok()) << remote_ticket.status();
-    auto local_ticket = local.Submit(batch);
-    ASSERT_TRUE(local_ticket.ok());
-    auto remote = provider->Await(*remote_ticket);
-    auto expected = local.Await(*local_ticket);
+    auto remote = core::SubmitAndAwait(*provider, batch, common::Clock::Real());
+    auto expected = core::SubmitAndAwait(local, batch, common::Clock::Real());
     ASSERT_TRUE(remote.ok()) << remote.status();
     ASSERT_TRUE(expected.ok());
     EXPECT_EQ(*remote, *expected);  // same RNG stream, bit-for-bit
@@ -82,7 +80,7 @@ TEST_F(HttpAnswerProviderTest, PollReportsReadyThenAwaitConsumes) {
   auto poll = provider->Poll(*ticket);
   ASSERT_TRUE(poll.ok()) << poll.status();
   EXPECT_EQ(poll->phase, core::TicketPhase::kReady);  // zero latency
-  ASSERT_TRUE(provider->Await(*ticket).ok());
+  ASSERT_TRUE(provider->Take(*ticket).ok());
   // Consumed: the platform no longer knows the ticket.
   auto after = provider->Poll(*ticket);
   ASSERT_FALSE(after.ok());
@@ -111,41 +109,12 @@ TEST_F(HttpAnswerProviderTest, FailingUniverseTransportsItsStatus) {
   spec.latency_median_seconds = 1e-9;  // enable the async failure model
   spec.failure_probability = 1.0;
   auto provider = MakeProvider(spec);
-  core::TicketOptions options;
-  options.max_attempts = 1;
-  auto ticket = provider->Submit(std::vector<int>{0}, options);
-  ASSERT_TRUE(ticket.ok()) << ticket.status();
-  auto answers = provider->Await(*ticket);
+  auto answers = core::SubmitAndAwait(*provider, std::vector<int>{0},
+                                      common::Clock::Real());
   ASSERT_FALSE(answers.ok());
   // The simulated crowd's injected failure is kUnavailable; the wire must
   // deliver that exact code, not a generic HTTP error.
   EXPECT_EQ(answers.status().code(), common::StatusCode::kUnavailable);
-}
-
-TEST_F(HttpAnswerProviderTest, AwaitTimeoutReturnsDeadlineExceeded) {
-  core::ProviderSpec spec = CrowdSpec(11);
-  spec.latency_median_seconds = 1e6;  // the crowd will "never" answer
-  HttpAnswerProvider::Options options;
-  options.host = "127.0.0.1";
-  options.port = server_->port();
-  options.await_timeout_seconds = 0.05;
-  auto provider = std::make_unique<HttpAnswerProvider>(options);
-  ASSERT_TRUE(provider->CreateUniverse(spec).ok());
-
-  auto ticket = provider->Submit(std::vector<int>{0, 1});
-  ASSERT_TRUE(ticket.ok()) << ticket.status();
-  auto answers = provider->Await(*ticket);
-  ASSERT_FALSE(answers.ok());
-  // The bounded Await gives up with the code a failover pool resubmits
-  // on — NOT kUnavailable, which would blame the platform.
-  EXPECT_EQ(answers.status().code(),
-            common::StatusCode::kDeadlineExceeded);
-  // The ticket itself is still live server-side; the caller may poll,
-  // cancel or hand it to another collection path.
-  auto poll = provider->Poll(*ticket);
-  ASSERT_TRUE(poll.ok()) << poll.status();
-  EXPECT_EQ(poll->phase, core::TicketPhase::kInFlight);
-  provider->Cancel(*ticket);
 }
 
 TEST_F(HttpAnswerProviderTest, ScriptedUniverseKindServesTheScript) {
@@ -155,7 +124,7 @@ TEST_F(HttpAnswerProviderTest, ScriptedUniverseKindServesTheScript) {
   auto provider = MakeProvider(spec);
   auto ticket = provider->Submit(std::vector<int>{0, 1, 2, 3});
   ASSERT_TRUE(ticket.ok()) << ticket.status();
-  auto answers = provider->Await(*ticket);
+  auto answers = provider->Take(*ticket);
   ASSERT_TRUE(answers.ok()) << answers.status();
   EXPECT_EQ(*answers, (std::vector<bool>{true, false, true, false}));
 }
@@ -189,6 +158,39 @@ TEST_F(HttpAnswerProviderTest, HostingHttpUniversesIsRejected) {
   auto status = provider.CreateUniverse(spec);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), common::StatusCode::kInvalidArgument);
+}
+
+TEST(HttpTakeContractTest, TakeOnAnInFlightTicketKeepsIt) {
+  common::ManualClock clock;
+  LoopbackCrowdServer::Options server_options;
+  server_options.clock = &clock;
+  LoopbackCrowdServer server(server_options);  // port 0
+  ASSERT_TRUE(server.Start().ok());
+  HttpAnswerProvider::Options options;
+  options.port = server.port();
+  HttpAnswerProvider provider(options);
+  core::ProviderSpec spec = CrowdSpec(12);
+  spec.latency_median_seconds = 2.0;
+  ASSERT_TRUE(provider.CreateUniverse(spec).ok());
+
+  auto ticket = provider.Submit(std::vector<int>{0, 1});
+  ASSERT_TRUE(ticket.ok()) << ticket.status();
+  // :take on an in-flight ticket answers at once, and the ticket lives on.
+  auto early = provider.Take(*ticket);
+  ASSERT_FALSE(early.ok());
+  EXPECT_EQ(early.status().code(), common::StatusCode::kFailedPrecondition);
+  auto pending = provider.Poll(*ticket);
+  ASSERT_TRUE(pending.ok()) << pending.status();
+  EXPECT_EQ(pending->phase, core::TicketPhase::kInFlight);
+  ASSERT_GT(pending->seconds_until_ready, 0.0);
+
+  clock.AdvanceSeconds(pending->seconds_until_ready + 1.0);
+  auto answers = provider.Take(*ticket);
+  ASSERT_TRUE(answers.ok()) << answers.status();
+  EXPECT_EQ(answers->size(), 2u);
+  auto after = provider.Poll(*ticket);
+  ASSERT_FALSE(after.ok());
+  EXPECT_EQ(after.status().code(), common::StatusCode::kNotFound);
 }
 
 TEST(HttpProviderRegistryTest, EndpointValidation) {
@@ -233,7 +235,7 @@ TEST(HttpProviderRegistryTest, FactoryBindsAUniversePerInstance) {
 
     auto ticket = (*first)->Submit(std::vector<int>{0, 1, 2});
     ASSERT_TRUE(ticket.ok()) << ticket.status();
-    auto answers = (*first)->Await(*ticket);
+    auto answers = (*first)->Take(*ticket);
     ASSERT_TRUE(answers.ok()) << answers.status();
     EXPECT_EQ(answers->size(), 3u);
   }

@@ -1,9 +1,9 @@
 /// net::ProviderPool failover contract over scriptable fake replicas:
-/// healthy pinning to the preferred replica, submit-time and Await-time
+/// healthy pinning to the preferred replica, submit-, poll- and take-time
 /// failover on kUnavailable / kDeadlineExceeded, Poll-time expiry of hung
 /// attempts on a ManualClock, consecutive-failure ejection with timed
-/// re-probe, terminal exhaustion, and pass-through of non-transport
-/// errors.
+/// re-probe, terminal exhaustion, pass-through of non-transport errors,
+/// and a scheduler run that survives a replica dying at its take.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,11 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "core/crowd_model.h"
+#include "core/greedy_selector.h"
+#include "core/running_example.h"
+#include "core/scheduler.h"
+#include "core/scripted_provider.h"
 #include "net/provider_pool.h"
 #include "support/status_printing.h"
 
@@ -25,12 +30,13 @@ using common::Status;
 using common::StatusCode;
 
 /// An async provider whose behavior the test scripts per-replica:
-/// Submit/Await can be made to fail with a chosen status, and Poll can be
+/// Submit/Take can be made to fail with a chosen status, and Poll can be
 /// wedged in-flight forever (a hung crowd that accepted the batch).
 class FakeReplica : public core::AsyncAnswerProvider {
  public:
   Status submit_error;  // non-OK: Submit refuses with this
-  Status await_error;   // non-OK: Poll reports kFailed / Await returns it
+  Status ticket_error;  // non-OK: Poll reports kFailed / Take returns it
+  Status take_error;    // non-OK: Poll reports kReady, Take returns it
   bool stuck = false;   // Poll reports kInFlight forever
   std::vector<bool> answers = {true, false, true};
 
@@ -59,20 +65,21 @@ class FakeReplica : public core::AsyncAnswerProvider {
       status.seconds_until_ready = 1.0;
       return status;
     }
-    if (!await_error.ok()) {
+    if (!ticket_error.ok()) {
       status.phase = core::TicketPhase::kFailed;
-      status.error = await_error;
+      status.error = ticket_error;
       return status;
     }
     status.phase = core::TicketPhase::kReady;
     return status;
   }
 
-  common::Result<std::vector<bool>> Await(core::TicketId ticket) override {
+  common::Result<std::vector<bool>> Take(core::TicketId ticket) override {
     if (live_.erase(ticket) == 0) {
       return Status::NotFound("unknown fake ticket");
     }
-    if (!await_error.ok()) return await_error;
+    if (!ticket_error.ok()) return ticket_error;
+    if (!take_error.ok()) return take_error;
     return answers;
   }
 
@@ -120,7 +127,7 @@ TEST(ProviderPoolTest, HealthyPoolPinsEveryBatchToTheStartReplica) {
   for (int round = 0; round < 3; ++round) {
     auto ticket = pool->Submit(std::vector<int>{0, 1, 2});
     ASSERT_TRUE(ticket.ok()) << ticket.status();
-    auto answers = pool->Await(*ticket);
+    auto answers = pool->Take(*ticket);
     ASSERT_TRUE(answers.ok()) << answers.status();
     EXPECT_EQ(*answers, fakes[1]->answers);
   }
@@ -144,7 +151,7 @@ TEST(ProviderPoolTest, SubmitSkipsPastAReplicaThatRefuses) {
   EXPECT_EQ(fakes[0]->submits, 1);
   EXPECT_EQ(fakes[1]->submits, 1);
   EXPECT_EQ(fakes[1]->last_batch, (std::vector<int>{4, 5}));
-  auto answers = pool->Await(*ticket);
+  auto answers = pool->Take(*ticket);
   ASSERT_TRUE(answers.ok()) << answers.status();
   const ProviderPool::Stats stats = pool->GetStats();
   EXPECT_EQ(stats.tickets_submitted, 1);
@@ -153,13 +160,12 @@ TEST(ProviderPoolTest, SubmitSkipsPastAReplicaThatRefuses) {
 }
 
 TEST(ProviderPoolTest, AwaitResubmitsElsewhereOnUnavailable) {
+  ManualClock clock;
   auto fakes = MakeFakes(2);
-  fakes[0]->await_error = Status::Unavailable("crowd hung up mid-batch");
+  fakes[0]->ticket_error = Status::Unavailable("crowd hung up mid-batch");
   auto pool = MakePool(fakes, ProviderPool::Options());
 
-  auto ticket = pool->Submit(std::vector<int>{0, 1});
-  ASSERT_TRUE(ticket.ok());
-  auto answers = pool->Await(*ticket);
+  auto answers = core::SubmitAndAwait(*pool, std::vector<int>{0, 1}, &clock);
   ASSERT_TRUE(answers.ok()) << answers.status();
   EXPECT_EQ(*answers, fakes[1]->answers);
   EXPECT_EQ(fakes[1]->submits, 1);
@@ -168,29 +174,133 @@ TEST(ProviderPoolTest, AwaitResubmitsElsewhereOnUnavailable) {
 }
 
 TEST(ProviderPoolTest, AwaitTimeoutCodeAlsoResubmits) {
-  // The bounded HttpAnswerProvider::Await reports kDeadlineExceeded for a
-  // hung endpoint; the pool must treat that exactly like kUnavailable.
+  // A replica that reports an attempt out of time (kDeadlineExceeded)
+  // is failed over exactly like one that is kUnavailable.
+  ManualClock clock;
   auto fakes = MakeFakes(2);
-  fakes[0]->await_error =
-      Status::DeadlineExceeded("ticket still in flight after 30 s");
+  fakes[0]->ticket_error =
+      Status::DeadlineExceeded("attempt ran out of time on the platform");
   auto pool = MakePool(fakes, ProviderPool::Options());
 
-  auto ticket = pool->Submit(std::vector<int>{2, 3});
-  ASSERT_TRUE(ticket.ok());
-  auto answers = pool->Await(*ticket);
+  auto answers = core::SubmitAndAwait(*pool, std::vector<int>{2, 3}, &clock);
   ASSERT_TRUE(answers.ok()) << answers.status();
   EXPECT_EQ(fakes[1]->submits, 1);
   EXPECT_EQ(pool->GetStats().tickets_resubmitted, 1);
 }
 
+TEST(ProviderPoolTest, TakeFailureAfterAReadyPollFailsOver) {
+  auto fakes = MakeFakes(2);
+  fakes[0]->take_error = Status::Unavailable("platform died before the take");
+  auto pool = MakePool(fakes, ProviderPool::Options());
+
+  auto ticket = pool->Submit(std::vector<int>{0, 1});
+  ASSERT_TRUE(ticket.ok());
+  auto ready = pool->Poll(*ticket);
+  ASSERT_TRUE(ready.ok()) << ready.status();
+  EXPECT_EQ(ready->phase, core::TicketPhase::kReady);
+  // The take fails the batch over and answers at once: the ticket is in
+  // flight again, on the other replica.
+  auto moved = pool->Take(*ticket);
+  ASSERT_FALSE(moved.ok());
+  EXPECT_EQ(moved.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(fakes[1]->submits, 1);
+  EXPECT_GE(fakes[0]->cancels, 1);
+  EXPECT_EQ(pool->GetStats().tickets_resubmitted, 1);
+
+  auto again = pool->Poll(*ticket);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(again->phase, core::TicketPhase::kReady);
+  auto answers = pool->Take(*ticket);
+  ASSERT_TRUE(answers.ok()) << answers.status();
+  EXPECT_EQ(*answers, fakes[1]->answers);
+  EXPECT_EQ(pool->Take(*ticket).status().code(), StatusCode::kNotFound);
+}
+
+/// A scripted replica whose `fail_take`-th Take (counting from 1; 0 =
+/// never) fails with kUnavailable after its ticket polled ready: a
+/// platform that dies between the status GET and the :take.
+class DyingAtTakeReplica : public core::AsyncAnswerProvider {
+ public:
+  explicit DyingAtTakeReplica(int fail_take) : fail_take_(fail_take) {}
+
+  common::Result<core::TicketId> Submit(
+      std::span<const int> fact_ids,
+      const core::TicketOptions& options) override {
+    return inner_.Submit(fact_ids, options);
+  }
+  using core::AsyncAnswerProvider::Submit;
+  common::Result<core::TicketStatus> Poll(core::TicketId ticket) override {
+    return inner_.Poll(ticket);
+  }
+  common::Result<std::vector<bool>> Take(core::TicketId ticket) override {
+    if (++takes_ == fail_take_) return Status::Unavailable("replica died");
+    return inner_.Take(ticket);
+  }
+  void Cancel(core::TicketId ticket) override { inner_.Cancel(ticket); }
+
+ private:
+  core::ScriptedProvider inner_;
+  int fail_take_;
+  int takes_ = 0;
+};
+
+struct PoolRun {
+  std::vector<core::BudgetScheduler::StepRecord> records;
+  int64_t tickets_resubmitted = 0;
+};
+
+/// One book refined to the end through a two-replica pool whose
+/// preferred replica fails its `fail_take`-th take.
+PoolRun RunThroughPool(int fail_take) {
+  ManualClock clock;
+  std::vector<ProviderPool::Replica> replicas;
+  replicas.push_back(
+      {"dying", std::make_shared<DyingAtTakeReplica>(fail_take)});
+  replicas.push_back({"healthy", std::make_shared<DyingAtTakeReplica>(0)});
+  ProviderPool::Options pool_options;
+  pool_options.clock = &clock;
+  ProviderPool pool(std::move(replicas), pool_options);
+
+  auto crowd = core::CrowdModel::Create(0.8);
+  EXPECT_TRUE(crowd.ok());
+  core::GreedySelector selector;
+  auto scheduler = core::BudgetScheduler::Create(
+      *crowd, &selector,
+      {.total_budget = 4, .tasks_per_step = 1, .clock = &clock});
+  EXPECT_TRUE(scheduler.ok()) << scheduler.status();
+  EXPECT_TRUE(
+      scheduler->AddInstance("book", core::RunningExample::Joint(), &pool)
+          .ok());
+  auto records = scheduler->RunPipelined();
+  EXPECT_TRUE(records.ok()) << records.status();
+  PoolRun run;
+  if (records.ok()) run.records = std::move(records).value();
+  run.tickets_resubmitted = pool.GetStats().tickets_resubmitted;
+  return run;
+}
+
+TEST(ProviderPoolTest, RunSurvivesAReplicaDyingAtItsTake) {
+  const PoolRun clean = RunThroughPool(/*fail_take=*/0);
+  PoolRun faulted = RunThroughPool(/*fail_take=*/2);
+  ASSERT_EQ(clean.records.size(), 4u);
+  EXPECT_EQ(clean.tickets_resubmitted, 0);
+  EXPECT_EQ(faulted.tickets_resubmitted, 1);
+  // The failed-over ticket waited one poll interval longer; everything
+  // else is the fault-free run's.
+  ASSERT_EQ(faulted.records.size(), clean.records.size());
+  EXPECT_GT(faulted.records[1].latency_seconds, 0.0);
+  for (auto& record : faulted.records) record.latency_seconds = 0.0;
+  EXPECT_EQ(faulted.records, clean.records);
+}
+
 TEST(ProviderPoolTest, NonTransportErrorsPassThroughWithoutFailover) {
   auto fakes = MakeFakes(2);
-  fakes[0]->await_error = Status::InvalidArgument("fact id out of range");
+  fakes[0]->ticket_error = Status::InvalidArgument("fact id out of range");
   auto pool = MakePool(fakes, ProviderPool::Options());
 
   auto ticket = pool->Submit(std::vector<int>{0});
   ASSERT_TRUE(ticket.ok());
-  auto answers = pool->Await(*ticket);
+  auto answers = pool->Take(*ticket);
   ASSERT_FALSE(answers.ok());
   EXPECT_EQ(answers.status().code(), StatusCode::kInvalidArgument);
   // The batch is the problem, not the platform: no retry elsewhere, no
@@ -203,20 +313,28 @@ TEST(ProviderPoolTest, NonTransportErrorsPassThroughWithoutFailover) {
 
 TEST(ProviderPoolTest, ExhaustingEveryReplicaIsTerminal) {
   auto fakes = MakeFakes(2);
-  fakes[0]->await_error = Status::Unavailable("down");
-  fakes[1]->await_error = Status::Unavailable("also down");
+  fakes[0]->ticket_error = Status::Unavailable("down");
+  fakes[1]->ticket_error = Status::Unavailable("also down");
   auto pool = MakePool(fakes, ProviderPool::Options());
 
   auto ticket = pool->Submit(std::vector<int>{0, 1});
   ASSERT_TRUE(ticket.ok());
-  auto answers = pool->Await(*ticket);
+  // The first poll fails the batch over to replica 1, the second finds it
+  // failed there too: the pool has no replica left.
+  auto moved = pool->Poll(*ticket);
+  ASSERT_TRUE(moved.ok()) << moved.status();
+  EXPECT_EQ(moved->phase, core::TicketPhase::kInFlight);
+  auto failed = pool->Poll(*ticket);
+  ASSERT_TRUE(failed.ok()) << failed.status();
+  EXPECT_EQ(failed->phase, core::TicketPhase::kFailed);
+  auto answers = pool->Take(*ticket);
   ASSERT_FALSE(answers.ok());
   EXPECT_EQ(answers.status().code(), StatusCode::kUnavailable);
   EXPECT_NE(answers.status().message().find("every replica"),
             std::string::npos)
       << answers.status();
-  // Await consumed the ticket even though it failed.
-  auto after = pool->Await(*ticket);
+  // Take consumed the ticket even though it failed.
+  auto after = pool->Take(*ticket);
   ASSERT_FALSE(after.ok());
   EXPECT_EQ(after.status().code(), StatusCode::kNotFound);
 }
@@ -251,7 +369,7 @@ TEST(ProviderPoolTest, PollExpiresAHungAttemptAndFailsOver) {
   auto ready = pool->Poll(*ticket);
   ASSERT_TRUE(ready.ok());
   EXPECT_EQ(ready->phase, core::TicketPhase::kReady);
-  auto answers = pool->Await(*ticket);
+  auto answers = pool->Take(*ticket);
   ASSERT_TRUE(answers.ok()) << answers.status();
   EXPECT_EQ(*answers, fakes[1]->answers);
 }
@@ -310,7 +428,7 @@ TEST(ProviderPoolTest, FullyEjectedPoolStillForceProbes) {
   fakes[1]->submit_error = Status();
   auto probed = pool->Submit(std::vector<int>{1});
   ASSERT_TRUE(probed.ok()) << probed.status();
-  auto answers = pool->Await(*probed);
+  auto answers = pool->Take(*probed);
   ASSERT_TRUE(answers.ok()) << answers.status();
 }
 
@@ -331,7 +449,7 @@ TEST(ProviderPoolTest, UnknownTicketsAreNotFound) {
   auto fakes = MakeFakes(1);
   auto pool = MakePool(fakes, ProviderPool::Options());
   EXPECT_EQ(pool->Poll(991199).status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(pool->Await(991199).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(pool->Take(991199).status().code(), StatusCode::kNotFound);
 }
 
 TEST(ProviderPoolTest, ServedCorrectSumsTheReplicaHooks) {

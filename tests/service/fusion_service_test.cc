@@ -6,9 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "common/clock.h"
+#include "core/async_provider.h"
 #include "core/running_example.h"
 #include "core/scripted_provider.h"
 #include "service/fusion_service.h"
@@ -430,6 +434,85 @@ TEST(FusionServiceTest, ResponsesAreDeterministicAcrossRuns) {
   EXPECT_EQ(first->instances, second->instances);
   EXPECT_EQ(first->total_cost_spent, second->total_cost_spent);
   EXPECT_EQ(first->total_utility_bits, second->total_utility_bits);
+}
+
+/// Answers by script, `latency_seconds` after submission on `clock`;
+/// every attempt fails when `fail` is set.
+class DelayedScript : public core::AsyncAnswerProvider {
+ public:
+  DelayedScript(common::Clock* clock, std::vector<bool> script, bool fail)
+      : ledger_(clock), script_(std::move(script)), fail_(fail) {}
+
+  common::Result<core::TicketId> Submit(
+      std::span<const int> fact_ids, const core::TicketOptions&) override {
+    core::TicketLedger::Outcome outcome;
+    outcome.latency_seconds = 0.01;
+    if (fail_) {
+      outcome.result = common::Status::Unavailable("scripted outage");
+    } else {
+      std::vector<bool> answers;
+      for (const int id : fact_ids) {
+        answers.push_back(script_[static_cast<size_t>(id)]);
+      }
+      outcome.result = std::move(answers);
+    }
+    return ledger_.Add(std::move(outcome));
+  }
+  using core::AsyncAnswerProvider::Submit;
+  common::Result<core::TicketStatus> Poll(core::TicketId ticket) override {
+    return ledger_.Poll(ticket);
+  }
+  common::Result<std::vector<bool>> Take(core::TicketId ticket) override {
+    return ledger_.Take(ticket);
+  }
+  void Cancel(core::TicketId ticket) override { ledger_.Forget(ticket); }
+
+ private:
+  core::TicketLedger ledger_;
+  std::vector<bool> script_;
+  bool fail_;
+};
+
+TEST(FusionServiceTest, AFailedTicketKeepsTheStepsHarvestedBeforeIt) {
+  // Window 2 under kAbort: both books' tickets resolve at the same instant
+  // and one Advance harvests book 0's before book 1's fails. Book 0's
+  // answers are merged and charged, so its step must survive the error.
+  common::ManualClock clock;
+  FusionService service(FusionService::Config{.clock = &clock});
+  const auto delayed = [&clock](const core::ProviderSpec& spec) {
+    // Seeds are base + index: book 1 fails.
+    return std::shared_ptr<core::AsyncAnswerProvider>(
+        std::make_shared<DelayedScript>(&clock, spec.truths, spec.seed == 1));
+  };
+  ASSERT_TRUE(service.providers().Register("delayed", delayed).ok());
+  FusionRequest request;
+  request.mode = RunMode::kPipelined;
+  for (int i = 0; i < 2; ++i) {
+    InstanceSpec instance;
+    instance.name = "book" + std::to_string(i);
+    instance.joint = core::RunningExample::Joint();
+    instance.truths = {true, true, true, false};
+    request.instances.push_back(std::move(instance));
+  }
+  request.provider.kind = "delayed";
+  request.budget.budget_per_instance = 3;
+  request.pipeline.max_in_flight = 2;
+  request.pipeline.on_ticket_failure =
+      core::BudgetScheduler::TicketFailurePolicy::kAbort;
+  auto session = service.CreateSession(std::move(request));
+  ASSERT_TRUE(session.ok()) << session.status();
+
+  auto stepped = (*session)->Step();
+  ASSERT_FALSE(stepped.ok());
+  EXPECT_EQ(stepped.status().code(), StatusCode::kUnavailable);
+  ASSERT_EQ((*session)->steps().size(), 1u);
+  EXPECT_EQ((*session)->steps()[0].instance, 0);
+  int tasks = 0;
+  for (const StepOutcome& outcome : (*session)->steps()) {
+    tasks += static_cast<int>(outcome.tasks.size());
+  }
+  EXPECT_GT(tasks, 0);
+  EXPECT_EQ(tasks, (*session)->total_cost_spent());
 }
 
 }  // namespace

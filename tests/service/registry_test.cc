@@ -7,6 +7,7 @@
 
 #include <memory>
 
+#include "common/clock.h"
 #include "core/registry.h"
 #include "core/scripted_provider.h"
 #include "crowd/provider_registry.h"
@@ -102,8 +103,9 @@ TEST(ProviderRegistryTest, SimulatedCrowdReportsServedAndCorrect) {
   ASSERT_TRUE(provider.ok());
   ASSERT_NE(*provider, nullptr);
   EXPECT_EQ((*provider)->ServedCorrect().first, 0);
-  ASSERT_TRUE(
-      core::SubmitAndAwait(**provider, std::vector<int>{0, 1, 0}).ok());
+  auto answers = core::SubmitAndAwait(**provider, std::vector<int>{0, 1, 0},
+                                      common::Clock::Real());
+  ASSERT_TRUE(answers.ok());
   const auto [served, correct] = (*provider)->ServedCorrect();
   EXPECT_EQ(served, 3);
   EXPECT_LE(correct, served);
@@ -118,7 +120,9 @@ TEST(ProviderRegistryTest, ScriptedProviderTracksNoCorrectness) {
   spec.truths = {true, false};
   auto provider = registry.Create("scripted", spec);
   ASSERT_TRUE(provider.ok());
-  ASSERT_TRUE(core::SubmitAndAwait(**provider, std::vector<int>{0, 1}).ok());
+  auto answers = core::SubmitAndAwait(**provider, std::vector<int>{0, 1},
+                                      common::Clock::Real());
+  ASSERT_TRUE(answers.ok());
   EXPECT_EQ((*provider)->ServedCorrect(),
             (std::pair<int64_t, int64_t>{0, 0}));
   EXPECT_EQ((*provider)->TicketsResubmitted(), 0);
@@ -169,7 +173,7 @@ TEST(ProviderRegistryTest, FailureOnlySpecActivatesTheAsyncModel) {
   one_shot.max_attempts = 1;
   auto ticket = (*provider)->Submit(std::vector<int>{0}, one_shot);
   ASSERT_TRUE(ticket.ok());
-  auto answers = (*provider)->Await(*ticket);
+  auto answers = (*provider)->Take(*ticket);
   ASSERT_FALSE(answers.ok());
   EXPECT_EQ(answers.status().code(), StatusCode::kUnavailable);
 }
@@ -189,7 +193,8 @@ TEST(ProviderRegistryTest, AdversarySpecReachesTheProvider) {
   ASSERT_TRUE(provider.ok());
   ASSERT_NE(*provider, nullptr);
   auto answers =
-      core::SubmitAndAwait(**provider, std::vector<int>{0, 1, 2});
+      core::SubmitAndAwait(**provider, std::vector<int>{0, 1, 2},
+                           common::Clock::Real());
   ASSERT_TRUE(answers.ok());
   EXPECT_EQ(*answers, (std::vector<bool>{false, true, false}));
 
@@ -207,7 +212,7 @@ TEST(ProviderRegistryTest, ScriptedProviderAnswersScriptThenTruths) {
   auto provider = registry.Create("scripted", spec);
   ASSERT_TRUE(provider.ok());
   const std::vector<int> tasks = {0, 2};
-  auto answers = core::SubmitAndAwait(**provider, tasks);
+  auto answers = core::SubmitAndAwait(**provider, tasks, common::Clock::Real());
   ASSERT_TRUE(answers.ok());
   EXPECT_EQ(*answers, (std::vector<bool>{true, false}));
 
@@ -215,7 +220,7 @@ TEST(ProviderRegistryTest, ScriptedProviderAnswersScriptThenTruths) {
   spec.script = {false, false, true};
   provider = registry.Create("scripted", spec);
   ASSERT_TRUE(provider.ok());
-  answers = core::SubmitAndAwait(**provider, tasks);
+  answers = core::SubmitAndAwait(**provider, tasks, common::Clock::Real());
   ASSERT_TRUE(answers.ok());
   EXPECT_EQ(*answers, (std::vector<bool>{false, true}));
 }

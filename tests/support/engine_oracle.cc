@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/clock.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 
@@ -65,8 +66,9 @@ common::Result<RoundRecord> CrowdFusionEngine::RunRound() {
   if (!selection.tasks.empty()) {
     // One attempt, as the scheduler's default ticket: a failed collection
     // fails the round instead of being retried behind the caller's back.
-    CF_ASSIGN_OR_RETURN(record.answers,
-                        SubmitAndAwait(*provider_, selection.tasks));
+    CF_ASSIGN_OR_RETURN(
+        record.answers,
+        SubmitAndAwait(*provider_, selection.tasks, common::Clock::Real()));
     if (record.answers.size() != selection.tasks.size()) {
       return Status::Internal(common::StrFormat(
           "answer provider returned %zu answers for %zu tasks",

@@ -39,12 +39,13 @@ struct EngineOptions {
 /// The CrowdFusion system loop (Figure 1) written out literally: starting
 /// from any probabilistic fusion result, repeatedly select tasks, collect
 /// crowd answers, and merge them via Bayes until the budget runs out. Each
-/// round collects through the ticket contract: Submit with a single
-/// attempt, then Await, so a failed collection fails the round after
-/// exactly one provider call, and a provider's simulated latency elapses
-/// on its own clock. The shipped loop is core::BudgetScheduler; a
-/// one-instance scheduler with a window of 1 is held to this engine
-/// round for round (tests/core/engine_differential_test.cc).
+/// round collects through the ticket contract: SubmitAndAwait with a
+/// single attempt, so a failed collection fails the round after exactly
+/// one collection attempt. Waits run on the real clock: the engine's
+/// providers answer without latency. The shipped loop is
+/// core::BudgetScheduler; a one-instance scheduler with a window of 1 is
+/// held to this engine round for round
+/// (tests/core/engine_differential_test.cc).
 ///
 /// Lifetime contract: the engine BORROWS the selector and the provider —
 /// it never owns or deletes them, and both must outlive the engine and
