@@ -16,21 +16,12 @@ common::Result<std::vector<bool>> SubmitAndAwait(
       const TicketId ticket,
       provider.Submit(fact_ids, TicketOptions{.max_attempts = 1}));
   for (;;) {
-    CF_ASSIGN_OR_RETURN(const TicketStatus status, provider.Poll(ticket));
-    if (status.phase == TicketPhase::kInFlight) {
-      // The 1 µs floor keeps a provider reporting "ready in 0 s" for a
-      // ticket still in flight (clock skew) from spinning.
-      clock->SleepSeconds(std::max(status.seconds_until_ready, 1.0e-6));
-      continue;
-    }
-    common::Result<std::vector<bool>> answers = provider.Take(ticket);
-    // A ready ticket answers FailedPrecondition only when the provider
-    // moved it (a failover pool): it is in flight again.
-    if (status.phase == TicketPhase::kReady &&
-        answers.status().code() == common::StatusCode::kFailedPrecondition) {
-      continue;
-    }
-    return answers;
+    CF_ASSIGN_OR_RETURN(TicketStatus status, provider.Collect(ticket));
+    if (status.phase == TicketPhase::kReady) return std::move(status.answers);
+    if (status.phase == TicketPhase::kFailed) return status.error;
+    // The 1 µs floor keeps a provider reporting "ready in 0 s" for a
+    // ticket still in flight (clock skew) from spinning.
+    clock->SleepSeconds(std::max(status.seconds_until_ready, 1.0e-6));
   }
 }
 
@@ -48,7 +39,7 @@ TicketId TicketLedger::Add(Outcome outcome) {
   return id;
 }
 
-common::Result<TicketStatus> TicketLedger::Poll(TicketId ticket) {
+common::Result<TicketStatus> TicketLedger::Collect(TicketId ticket) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = tickets_.find(ticket);
   if (it == tickets_.end()) {
@@ -56,38 +47,23 @@ common::Result<TicketStatus> TicketLedger::Poll(TicketId ticket) {
         common::StrFormat("unknown or already-taken ticket %lld",
                           static_cast<long long>(ticket)));
   }
-  const Record& record = it->second;
+  Record& record = it->second;
   TicketStatus status;
   status.attempts_used = record.outcome.attempts_used;
   const double remaining = record.ready_at - clock_->NowSeconds();
   if (remaining > 0) {
-    status.phase = TicketPhase::kInFlight;
     status.seconds_until_ready = remaining;
-  } else if (record.outcome.result.ok()) {
+    return status;
+  }
+  if (record.outcome.result.ok()) {
     status.phase = TicketPhase::kReady;
+    status.answers = std::move(record.outcome.result).value();
   } else {
     status.phase = TicketPhase::kFailed;
     status.error = record.outcome.result.status();
   }
-  return status;
-}
-
-common::Result<std::vector<bool>> TicketLedger::Take(TicketId ticket) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = tickets_.find(ticket);
-  if (it == tickets_.end()) {
-    return Status::NotFound(
-        common::StrFormat("unknown or already-taken ticket %lld",
-                          static_cast<long long>(ticket)));
-  }
-  if (it->second.ready_at > clock_->NowSeconds()) {
-    return Status::FailedPrecondition(
-        "ticket still in flight; poll until ready");
-  }
-  common::Result<std::vector<bool>> result =
-      std::move(it->second.outcome.result);
   tickets_.erase(it);
-  return result;
+  return status;
 }
 
 void TicketLedger::Forget(TicketId ticket) {

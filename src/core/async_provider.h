@@ -33,37 +33,41 @@ struct TicketOptions {
 
 enum class TicketPhase {
   kInFlight,  // answers not available yet
-  kReady,     // answers available, not yet taken
-  kFailed,    // attempts or deadline exhausted
+  kReady,     // answers delivered (in `answers`)
+  kFailed,    // attempts or deadline exhausted (the failure in `error`)
 };
 
+/// What one Collect call found.
 struct TicketStatus {
   TicketPhase phase = TicketPhase::kInFlight;
   /// Attempts consumed so far (final count once resolved).
   int attempts_used = 0;
-  /// Seconds until the ticket resolves; 0 once kReady or kFailed. Pollers
-  /// use it to sleep exactly as long as needed instead of spinning.
+  /// Seconds until the ticket resolves, while kInFlight; 0 otherwise.
+  /// Callers use it to sleep exactly as long as needed instead of
+  /// spinning.
   double seconds_until_ready = 0.0;
+  /// The answers, one per submitted fact id, when phase == kReady.
+  std::vector<bool> answers;
   /// The failure, when phase == kFailed.
   common::Status error;
 };
 
 /// The one crowd collection contract, shaped like a real platform:
 /// submitting a batch of fact ids returns a ticket immediately; answers
-/// land after the platform's latency and are fetched by ticket. No call
-/// blocks on the crowd: the caller polls, waits out the reported ETA on
-/// its own clock, and takes the resolved ticket. Providers keep time on
-/// an injected clock, so ManualClock tests stay deterministic. The
-/// scheduler keeps one or more tickets in flight and polls them; the gold
-/// pre-test is SubmitAndAwait. One provider instance serves one fact
+/// land after the platform's latency and are collected by ticket. No call
+/// blocks on the crowd: the caller collects, waits out the reported ETA
+/// on its own clock, and collects again. Providers keep time on an
+/// injected clock, so ManualClock tests stay deterministic. The
+/// scheduler keeps one or more tickets in flight and collects them; the
+/// gold pre-test is SubmitAndAwait. One provider instance serves one fact
 /// universe. Implementations:
 /// crowd::SimulatedCrowd (the gMission substitute), core::ScriptedProvider
 /// (tests and config-built runs), net::HttpAnswerProvider (a remote
 /// platform) and net::ProviderPool (failover over several).
 ///
 /// Thread-safety: implementations in this repo guard their ticket state, so
-/// Submit/Poll/Take may be called from any thread; calls for the *same*
-/// ticket should still come from one logical owner (Take consumes).
+/// Submit/Collect may be called from any thread; calls for the *same*
+/// ticket should still come from one logical owner (Collect consumes).
 class AsyncAnswerProvider {
  public:
   virtual ~AsyncAnswerProvider() = default;
@@ -75,17 +79,13 @@ class AsyncAnswerProvider {
     return Submit(fact_ids, TicketOptions());
   }
 
-  /// Non-blocking status check. Unknown or already-taken tickets are
-  /// NotFound.
-  virtual common::Result<TicketStatus> Poll(TicketId ticket) = 0;
+  /// Non-blocking collection. A resolved ticket is consumed: kReady
+  /// carries its answers, kFailed its failure. A ticket still in flight
+  /// stays live and reports its ETA, so the caller collects again.
+  /// Unknown or already-consumed tickets are NotFound.
+  virtual common::Result<TicketStatus> Collect(TicketId ticket) = 0;
 
-  /// Consumes a resolved ticket: returns its answers, or its failure
-  /// status. A ticket still in flight is FailedPrecondition and stays
-  /// live, so the caller polls again; a ticket a Poll just reported kReady
-  /// can still answer so when the provider moved it (a failover pool).
-  virtual common::Result<std::vector<bool>> Take(TicketId ticket) = 0;
-
-  /// Abandons a ticket the caller will never Take (e.g. a scheduler run
+  /// Abandons a ticket the caller will never collect (e.g. a scheduler run
   /// aborted with batches still in flight), releasing its bookkeeping.
   /// Unknown tickets are ignored. Default: no-op, for providers without
   /// per-ticket state.
@@ -100,11 +100,11 @@ class AsyncAnswerProvider {
   virtual int64_t TicketsResubmitted() { return 0; }
 };
 
-/// One single-attempt ticket, submitted, waited for and taken: the
-/// collection step of the gold pre-test (crowd::EstimateAccuracy). Polls
-/// the ticket and sleeps each reported ETA on `clock` (the clock the
-/// provider keeps time on; borrowed, not null) until it resolves, then
-/// takes it. A failed attempt surfaces its own status.
+/// One single-attempt ticket, submitted, waited for and collected: the
+/// collection step of the gold pre-test (crowd::EstimateAccuracy).
+/// Collects the ticket and sleeps each reported ETA on `clock` (the clock
+/// the provider keeps time on; borrowed, not null) until it resolves. A
+/// failed attempt surfaces its own status.
 common::Result<std::vector<bool>> SubmitAndAwait(
     AsyncAnswerProvider& provider, std::span<const int> fact_ids,
     common::Clock* clock);
@@ -113,9 +113,9 @@ common::Result<std::vector<bool>> SubmitAndAwait(
 /// resolve a ticket's fate *eagerly at submit time* (answers, retries and
 /// latency are sampled up front in submission order, so a provider's RNG
 /// streams advance in submission order whatever the latency) and then
-/// replay it against the clock: Poll and Take compare now to the
-/// precomputed ready time. Mutex-guarded so a provider can be polled from
-/// a scheduler thread while other threads submit.
+/// replay it against the clock: Collect compares now to the precomputed
+/// ready time. Mutex-guarded so a provider can be collected from a
+/// scheduler thread while other threads submit.
 class TicketLedger {
  public:
   /// The precomputed fate of a ticket.
@@ -132,8 +132,7 @@ class TicketLedger {
   explicit TicketLedger(common::Clock* clock);
 
   TicketId Add(Outcome outcome);
-  common::Result<TicketStatus> Poll(TicketId ticket);
-  common::Result<std::vector<bool>> Take(TicketId ticket);
+  common::Result<TicketStatus> Collect(TicketId ticket);
 
   /// Drops a ticket without consuming it (idempotent): abandoned tickets
   /// must not accumulate in a long-lived serving process.

@@ -155,10 +155,12 @@ common::Result<int> BudgetScheduler::PickBestIdleInstance(int k) {
 void BudgetScheduler::AbandonInFlightTickets() {
   for (Instance& instance : instances_) {
     if (!instance.in_flight) continue;
-    // The ticket will never be taken; tell the provider to drop its
+    // The ticket will never be collected; tell the provider to drop its
     // bookkeeping so abandoned tickets can't pile up in a long-lived
-    // serving process.
-    instance.provider->Cancel(instance.ticket);
+    // serving process. A resolved ticket was consumed when collected.
+    if (instance.status.phase == TicketPhase::kInFlight) {
+      instance.provider->Cancel(instance.ticket);
+    }
     instance.in_flight = false;
   }
   cost_reserved_ = cost_spent_;
@@ -174,45 +176,42 @@ common::Status BudgetScheduler::SubmitSelection(Instance& instance,
                       instance.provider->Submit(instance.pending_tasks,
                                                 options_.ticket));
   instance.in_flight = true;
+  instance.status = TicketStatus();
   instance.submitted_at = now;
   cost_reserved_ += static_cast<int>(instance.pending_tasks.size());
   return Status::Ok();
 }
 
-common::Status BudgetScheduler::PollTicket(Instance& instance) {
+common::Status BudgetScheduler::CollectTicket(Instance& instance) {
+  if (instance.status.phase != TicketPhase::kInFlight) return Status::Ok();
   CF_ASSIGN_OR_RETURN(instance.status,
-                      instance.provider->Poll(instance.ticket));
-  instance.polled = true;
+                      instance.provider->Collect(instance.ticket));
+  instance.collected = true;
   return Status::Ok();
 }
 
 common::Result<BudgetScheduler::StepRecord> BudgetScheduler::HarvestTicket(
     Instance& instance, double now) {
-  CF_DCHECK(instance.in_flight);
+  CF_DCHECK(instance.in_flight &&
+            instance.status.phase != TicketPhase::kInFlight);
   const int tasks = static_cast<int>(instance.pending_tasks.size());
-  common::Result<std::vector<bool>> answers =
-      instance.provider->Take(instance.ticket);
-  if (instance.status.phase == TicketPhase::kReady &&
-      answers.status().code() == common::StatusCode::kFailedPrecondition) {
-    // Polled ready, yet in flight again (a pool failed the batch over):
-    // the ticket stays in flight with its reservation.
-    return answers.status();
-  }
   instance.in_flight = false;
-  if (answers.ok() && static_cast<int>(answers->size()) != tasks) {
-    answers = Status::Internal(common::StrFormat(
-        "provider returned %zu answers for %d tasks", answers->size(),
-        tasks));
+  Status failure = instance.status.error;
+  if (instance.status.phase == TicketPhase::kReady &&
+      static_cast<int>(instance.status.answers.size()) != tasks) {
+    failure = Status::Internal(common::StrFormat(
+        "provider returned %zu answers for %d tasks",
+        instance.status.answers.size(), tasks));
   }
-  if (!answers.ok()) {
+  if (!failure.ok()) {
     // Nothing was merged or charged: a later step may spend the budget.
     cost_reserved_ -= tasks;
-    return answers.status();
+    return failure;
   }
   StepRecord record;
   record.instance = static_cast<int>(&instance - instances_.data());
   record.tasks = instance.pending_tasks;
-  record.answers = std::move(answers).value();
+  record.answers = std::move(instance.status.answers);
   record.selected_entropy_bits = instance.pending_entropy_bits;
   record.expected_gain_bits =
       record.selected_entropy_bits - tasks * crowd_.EntropyBits();
@@ -265,16 +264,17 @@ common::Result<BudgetScheduler::Advance> BudgetScheduler::AdvancePipelinedStep(
   // leaves the next call to launch afresh.
   const bool launch = !step_open_;
   step_open_ = false;
-  // Each in-flight ticket is polled once per call: the launch loop polls
-  // what it submits, the wait pass the rest, and the harvest reads both.
+  // Each in-flight ticket is collected at most once per call: the launch
+  // loop collects what it submits, the wait pass the rest, and the
+  // harvest merges what they resolved.
   int in_flight_count = 0;
   for (Instance& instance : instances_) {
-    instance.polled = false;
+    instance.collected = false;
     if (instance.in_flight) ++in_flight_count;
   }
 
   // Launch: fill the in-flight window with the best idle instances. The
-  // early Poll-break makes the zero-latency schedule merge each batch
+  // early collect-break makes the zero-latency schedule merge each batch
   // before the next launch decision, so every window size serves the
   // paper's one-ticket-at-a-time schedule exactly; real-latency tickets
   // stay pending, so the window fills and answer latencies overlap.
@@ -287,7 +287,7 @@ common::Result<BudgetScheduler::Advance> BudgetScheduler::AdvancePipelinedStep(
     Instance& launched = instances_[static_cast<size_t>(best)];
     CF_RETURN_IF_ERROR(SubmitSelection(launched, now));
     ++in_flight_count;
-    CF_RETURN_IF_ERROR(PollTicket(launched));
+    CF_RETURN_IF_ERROR(CollectTicket(launched));
     if (launched.status.phase != TicketPhase::kInFlight) break;
   }
 
@@ -320,7 +320,7 @@ common::Result<BudgetScheduler::Advance> BudgetScheduler::AdvancePipelinedStep(
   double min_wait = std::numeric_limits<double>::infinity();
   for (Instance& instance : instances_) {
     if (!instance.in_flight) continue;
-    if (!instance.polled) CF_RETURN_IF_ERROR(PollTicket(instance));
+    if (!instance.collected) CF_RETURN_IF_ERROR(CollectTicket(instance));
     if (instance.status.phase != TicketPhase::kInFlight) {
       any_resolved = true;
     } else {
@@ -338,7 +338,6 @@ common::Result<BudgetScheduler::Advance> BudgetScheduler::AdvancePipelinedStep(
   // Harvest every resolved ticket (ascending instance order, for
   // determinism), merging answers and re-ranking lazily: only the merged
   // instances' cached selections are invalidated.
-  bool settled = false;  // a ticket merged, or its instance killed
   for (Instance& instance : instances_) {
     if (!instance.in_flight ||
         instance.status.phase == TicketPhase::kInFlight) {
@@ -346,26 +345,16 @@ common::Result<BudgetScheduler::Advance> BudgetScheduler::AdvancePipelinedStep(
     }
     if (instance.status.phase == TicketPhase::kFailed &&
         options_.on_ticket_failure == TicketFailurePolicy::kSkipInstance) {
-      // Kill only this instance: release its budget reservation, drop the
-      // ticket's bookkeeping, and keep serving everyone else.
-      instance.provider->Cancel(instance.ticket);
+      // Kill only this instance: release its budget reservation and keep
+      // serving everyone else.
       instance.in_flight = false;
       instance.dead = true;
       instance.selection_valid = false;
       cost_reserved_ -= static_cast<int>(instance.pending_tasks.size());
-      settled = true;
       continue;
     }
-    common::Result<StepRecord> record = HarvestTicket(instance, now);
-    if (!record.ok() && instance.in_flight) continue;  // not taken yet
-    CF_RETURN_IF_ERROR(record.status());
-    records.push_back(*std::move(record));
-    settled = true;
-  }
-  if (!settled) {
-    // Every resolved ticket went back in flight: poll again shortly.
-    step_open_ = true;
-    return Advance{.state = Advance::State::kWaiting, .wait_seconds = 1.0e-6};
+    CF_ASSIGN_OR_RETURN(StepRecord record, HarvestTicket(instance, now));
+    records.push_back(std::move(record));
   }
   return Advance{.state = Advance::State::kStepped};
 }

@@ -69,7 +69,7 @@ class BudgetScheduler {
     /// surfaces its error after exactly one collection call, as the
     /// paper's round does; raise it to opt into retries.
     TicketOptions ticket = {.max_attempts = 1};
-    /// Time source for poll sleeps; nullptr means Clock::Real(). Tests
+    /// Time source for collect sleeps; nullptr means Clock::Real(). Tests
     /// inject a ManualClock shared with the providers. Not owned; must
     /// outlive the scheduler.
     common::Clock* clock = nullptr;
@@ -158,8 +158,7 @@ class BudgetScheduler {
   /// What one AdvancePipelinedStep call did.
   struct Advance {
     enum class State {
-      /// Tickets are in flight and none has resolved (or every resolved
-      /// one went back in flight at its Take): call again after
+      /// Tickets are in flight and none has resolved: call again after
       /// `wait_seconds`.
       kWaiting,
       /// The quantum harvested its resolved tickets; records appended.
@@ -175,11 +174,12 @@ class BudgetScheduler {
 
   /// RunPipelinedStep without the sleep, with the current time passed in.
   /// The call that opens a quantum fills the in-flight window (stamping
-  /// submissions at `now`); every call polls the in-flight tickets once
+  /// submissions at `now`); every call collects the in-flight tickets once
   /// and either harvests the resolved ones (stamped at `now`), closing
   /// the quantum, or returns how long to wait before calling again.
   /// A failed call closes the quantum, so the next call launches afresh,
-  /// as a failed RunPipelinedStep does.
+  /// as a failed RunPipelinedStep does; answers a failed call collected
+  /// but did not merge are merged by a later call, never collected again.
   common::Result<Advance> AdvancePipelinedStep(
       double now, std::vector<StepRecord>& records);
 
@@ -236,10 +236,13 @@ class BudgetScheduler {
     std::vector<int> pending_tasks;
     double pending_entropy_bits = 0.0;
     double submitted_at = 0.0;
-    /// The ticket's status as polled by the current AdvancePipelinedStep
-    /// call, valid while `polled`: each ticket is polled once per call.
+    /// The ticket's last collected status. A resolved one (answers or
+    /// failure) is held here until the harvest merges it: a ticket is
+    /// never collected after the collect that resolved it.
     TicketStatus status;
-    bool polled = false;
+    /// Collected by the current AdvancePipelinedStep call: each in-flight
+    /// ticket is collected at most once per call.
+    bool collected = false;
   };
 
   BudgetScheduler(CrowdModel crowd, TaskSelector* selector, Options options)
@@ -277,14 +280,13 @@ class BudgetScheduler {
   /// Submits `instance`'s cached selection and marks it in flight.
   common::Status SubmitSelection(Instance& instance, double now);
 
-  /// Polls `instance`'s ticket into its `status`.
-  common::Status PollTicket(Instance& instance);
+  /// Collects `instance`'s ticket into its `status`, unless that already
+  /// holds the resolved ticket.
+  common::Status CollectTicket(Instance& instance);
 
-  /// Takes a resolved ticket, merges its answers and emits its StepRecord.
-  /// A failed collection releases the ticket's budget reservation and
-  /// consumes no step number. A ticket polled kReady whose Take answers
-  /// FailedPrecondition stays in flight, reservation kept, and that
-  /// status is returned.
+  /// Merges a resolved ticket's held answers and emits its StepRecord.
+  /// A failed ticket releases its budget reservation, consumes no step
+  /// number, and its failure is returned.
   common::Result<StepRecord> HarvestTicket(Instance& instance, double now);
 
   common::Clock* clock() const {

@@ -11,12 +11,8 @@ common::Result<TicketId> ScriptedProvider::Submit(
       /*attempt_latency=*/nullptr));
 }
 
-common::Result<TicketStatus> ScriptedProvider::Poll(TicketId ticket) {
-  return ledger_->Poll(ticket);
-}
-
-common::Result<std::vector<bool>> ScriptedProvider::Take(TicketId ticket) {
-  return ledger_->Take(ticket);
+common::Result<TicketStatus> ScriptedProvider::Collect(TicketId ticket) {
+  return ledger_->Collect(ticket);
 }
 
 void ScriptedProvider::Cancel(TicketId ticket) { ledger_->Forget(ticket); }

@@ -38,8 +38,7 @@ class ScriptedProvider : public AsyncAnswerProvider {
   common::Result<TicketId> Submit(std::span<const int> fact_ids,
                                   const TicketOptions& options) override;
   using AsyncAnswerProvider::Submit;
-  common::Result<TicketStatus> Poll(TicketId ticket) override;
-  common::Result<std::vector<bool>> Take(TicketId ticket) override;
+  common::Result<TicketStatus> Collect(TicketId ticket) override;
   void Cancel(TicketId ticket) override;
 
   /// Collection attempts made so far (successful or not).

@@ -100,13 +100,9 @@ common::Result<core::TicketId> SimulatedCrowd::Submit(
   return ledger().Add(std::move(outcome));
 }
 
-common::Result<core::TicketStatus> SimulatedCrowd::Poll(
+common::Result<core::TicketStatus> SimulatedCrowd::Collect(
     core::TicketId ticket) {
-  return ledger().Poll(ticket);
-}
-
-common::Result<std::vector<bool>> SimulatedCrowd::Take(core::TicketId ticket) {
-  return ledger().Take(ticket);
+  return ledger().Collect(ticket);
 }
 
 void SimulatedCrowd::Cancel(core::TicketId ticket) {

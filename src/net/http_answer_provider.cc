@@ -79,10 +79,10 @@ common::Result<core::TicketId> HttpAnswerProvider::Submit(
   return static_cast<core::TicketId>(id);
 }
 
-common::Result<core::TicketStatus> HttpAnswerProvider::Poll(
+common::Result<core::TicketStatus> HttpAnswerProvider::Collect(
     core::TicketId ticket) {
   CF_ASSIGN_OR_RETURN(const HttpResponse response,
-                      client_.Get(TicketPath(ticket, "")));
+                      client_.Post(TicketPath(ticket, ":take"), "{}"));
   CF_ASSIGN_OR_RETURN(const JsonValue body, ExpectJson(response));
   core::TicketStatus status;
   CF_ASSIGN_OR_RETURN(const JsonValue* phase, body.Get("phase"));
@@ -95,6 +95,17 @@ common::Result<core::TicketStatus> HttpAnswerProvider::Poll(
   if (const JsonValue* eta = body.Find("seconds_until_ready")) {
     CF_ASSIGN_OR_RETURN(status.seconds_until_ready, eta->GetDouble());
   }
+  if (status.phase == core::TicketPhase::kReady) {
+    CF_ASSIGN_OR_RETURN(const JsonValue* answers, body.Get("answers"));
+    if (!answers->is_array()) {
+      return Status::Unavailable("platform returned non-array answers");
+    }
+    status.answers.reserve(answers->array().size());
+    for (const JsonValue& item : answers->array()) {
+      CF_ASSIGN_OR_RETURN(const bool value, item.GetBool());
+      status.answers.push_back(value);
+    }
+  }
   if (status.phase == core::TicketPhase::kFailed) {
     const JsonValue* error = body.Find("error");
     status.error = error != nullptr
@@ -102,24 +113,6 @@ common::Result<core::TicketStatus> HttpAnswerProvider::Poll(
                        : Status::Unavailable("platform reported failure");
   }
   return status;
-}
-
-common::Result<std::vector<bool>> HttpAnswerProvider::Take(
-    core::TicketId ticket) {
-  CF_ASSIGN_OR_RETURN(const HttpResponse response,
-                      client_.Post(TicketPath(ticket, ":take"), "{}"));
-  CF_ASSIGN_OR_RETURN(const JsonValue body, ExpectJson(response));
-  CF_ASSIGN_OR_RETURN(const JsonValue* answers, body.Get("answers"));
-  if (!answers->is_array()) {
-    return Status::Unavailable("platform returned non-array answers");
-  }
-  std::vector<bool> values;
-  values.reserve(answers->array().size());
-  for (const JsonValue& item : answers->array()) {
-    CF_ASSIGN_OR_RETURN(const bool value, item.GetBool());
-    values.push_back(value);
-  }
-  return values;
 }
 
 void HttpAnswerProvider::Cancel(core::TicketId ticket) {

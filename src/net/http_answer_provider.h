@@ -16,11 +16,11 @@ namespace crowdfusion::net {
 /// the crowd HTTP wire (see net/loopback_crowd_server.h for the protocol).
 /// Submit POSTs a ticket batch — the TicketOptions deadline/retry contract
 /// travels with it and is enforced by the platform's own ledger machinery —
-/// Poll GETs the ticket status, Take consumes a resolved ticket with one
-/// :take POST (the platform answers FailedPrecondition for one still in
-/// flight), and Cancel DELETEs abandoned tickets so a long-lived serving
-/// process leaks nothing remotely. No call sleeps: the caller owns the
-/// waiting.
+/// Collect is one :take POST, which answers every phase (in flight with
+/// its ETA, the answers, or the failure) and consumes a resolved ticket,
+/// and Cancel DELETEs abandoned tickets so a long-lived serving process
+/// leaks nothing remotely. A ticket costs its submit plus one :take per
+/// collect. No call sleeps: the caller owns the waiting.
 ///
 /// One provider serves one remote fact universe. Transport failures are
 /// kUnavailable; platform-reported errors arrive with their original
@@ -58,8 +58,7 @@ class HttpAnswerProvider : public core::AsyncAnswerProvider {
       std::span<const int> fact_ids,
       const core::TicketOptions& options) override;
   using core::AsyncAnswerProvider::Submit;
-  common::Result<core::TicketStatus> Poll(core::TicketId ticket) override;
-  common::Result<std::vector<bool>> Take(core::TicketId ticket) override;
+  common::Result<core::TicketStatus> Collect(core::TicketId ticket) override;
   void Cancel(core::TicketId ticket) override;
 
   /// (answers_served, answers_correct) as reported by the platform's

@@ -14,7 +14,7 @@ namespace crowdfusion::net {
 /// connection alive across calls and transparently reconnects once per
 /// call when the server closed it between requests (the normal keep-alive
 /// race). Thread-safe: calls serialize on an internal mutex, so one client
-/// may be shared by a provider polled from several scheduler threads.
+/// may be shared by a provider collected from several scheduler threads.
 class HttpClient {
  public:
   struct Options {

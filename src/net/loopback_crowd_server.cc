@@ -229,41 +229,34 @@ HttpResponse LoopbackCrowdServer::HandleUniverses(const HttpRequest& request,
       if (request.method != "POST") {
         return ErrorResponse(Status::InvalidArgument(":take is POST-only"));
       }
+      // Answers every phase at once, so the client owns the waiting.
       std::lock_guard<std::mutex> lock(universe->mutex);
-      // The poll reads attempts_used; Take answers FailedPrecondition for
-      // a ticket still in flight, so the client owns the waiting.
-      auto poll = universe->provider->Poll(*ticket);
-      if (!poll.ok()) return ErrorResponse(poll.status());
-      auto answers = universe->provider->Take(*ticket);
-      if (!answers.ok()) return ErrorResponse(answers.status());
+      auto collected = universe->provider->Collect(*ticket);
+      if (!collected.ok()) return ErrorResponse(collected.status());
       JsonValue response = JsonValue::MakeObject();
-      JsonValue array = JsonValue::MakeArray();
-      for (const bool answer : *answers) array.Append(JsonValue(answer));
-      response.Set("answers", std::move(array));
-      response.Set("attempts_used", poll->attempts_used);
-      return JsonResponse(200, response);
-    }
-
-    if (request.method == "GET") {
-      std::lock_guard<std::mutex> lock(universe->mutex);
-      auto poll = universe->provider->Poll(*ticket);
-      if (!poll.ok()) return ErrorResponse(poll.status());
-      JsonValue response = JsonValue::MakeObject();
-      response.Set("phase", PhaseName(poll->phase));
-      response.Set("attempts_used", poll->attempts_used);
-      response.Set("seconds_until_ready", poll->seconds_until_ready);
-      if (poll->phase == core::TicketPhase::kFailed) {
-        response.Set("error", StatusToJson(poll->error));
+      response.Set("phase", PhaseName(collected->phase));
+      response.Set("attempts_used", collected->attempts_used);
+      response.Set("seconds_until_ready", collected->seconds_until_ready);
+      if (collected->phase == core::TicketPhase::kReady) {
+        JsonValue array = JsonValue::MakeArray();
+        for (const bool answer : collected->answers) {
+          array.Append(JsonValue(answer));
+        }
+        response.Set("answers", std::move(array));
+      }
+      if (collected->phase == core::TicketPhase::kFailed) {
+        response.Set("error", StatusToJson(collected->error));
       }
       return JsonResponse(200, response);
     }
+
     if (request.method == "DELETE") {
       std::lock_guard<std::mutex> lock(universe->mutex);
       universe->provider->Cancel(*ticket);
       return JsonResponse(200, JsonValue::MakeObject());
     }
     return ErrorResponse(
-        Status::InvalidArgument("tickets accept GET, POST :take, DELETE"));
+        Status::InvalidArgument("tickets accept POST :take, DELETE"));
   }
 
   return ErrorResponse(Status::NotFound("no route for " + request.target));

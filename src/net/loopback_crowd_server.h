@@ -30,11 +30,13 @@ namespace crowdfusion::net {
 ///   GET    /v1/universes/{u}/stats       {"answers_served", "answers_correct"}
 ///   POST   /v1/universes/{u}/tickets     {"fact_ids": [...], "options": {...}}
 ///                                          -> {"ticket": n}
-///   GET    /v1/universes/{u}/tickets/{t}   ticket status (phase/attempts/
-///                                          seconds_until_ready/error)
-///   POST   /v1/universes/{u}/tickets/{t}:take  consume a resolved ticket
-///                                          -> {"answers": [...]} or the
-///                                          ticket's failure envelope
+///   POST   /v1/universes/{u}/tickets/{t}:take  collect the ticket
+///                                          -> {"phase", "attempts_used",
+///                                          "seconds_until_ready"}, plus
+///                                          "answers" when ready or
+///                                          "error" when failed (both
+///                                          consume it; an in_flight
+///                                          ticket lives on)
 ///   DELETE /v1/universes/{u}/tickets/{t}   cancel (idempotent)
 ///   GET    /healthz                        {"status": "ok"}
 ///
@@ -72,7 +74,7 @@ class LoopbackCrowdServer {
   struct Universe {
     std::shared_ptr<core::AsyncAnswerProvider> provider;
     /// Serializes Submit calls (providers require one submitter at a
-    /// time); Poll/take ride along for simplicity.
+    /// time); collects and cancels ride along for simplicity.
     std::mutex mutex;
   };
 

@@ -40,10 +40,8 @@ ProviderPool::ProviderPool(std::vector<Replica> replicas, Options options)
 ProviderPool::~ProviderPool() {
   // Abandoned tickets must not leak on the platforms.
   for (const auto& [id, ticket] : tickets_) {
-    if (ticket.replica >= 0 && ticket.terminal.ok()) {
-      replicas_[static_cast<size_t>(ticket.replica)].provider->Cancel(
-          ticket.remote);
-    }
+    replicas_[static_cast<size_t>(ticket.replica)].provider->Cancel(
+        ticket.remote);
   }
 }
 
@@ -157,8 +155,8 @@ common::Result<core::TicketId> ProviderPool::Submit(
   return id;
 }
 
-bool ProviderPool::Failover(core::TicketId ticket, int failed_replica,
-                            const Status& cause) {
+Status ProviderPool::Failover(core::TicketId ticket, int failed_replica,
+                              const Status& cause) {
   std::vector<int> fact_ids;
   core::TicketOptions options;
   std::vector<bool> tried;
@@ -180,27 +178,27 @@ bool ProviderPool::Failover(core::TicketId ticket, int failed_replica,
   auto placed = SubmitSomewhere(fact_ids, options, tried,
                                 (failed_replica + 1) % num_replicas());
   std::lock_guard<std::mutex> lock(mutex_);
-  Ticket& record = tickets_.at(ticket);
-  record.tried = tried;
   if (!placed.ok()) {
     const std::string message = common::StrFormat(
         "batch failed on every replica of a %d-replica pool; first "
         "cause: %s; last: %s",
         num_replicas(), cause.message().c_str(),
         placed.status().message().c_str());
-    record.terminal = cause.code() == StatusCode::kDeadlineExceeded
-                          ? Status::DeadlineExceeded(message)
-                          : Status::Unavailable(message);
-    return false;
+    tickets_.erase(ticket);
+    return cause.code() == StatusCode::kDeadlineExceeded
+               ? Status::DeadlineExceeded(message)
+               : Status::Unavailable(message);
   }
+  Ticket& record = tickets_.at(ticket);
+  record.tried = tried;
   record.replica = placed->first;
   record.remote = placed->second;
   record.expires_at = AttemptDeadline(clock()->NowSeconds());
   ++stats_.tickets_resubmitted;
-  return true;
+  return Status::Ok();
 }
 
-common::Result<core::TicketStatus> ProviderPool::Poll(
+common::Result<core::TicketStatus> ProviderPool::Collect(
     core::TicketId ticket) {
   int replica = -1;
   core::TicketId remote = 0;
@@ -212,105 +210,58 @@ common::Result<core::TicketStatus> ProviderPool::Poll(
       return Status::NotFound(common::StrFormat(
           "unknown pool ticket %lld", static_cast<long long>(ticket)));
     }
-    if (!it->second.terminal.ok()) {
-      core::TicketStatus status;
-      status.phase = core::TicketPhase::kFailed;
-      status.error = it->second.terminal;
-      return status;
-    }
     replica = it->second.replica;
     remote = it->second.remote;
     expires_at = it->second.expires_at;
   }
 
-  auto polled =
-      replicas_[static_cast<size_t>(replica)].provider->Poll(remote);
+  auto collected =
+      replicas_[static_cast<size_t>(replica)].provider->Collect(remote);
   Status cause;
-  if (polled.ok()) {
-    if (polled->phase == core::TicketPhase::kInFlight &&
+  if (collected.ok()) {
+    if (collected->phase == core::TicketPhase::kInFlight &&
         clock()->NowSeconds() >= expires_at) {
       cause = Status::DeadlineExceeded(common::StrFormat(
           "collection attempt on replica \"%s\" exceeded its %.3f s "
           "budget",
           replicas_[static_cast<size_t>(replica)].name.c_str(),
           options_.attempt_timeout_seconds));
-    } else if (polled->phase == core::TicketPhase::kFailed &&
-               Resubmittable(polled->error.code())) {
-      cause = polled->error;
+    } else if (collected->phase == core::TicketPhase::kFailed &&
+               Resubmittable(collected->error.code())) {
+      cause = collected->error;
     } else {
+      // Answers, in flight, or a failure that belongs to the batch (not
+      // to the platform), which travels to the caller as-is.
       MarkSuccess(replica);
-      return *polled;
+      if (collected->phase != core::TicketPhase::kInFlight) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        tickets_.erase(ticket);
+      }
+      return collected;
     }
-  } else if (Resubmittable(polled.status().code()) ||
-             polled.status().code() == StatusCode::kNotFound) {
+  } else if (Resubmittable(collected.status().code()) ||
+             collected.status().code() == StatusCode::kNotFound) {
     // kNotFound here means the platform lost our ticket (e.g. it was
     // restarted): as dead as a refused connection for this attempt.
-    cause = polled.status();
+    cause = collected.status();
   } else {
     std::lock_guard<std::mutex> lock(mutex_);
-    Ticket& record = tickets_.at(ticket);
-    record.terminal = polled.status();
+    tickets_.erase(ticket);
     core::TicketStatus status;
     status.phase = core::TicketPhase::kFailed;
-    status.error = record.terminal;
+    status.error = collected.status();
     return status;
   }
 
   MarkFailure(replica);
-  if (!Failover(ticket, replica, cause)) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    core::TicketStatus status;
-    status.phase = core::TicketPhase::kFailed;
-    status.error = tickets_.at(ticket).terminal;
-    return status;
-  }
   core::TicketStatus status;
-  status.phase = core::TicketPhase::kInFlight;
-  status.seconds_until_ready = options_.min_poll_seconds;
+  status.error = Failover(ticket, replica, cause);
+  if (!status.error.ok()) {
+    status.phase = core::TicketPhase::kFailed;
+  } else {
+    status.seconds_until_ready = options_.min_poll_seconds;
+  }
   return status;
-}
-
-common::Result<std::vector<bool>> ProviderPool::Take(core::TicketId ticket) {
-  int replica = -1;
-  core::TicketId remote = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = tickets_.find(ticket);
-    if (it == tickets_.end()) {
-      return Status::NotFound(common::StrFormat(
-          "unknown pool ticket %lld", static_cast<long long>(ticket)));
-    }
-    if (!it->second.terminal.ok()) {
-      const Status terminal = it->second.terminal;
-      tickets_.erase(it);  // Take consumes, even a failure
-      return terminal;
-    }
-    replica = it->second.replica;
-    remote = it->second.remote;
-  }
-
-  auto result = replicas_[static_cast<size_t>(replica)].provider->Take(remote);
-  const StatusCode code = result.status().code();
-  if (code == StatusCode::kFailedPrecondition) return result;  // in flight
-  if (Resubmittable(code) || code == StatusCode::kNotFound) {
-    // The replica died between a ready Poll and this take: fail the batch
-    // over as Poll does; the caller polls the new attempt.
-    MarkFailure(replica);
-    if (Failover(ticket, replica, result.status())) {
-      return Status::FailedPrecondition(
-          "pool ticket failed over to another replica; poll until ready");
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    const Status terminal = tickets_.at(ticket).terminal;
-    tickets_.erase(ticket);
-    return terminal;
-  }
-  // Answers, or a non-transport error from a healthy platform: the
-  // failure belongs to the batch and travels to the caller as-is.
-  MarkSuccess(replica);
-  std::lock_guard<std::mutex> lock(mutex_);
-  tickets_.erase(ticket);
-  return result;
 }
 
 void ProviderPool::Cancel(core::TicketId ticket) {
@@ -320,15 +271,11 @@ void ProviderPool::Cancel(core::TicketId ticket) {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = tickets_.find(ticket);
     if (it == tickets_.end()) return;
-    if (it->second.terminal.ok()) {
-      replica = it->second.replica;
-      remote = it->second.remote;
-    }
+    replica = it->second.replica;
+    remote = it->second.remote;
     tickets_.erase(it);
   }
-  if (replica >= 0) {
-    replicas_[static_cast<size_t>(replica)].provider->Cancel(remote);
-  }
+  replicas_[static_cast<size_t>(replica)].provider->Cancel(remote);
 }
 
 ProviderPool::Stats ProviderPool::GetStats() const {

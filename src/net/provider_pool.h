@@ -40,15 +40,14 @@ namespace crowdfusion::net {
 /// force-probes the one whose re-probe is due soonest rather than
 /// failing outright.
 ///
-/// Poll never surfaces replica transport errors as Result errors (the
-/// pipelined scheduler aborts a whole run on those): it either fails over
-/// internally and reports the ticket in flight, or reports phase kFailed
-/// carrying the terminal status. Thread-safety matches the other
-/// providers: any thread may call in; per-ticket calls come from one
-/// logical owner (Take consumes). Take never waits: a replica that dies
-/// between a ready Poll and its take fails the batch over as Poll does,
-/// and Take answers FailedPrecondition, so the caller polls the new
-/// attempt.
+/// Collect never surfaces replica transport errors as Result errors (the
+/// pipelined scheduler aborts a whole run on those): a replica whose
+/// collect fails, reports a transport failure, or overruns its attempt
+/// budget has the batch failed over in that one place, and Collect reports
+/// the ticket in flight on its new replica, or phase kFailed carrying the
+/// terminal status once every replica was tried. Collect never waits.
+/// Thread-safety matches the other providers: any thread may call in;
+/// per-ticket calls come from one logical owner (Collect consumes).
 class ProviderPool : public core::AsyncAnswerProvider {
  public:
   /// One crowd platform: a name for diagnostics plus a non-null,
@@ -87,8 +86,7 @@ class ProviderPool : public core::AsyncAnswerProvider {
       std::span<const int> fact_ids,
       const core::TicketOptions& options) override;
   using core::AsyncAnswerProvider::Submit;
-  common::Result<core::TicketStatus> Poll(core::TicketId ticket) override;
-  common::Result<std::vector<bool>> Take(core::TicketId ticket) override;
+  common::Result<core::TicketStatus> Collect(core::TicketId ticket) override;
   void Cancel(core::TicketId ticket) override;
 
   struct Stats {
@@ -123,8 +121,6 @@ class ProviderPool : public core::AsyncAnswerProvider {
     std::vector<bool> tried;
     /// Attempt budget expiry (absolute clock seconds; +inf = unbounded).
     double expires_at = std::numeric_limits<double>::infinity();
-    /// Non-OK once the pool has given up on the ticket.
-    common::Status terminal;
   };
 
   struct ReplicaHealth {
@@ -152,11 +148,11 @@ class ProviderPool : public core::AsyncAnswerProvider {
       const std::vector<int>& fact_ids, const core::TicketOptions& options,
       std::vector<bool>& tried, int start);
   /// Moves a live ticket off `failed_replica` after `cause`: cancels the
-  /// remote ticket best-effort and resubmits to the next candidate.
-  /// Returns false (and records the terminal status) when every replica
-  /// has been tried.
-  bool Failover(core::TicketId ticket, int failed_replica,
-                const common::Status& cause);
+  /// remote ticket best-effort and resubmits to the next candidate. When
+  /// every replica has been tried, drops the ticket and returns its
+  /// terminal status.
+  common::Status Failover(core::TicketId ticket, int failed_replica,
+                          const common::Status& cause);
   static bool Resubmittable(common::StatusCode code);
 
   std::vector<Replica> replicas_;

@@ -263,8 +263,8 @@ class Session {
 
   /// Step() without sleeping through crowd latency, the current time
   /// passed in (read from the clock the creating service was configured
-  /// with). The call that opens a quantum launches; every call polls the
-  /// quantum's in-flight tickets once. Until one resolves, the attempt is
+  /// with). The call that opens a quantum launches; every call collects
+  /// the quantum's in-flight tickets once. Until one resolves, the attempt is
   /// incomplete and names when to call again; the call that harvests
   /// completes it with exactly Step()'s outcomes. An engine-mode pass
   /// advances the instances in order, each through its own scheduler, so

@@ -65,8 +65,8 @@ namespace crowdfusion::service {
 /// frontend's one waker thread and returns the worker to the pool; the
 /// waker calls Session::StepAt again when the step is due and sends the
 /// reply once the quantum completes. The waker never sleeps inside a
-/// provider: Take answers at once, even for a pool ticket that failed
-/// over between its ready poll and its take. A parked request still counts
+/// provider: Collect answers at once, even for a pool ticket that fails
+/// over at that collect. A parked request still counts
 /// against max_queue_depth. While a step is parked the session answers
 /// GET (progress, result) and DELETE as usual; a second /step answers
 /// 409 FailedPrecondition, as does /instances. A DELETE or TTL eviction

@@ -28,11 +28,8 @@ class DelayedProvider : public AsyncAnswerProvider {
     return ledger.Add(std::move(outcome));
   }
   using AsyncAnswerProvider::Submit;
-  common::Result<TicketStatus> Poll(TicketId ticket) override {
-    return ledger.Poll(ticket);
-  }
-  common::Result<std::vector<bool>> Take(TicketId ticket) override {
-    return ledger.Take(ticket);
+  common::Result<TicketStatus> Collect(TicketId ticket) override {
+    return ledger.Collect(ticket);
   }
 
   TicketLedger ledger;
@@ -54,18 +51,14 @@ TEST(ScriptedProviderTest, TicketResolvesImmediatelyWithScriptedAnswers) {
 
   auto ticket = provider.Submit(tasks);
   ASSERT_TRUE(ticket.ok());
-  auto status = provider.Poll(*ticket);
+  auto status = provider.Collect(*ticket);
   ASSERT_TRUE(status.ok());
   EXPECT_EQ(status->phase, TicketPhase::kReady);
   EXPECT_EQ(status->attempts_used, 1);
   EXPECT_DOUBLE_EQ(status->seconds_until_ready, 0.0);
-
-  auto answers = provider.Take(*ticket);
-  ASSERT_TRUE(answers.ok());
-  EXPECT_EQ(*answers, (std::vector<bool>{false, true, false, true}));
-  // Take consumed the ticket.
-  EXPECT_EQ(provider.Poll(*ticket).status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(provider.Take(*ticket).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(status->answers, (std::vector<bool>{false, true, false, true}));
+  // The collect consumed the ticket.
+  EXPECT_EQ(provider.Collect(*ticket).status().code(), StatusCode::kNotFound);
 }
 
 TEST(ScriptedProviderTest, BoundedRetryRecoversFromTransientFailure) {
@@ -75,14 +68,12 @@ TEST(ScriptedProviderTest, BoundedRetryRecoversFromTransientFailure) {
 
   auto ticket = provider.Submit(std::vector<int>{1}, options);
   ASSERT_TRUE(ticket.ok());
-  auto status = provider.Poll(*ticket);
+  auto status = provider.Collect(*ticket);
   ASSERT_TRUE(status.ok());
   EXPECT_EQ(status->phase, TicketPhase::kReady);
   EXPECT_EQ(status->attempts_used, 3);
   EXPECT_EQ(provider.calls(), 3);
-  auto answers = provider.Take(*ticket);
-  ASSERT_TRUE(answers.ok());
-  EXPECT_EQ(*answers, std::vector<bool>{true});
+  EXPECT_EQ(status->answers, std::vector<bool>{true});
 }
 
 TEST(ScriptedProviderTest, RetryExhaustionSurfacesTheProviderError) {
@@ -92,14 +83,14 @@ TEST(ScriptedProviderTest, RetryExhaustionSurfacesTheProviderError) {
 
   auto ticket = provider.Submit(std::vector<int>{0}, options);
   ASSERT_TRUE(ticket.ok());
-  auto status = provider.Poll(*ticket);
+  auto status = provider.Collect(*ticket);
   ASSERT_TRUE(status.ok());
   EXPECT_EQ(status->phase, TicketPhase::kFailed);
   EXPECT_EQ(status->attempts_used, 2);
   EXPECT_EQ(status->error.code(), StatusCode::kUnavailable);
   EXPECT_EQ(provider.calls(), 2);
-  // Take on a failed ticket returns the terminal error.
-  EXPECT_EQ(provider.Take(*ticket).status().code(), StatusCode::kUnavailable);
+  // Collecting the failure consumed the ticket, as answers would.
+  EXPECT_EQ(provider.Collect(*ticket).status().code(), StatusCode::kNotFound);
 }
 
 TEST(ScriptedProviderTest, SingleAttemptFailsWithTheAttemptsOwnError) {
@@ -109,7 +100,9 @@ TEST(ScriptedProviderTest, SingleAttemptFailsWithTheAttemptsOwnError) {
 
   auto ticket = provider.Submit(std::vector<int>{0}, options);
   ASSERT_TRUE(ticket.ok());
-  const Status error = provider.Take(*ticket).status();
+  auto status = provider.Collect(*ticket);
+  ASSERT_TRUE(status.ok());
+  const Status error = status->error;
   EXPECT_EQ(error.code(), StatusCode::kUnavailable);
   EXPECT_EQ(error.message(), "scripted outage");
   EXPECT_EQ(provider.calls(), 1);
@@ -124,35 +117,38 @@ TEST(TicketLedgerTest, LatencyElapsesAgainstTheClock) {
   outcome.attempts_used = 1;
   const TicketId ticket = ledger.Add(std::move(outcome));
 
-  auto pending = ledger.Poll(ticket);
+  auto pending = ledger.Collect(ticket);
   ASSERT_TRUE(pending.ok());
   EXPECT_EQ(pending->phase, TicketPhase::kInFlight);
   EXPECT_NEAR(pending->seconds_until_ready, 5.0, 1e-12);
+  EXPECT_TRUE(pending->answers.empty());
 
   clock.AdvanceSeconds(2.0);
-  pending = ledger.Poll(ticket);
+  pending = ledger.Collect(ticket);
   ASSERT_TRUE(pending.ok());
   EXPECT_EQ(pending->phase, TicketPhase::kInFlight);
   EXPECT_NEAR(pending->seconds_until_ready, 3.0, 1e-12);
 
   clock.AdvanceSeconds(3.0);
-  auto ready = ledger.Poll(ticket);
+  auto ready = ledger.Collect(ticket);
   ASSERT_TRUE(ready.ok());
   EXPECT_EQ(ready->phase, TicketPhase::kReady);
   EXPECT_DOUBLE_EQ(ready->seconds_until_ready, 0.0);
+  EXPECT_EQ(ready->answers, (std::vector<bool>{true, false}));
 }
 
 TEST(TicketLedgerTest, AwaitSleepsThroughRemainingLatency) {
   // SubmitAndAwait sleeps the ledger's reported ETA on the caller's
-  // clock, in one sleep, then takes the ticket.
+  // clock, in one sleep, then collects the ticket.
   ManualClock clock;
   DelayedProvider provider(&clock, /*latency_seconds=*/7.5);
   auto answers = SubmitAndAwait(provider, std::vector<int>{0}, &clock);
   ASSERT_TRUE(answers.ok());
   EXPECT_EQ(*answers, std::vector<bool>{true});
   EXPECT_DOUBLE_EQ(clock.NowSeconds(), 7.5);
-  // Take consumed the one ticket issued; the next one gets the next id.
-  EXPECT_EQ(provider.ledger.Take(1).status().code(), StatusCode::kNotFound);
+  // The collect consumed the one ticket issued; the next one gets the
+  // next id.
+  EXPECT_EQ(provider.ledger.Collect(1).status().code(), StatusCode::kNotFound);
   TicketLedger::Outcome next;
   next.result = std::vector<bool>{false};
   EXPECT_EQ(provider.ledger.Add(std::move(next)), 2);
@@ -166,19 +162,22 @@ TEST(TicketLedgerTest, TakeBeforeReadyKeepsTheTicket) {
   outcome.result = std::vector<bool>{true, false};
   const TicketId ticket = ledger.Add(std::move(outcome));
 
-  EXPECT_EQ(ledger.Take(ticket).status().code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_DOUBLE_EQ(clock.NowSeconds(), 0.0);  // Take never sleeps
-  auto pending = ledger.Poll(ticket);
+  auto pending = ledger.Collect(ticket);
   ASSERT_TRUE(pending.ok());
+  EXPECT_DOUBLE_EQ(clock.NowSeconds(), 0.0);  // Collect never sleeps
   EXPECT_EQ(pending->phase, TicketPhase::kInFlight);
   EXPECT_NEAR(pending->seconds_until_ready, 2.0, 1e-12);
+  // The in-flight collect kept the ticket.
+  pending = ledger.Collect(ticket);
+  ASSERT_TRUE(pending.ok());
+  EXPECT_EQ(pending->phase, TicketPhase::kInFlight);
 
   clock.AdvanceSeconds(2.0);
-  auto answers = ledger.Take(ticket);
-  ASSERT_TRUE(answers.ok());
-  EXPECT_EQ(*answers, (std::vector<bool>{true, false}));
-  EXPECT_EQ(ledger.Take(ticket).status().code(), StatusCode::kNotFound);
+  auto ready = ledger.Collect(ticket);
+  ASSERT_TRUE(ready.ok());
+  EXPECT_EQ(ready->phase, TicketPhase::kReady);
+  EXPECT_EQ(ready->answers, (std::vector<bool>{true, false}));
+  EXPECT_EQ(ledger.Collect(ticket).status().code(), StatusCode::kNotFound);
 }
 
 TEST(SimulateTicketAttemptsTest, DeadlineCutsOffRetries) {
@@ -243,12 +242,12 @@ TEST(TicketLedgerTest, ForgetReleasesAbandonedTickets) {
   outcome.latency_seconds = 100.0;  // still in flight when abandoned
   outcome.result = std::vector<bool>{true};
   const TicketId ticket = ledger.Add(std::move(outcome));
-  EXPECT_TRUE(ledger.Poll(ticket).ok());
+  EXPECT_TRUE(ledger.Collect(ticket).ok());
 
   ledger.Forget(ticket);
-  EXPECT_EQ(ledger.Poll(ticket).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(ledger.Collect(ticket).status().code(), StatusCode::kNotFound);
   ledger.Forget(ticket);  // idempotent
-  EXPECT_EQ(ledger.Poll(ticket).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(ledger.Collect(ticket).status().code(), StatusCode::kNotFound);
 }
 
 TEST(ScriptedProviderTest, CancelDropsTheTicket) {
@@ -256,7 +255,7 @@ TEST(ScriptedProviderTest, CancelDropsTheTicket) {
   auto ticket = provider.Submit(std::vector<int>{0, 1});
   ASSERT_TRUE(ticket.ok());
   provider.Cancel(*ticket);
-  EXPECT_EQ(provider.Poll(*ticket).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(provider.Collect(*ticket).status().code(), StatusCode::kNotFound);
 }
 
 }  // namespace

@@ -62,11 +62,8 @@ class ShortProvider : public AsyncAnswerProvider {
     return ledger_.Add(std::move(outcome));
   }
   using AsyncAnswerProvider::Submit;
-  common::Result<TicketStatus> Poll(TicketId ticket) override {
-    return ledger_.Poll(ticket);
-  }
-  common::Result<std::vector<bool>> Take(TicketId ticket) override {
-    return ledger_.Take(ticket);
+  common::Result<TicketStatus> Collect(TicketId ticket) override {
+    return ledger_.Collect(ticket);
   }
 
  private:

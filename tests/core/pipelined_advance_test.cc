@@ -1,10 +1,12 @@
 /// BudgetScheduler::AdvancePipelinedStep against the blocking step it
 /// replaced. The old RunPipelinedStep launched, then polled and slept on
 /// the clock until a ticket resolved, then harvested; the advance does
-/// one poll per call and hands the wait to its caller. Driven on a
-/// ManualClock over latency crowds, the advance loop (as the served
-/// frontend drives it, and as RunPipelinedStep now drives it) must
-/// produce records == to the old step's, and the same final joints.
+/// one collect per ticket and call and hands the wait to its caller.
+/// Driven on a ManualClock over latency crowds, the advance loop (as the
+/// served frontend drives it, and as RunPipelinedStep now drives it) must
+/// produce records == to the old step's, and the same final joints. A
+/// ticket is never collected again once a collect resolved it, even when
+/// the call that collected it failed on another ticket.
 
 #include <gtest/gtest.h>
 
@@ -12,12 +14,14 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/clock.h"
 #include "common/random.h"
 #include "core/greedy_selector.h"
+#include "core/running_example.h"
 #include "core/scheduler.h"
 #include "crowd/latency_model.h"
 #include "crowd/simulated_crowd.h"
@@ -26,8 +30,10 @@
 namespace crowdfusion::core {
 
 /// The blocking step as it was before AdvancePipelinedStep, verbatim but
-/// for the member accesses and the kSkipInstance branch (these runs keep
-/// the default kAbort policy, under which that branch never runs).
+/// for the member accesses, the kSkipInstance branch (these runs keep
+/// the default kAbort policy, under which that branch never runs), and
+/// its polls, which go through CollectTicket: a collect consumes a
+/// resolved ticket, whose status the instance then holds.
 class BudgetSchedulerPeer {
  public:
   static common::Result<bool> BlockingStep(
@@ -46,9 +52,8 @@ class BudgetSchedulerPeer {
       Instance& launched = s.instances_[static_cast<size_t>(best)];
       CF_RETURN_IF_ERROR(s.SubmitSelection(launched, s.clock()->NowSeconds()));
       ++in_flight_count;
-      CF_ASSIGN_OR_RETURN(const TicketStatus ticket_status,
-                          launched.provider->Poll(launched.ticket));
-      if (ticket_status.phase != TicketPhase::kInFlight) break;
+      CF_RETURN_IF_ERROR(s.CollectTicket(launched));
+      if (launched.status.phase != TicketPhase::kInFlight) break;
     }
     if (in_flight_count == 0) {
       if (s.HasBudget()) {
@@ -66,8 +71,8 @@ class BudgetSchedulerPeer {
       double min_wait = std::numeric_limits<double>::infinity();
       for (Instance& instance : s.instances_) {
         if (!instance.in_flight) continue;
-        CF_ASSIGN_OR_RETURN(const TicketStatus ticket_status,
-                            instance.provider->Poll(instance.ticket));
+        CF_RETURN_IF_ERROR(s.CollectTicket(instance));
+        const TicketStatus& ticket_status = instance.status;
         if (ticket_status.phase != TicketPhase::kInFlight) {
           any_resolved = true;
         } else {
@@ -80,9 +85,8 @@ class BudgetSchedulerPeer {
     }
     for (Instance& instance : s.instances_) {
       if (!instance.in_flight) continue;
-      CF_ASSIGN_OR_RETURN(const TicketStatus ticket_status,
-                          instance.provider->Poll(instance.ticket));
-      if (ticket_status.phase == TicketPhase::kInFlight) continue;
+      CF_RETURN_IF_ERROR(s.CollectTicket(instance));
+      if (instance.status.phase == TicketPhase::kInFlight) continue;
       CF_ASSIGN_OR_RETURN(
           BudgetScheduler::StepRecord record,
           s.HarvestTicket(instance, s.clock()->NowSeconds()));
@@ -98,26 +102,32 @@ using common::ManualClock;
 
 constexpr int kSeeds = 32;
 
-/// Forwards to a provider, counting Poll calls per ticket.
-class PollCountingProvider : public AsyncAnswerProvider {
+/// Forwards to a provider, counting Collect calls per ticket, and those
+/// made after the collect that resolved the ticket.
+class CollectCountingProvider : public AsyncAnswerProvider {
  public:
-  explicit PollCountingProvider(AsyncAnswerProvider* inner) : inner_(inner) {}
+  explicit CollectCountingProvider(AsyncAnswerProvider* inner)
+      : inner_(inner) {}
 
   common::Result<TicketId> Submit(std::span<const int> fact_ids,
                                   const TicketOptions& options) override {
     return inner_->Submit(fact_ids, options);
   }
   using AsyncAnswerProvider::Submit;
-  common::Result<TicketStatus> Poll(TicketId ticket) override {
-    ++polls[ticket];
-    return inner_->Poll(ticket);
-  }
-  common::Result<std::vector<bool>> Take(TicketId ticket) override {
-    return inner_->Take(ticket);
+  common::Result<TicketStatus> Collect(TicketId ticket) override {
+    ++collects[ticket];
+    if (resolved.count(ticket) != 0) ++collects_after_resolved;
+    auto status = inner_->Collect(ticket);
+    if (status.ok() && status->phase != TicketPhase::kInFlight) {
+      resolved.insert(ticket);
+    }
+    return status;
   }
   void Cancel(TicketId ticket) override { inner_->Cancel(ticket); }
 
-  std::map<TicketId, int> polls;
+  std::map<TicketId, int> collects;
+  std::set<TicketId> resolved;
+  int collects_after_resolved = 0;
 
  private:
   AsyncAnswerProvider* inner_;
@@ -161,7 +171,7 @@ struct LatencyRun {
       latency.seed = seed * 17 + static_cast<uint64_t>(i);
       crowds.back()->ConfigureAsync(latency, &clock);
       counters.push_back(
-          std::make_unique<PollCountingProvider>(crowds.back().get()));
+          std::make_unique<CollectCountingProvider>(crowds.back().get()));
       EXPECT_TRUE(scheduler
                       ->AddInstance("book" + std::to_string(i),
                                     std::move(joint).value(),
@@ -182,7 +192,7 @@ struct LatencyRun {
   GreedySelector selector;
   std::unique_ptr<BudgetScheduler> scheduler;
   std::vector<std::unique_ptr<crowd::SimulatedCrowd>> crowds;
-  std::vector<std::unique_ptr<PollCountingProvider>> counters;
+  std::vector<std::unique_ptr<CollectCountingProvider>> counters;
 };
 
 /// The old blocking step, looped to the end of the run.
@@ -249,10 +259,10 @@ TEST(PipelinedAdvanceTest, AdvanceLoopMatchesTheBlockingStep) {
 }
 
 TEST(PipelinedAdvanceTest, EachCallPollsAnInFlightTicketAtMostOnce) {
-  // The launch loop, the wait pass and the harvest share one poll per
-  // ticket: over a remote crowd every Poll is a round trip.
+  // The launch loop, the wait pass and the harvest share one collect per
+  // ticket: over a remote crowd every collect is a round trip.
   using State = BudgetScheduler::Advance::State;
-  int polled_calls = 0;
+  int collected_calls = 0;
   for (const int window : {1, 4}) {
     for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
       SCOPED_TRACE("window " + std::to_string(window) + " seed " +
@@ -260,14 +270,14 @@ TEST(PipelinedAdvanceTest, EachCallPollsAnInFlightTicketAtMostOnce) {
       LatencyRun run(seed, window);
       std::vector<BudgetScheduler::StepRecord> records;
       for (;;) {
-        for (auto& counter : run.counters) counter->polls.clear();
+        for (auto& counter : run.counters) counter->collects.clear();
         const double now = run.clock.NowSeconds();
         auto advance = run.scheduler->AdvancePipelinedStep(now, records);
         ASSERT_TRUE(advance.ok()) << advance.status();
         for (const auto& counter : run.counters) {
-          for (const auto& [ticket, polls] : counter->polls) {
-            EXPECT_EQ(polls, 1) << "ticket " << ticket;
-            ++polled_calls;
+          for (const auto& [ticket, collects] : counter->collects) {
+            EXPECT_EQ(collects, 1) << "ticket " << ticket;
+            ++collected_calls;
           }
         }
         if (advance->state == State::kDone) break;
@@ -276,9 +286,12 @@ TEST(PipelinedAdvanceTest, EachCallPollsAnInFlightTicketAtMostOnce) {
         }
       }
       EXPECT_FALSE(records.empty());
+      for (const auto& counter : run.counters) {
+        EXPECT_EQ(counter->collects_after_resolved, 0);
+      }
     }
   }
-  EXPECT_GT(polled_calls, 4 * kSeeds);
+  EXPECT_GT(collected_calls, 4 * kSeeds);
 }
 
 TEST(PipelinedAdvanceTest, OnlyTheOpeningCallLaunches) {
@@ -309,6 +322,98 @@ TEST(PipelinedAdvanceTest, OnlyTheOpeningCallLaunches) {
     EXPECT_EQ(records, expected);
     EXPECT_EQ(advancing.Joints(), blocking.Joints());
   }
+}
+
+/// Answers every fact `true` one second after submission; the first
+/// `failures` tickets fail with kUnavailable instead.
+class OneSecondProvider : public AsyncAnswerProvider {
+ public:
+  OneSecondProvider(common::Clock* clock, int failures)
+      : ledger_(clock), failures_(failures) {}
+
+  common::Result<TicketId> Submit(std::span<const int> fact_ids,
+                                  const TicketOptions&) override {
+    TicketLedger::Outcome outcome;
+    outcome.latency_seconds = 1.0;
+    if (failures_ > 0) {
+      --failures_;
+      outcome.result = common::Status::Unavailable("crowd outage");
+    } else {
+      outcome.result = std::vector<bool>(fact_ids.size(), true);
+    }
+    return ledger_.Add(std::move(outcome));
+  }
+  using AsyncAnswerProvider::Submit;
+  common::Result<TicketStatus> Collect(TicketId ticket) override {
+    return ledger_.Collect(ticket);
+  }
+  void Cancel(TicketId ticket) override { ledger_.Forget(ticket); }
+
+ private:
+  TicketLedger ledger_;
+  int failures_;
+};
+
+TEST(PipelinedAdvanceTest, AFailedCallNeverRecollectsWhatItResolved) {
+  using State = BudgetScheduler::Advance::State;
+  ManualClock clock(1000.0);
+  BudgetScheduler::Options options;
+  options.total_budget = 4;
+  options.tasks_per_step = 1;
+  options.max_in_flight = 2;
+  options.on_ticket_failure = BudgetScheduler::TicketFailurePolicy::kAbort;
+  options.clock = &clock;
+  auto crowd = CrowdModel::Create(0.8);
+  ASSERT_TRUE(crowd.ok());
+  GreedySelector selector;
+  auto scheduler = BudgetScheduler::Create(*crowd, &selector, options);
+  ASSERT_TRUE(scheduler.ok()) << scheduler.status();
+  OneSecondProvider failing(&clock, /*failures=*/1);
+  OneSecondProvider healthy(&clock, /*failures=*/0);
+  CollectCountingProvider counted_failing(&failing);
+  CollectCountingProvider counted_healthy(&healthy);
+  const JointDistribution joint = RunningExample::Joint();
+  ASSERT_TRUE(scheduler->AddInstance("failing", joint, &counted_failing).ok());
+  ASSERT_TRUE(scheduler->AddInstance("healthy", joint, &counted_healthy).ok());
+
+  // The opening call puts ticket 0 (instance 0) and ticket 1 (instance 1)
+  // in flight.
+  std::vector<BudgetScheduler::StepRecord> records;
+  auto opened = scheduler->AdvancePipelinedStep(clock.NowSeconds(), records);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  ASSERT_EQ(opened->state, State::kWaiting);
+  ASSERT_EQ(counted_failing.collects.size(), 1u);
+  ASSERT_EQ(counted_healthy.collects.size(), 1u);
+
+  // One call collects both resolved tickets: ticket 0's failure aborts it
+  // before ticket 1's answers merge.
+  clock.AdvanceSeconds(1.0);
+  auto failed = scheduler->AdvancePipelinedStep(clock.NowSeconds(), records);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), common::StatusCode::kUnavailable);
+  EXPECT_TRUE(records.empty());
+  ASSERT_EQ(counted_failing.resolved.size(), 1u);
+  ASSERT_EQ(counted_healthy.resolved.size(), 1u);
+
+  // The next call merges ticket 1's held answers without collecting it
+  // again, and the run goes on to spend the budget.
+  auto next = scheduler->AdvancePipelinedStep(clock.NowSeconds(), records);
+  ASSERT_TRUE(next.ok()) << next.status();
+  EXPECT_EQ(next->state, State::kStepped);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].instance, 1);
+  EXPECT_EQ(records[0].answers, std::vector<bool>{true});
+  for (;;) {
+    auto advance = scheduler->AdvancePipelinedStep(clock.NowSeconds(), records);
+    ASSERT_TRUE(advance.ok()) << advance.status();
+    if (advance->state == State::kDone) break;
+    if (advance->state == State::kWaiting) {
+      clock.AdvanceSeconds(advance->wait_seconds);
+    }
+  }
+  EXPECT_EQ(scheduler->total_cost_spent(), 4);
+  EXPECT_EQ(counted_failing.collects_after_resolved, 0);
+  EXPECT_EQ(counted_healthy.collects_after_resolved, 0);
 }
 
 }  // namespace

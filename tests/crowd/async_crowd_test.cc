@@ -118,23 +118,21 @@ TEST(AsyncSimulatedCrowdTest, LatencyElapsesOnTheInjectedClock) {
 
   auto ticket = crowd.Submit(std::vector<int>{0, 1, 2});
   ASSERT_TRUE(ticket.ok());
-  auto pending = crowd.Poll(*ticket);
+  auto pending = crowd.Collect(*ticket);
   ASSERT_TRUE(pending.ok());
   EXPECT_EQ(pending->phase, TicketPhase::kInFlight);
   EXPECT_NEAR(pending->seconds_until_ready, 2.0, 1e-9);
 
   clock.AdvanceSeconds(1.0);
-  pending = crowd.Poll(*ticket);
+  pending = crowd.Collect(*ticket);
   ASSERT_TRUE(pending.ok());
   EXPECT_EQ(pending->phase, TicketPhase::kInFlight);
 
   clock.AdvanceSeconds(1.0);
-  auto ready = crowd.Poll(*ticket);
+  auto ready = crowd.Collect(*ticket);
   ASSERT_TRUE(ready.ok());
   EXPECT_EQ(ready->phase, TicketPhase::kReady);
-  auto answers = crowd.Take(*ticket);
-  ASSERT_TRUE(answers.ok());
-  EXPECT_EQ(answers->size(), 3u);
+  EXPECT_EQ(ready->answers.size(), 3u);
 }
 
 TEST(AsyncSimulatedCrowdTest, InjectedFailuresAreRetriedUnderTheContract) {
@@ -152,18 +150,18 @@ TEST(AsyncSimulatedCrowdTest, InjectedFailuresAreRetriedUnderTheContract) {
   auto ticket = crowd.Submit(std::vector<int>{0}, options);
   ASSERT_TRUE(ticket.ok());
   // Resolution lands after 1 + (0.5+1) + (0.5+1) = 4 seconds of trying.
-  auto pending = crowd.Poll(*ticket);
+  auto pending = crowd.Collect(*ticket);
   ASSERT_TRUE(pending.ok());
   EXPECT_EQ(pending->phase, TicketPhase::kInFlight);
   EXPECT_NEAR(pending->seconds_until_ready, 4.0, 1e-9);
 
   clock.AdvanceSeconds(4.0);
-  auto failed = crowd.Poll(*ticket);
+  auto failed = crowd.Collect(*ticket);
   ASSERT_TRUE(failed.ok());
   EXPECT_EQ(failed->phase, TicketPhase::kFailed);
   EXPECT_EQ(failed->attempts_used, 3);
   EXPECT_EQ(failed->error.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(crowd.Take(*ticket).status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(crowd.Collect(*ticket).status().code(), StatusCode::kNotFound);
   // Failed attempts never drew judgments.
   EXPECT_EQ(crowd.answers_served(), 0);
 }
@@ -181,7 +179,7 @@ TEST(AsyncSimulatedCrowdTest, DeadlineExceededWhenTheCrowdIsTooSlow) {
   auto ticket = crowd.Submit(std::vector<int>{0, 1}, options);
   ASSERT_TRUE(ticket.ok());
   clock.AdvanceSeconds(3.0);
-  auto resolved = crowd.Poll(*ticket);
+  auto resolved = crowd.Collect(*ticket);
   ASSERT_TRUE(resolved.ok());
   EXPECT_EQ(resolved->phase, TicketPhase::kFailed);
   EXPECT_EQ(resolved->error.code(), StatusCode::kDeadlineExceeded);
@@ -204,19 +202,20 @@ TEST(AsyncSimulatedCrowdTest, StragglersStretchTheTail) {
   for (int i = 0; i < 40; ++i) {
     auto ticket = crowd.Submit(std::vector<int>{0});
     ASSERT_TRUE(ticket.ok());
-    auto pending = crowd.Poll(*ticket);
+    auto pending = crowd.Collect(*ticket);
     ASSERT_TRUE(pending.ok());
     max_wait = std::max(max_wait, pending->seconds_until_ready);
     clock.AdvanceSeconds(pending->seconds_until_ready);
-    ASSERT_TRUE(crowd.Take(*ticket).ok());
+    auto ready = crowd.Collect(*ticket);
+    ASSERT_TRUE(ready.ok());
+    ASSERT_EQ(ready->phase, TicketPhase::kReady);
   }
   EXPECT_GE(max_wait, 25.0) << "no straggler in 40 batches at p=0.1";
 }
 
 TEST(AsyncSimulatedCrowdTest, UnknownTicketIsNotFound) {
   SimulatedCrowd crowd = SimulatedCrowd::WithUniformAccuracy(kTruths, 0.8, 3);
-  EXPECT_EQ(crowd.Poll(1234).status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(crowd.Take(1234).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(crowd.Collect(1234).status().code(), StatusCode::kNotFound);
 }
 
 TEST(LatencyModelTest, DisabledModelIsInstantAndNeverFails) {

@@ -1,7 +1,7 @@
 /// The crowd wire's traffic per ticket, counted by a forwarding server
 /// that sits between a pipelined session's "http" provider and a
-/// LoopbackCrowdServer: a ticket costs its submit, one status GET per
-/// poll, and one :take right after the status GET that reported it ready.
+/// LoopbackCrowdServer: a ticket costs its submit and one :take per
+/// collect, the last of which carries the answers. No status GET is sent.
 
 #include <gtest/gtest.h>
 
@@ -104,9 +104,13 @@ bool IsTake(const Exchange& exchange) {
   return exchange.method == "POST" && exchange.target.ends_with(":take");
 }
 
-bool IsStatus(const Exchange& exchange) {
-  return exchange.method == "GET" &&
-         exchange.target.find("/tickets/") != std::string::npos;
+bool HasPhase(const Exchange& exchange, const std::string& phase) {
+  return exchange.response_body.find("\"phase\":\"" + phase + "\"") !=
+         std::string::npos;
+}
+
+bool HasAnswers(const Exchange& exchange) {
+  return exchange.response_body.find("\"answers\":[") != std::string::npos;
 }
 
 /// Runs a one-book pipelined session over the "http" kind through a
@@ -140,36 +144,43 @@ std::vector<Exchange> RunOneBook(double latency_median_seconds) {
   return proxy.log();
 }
 
-TEST(CrowdTrafficTest, ZeroLatencyTicketCostsSubmitStatusAndTake) {
+TEST(CrowdTrafficTest, ZeroLatencyTicketCostsSubmitAndOneTake) {
   const auto tickets = ByTicket(RunOneBook(/*latency_median_seconds=*/0.0));
   EXPECT_EQ(tickets.size(), 4u);  // one task per ticket, budget 4
   for (const auto& [id, exchanges] : tickets) {
-    ASSERT_EQ(exchanges.size(), 3u) << "ticket " << id;
+    ASSERT_EQ(exchanges.size(), 2u) << "ticket " << id;
     EXPECT_EQ(exchanges[0].method, "POST") << "ticket " << id;
-    EXPECT_TRUE(IsStatus(exchanges[1])) << exchanges[1].target;
-    EXPECT_TRUE(IsTake(exchanges[2])) << exchanges[2].target;
+    EXPECT_TRUE(IsTake(exchanges[1])) << exchanges[1].target;
+    EXPECT_TRUE(HasPhase(exchanges[1], "ready")) << exchanges[1].response_body;
+    EXPECT_TRUE(HasAnswers(exchanges[1])) << exchanges[1].response_body;
   }
 }
 
-TEST(CrowdTrafficTest, TheReadyStatusIsFollowedByTheTakeAlone) {
-  const auto tickets = ByTicket(RunOneBook(/*latency_median_seconds=*/0.005));
+TEST(CrowdTrafficTest, InFlightTakesEndInOneTakeWithTheAnswers) {
+  const std::vector<Exchange> log = RunOneBook(/*latency_median_seconds=*/0.05);
+  for (const Exchange& exchange : log) {
+    EXPECT_FALSE(exchange.method == "GET" &&
+                 exchange.target.find("/tickets/") != std::string::npos)
+        << "ticket GET " << exchange.target;
+  }
+  const auto tickets = ByTicket(log);
   EXPECT_EQ(tickets.size(), 4u);
   for (const auto& [id, exchanges] : tickets) {
     ASSERT_GE(exchanges.size(), 3u) << "ticket " << id;
     EXPECT_EQ(exchanges.front().method, "POST") << "ticket " << id;
-    // Status GETs while in flight, one that reports ready, then :take.
+    // :take requests that report the ticket in flight, then exactly one
+    // that carries the answers.
     const size_t n = exchanges.size();
-    for (size_t i = 1; i + 2 < n; ++i) {
-      EXPECT_TRUE(IsStatus(exchanges[i])) << exchanges[i].target;
-      EXPECT_NE(exchanges[i].response_body.find("\"in_flight\""),
-                std::string::npos)
+    for (size_t i = 1; i + 1 < n; ++i) {
+      EXPECT_TRUE(IsTake(exchanges[i])) << exchanges[i].target;
+      EXPECT_TRUE(HasPhase(exchanges[i], "in_flight"))
           << exchanges[i].response_body;
+      EXPECT_FALSE(HasAnswers(exchanges[i])) << exchanges[i].response_body;
     }
-    EXPECT_TRUE(IsStatus(exchanges[n - 2])) << exchanges[n - 2].target;
-    EXPECT_NE(exchanges[n - 2].response_body.find("\"ready\""),
-              std::string::npos)
-        << exchanges[n - 2].response_body;
     EXPECT_TRUE(IsTake(exchanges[n - 1])) << exchanges[n - 1].target;
+    EXPECT_TRUE(HasPhase(exchanges[n - 1], "ready"))
+        << exchanges[n - 1].response_body;
+    EXPECT_TRUE(HasAnswers(exchanges[n - 1])) << exchanges[n - 1].response_body;
   }
 }
 

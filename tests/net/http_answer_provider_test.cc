@@ -1,6 +1,6 @@
 /// HttpAnswerProvider over LoopbackCrowdServer: the async contract
-/// (Submit/Poll/Take/Cancel) across real sockets, Take's non-blocking
-/// answer for a ticket still in flight, judgment parity with
+/// (Submit/Collect/Cancel) across real sockets, the one :take route
+/// answering every phase (in flight, ready, failed), judgment parity with
 /// the in-process SimulatedCrowd it proxies, status transport for failing
 /// universes, and the "http" registry kind's validation.
 
@@ -14,6 +14,7 @@
 #include "crowd/simulated_crowd.h"
 #include "crowd/worker.h"
 #include "net/http_answer_provider.h"
+#include "net/http_client.h"
 #include "net/loopback_crowd_server.h"
 #include "support/status_printing.h"
 
@@ -77,21 +78,22 @@ TEST_F(HttpAnswerProviderTest, PollReportsReadyThenAwaitConsumes) {
   auto provider = MakeProvider(CrowdSpec(5));
   auto ticket = provider->Submit(std::vector<int>{0, 1});
   ASSERT_TRUE(ticket.ok());
-  auto poll = provider->Poll(*ticket);
-  ASSERT_TRUE(poll.ok()) << poll.status();
-  EXPECT_EQ(poll->phase, core::TicketPhase::kReady);  // zero latency
-  ASSERT_TRUE(provider->Take(*ticket).ok());
+  auto collected = provider->Collect(*ticket);
+  ASSERT_TRUE(collected.ok()) << collected.status();
+  EXPECT_EQ(collected->phase, core::TicketPhase::kReady);  // zero latency
+  EXPECT_EQ(collected->attempts_used, 1);
+  EXPECT_EQ(collected->answers.size(), 2u);
   // Consumed: the platform no longer knows the ticket.
-  auto after = provider->Poll(*ticket);
+  auto after = provider->Collect(*ticket);
   ASSERT_FALSE(after.ok());
   EXPECT_EQ(after.status().code(), common::StatusCode::kNotFound);
 }
 
 TEST_F(HttpAnswerProviderTest, UnknownTicketIsNotFound) {
   auto provider = MakeProvider(CrowdSpec(6));
-  auto poll = provider->Poll(991199);
-  ASSERT_FALSE(poll.ok());
-  EXPECT_EQ(poll.status().code(), common::StatusCode::kNotFound);
+  auto collected = provider->Collect(991199);
+  ASSERT_FALSE(collected.ok());
+  EXPECT_EQ(collected.status().code(), common::StatusCode::kNotFound);
 }
 
 TEST_F(HttpAnswerProviderTest, CancelReleasesTheTicketRemotely) {
@@ -99,9 +101,9 @@ TEST_F(HttpAnswerProviderTest, CancelReleasesTheTicketRemotely) {
   auto ticket = provider->Submit(std::vector<int>{1, 2, 3});
   ASSERT_TRUE(ticket.ok());
   provider->Cancel(*ticket);
-  auto poll = provider->Poll(*ticket);
-  ASSERT_FALSE(poll.ok());
-  EXPECT_EQ(poll.status().code(), common::StatusCode::kNotFound);
+  auto collected = provider->Collect(*ticket);
+  ASSERT_FALSE(collected.ok());
+  EXPECT_EQ(collected.status().code(), common::StatusCode::kNotFound);
 }
 
 TEST_F(HttpAnswerProviderTest, FailingUniverseTransportsItsStatus) {
@@ -109,12 +111,29 @@ TEST_F(HttpAnswerProviderTest, FailingUniverseTransportsItsStatus) {
   spec.latency_median_seconds = 1e-9;  // enable the async failure model
   spec.failure_probability = 1.0;
   auto provider = MakeProvider(spec);
-  auto answers = core::SubmitAndAwait(*provider, std::vector<int>{0},
+  auto ticket = provider->Submit(std::vector<int>{0},
+                                 core::TicketOptions{.max_attempts = 1});
+  ASSERT_TRUE(ticket.ok()) << ticket.status();
+  common::Result<core::TicketStatus> collected = provider->Collect(*ticket);
+  while (collected.ok() && collected->phase == core::TicketPhase::kInFlight) {
+    common::Clock::Real()->SleepSeconds(collected->seconds_until_ready);
+    collected = provider->Collect(*ticket);
+  }
+  // The :take reports the failed phase and carries the simulated crowd's
+  // injected failure: the wire must deliver that exact code and message,
+  // not a generic HTTP error.
+  ASSERT_TRUE(collected.ok()) << collected.status();
+  EXPECT_EQ(collected->phase, core::TicketPhase::kFailed);
+  EXPECT_EQ(collected->attempts_used, 1);
+  EXPECT_EQ(collected->error.code(), common::StatusCode::kUnavailable);
+  EXPECT_EQ(collected->error.message(), "injected crowd failure");
+  // Collecting the failure consumed the ticket.
+  EXPECT_EQ(provider->Collect(*ticket).status().code(),
+            common::StatusCode::kNotFound);
+  auto awaited = core::SubmitAndAwait(*provider, std::vector<int>{0},
                                       common::Clock::Real());
-  ASSERT_FALSE(answers.ok());
-  // The simulated crowd's injected failure is kUnavailable; the wire must
-  // deliver that exact code, not a generic HTTP error.
-  EXPECT_EQ(answers.status().code(), common::StatusCode::kUnavailable);
+  ASSERT_FALSE(awaited.ok());
+  EXPECT_EQ(awaited.status().code(), common::StatusCode::kUnavailable);
 }
 
 TEST_F(HttpAnswerProviderTest, ScriptedUniverseKindServesTheScript) {
@@ -124,9 +143,9 @@ TEST_F(HttpAnswerProviderTest, ScriptedUniverseKindServesTheScript) {
   auto provider = MakeProvider(spec);
   auto ticket = provider->Submit(std::vector<int>{0, 1, 2, 3});
   ASSERT_TRUE(ticket.ok()) << ticket.status();
-  auto answers = provider->Take(*ticket);
-  ASSERT_TRUE(answers.ok()) << answers.status();
-  EXPECT_EQ(*answers, (std::vector<bool>{true, false, true, false}));
+  auto collected = provider->Collect(*ticket);
+  ASSERT_TRUE(collected.ok()) << collected.status();
+  EXPECT_EQ(collected->answers, (std::vector<bool>{true, false, true, false}));
 }
 
 TEST_F(HttpAnswerProviderTest, SubmitWithoutUniverseIsFailedPrecondition) {
@@ -175,22 +194,32 @@ TEST(HttpTakeContractTest, TakeOnAnInFlightTicketKeepsIt) {
 
   auto ticket = provider.Submit(std::vector<int>{0, 1});
   ASSERT_TRUE(ticket.ok()) << ticket.status();
-  // :take on an in-flight ticket answers at once, and the ticket lives on.
-  auto early = provider.Take(*ticket);
-  ASSERT_FALSE(early.ok());
-  EXPECT_EQ(early.status().code(), common::StatusCode::kFailedPrecondition);
-  auto pending = provider.Poll(*ticket);
+  // :take on an in-flight ticket answers at once with its ETA, and the
+  // ticket lives on.
+  auto pending = provider.Collect(*ticket);
   ASSERT_TRUE(pending.ok()) << pending.status();
   EXPECT_EQ(pending->phase, core::TicketPhase::kInFlight);
+  EXPECT_EQ(pending->attempts_used, 1);
   ASSERT_GT(pending->seconds_until_ready, 0.0);
+  EXPECT_TRUE(pending->answers.empty());
 
   clock.AdvanceSeconds(pending->seconds_until_ready + 1.0);
-  auto answers = provider.Take(*ticket);
-  ASSERT_TRUE(answers.ok()) << answers.status();
-  EXPECT_EQ(answers->size(), 2u);
-  auto after = provider.Poll(*ticket);
+  auto ready = provider.Collect(*ticket);
+  ASSERT_TRUE(ready.ok()) << ready.status();
+  EXPECT_EQ(ready->phase, core::TicketPhase::kReady);
+  EXPECT_EQ(ready->answers.size(), 2u);
+  auto after = provider.Collect(*ticket);
   ASSERT_FALSE(after.ok());
   EXPECT_EQ(after.status().code(), common::StatusCode::kNotFound);
+
+  // The wire has no ticket status GET: :take is the one collection route.
+  HttpClient::Options client_options;
+  client_options.port = server.port();
+  HttpClient client(client_options);
+  auto get = client.Get("/v1/universes/" + provider.universe() +
+                        "/tickets/" + std::to_string(*ticket));
+  ASSERT_TRUE(get.ok()) << get.status();
+  EXPECT_EQ(get->status_code, 400);
 }
 
 TEST(HttpProviderRegistryTest, EndpointValidation) {
@@ -235,9 +264,9 @@ TEST(HttpProviderRegistryTest, FactoryBindsAUniversePerInstance) {
 
     auto ticket = (*first)->Submit(std::vector<int>{0, 1, 2});
     ASSERT_TRUE(ticket.ok()) << ticket.status();
-    auto answers = (*first)->Take(*ticket);
-    ASSERT_TRUE(answers.ok()) << answers.status();
-    EXPECT_EQ(answers->size(), 3u);
+    auto collected = (*first)->Collect(*ticket);
+    ASSERT_TRUE(collected.ok()) << collected.status();
+    EXPECT_EQ(collected->answers.size(), 3u);
   }
   // Dropping the providers reaps their universes remotely: a long-lived
   // platform serving many requests must not accumulate state.

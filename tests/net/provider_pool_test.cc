@@ -1,9 +1,9 @@
 /// net::ProviderPool failover contract over scriptable fake replicas:
-/// healthy pinning to the preferred replica, submit-, poll- and take-time
-/// failover on kUnavailable / kDeadlineExceeded, Poll-time expiry of hung
-/// attempts on a ManualClock, consecutive-failure ejection with timed
+/// healthy pinning to the preferred replica, submit- and collect-time
+/// failover on kUnavailable / kDeadlineExceeded, collect-time expiry of
+/// hung attempts on a ManualClock, consecutive-failure ejection with timed
 /// re-probe, terminal exhaustion, pass-through of non-transport errors,
-/// and a scheduler run that survives a replica dying at its take.
+/// and a scheduler run that survives a replica dying at its collect.
 
 #include <gtest/gtest.h>
 
@@ -30,14 +30,15 @@ using common::Status;
 using common::StatusCode;
 
 /// An async provider whose behavior the test scripts per-replica:
-/// Submit/Take can be made to fail with a chosen status, and Poll can be
-/// wedged in-flight forever (a hung crowd that accepted the batch).
+/// Submit/Collect can be made to fail with a chosen status, a ticket can
+/// resolve failed, and Collect can be wedged in-flight forever (a hung
+/// crowd that accepted the batch).
 class FakeReplica : public core::AsyncAnswerProvider {
  public:
-  Status submit_error;  // non-OK: Submit refuses with this
-  Status ticket_error;  // non-OK: Poll reports kFailed / Take returns it
-  Status take_error;    // non-OK: Poll reports kReady, Take returns it
-  bool stuck = false;   // Poll reports kInFlight forever
+  Status submit_error;   // non-OK: Submit refuses with this
+  Status ticket_error;   // non-OK: Collect reports kFailed with it
+  Status collect_error;  // non-OK: the Collect call itself fails with it
+  bool stuck = false;    // Collect reports kInFlight forever
   std::vector<bool> answers = {true, false, true};
 
   int submits = 0;
@@ -55,32 +56,25 @@ class FakeReplica : public core::AsyncAnswerProvider {
   }
   using core::AsyncAnswerProvider::Submit;
 
-  common::Result<core::TicketStatus> Poll(core::TicketId ticket) override {
+  common::Result<core::TicketStatus> Collect(core::TicketId ticket) override {
     if (live_.find(ticket) == live_.end()) {
       return Status::NotFound("unknown fake ticket");
     }
     core::TicketStatus status;
     if (stuck) {
-      status.phase = core::TicketPhase::kInFlight;
       status.seconds_until_ready = 1.0;
       return status;
     }
+    if (!collect_error.ok()) return collect_error;
+    live_.erase(ticket);
     if (!ticket_error.ok()) {
       status.phase = core::TicketPhase::kFailed;
       status.error = ticket_error;
       return status;
     }
     status.phase = core::TicketPhase::kReady;
+    status.answers = answers;
     return status;
-  }
-
-  common::Result<std::vector<bool>> Take(core::TicketId ticket) override {
-    if (live_.erase(ticket) == 0) {
-      return Status::NotFound("unknown fake ticket");
-    }
-    if (!ticket_error.ok()) return ticket_error;
-    if (!take_error.ok()) return take_error;
-    return answers;
   }
 
   void Cancel(core::TicketId ticket) override {
@@ -127,9 +121,9 @@ TEST(ProviderPoolTest, HealthyPoolPinsEveryBatchToTheStartReplica) {
   for (int round = 0; round < 3; ++round) {
     auto ticket = pool->Submit(std::vector<int>{0, 1, 2});
     ASSERT_TRUE(ticket.ok()) << ticket.status();
-    auto answers = pool->Take(*ticket);
-    ASSERT_TRUE(answers.ok()) << answers.status();
-    EXPECT_EQ(*answers, fakes[1]->answers);
+    auto collected = pool->Collect(*ticket);
+    ASSERT_TRUE(collected.ok()) << collected.status();
+    EXPECT_EQ(collected->answers, fakes[1]->answers);
   }
   // Parity depends on this: one replica sees the batches, in order.
   EXPECT_EQ(fakes[1]->submits, 3);
@@ -151,8 +145,9 @@ TEST(ProviderPoolTest, SubmitSkipsPastAReplicaThatRefuses) {
   EXPECT_EQ(fakes[0]->submits, 1);
   EXPECT_EQ(fakes[1]->submits, 1);
   EXPECT_EQ(fakes[1]->last_batch, (std::vector<int>{4, 5}));
-  auto answers = pool->Take(*ticket);
-  ASSERT_TRUE(answers.ok()) << answers.status();
+  auto collected = pool->Collect(*ticket);
+  ASSERT_TRUE(collected.ok()) << collected.status();
+  EXPECT_EQ(collected->phase, core::TicketPhase::kReady);
   const ProviderPool::Stats stats = pool->GetStats();
   EXPECT_EQ(stats.tickets_submitted, 1);
   EXPECT_EQ(stats.tickets_resubmitted, 1);
@@ -188,40 +183,37 @@ TEST(ProviderPoolTest, AwaitTimeoutCodeAlsoResubmits) {
   EXPECT_EQ(pool->GetStats().tickets_resubmitted, 1);
 }
 
-TEST(ProviderPoolTest, TakeFailureAfterAReadyPollFailsOver) {
+TEST(ProviderPoolTest, CollectFailureFailsTheBatchOver) {
   auto fakes = MakeFakes(2);
-  fakes[0]->take_error = Status::Unavailable("platform died before the take");
+  fakes[0]->collect_error = Status::Unavailable("platform died at the take");
   auto pool = MakePool(fakes, ProviderPool::Options());
 
   auto ticket = pool->Submit(std::vector<int>{0, 1});
   ASSERT_TRUE(ticket.ok());
-  auto ready = pool->Poll(*ticket);
-  ASSERT_TRUE(ready.ok()) << ready.status();
-  EXPECT_EQ(ready->phase, core::TicketPhase::kReady);
-  // The take fails the batch over and answers at once: the ticket is in
-  // flight again, on the other replica.
-  auto moved = pool->Take(*ticket);
-  ASSERT_FALSE(moved.ok());
-  EXPECT_EQ(moved.status().code(), StatusCode::kFailedPrecondition);
+  // The failed collect fails the batch over and answers at once: the
+  // ticket is in flight again, on the other replica.
+  auto moved = pool->Collect(*ticket);
+  ASSERT_TRUE(moved.ok()) << moved.status();
+  EXPECT_EQ(moved->phase, core::TicketPhase::kInFlight);
+  EXPECT_GT(moved->seconds_until_ready, 0.0);
   EXPECT_EQ(fakes[1]->submits, 1);
   EXPECT_GE(fakes[0]->cancels, 1);
   EXPECT_EQ(pool->GetStats().tickets_resubmitted, 1);
 
-  auto again = pool->Poll(*ticket);
+  auto again = pool->Collect(*ticket);
   ASSERT_TRUE(again.ok()) << again.status();
   EXPECT_EQ(again->phase, core::TicketPhase::kReady);
-  auto answers = pool->Take(*ticket);
-  ASSERT_TRUE(answers.ok()) << answers.status();
-  EXPECT_EQ(*answers, fakes[1]->answers);
-  EXPECT_EQ(pool->Take(*ticket).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(again->answers, fakes[1]->answers);
+  EXPECT_EQ(pool->Collect(*ticket).status().code(), StatusCode::kNotFound);
 }
 
-/// A scripted replica whose `fail_take`-th Take (counting from 1; 0 =
-/// never) fails with kUnavailable after its ticket polled ready: a
-/// platform that dies between the status GET and the :take.
-class DyingAtTakeReplica : public core::AsyncAnswerProvider {
+/// A scripted replica whose `fail_collect`-th Collect (counting from 1;
+/// 0 = never) fails with kUnavailable: a platform that dies at the
+/// :take.
+class DyingAtCollectReplica : public core::AsyncAnswerProvider {
  public:
-  explicit DyingAtTakeReplica(int fail_take) : fail_take_(fail_take) {}
+  explicit DyingAtCollectReplica(int fail_collect)
+      : fail_collect_(fail_collect) {}
 
   common::Result<core::TicketId> Submit(
       std::span<const int> fact_ids,
@@ -229,19 +221,18 @@ class DyingAtTakeReplica : public core::AsyncAnswerProvider {
     return inner_.Submit(fact_ids, options);
   }
   using core::AsyncAnswerProvider::Submit;
-  common::Result<core::TicketStatus> Poll(core::TicketId ticket) override {
-    return inner_.Poll(ticket);
-  }
-  common::Result<std::vector<bool>> Take(core::TicketId ticket) override {
-    if (++takes_ == fail_take_) return Status::Unavailable("replica died");
-    return inner_.Take(ticket);
+  common::Result<core::TicketStatus> Collect(core::TicketId ticket) override {
+    if (++collects_ == fail_collect_) {
+      return Status::Unavailable("replica died");
+    }
+    return inner_.Collect(ticket);
   }
   void Cancel(core::TicketId ticket) override { inner_.Cancel(ticket); }
 
  private:
   core::ScriptedProvider inner_;
-  int fail_take_;
-  int takes_ = 0;
+  int fail_collect_;
+  int collects_ = 0;
 };
 
 struct PoolRun {
@@ -250,13 +241,13 @@ struct PoolRun {
 };
 
 /// One book refined to the end through a two-replica pool whose
-/// preferred replica fails its `fail_take`-th take.
-PoolRun RunThroughPool(int fail_take) {
+/// preferred replica fails its `fail_collect`-th collect.
+PoolRun RunThroughPool(int fail_collect) {
   ManualClock clock;
   std::vector<ProviderPool::Replica> replicas;
   replicas.push_back(
-      {"dying", std::make_shared<DyingAtTakeReplica>(fail_take)});
-  replicas.push_back({"healthy", std::make_shared<DyingAtTakeReplica>(0)});
+      {"dying", std::make_shared<DyingAtCollectReplica>(fail_collect)});
+  replicas.push_back({"healthy", std::make_shared<DyingAtCollectReplica>(0)});
   ProviderPool::Options pool_options;
   pool_options.clock = &clock;
   ProviderPool pool(std::move(replicas), pool_options);
@@ -280,12 +271,12 @@ PoolRun RunThroughPool(int fail_take) {
 }
 
 TEST(ProviderPoolTest, RunSurvivesAReplicaDyingAtItsTake) {
-  const PoolRun clean = RunThroughPool(/*fail_take=*/0);
-  PoolRun faulted = RunThroughPool(/*fail_take=*/2);
+  const PoolRun clean = RunThroughPool(/*fail_collect=*/0);
+  PoolRun faulted = RunThroughPool(/*fail_collect=*/2);
   ASSERT_EQ(clean.records.size(), 4u);
   EXPECT_EQ(clean.tickets_resubmitted, 0);
   EXPECT_EQ(faulted.tickets_resubmitted, 1);
-  // The failed-over ticket waited one poll interval longer; everything
+  // The failed-over ticket waited one collect interval longer; everything
   // else is the fault-free run's.
   ASSERT_EQ(faulted.records.size(), clean.records.size());
   EXPECT_GT(faulted.records[1].latency_seconds, 0.0);
@@ -300,9 +291,10 @@ TEST(ProviderPoolTest, NonTransportErrorsPassThroughWithoutFailover) {
 
   auto ticket = pool->Submit(std::vector<int>{0});
   ASSERT_TRUE(ticket.ok());
-  auto answers = pool->Take(*ticket);
-  ASSERT_FALSE(answers.ok());
-  EXPECT_EQ(answers.status().code(), StatusCode::kInvalidArgument);
+  auto collected = pool->Collect(*ticket);
+  ASSERT_TRUE(collected.ok()) << collected.status();
+  EXPECT_EQ(collected->phase, core::TicketPhase::kFailed);
+  EXPECT_EQ(collected->error.code(), StatusCode::kInvalidArgument);
   // The batch is the problem, not the platform: no retry elsewhere, no
   // health penalty.
   EXPECT_EQ(fakes[1]->submits, 0);
@@ -319,22 +311,19 @@ TEST(ProviderPoolTest, ExhaustingEveryReplicaIsTerminal) {
 
   auto ticket = pool->Submit(std::vector<int>{0, 1});
   ASSERT_TRUE(ticket.ok());
-  // The first poll fails the batch over to replica 1, the second finds it
-  // failed there too: the pool has no replica left.
-  auto moved = pool->Poll(*ticket);
+  // The first collect fails the batch over to replica 1, the second finds
+  // it failed there too: the pool has no replica left.
+  auto moved = pool->Collect(*ticket);
   ASSERT_TRUE(moved.ok()) << moved.status();
   EXPECT_EQ(moved->phase, core::TicketPhase::kInFlight);
-  auto failed = pool->Poll(*ticket);
+  auto failed = pool->Collect(*ticket);
   ASSERT_TRUE(failed.ok()) << failed.status();
   EXPECT_EQ(failed->phase, core::TicketPhase::kFailed);
-  auto answers = pool->Take(*ticket);
-  ASSERT_FALSE(answers.ok());
-  EXPECT_EQ(answers.status().code(), StatusCode::kUnavailable);
-  EXPECT_NE(answers.status().message().find("every replica"),
-            std::string::npos)
-      << answers.status();
-  // Take consumed the ticket even though it failed.
-  auto after = pool->Take(*ticket);
+  EXPECT_EQ(failed->error.code(), StatusCode::kUnavailable);
+  EXPECT_NE(failed->error.message().find("every replica"), std::string::npos)
+      << failed->error;
+  // That collect consumed the ticket even though it failed.
+  auto after = pool->Collect(*ticket);
   ASSERT_FALSE(after.ok());
   EXPECT_EQ(after.status().code(), StatusCode::kNotFound);
 }
@@ -351,13 +340,13 @@ TEST(ProviderPoolTest, PollExpiresAHungAttemptAndFailsOver) {
   auto ticket = pool->Submit(std::vector<int>{0, 1, 2});
   ASSERT_TRUE(ticket.ok());
   // Within the attempt budget the stuck replica's status is proxied.
-  auto early = pool->Poll(*ticket);
+  auto early = pool->Collect(*ticket);
   ASSERT_TRUE(early.ok()) << early.status();
   EXPECT_EQ(early->phase, core::TicketPhase::kInFlight);
   EXPECT_EQ(fakes[1]->submits, 0);
 
   clock.AdvanceSeconds(2.0);  // blow the attempt budget
-  auto expired = pool->Poll(*ticket);
+  auto expired = pool->Collect(*ticket);
   ASSERT_TRUE(expired.ok()) << expired.status();
   // The pool failed over internally — NOT a Result error, which would
   // abort a pipelined scheduler run.
@@ -366,12 +355,10 @@ TEST(ProviderPoolTest, PollExpiresAHungAttemptAndFailsOver) {
   EXPECT_GE(fakes[0]->cancels, 1);
   EXPECT_EQ(pool->GetStats().tickets_resubmitted, 1);
 
-  auto ready = pool->Poll(*ticket);
-  ASSERT_TRUE(ready.ok());
+  auto ready = pool->Collect(*ticket);
+  ASSERT_TRUE(ready.ok()) << ready.status();
   EXPECT_EQ(ready->phase, core::TicketPhase::kReady);
-  auto answers = pool->Take(*ticket);
-  ASSERT_TRUE(answers.ok()) << answers.status();
-  EXPECT_EQ(*answers, fakes[1]->answers);
+  EXPECT_EQ(ready->answers, fakes[1]->answers);
 }
 
 TEST(ProviderPoolTest, ConsecutiveFailuresEjectUntilTheReprobe) {
@@ -428,8 +415,9 @@ TEST(ProviderPoolTest, FullyEjectedPoolStillForceProbes) {
   fakes[1]->submit_error = Status();
   auto probed = pool->Submit(std::vector<int>{1});
   ASSERT_TRUE(probed.ok()) << probed.status();
-  auto answers = pool->Take(*probed);
-  ASSERT_TRUE(answers.ok()) << answers.status();
+  auto collected = pool->Collect(*probed);
+  ASSERT_TRUE(collected.ok()) << collected.status();
+  EXPECT_EQ(collected->phase, core::TicketPhase::kReady);
 }
 
 TEST(ProviderPoolTest, CancelReleasesTheRemoteTicket) {
@@ -439,17 +427,16 @@ TEST(ProviderPoolTest, CancelReleasesTheRemoteTicket) {
   ASSERT_TRUE(ticket.ok());
   pool->Cancel(*ticket);
   EXPECT_EQ(fakes[0]->cancels, 1);
-  auto poll = pool->Poll(*ticket);
-  ASSERT_FALSE(poll.ok());
-  EXPECT_EQ(poll.status().code(), StatusCode::kNotFound);
+  auto collected = pool->Collect(*ticket);
+  ASSERT_FALSE(collected.ok());
+  EXPECT_EQ(collected.status().code(), StatusCode::kNotFound);
   pool->Cancel(*ticket);  // idempotent on unknown tickets
 }
 
 TEST(ProviderPoolTest, UnknownTicketsAreNotFound) {
   auto fakes = MakeFakes(1);
   auto pool = MakePool(fakes, ProviderPool::Options());
-  EXPECT_EQ(pool->Poll(991199).status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(pool->Take(991199).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(pool->Collect(991199).status().code(), StatusCode::kNotFound);
 }
 
 TEST(ProviderPoolTest, ServedCorrectSumsTheReplicaHooks) {

@@ -459,11 +459,8 @@ class DelayedScript : public core::AsyncAnswerProvider {
     return ledger_.Add(std::move(outcome));
   }
   using core::AsyncAnswerProvider::Submit;
-  common::Result<core::TicketStatus> Poll(core::TicketId ticket) override {
-    return ledger_.Poll(ticket);
-  }
-  common::Result<std::vector<bool>> Take(core::TicketId ticket) override {
-    return ledger_.Take(ticket);
+  common::Result<core::TicketStatus> Collect(core::TicketId ticket) override {
+    return ledger_.Collect(ticket);
   }
   void Cancel(core::TicketId ticket) override { ledger_.Forget(ticket); }
 

@@ -173,9 +173,10 @@ TEST(ProviderRegistryTest, FailureOnlySpecActivatesTheAsyncModel) {
   one_shot.max_attempts = 1;
   auto ticket = (*provider)->Submit(std::vector<int>{0}, one_shot);
   ASSERT_TRUE(ticket.ok());
-  auto answers = (*provider)->Take(*ticket);
-  ASSERT_FALSE(answers.ok());
-  EXPECT_EQ(answers.status().code(), StatusCode::kUnavailable);
+  auto collected = (*provider)->Collect(*ticket);
+  ASSERT_TRUE(collected.ok()) << collected.status();
+  EXPECT_EQ(collected->phase, core::TicketPhase::kFailed);
+  EXPECT_EQ(collected->error.code(), StatusCode::kUnavailable);
 }
 
 TEST(ProviderRegistryTest, AdversarySpecReachesTheProvider) {
