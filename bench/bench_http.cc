@@ -55,7 +55,7 @@ std::string SmallRequestJson() {
   request.label = "bench_http";
   for (int i = 0; i < 2; ++i) {
     service::InstanceSpec instance;
-    instance.name = "b" + std::to_string(i);
+    instance.name = common::StrFormat("b%d", i);
     const std::vector<double> marginals = {0.35, 0.6, 0.45, 0.7};
     auto joint = core::JointDistribution::FromIndependentMarginals(marginals);
     CF_CHECK(joint.ok());
@@ -440,7 +440,7 @@ int main(int argc, char** argv) {
           std::make_unique<service::HttpFrontend>(backend_options));
       CF_CHECK_OK(backends.back()->Start());
       router_options.backends.push_back(
-          "127.0.0.1:" + std::to_string(backends.back()->port()));
+          common::StrFormat("127.0.0.1:%d", backends.back()->port()));
     }
     net::Router router(router_options);
     CF_CHECK_OK(router.Start());

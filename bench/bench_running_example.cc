@@ -45,7 +45,7 @@ int main() {
   std::printf("TABLE I — facts with uncertainty\n");
   common::TablePrinter t1({"Fid", "Entity", "Attribute", "Value", "P(f)"});
   for (int i = 0; i < facts.size(); ++i) {
-    t1.AddRow({"f" + std::to_string(i + 1), facts.at(i).subject,
+    t1.AddRow({common::StrFormat("f%d", i + 1), facts.at(i).subject,
                facts.at(i).predicate, facts.at(i).object,
                common::StrFormat("%.2f", joint.Marginal(i))});
   }
@@ -54,7 +54,7 @@ int main() {
   std::printf("\nTABLE II — output joint distribution\n");
   common::TablePrinter t2({"Oid", "f1f2f3f4", "P(o)"});
   for (int row = 0; row < 16; ++row) {
-    t2.AddRow({"o" + std::to_string(row + 1), RowPattern(row),
+    t2.AddRow({common::StrFormat("o%d", row + 1), RowPattern(row),
                common::StrFormat("%.2f", joint.Probability(RowToMask(row)))});
   }
   t2.Print(std::cout);
@@ -86,7 +86,7 @@ int main() {
       core::AnswerDistribution(joint, all_facts, crowd);
   common::TablePrinter t4({"Ansi", "f1f2f3f4", "P(a)"});
   for (int row = 0; row < 16; ++row) {
-    t4.AddRow({"a" + std::to_string(row + 1), RowPattern(row),
+    t4.AddRow({common::StrFormat("a%d", row + 1), RowPattern(row),
                common::StrFormat("%.3f", answer_table[RowToMask(row)])});
   }
   t4.Print(std::cout);

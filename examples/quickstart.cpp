@@ -30,7 +30,7 @@ int main() {
   std::printf("CrowdFusion quickstart — the paper's running example\n\n");
   common::TablePrinter table({"Fid", "Fact", "P(f)"});
   for (int i = 0; i < facts.size(); ++i) {
-    table.AddRow({"f" + std::to_string(i + 1), facts.at(i).ToString(),
+    table.AddRow({common::StrFormat("f%d", i + 1), facts.at(i).ToString(),
                   common::StrFormat("%.2f", joint.Marginal(i))});
   }
   table.Print(std::cout);
@@ -85,7 +85,7 @@ int main() {
   std::printf("\nAfter the Bayesian merge (Equation 3):\n");
   common::TablePrinter after({"Fid", "P(f) before", "P(f) after"});
   for (int i = 0; i < facts.size(); ++i) {
-    after.AddRow({"f" + std::to_string(i + 1),
+    after.AddRow({common::StrFormat("f%d", i + 1),
                   common::StrFormat("%.3f", joint.Marginal(i)),
                   common::StrFormat("%.3f",
                                     report.final_marginals[

@@ -42,9 +42,9 @@ struct TicketStatus {
   TicketPhase phase = TicketPhase::kInFlight;
   /// Attempts consumed so far (final count once resolved).
   int attempts_used = 0;
-  /// Seconds until the ticket resolves, while kInFlight; 0 otherwise.
-  /// Callers use it to sleep exactly as long as needed instead of
-  /// spinning.
+  /// Seconds until the ticket resolves, while kInFlight (>= 0); 0
+  /// otherwise. The one wait rule: callers sleep exactly this long, with
+  /// no cap of their own, before collecting again.
   double seconds_until_ready = 0.0;
   /// The answers, one per submitted fact id, when phase == kReady.
   std::vector<bool> answers;

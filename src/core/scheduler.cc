@@ -30,9 +30,6 @@ common::Result<BudgetScheduler> BudgetScheduler::Create(CrowdModel crowd,
   if (options.ticket.max_attempts < 1) {
     return Status::InvalidArgument("ticket.max_attempts must be >= 1");
   }
-  if (!(options.max_poll_seconds > 0)) {
-    return Status::InvalidArgument("max_poll_seconds must be positive");
-  }
   return BudgetScheduler(crowd, selector, options);
 }
 
@@ -314,8 +311,7 @@ common::Result<BudgetScheduler::Advance> BudgetScheduler::AdvancePipelinedStep(
     return Advance{.state = Advance::State::kDone};
   }
 
-  // Wait: until the earliest outstanding ticket resolves (capped so a
-  // misreporting provider cannot stall the caller forever).
+  // Wait: until the earliest outstanding ticket's ETA.
   bool any_resolved = false;
   double min_wait = std::numeric_limits<double>::infinity();
   for (Instance& instance : instances_) {
@@ -330,8 +326,7 @@ common::Result<BudgetScheduler::Advance> BudgetScheduler::AdvancePipelinedStep(
   if (!any_resolved) {
     step_open_ = true;
     Advance waiting{.state = Advance::State::kWaiting};
-    waiting.wait_seconds =
-        std::min(std::max(min_wait, 1.0e-6), options_.max_poll_seconds);
+    waiting.wait_seconds = std::max(min_wait, 1.0e-6);
     return waiting;
   }
 

@@ -73,9 +73,6 @@ class BudgetScheduler {
     /// inject a ManualClock shared with the providers. Not owned; must
     /// outlive the scheduler.
     common::Clock* clock = nullptr;
-    /// Longest single poll sleep while waiting on in-flight tickets, so a
-    /// provider under-reporting its readiness can't stall the loop.
-    double max_poll_seconds = 0.050;
     /// Overlap selection compute across books: when a launch decision
     /// finds several idle instances with stale selections (the initial
     /// window fill, a multi-merge harvest, streaming arrivals), their
@@ -144,15 +141,14 @@ class BudgetScheduler {
   common::Result<std::vector<StepRecord>> RunPipelined();
 
   /// One serving quantum, for callers that interleave serving with other
-  /// work (the service facade's engine-mode Drain): fills the in-flight
-  /// window with the best idle instances, sleeps until the earliest
-  /// outstanding ticket resolves, and harvests every resolved ticket,
-  /// appending the merged records. Returns false when the run is complete
-  /// (budget gone or no gain anywhere; the exhaustion marker record is
-  /// appended exactly as RunPipelined emits it). Assumes no aborted run's
-  /// tickets are pending — start a fresh scheduler, or go through
-  /// RunPipelined which clears them. It is AdvancePipelinedStep in a loop
-  /// that sleeps each returned wait on the clock.
+  /// work (the service facade's engine-mode Drain): AdvancePipelinedStep
+  /// in a loop that sleeps each returned wait on the clock, so it fills
+  /// the in-flight window, waits out the earliest ETA and harvests every
+  /// resolved ticket, appending the merged records. Returns false when the
+  /// run is complete (budget gone or no gain anywhere; the exhaustion
+  /// marker record is appended exactly as RunPipelined emits it). Assumes
+  /// no aborted run's tickets are pending — start a fresh scheduler, or go
+  /// through RunPipelined which clears them.
   common::Result<bool> RunPipelinedStep(std::vector<StepRecord>& records);
 
   /// What one AdvancePipelinedStep call did.
@@ -167,8 +163,8 @@ class BudgetScheduler {
       kDone,
     };
     State state = State::kDone;
-    /// kWaiting only: seconds until the earliest in-flight ticket is due,
-    /// at least 1 µs and at most Options::max_poll_seconds.
+    /// kWaiting only: the earliest ETA the in-flight tickets' providers
+    /// reported (the one wait rule, uncapped), at least 1 µs.
     double wait_seconds = 0.0;
   };
 

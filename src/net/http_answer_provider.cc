@@ -95,6 +95,10 @@ common::Result<core::TicketStatus> HttpAnswerProvider::Collect(
   if (const JsonValue* eta = body.Find("seconds_until_ready")) {
     CF_ASSIGN_OR_RETURN(status.seconds_until_ready, eta->GetDouble());
   }
+  if (status.phase == core::TicketPhase::kInFlight &&
+      status.seconds_until_ready < 0) {
+    return Status::Unavailable("platform reported a negative ETA");
+  }
   if (status.phase == core::TicketPhase::kReady) {
     CF_ASSIGN_OR_RETURN(const JsonValue* answers, body.Get("answers"));
     if (!answers->is_array()) {

@@ -22,6 +22,9 @@ namespace {
 /// endpoint costs seconds, not a wedged run.
 constexpr double kDefaultAttemptTimeoutSeconds = 30.0;
 
+/// ETA reported right after a failover, before the new attempt's is known.
+constexpr double kFailoverEtaSeconds = 0.001;
+
 }  // namespace
 
 ProviderPool::ProviderPool(std::vector<Replica> replicas, Options options)
@@ -217,10 +220,11 @@ common::Result<core::TicketStatus> ProviderPool::Collect(
 
   auto collected =
       replicas_[static_cast<size_t>(replica)].provider->Collect(remote);
+  const double now = clock()->NowSeconds();
   Status cause;
   if (collected.ok()) {
     if (collected->phase == core::TicketPhase::kInFlight &&
-        clock()->NowSeconds() >= expires_at) {
+        now >= expires_at) {
       cause = Status::DeadlineExceeded(common::StrFormat(
           "collection attempt on replica \"%s\" exceeded its %.3f s "
           "budget",
@@ -233,7 +237,10 @@ common::Result<core::TicketStatus> ProviderPool::Collect(
       // Answers, in flight, or a failure that belongs to the batch (not
       // to the platform), which travels to the caller as-is.
       MarkSuccess(replica);
-      if (collected->phase != core::TicketPhase::kInFlight) {
+      if (collected->phase == core::TicketPhase::kInFlight) {
+        collected->seconds_until_ready =
+            std::min(collected->seconds_until_ready, expires_at - now);
+      } else {
         std::lock_guard<std::mutex> lock(mutex_);
         tickets_.erase(ticket);
       }
@@ -259,7 +266,7 @@ common::Result<core::TicketStatus> ProviderPool::Collect(
   if (!status.error.ok()) {
     status.phase = core::TicketPhase::kFailed;
   } else {
-    status.seconds_until_ready = options_.min_poll_seconds;
+    status.seconds_until_ready = kFailoverEtaSeconds;
   }
   return status;
 }

@@ -45,7 +45,9 @@ namespace crowdfusion::net {
 /// collect fails, reports a transport failure, or overruns its attempt
 /// budget has the batch failed over in that one place, and Collect reports
 /// the ticket in flight on its new replica, or phase kFailed carrying the
-/// terminal status once every replica was tried. Collect never waits.
+/// terminal status once every replica was tried. Collect never waits; the
+/// ETA it reports is the replica's, cut to what is left of the attempt
+/// budget (1 ms right after a failover).
 /// Thread-safety matches the other providers: any thread may call in;
 /// per-ticket calls come from one logical owner (Collect consumes).
 class ProviderPool : public core::AsyncAnswerProvider {
@@ -70,9 +72,6 @@ class ProviderPool : public core::AsyncAnswerProvider {
     /// How long an ejected replica is sidelined before traffic probes it
     /// again.
     double reprobe_seconds = 5.0;
-    /// seconds_until_ready reported right after an internal failover
-    /// (the new attempt's ETA is unknown).
-    double min_poll_seconds = 0.001;
     /// Time source for attempt budgets; nullptr means Clock::Real().
     common::Clock* clock = nullptr;
   };

@@ -492,7 +492,6 @@ common::Result<std::unique_ptr<Session>> FusionService::CreateSession(
     options.ticket.retry_backoff_seconds =
         request.pipeline.retry_backoff_seconds;
     options.on_ticket_failure = request.pipeline.on_ticket_failure;
-    options.max_poll_seconds = request.pipeline.max_poll_seconds;
     options.concurrent_selection = request.pipeline.concurrent_selection;
   }
   if (config_.clock != nullptr) session->clock_ = config_.clock;

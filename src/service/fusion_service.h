@@ -85,7 +85,8 @@ struct BudgetSpec {
   friend bool operator==(const BudgetSpec& a, const BudgetSpec& b) = default;
 };
 
-/// Pipelined-mode serving knobs (ignored by engine mode).
+/// Pipelined-mode serving knobs (ignored by engine mode). No wait knob:
+/// both modes wait out each ticket's ETA as its provider reports it.
 struct PipelineSpec {
   int max_in_flight = 4;
   int ticket_max_attempts = 1;
@@ -93,7 +94,6 @@ struct PipelineSpec {
   double retry_backoff_seconds = 0.0;
   core::BudgetScheduler::TicketFailurePolicy on_ticket_failure =
       core::BudgetScheduler::TicketFailurePolicy::kAbort;
-  double max_poll_seconds = 0.050;
   /// Overlap selection compute across books when the selector is
   /// concurrency-safe (see
   /// core::BudgetScheduler::Options::concurrent_selection). Never changes

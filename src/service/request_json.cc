@@ -309,7 +309,6 @@ JsonValue FusionRequestToJson(const FusionRequest& request) {
                request.pipeline.retry_backoff_seconds);
   pipeline.Set("on_ticket_failure",
                FailurePolicyName(request.pipeline.on_ticket_failure));
-  pipeline.Set("max_poll_seconds", request.pipeline.max_poll_seconds);
   pipeline.Set("concurrent_selection",
                request.pipeline.concurrent_selection);
   json.Set("pipeline", std::move(pipeline));
@@ -393,8 +392,6 @@ common::Result<FusionRequest> FusionRequestFromJson(const JsonValue& json) {
     CF_RETURN_IF_ERROR(JsonReadString(*pipeline, "on_ticket_failure", &policy));
     CF_ASSIGN_OR_RETURN(request.pipeline.on_ticket_failure,
                         ParseFailurePolicy(policy));
-    CF_RETURN_IF_ERROR(JsonReadDouble(*pipeline, "max_poll_seconds",
-                                  &request.pipeline.max_poll_seconds));
     CF_RETURN_IF_ERROR(JsonReadBool(*pipeline, "concurrent_selection",
                                 &request.pipeline.concurrent_selection));
   }

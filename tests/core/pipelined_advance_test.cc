@@ -31,9 +31,10 @@ namespace crowdfusion::core {
 
 /// The blocking step as it was before AdvancePipelinedStep, verbatim but
 /// for the member accesses, the kSkipInstance branch (these runs keep
-/// the default kAbort policy, under which that branch never runs), and
-/// its polls, which go through CollectTicket: a collect consumes a
-/// resolved ticket, whose status the instance then holds.
+/// the default kAbort policy, under which that branch never runs), its
+/// polls, which go through CollectTicket: a collect consumes a resolved
+/// ticket, whose status the instance then holds, and its waits, which
+/// sleep the earliest ETA uncapped.
 class BudgetSchedulerPeer {
  public:
   static common::Result<bool> BlockingStep(
@@ -80,8 +81,7 @@ class BudgetSchedulerPeer {
         }
       }
       if (any_resolved) break;
-      s.clock()->SleepSeconds(
-          std::min(std::max(min_wait, 1.0e-6), s.options_.max_poll_seconds));
+      s.clock()->SleepSeconds(std::max(min_wait, 1.0e-6));
     }
     for (Instance& instance : s.instances_) {
       if (!instance.in_flight) continue;
@@ -134,8 +134,9 @@ class CollectCountingProvider : public AsyncAnswerProvider {
 };
 
 /// One seeded run: a scheduler over 2-4 books, each answered by a
-/// lognormal-latency crowd on the run's own ManualClock. Latencies straddle
-/// max_poll_seconds, so some waits are capped and take several polls.
+/// lognormal-latency crowd on the run's own ManualClock. Each wait sleeps
+/// until the earliest in-flight ticket is due, so in a window of 4 the
+/// tickets due later wait through several.
 struct LatencyRun {
   LatencyRun(uint64_t seed, int window, int total_budget = 14)
       : clock(1000.0) {
@@ -254,7 +255,7 @@ TEST(PipelinedAdvanceTest, AdvanceLoopMatchesTheBlockingStep) {
       EXPECT_EQ(stepping.clock.NowSeconds(), blocking.clock.NowSeconds());
     }
   }
-  // The latency crowds really made the advance wait, capped waits included.
+  // The latency crowds really made the advance wait.
   EXPECT_GT(total_waits, 2 * kSeeds);
 }
 

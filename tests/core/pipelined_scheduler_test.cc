@@ -274,7 +274,6 @@ TEST(PipelinedSchedulerTest, FastInstanceIsNotStarvedBySlowTicket) {
   options.tasks_per_step = 2;
   options.max_in_flight = 2;
   options.clock = &clock;
-  options.max_poll_seconds = 1000.0;  // ManualClock: jump straight to ready
   auto scheduler = BudgetScheduler::Create(MakeCrowd(0.8), &selector, options);
   ASSERT_TRUE(scheduler.ok());
 
@@ -338,7 +337,6 @@ TEST(PipelinedSchedulerTest, InFlightReservationsRespectBudget) {
   options.tasks_per_step = 2;
   options.max_in_flight = 8;  // wider than budget/tasks_per_step
   options.clock = &clock;
-  options.max_poll_seconds = 1000.0;
   auto scheduler = BudgetScheduler::Create(MakeCrowd(0.8), &selector, options);
   ASSERT_TRUE(scheduler.ok());
 
@@ -415,7 +413,6 @@ TEST(PipelinedSchedulerTest, RerunRecoversAfterAbortedPipelinedRun) {
   options.tasks_per_step = 2;
   options.max_in_flight = 2;
   options.clock = &clock;
-  options.max_poll_seconds = 1000.0;
   auto scheduler = BudgetScheduler::Create(MakeCrowd(0.8), &selector, options);
   ASSERT_TRUE(scheduler.ok());
 
@@ -478,7 +475,6 @@ TEST(PipelinedSchedulerTest, TerminalTicketFailureAbortsTheRun) {
   BudgetScheduler::Options options;
   options.total_budget = 4;
   options.clock = &clock;
-  options.max_poll_seconds = 1000.0;
   options.ticket.max_attempts = 2;
   auto scheduler = BudgetScheduler::Create(MakeCrowd(0.8), &selector, options);
   ASSERT_TRUE(scheduler.ok());

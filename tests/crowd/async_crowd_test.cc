@@ -66,8 +66,7 @@ TEST(AsyncSimulatedCrowdTest, EngineRoundWaitsOutTheCrowdsLatency) {
       {.total_budget = 4,
        .tasks_per_step = 2,
        .max_in_flight = 1,
-       .clock = &clock,
-       .max_poll_seconds = 10.0});  // one sleep per wait
+       .clock = &clock});
   ASSERT_TRUE(book.ok());
   ASSERT_TRUE(
       book->AddInstance("book", core::RunningExample::Joint(), &crowd).ok());

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/string_util.h"
 #include "fusion/accu.h"
 #include "fusion/crh.h"
 #include "fusion/majority_vote.h"
@@ -17,12 +18,12 @@ namespace {
 ClaimDatabase SkewedDatabase(int entities, int good, int bad) {
   ClaimDatabase db;
   for (int s = 0; s < good + bad; ++s) {
-    db.AddSource("s" + std::to_string(s));
+    db.AddSource(common::StrFormat("s%d", s));
   }
   for (int e = 0; e < entities; ++e) {
     db.AddEntity();
-    const int truth = db.AddValue(e, "truth-" + std::to_string(e)).value();
-    const int lie = db.AddValue(e, "lie-" + std::to_string(e)).value();
+    const int truth = db.AddValue(e, common::StrFormat("truth-%d", e)).value();
+    const int lie = db.AddValue(e, common::StrFormat("lie-%d", e)).value();
     for (int s = 0; s < good; ++s) EXPECT_TRUE(db.AddClaim(s, truth).ok());
     for (int s = good; s < good + bad; ++s) {
       EXPECT_TRUE(db.AddClaim(s, lie).ok());
@@ -46,7 +47,7 @@ constexpr int kNumWeak = 5;
 ClaimDatabase CopyingDatabase() {
   ClaimDatabase db;
   for (int s = 0; s < kNumCareful + kNumCopiers; ++s) {
-    db.AddSource("s" + std::to_string(s));
+    db.AddSource(common::StrFormat("s%d", s));
   }
   for (int e = 0; e < kNumStrong + kNumWeak; ++e) {
     db.AddEntity();

@@ -1,4 +1,6 @@
 #include "fusion/web_link_fusers.h"
+
+#include "common/string_util.h"
 #include "support/status_printing.h"
 
 #include <gtest/gtest.h>
@@ -10,7 +12,7 @@ namespace {
 /// sources claim a shared lie everywhere.
 ClaimDatabase AgreementDatabase() {
   ClaimDatabase db;
-  for (int s = 0; s < 7; ++s) db.AddSource("s" + std::to_string(s));
+  for (int s = 0; s < 7; ++s) db.AddSource(common::StrFormat("s%d", s));
   for (int e = 0; e < 12; ++e) {
     db.AddEntity();
     const int truth = db.AddValue(e, "truth").value();
@@ -98,12 +100,12 @@ TEST(AverageLogFuserTest, DampsProlificLowQualitySources) {
   // sources: Average-Log should rate the spammer below the good sources
   // even though it has the most claims.
   ClaimDatabase db;
-  for (int s = 0; s < 4; ++s) db.AddSource("s" + std::to_string(s));
+  for (int s = 0; s < 4; ++s) db.AddSource(common::StrFormat("s%d", s));
   const int spammer = 3;
   for (int e = 0; e < 10; ++e) {
     db.AddEntity();
     const int truth = db.AddValue(e, "truth").value();
-    const int spam = db.AddValue(e, "spam-" + std::to_string(e)).value();
+    const int spam = db.AddValue(e, common::StrFormat("spam-%d", e)).value();
     for (int s = 0; s < 3; ++s) ASSERT_TRUE(db.AddClaim(s, truth).ok());
     ASSERT_TRUE(db.AddClaim(spammer, spam).ok());
   }

@@ -1,7 +1,9 @@
 /// The crowd wire's traffic per ticket, counted by a forwarding server
-/// that sits between a pipelined session's "http" provider and a
+/// that sits between a session's "http" provider and a
 /// LoopbackCrowdServer: a ticket costs its submit and one :take per
-/// collect, the last of which carries the answers. No status GET is sent.
+/// collect, the last of which carries the answers. No status GET is sent,
+/// and a ticket with latency is collected once in flight and once when
+/// its ETA is up, in either run mode.
 
 #include <gtest/gtest.h>
 
@@ -113,16 +115,17 @@ bool HasAnswers(const Exchange& exchange) {
   return exchange.response_body.find("\"answers\":[") != std::string::npos;
 }
 
-/// Runs a one-book pipelined session over the "http" kind through a
-/// counting proxy and returns what the proxy saw.
-std::vector<Exchange> RunOneBook(double latency_median_seconds) {
+/// Runs a one-book session over the "http" kind through a counting
+/// proxy and returns what the proxy saw.
+std::vector<Exchange> RunOneBook(service::RunMode mode,
+                                 double latency_median_seconds) {
   LoopbackCrowdServer crowd;  // port 0
   EXPECT_TRUE(crowd.Start().ok());
   CountingProxy proxy(crowd.port());
   EXPECT_TRUE(proxy.Start().ok());
 
   service::FusionRequest request;
-  request.mode = service::RunMode::kPipelined;
+  request.mode = mode;
   service::InstanceSpec instance;
   instance.name = "hong-kong";
   instance.joint = core::RunningExample::Joint();
@@ -145,7 +148,8 @@ std::vector<Exchange> RunOneBook(double latency_median_seconds) {
 }
 
 TEST(CrowdTrafficTest, ZeroLatencyTicketCostsSubmitAndOneTake) {
-  const auto tickets = ByTicket(RunOneBook(/*latency_median_seconds=*/0.0));
+  const auto tickets = ByTicket(RunOneBook(service::RunMode::kPipelined,
+                                           /*latency_median_seconds=*/0.0));
   EXPECT_EQ(tickets.size(), 4u);  // one task per ticket, budget 4
   for (const auto& [id, exchanges] : tickets) {
     ASSERT_EQ(exchanges.size(), 2u) << "ticket " << id;
@@ -157,7 +161,9 @@ TEST(CrowdTrafficTest, ZeroLatencyTicketCostsSubmitAndOneTake) {
 }
 
 TEST(CrowdTrafficTest, InFlightTakesEndInOneTakeWithTheAnswers) {
-  const std::vector<Exchange> log = RunOneBook(/*latency_median_seconds=*/0.05);
+  const std::vector<Exchange> log =
+      RunOneBook(service::RunMode::kPipelined,
+                 /*latency_median_seconds=*/0.05);
   for (const Exchange& exchange : log) {
     EXPECT_FALSE(exchange.method == "GET" &&
                  exchange.target.find("/tickets/") != std::string::npos)
@@ -181,6 +187,30 @@ TEST(CrowdTrafficTest, InFlightTakesEndInOneTakeWithTheAnswers) {
     EXPECT_TRUE(HasPhase(exchanges[n - 1], "ready"))
         << exchanges[n - 1].response_body;
     EXPECT_TRUE(HasAnswers(exchanges[n - 1])) << exchanges[n - 1].response_body;
+  }
+}
+
+TEST(CrowdTrafficTest, ALatencyTicketCostsThreeRequestsInEitherMode) {
+  // The wait is the ETA the :take reported, whatever its length: the
+  // submit, the :take that finds the ticket in flight, and the :take
+  // that carries the answers once the ETA is up.
+  for (const service::RunMode mode :
+       {service::RunMode::kEngine, service::RunMode::kPipelined}) {
+    SCOPED_TRACE(service::RunModeName(mode));
+    const auto tickets =
+        ByTicket(RunOneBook(mode, /*latency_median_seconds=*/0.2));
+    EXPECT_EQ(tickets.size(), 4u);
+    for (const auto& [id, exchanges] : tickets) {
+      ASSERT_EQ(exchanges.size(), 3u) << "ticket " << id;
+      EXPECT_EQ(exchanges[0].method, "POST") << "ticket " << id;
+      EXPECT_TRUE(IsTake(exchanges[1])) << exchanges[1].target;
+      EXPECT_TRUE(HasPhase(exchanges[1], "in_flight"))
+          << exchanges[1].response_body;
+      EXPECT_TRUE(IsTake(exchanges[2])) << exchanges[2].target;
+      EXPECT_TRUE(HasPhase(exchanges[2], "ready"))
+          << exchanges[2].response_body;
+      EXPECT_TRUE(HasAnswers(exchanges[2])) << exchanges[2].response_body;
+    }
   }
 }
 

@@ -2,7 +2,8 @@
 /// (Submit/Collect/Cancel) across real sockets, the one :take route
 /// answering every phase (in flight, ready, failed), judgment parity with
 /// the in-process SimulatedCrowd it proxies, status transport for failing
-/// universes, and the "http" registry kind's validation.
+/// universes, the rejection of a negative in-flight ETA, and the "http"
+/// registry kind's validation.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +16,9 @@
 #include "crowd/worker.h"
 #include "net/http_answer_provider.h"
 #include "net/http_client.h"
+#include "net/http_server.h"
 #include "net/loopback_crowd_server.h"
+#include "net/wire.h"
 #include "support/status_printing.h"
 
 namespace crowdfusion::net {
@@ -220,6 +223,31 @@ TEST(HttpTakeContractTest, TakeOnAnInFlightTicketKeepsIt) {
                         "/tickets/" + std::to_string(*ticket));
   ASSERT_TRUE(get.ok()) << get.status();
   EXPECT_EQ(get->status_code, 400);
+}
+
+TEST(HttpTakeContractTest, NegativeInFlightEtaIsUnavailable) {
+  // A platform that says its ticket was due a second ago: waiting out
+  // that ETA would re-send :take in a busy loop, so the provider reports
+  // the platform unavailable (a pool then fails the batch over).
+  auto handler = [](const HttpRequest& request) {
+    const std::string body =
+        request.target.ends_with(":take")
+            ? R"({"phase":"in_flight","seconds_until_ready":-1})"
+            : R"({"ticket":1})";
+    return JsonResponse(200, body);
+  };
+  HttpServer stub(SyncHandlerAdapter(handler), HttpServer::Options());
+  ASSERT_TRUE(stub.Start().ok());
+  HttpAnswerProvider::Options options;
+  options.port = stub.port();
+  options.universe = "stub";
+  HttpAnswerProvider provider(options);
+
+  auto ticket = provider.Submit(std::vector<int>{0});
+  ASSERT_TRUE(ticket.ok()) << ticket.status();
+  auto collected = provider.Collect(*ticket);
+  ASSERT_FALSE(collected.ok());
+  EXPECT_EQ(collected.status().code(), common::StatusCode::kUnavailable);
 }
 
 TEST(HttpProviderRegistryTest, EndpointValidation) {

@@ -1,9 +1,10 @@
 /// net::ProviderPool failover contract over scriptable fake replicas:
 /// healthy pinning to the preferred replica, submit- and collect-time
 /// failover on kUnavailable / kDeadlineExceeded, collect-time expiry of
-/// hung attempts on a ManualClock, consecutive-failure ejection with timed
-/// re-probe, terminal exhaustion, pass-through of non-transport errors,
-/// and a scheduler run that survives a replica dying at its collect.
+/// hung attempts on a ManualClock, an in-flight ETA cut to the attempt
+/// budget, consecutive-failure ejection with timed re-probe, terminal
+/// exhaustion, pass-through of non-transport errors, and a scheduler run
+/// that survives a replica dying at its collect.
 
 #include <gtest/gtest.h>
 
@@ -39,6 +40,7 @@ class FakeReplica : public core::AsyncAnswerProvider {
   Status ticket_error;   // non-OK: Collect reports kFailed with it
   Status collect_error;  // non-OK: the Collect call itself fails with it
   bool stuck = false;    // Collect reports kInFlight forever
+  double stuck_eta_seconds = 1.0;  // the ETA a stuck Collect reports
   std::vector<bool> answers = {true, false, true};
 
   int submits = 0;
@@ -62,7 +64,7 @@ class FakeReplica : public core::AsyncAnswerProvider {
     }
     core::TicketStatus status;
     if (stuck) {
-      status.seconds_until_ready = 1.0;
+      status.seconds_until_ready = stuck_eta_seconds;
       return status;
     }
     if (!collect_error.ok()) return collect_error;
@@ -359,6 +361,37 @@ TEST(ProviderPoolTest, PollExpiresAHungAttemptAndFailsOver) {
   ASSERT_TRUE(ready.ok()) << ready.status();
   EXPECT_EQ(ready->phase, core::TicketPhase::kReady);
   EXPECT_EQ(ready->answers, fakes[1]->answers);
+}
+
+TEST(ProviderPoolTest, ReportedEtaEndsWithTheAttemptBudget) {
+  // Callers sleep the ETA a collect reports, so a stuck replica's 10 s
+  // must not be slept past a 1 s attempt budget.
+  ManualClock clock;
+  auto fakes = MakeFakes(2);
+  fakes[0]->stuck = true;
+  fakes[0]->stuck_eta_seconds = 10.0;
+  ProviderPool::Options options;
+  options.attempt_timeout_seconds = 1.0;
+  options.clock = &clock;
+  auto pool = MakePool(fakes, options);
+
+  auto ticket = pool->Submit(std::vector<int>{0, 1, 2});
+  ASSERT_TRUE(ticket.ok());
+  auto early = pool->Collect(*ticket);
+  ASSERT_TRUE(early.ok()) << early.status();
+  EXPECT_EQ(early->phase, core::TicketPhase::kInFlight);
+  EXPECT_GT(early->seconds_until_ready, 0.0);
+  EXPECT_LE(early->seconds_until_ready, 1.0);
+  pool->Cancel(*ticket);
+
+  // Waiting out each reported ETA fails the batch over when the budget
+  // ends and lands on replica 1's answers then, not at the stuck ETA.
+  auto answers =
+      core::SubmitAndAwait(*pool, std::vector<int>{0, 1, 2}, &clock);
+  ASSERT_TRUE(answers.ok()) << answers.status();
+  EXPECT_EQ(*answers, fakes[1]->answers);
+  EXPECT_EQ(fakes[1]->submits, 1);
+  EXPECT_NEAR(clock.NowSeconds(), 1.0, 0.01);
 }
 
 TEST(ProviderPoolTest, ConsecutiveFailuresEjectUntilTheReprobe) {

@@ -355,6 +355,24 @@ TEST(RequestJsonTest, RetiredEngineKnobIsIgnored) {
   EXPECT_EQ(actual->total_cost_spent, expected->total_cost_spent);
 }
 
+TEST(RequestJsonTest, RetiredPollCapIsIgnored) {
+  // Both run modes wait out the provider's ETA; a request that still
+  // carries the retired pipeline.max_poll_seconds parses as one without.
+  const FusionRequest request = BaseRequest();
+  const std::string text = SerializeFusionRequest(request);
+  ASSERT_EQ(text.find("max_poll_seconds"), std::string::npos);
+  auto document = common::JsonValue::Parse(text);
+  ASSERT_TRUE(document.ok()) << document.status();
+  for (auto& [key, value] : document->object()) {
+    if (key == "pipeline") value.Set("max_poll_seconds", 0.01);
+  }
+  const std::string legacy_text = document->Dump();
+  ASSERT_NE(legacy_text.find("max_poll_seconds"), std::string::npos);
+  auto legacy = ParseFusionRequest(legacy_text);
+  ASSERT_TRUE(legacy.ok()) << legacy.status();
+  EXPECT_EQ(*legacy, request);
+}
+
 TEST(ResponseJsonTest, ResponsesRoundTrip) {
   FusionService service;
   FusionRequest request = BaseRequest();
