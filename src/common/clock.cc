@@ -16,7 +16,9 @@ class RealClock : public Clock {
   }
 
   void SleepSeconds(double seconds) override {
-    if (seconds <= 0) return;
+    // A year stands for forever: sleep_for is undefined past ~292 years.
+    if (seconds > 3.2e7) seconds = 3.2e7;
+    if (!(seconds > 0)) return;
     std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
   }
 };

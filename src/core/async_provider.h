@@ -42,9 +42,8 @@ struct TicketStatus {
   TicketPhase phase = TicketPhase::kInFlight;
   /// Attempts consumed so far (final count once resolved).
   int attempts_used = 0;
-  /// Seconds until the ticket resolves, while kInFlight (>= 0); 0
-  /// otherwise. The one wait rule: callers sleep exactly this long, with
-  /// no cap of their own, before collecting again.
+  /// Seconds until the ticket resolves while kInFlight (finite, >= 0), else
+  /// 0. The one wait rule: callers sleep this long, uncapped, then collect.
   double seconds_until_ready = 0.0;
   /// The answers, one per submitted fact id, when phase == kReady.
   std::vector<bool> answers;

@@ -142,13 +142,11 @@ class BudgetScheduler {
 
   /// One serving quantum, for callers that interleave serving with other
   /// work (the service facade's engine-mode Drain): AdvancePipelinedStep
-  /// in a loop that sleeps each returned wait on the clock, so it fills
-  /// the in-flight window, waits out the earliest ETA and harvests every
-  /// resolved ticket, appending the merged records. Returns false when the
-  /// run is complete (budget gone or no gain anywhere; the exhaustion
-  /// marker record is appended exactly as RunPipelined emits it). Assumes
-  /// no aborted run's tickets are pending — start a fresh scheduler, or go
-  /// through RunPipelined which clears them.
+  /// in a loop that sleeps each returned wait on the clock, appending the
+  /// merged records. Returns false when the run is complete (budget gone
+  /// or no gain anywhere; the exhaustion marker is appended as RunPipelined
+  /// emits it). Assumes no aborted run's tickets are pending — start a
+  /// fresh scheduler, or go through RunPipelined, which clears them.
   common::Result<bool> RunPipelinedStep(std::vector<StepRecord>& records);
 
   /// What one AdvancePipelinedStep call did.

@@ -1,5 +1,6 @@
 #include "net/http_answer_provider.h"
 
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -95,9 +96,10 @@ common::Result<core::TicketStatus> HttpAnswerProvider::Collect(
   if (const JsonValue* eta = body.Find("seconds_until_ready")) {
     CF_ASSIGN_OR_RETURN(status.seconds_until_ready, eta->GetDouble());
   }
+  const double eta = status.seconds_until_ready;
   if (status.phase == core::TicketPhase::kInFlight &&
-      status.seconds_until_ready < 0) {
-    return Status::Unavailable("platform reported a negative ETA");
+      !(std::isfinite(eta) && eta >= 0)) {
+    return Status::Unavailable("platform reported an invalid ETA");
   }
   if (status.phase == core::TicketPhase::kReady) {
     CF_ASSIGN_OR_RETURN(const JsonValue* answers, body.Get("answers"));

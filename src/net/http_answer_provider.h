@@ -22,8 +22,8 @@ namespace crowdfusion::net {
 /// leaks nothing remotely. A ticket costs its submit plus one :take per
 /// collect. No call sleeps: the caller owns the waiting.
 ///
-/// One provider serves one remote fact universe. Transport failures and a
-/// negative in-flight ETA (the caller would collect in a busy loop) are
+/// One provider serves one remote fact universe. Transport failures and an
+/// in-flight ETA that is negative or infinite (no wait would fit it) are
 /// kUnavailable; platform-reported errors arrive with their original
 /// status code and message (the wire transports Status losslessly).
 /// Thread-safety matches the in-process providers: calls may come from

@@ -225,29 +225,33 @@ TEST(HttpTakeContractTest, TakeOnAnInFlightTicketKeepsIt) {
   EXPECT_EQ(get->status_code, 400);
 }
 
-TEST(HttpTakeContractTest, NegativeInFlightEtaIsUnavailable) {
-  // A platform that says its ticket was due a second ago: waiting out
-  // that ETA would re-send :take in a busy loop, so the provider reports
-  // the platform unavailable (a pool then fails the batch over).
-  auto handler = [](const HttpRequest& request) {
-    const std::string body =
-        request.target.ends_with(":take")
-            ? R"({"phase":"in_flight","seconds_until_ready":-1})"
-            : R"({"ticket":1})";
-    return JsonResponse(200, body);
-  };
-  HttpServer stub(SyncHandlerAdapter(handler), HttpServer::Options());
-  ASSERT_TRUE(stub.Start().ok());
-  HttpAnswerProvider::Options options;
-  options.port = stub.port();
-  options.universe = "stub";
-  HttpAnswerProvider provider(options);
+TEST(HttpTakeContractTest, InvalidInFlightEtaIsUnavailable) {
+  // A platform that says its ticket was due a second ago, or is due at
+  // 1e999 (parsed as +inf): waiting out either ETA would re-send :take in
+  // a busy loop or never again, so the provider reports the platform
+  // unavailable (a pool then fails the batch over).
+  for (const std::string eta : {"-1", "1e999"}) {
+    SCOPED_TRACE(eta);
+    auto handler = [eta](const HttpRequest& request) {
+      const std::string body =
+          request.target.ends_with(":take")
+              ? R"({"phase":"in_flight","seconds_until_ready":)" + eta + "}"
+              : R"({"ticket":1})";
+      return JsonResponse(200, body);
+    };
+    HttpServer stub(SyncHandlerAdapter(handler), HttpServer::Options());
+    ASSERT_TRUE(stub.Start().ok());
+    HttpAnswerProvider::Options options;
+    options.port = stub.port();
+    options.universe = "stub";
+    HttpAnswerProvider provider(options);
 
-  auto ticket = provider.Submit(std::vector<int>{0});
-  ASSERT_TRUE(ticket.ok()) << ticket.status();
-  auto collected = provider.Collect(*ticket);
-  ASSERT_FALSE(collected.ok());
-  EXPECT_EQ(collected.status().code(), common::StatusCode::kUnavailable);
+    auto ticket = provider.Submit(std::vector<int>{0});
+    ASSERT_TRUE(ticket.ok()) << ticket.status();
+    auto collected = provider.Collect(*ticket);
+    ASSERT_FALSE(collected.ok());
+    EXPECT_EQ(collected.status().code(), common::StatusCode::kUnavailable);
+  }
 }
 
 TEST(HttpProviderRegistryTest, EndpointValidation) {

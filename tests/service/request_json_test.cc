@@ -325,52 +325,48 @@ TEST(RequestJsonTest, ConcurrentSelectionKnobRoundTripsWhenDisabled) {
 }
 
 TEST(RequestJsonTest, RetiredEngineKnobIsIgnored) {
-  // Older clients may still send the retired greedy engine knob; the
-  // selector reader ignores it and the run is unchanged.
+  // Older clients may still send a retired knob: the greedy engine's
+  // selector.preprocessing_mode, or pipeline.max_poll_seconds (both run
+  // modes now wait out the provider's ETA). The readers ignore it and the
+  // run is unchanged.
+  struct Retired {
+    const char* object;
+    const char* key;
+    common::JsonValue value;
+  };
   FusionRequest request = BaseRequest();
   request.provider.kind = "scripted";
-  auto document = common::JsonValue::Parse(SerializeFusionRequest(request));
-  ASSERT_TRUE(document.ok()) << document.status();
-  for (auto& [key, value] : document->object()) {
-    if (key == "selector") value.Set("preprocessing_mode", "dense");
-  }
-  const std::string legacy_text = document->Dump();
-  ASSERT_NE(legacy_text.find("preprocessing_mode"), std::string::npos);
-  auto legacy = ParseFusionRequest(legacy_text);
-  ASSERT_TRUE(legacy.ok()) << legacy.status();
-  EXPECT_EQ(*legacy, request);
-
-  FusionService service;
-  auto expected = service.Run(request);
-  auto actual = service.Run(*legacy);
-  ASSERT_TRUE(expected.ok()) << expected.status();
-  ASSERT_TRUE(actual.ok()) << actual.status();
-  // Step latencies are wall-clock measurements.
-  for (auto* response : {&*expected, &*actual}) {
-    for (StepOutcome& step : response->steps) step.latency_seconds = 0.0;
-  }
-  EXPECT_EQ(actual->steps, expected->steps);
-  EXPECT_EQ(actual->instances, expected->instances);
-  EXPECT_EQ(actual->total_utility_bits, expected->total_utility_bits);
-  EXPECT_EQ(actual->total_cost_spent, expected->total_cost_spent);
-}
-
-TEST(RequestJsonTest, RetiredPollCapIsIgnored) {
-  // Both run modes wait out the provider's ETA; a request that still
-  // carries the retired pipeline.max_poll_seconds parses as one without.
-  const FusionRequest request = BaseRequest();
   const std::string text = SerializeFusionRequest(request);
-  ASSERT_EQ(text.find("max_poll_seconds"), std::string::npos);
-  auto document = common::JsonValue::Parse(text);
-  ASSERT_TRUE(document.ok()) << document.status();
-  for (auto& [key, value] : document->object()) {
-    if (key == "pipeline") value.Set("max_poll_seconds", 0.01);
+  for (const Retired& retired :
+       {Retired{"selector", "preprocessing_mode", "dense"},
+        Retired{"pipeline", "max_poll_seconds", 0.01}}) {
+    SCOPED_TRACE(retired.key);
+    ASSERT_EQ(text.find(retired.key), std::string::npos);
+    auto document = common::JsonValue::Parse(text);
+    ASSERT_TRUE(document.ok()) << document.status();
+    for (auto& [key, value] : document->object()) {
+      if (key == retired.object) value.Set(retired.key, retired.value);
+    }
+    const std::string legacy_text = document->Dump();
+    ASSERT_NE(legacy_text.find(retired.key), std::string::npos);
+    auto legacy = ParseFusionRequest(legacy_text);
+    ASSERT_TRUE(legacy.ok()) << legacy.status();
+    EXPECT_EQ(*legacy, request);
+
+    FusionService service;
+    auto expected = service.Run(request);
+    auto actual = service.Run(*legacy);
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    ASSERT_TRUE(actual.ok()) << actual.status();
+    // Step latencies are wall-clock measurements.
+    for (auto* response : {&*expected, &*actual}) {
+      for (StepOutcome& step : response->steps) step.latency_seconds = 0.0;
+    }
+    EXPECT_EQ(actual->steps, expected->steps);
+    EXPECT_EQ(actual->instances, expected->instances);
+    EXPECT_EQ(actual->total_utility_bits, expected->total_utility_bits);
+    EXPECT_EQ(actual->total_cost_spent, expected->total_cost_spent);
   }
-  const std::string legacy_text = document->Dump();
-  ASSERT_NE(legacy_text.find("max_poll_seconds"), std::string::npos);
-  auto legacy = ParseFusionRequest(legacy_text);
-  ASSERT_TRUE(legacy.ok()) << legacy.status();
-  EXPECT_EQ(*legacy, request);
 }
 
 TEST(ResponseJsonTest, ResponsesRoundTrip) {
